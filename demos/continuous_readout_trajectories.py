@@ -35,31 +35,30 @@ config = ReadoutConfig(tau_min=1.0, seed=11)
 plus = pure_state(np.array([1.0, 1.0]) / math.sqrt(2))
 
 n = 5000
-records = simulate_batch(config, t, plus, n)
+batch = simulate_batch(config, t, plus, n)
 
-f0 = sum(r.outcome == 0 for r in records) / n
+f0 = np.count_nonzero(batch.outcome == 0) / n
 expected = 0.5 * (1.0 + params.p - params.q)
 sigma = math.sqrt(expected * (1 - expected) / n)
 print(f"outcome-0 frequency: {f0:.4f}  (Born rule {expected:.4f}, "
       f"deviation {abs(f0 - expected) / sigma:.1f} sigma)")
 
-durations = np.array([r.duration for r in records])
+durations = batch.duration
 print(f"mean stopping time: {durations.mean():.3f} tau "
       f"(min {durations.min():.2f}, max {durations.max():.2f})")
 
 # Each stopped record should match the partial-projection update exactly.
 worst = 0.0
-for r in records[:500]:
+for r in batch[:500]:
     ideal = apply_outcome(params, r.outcome, plus)
     worst = max(worst, float(np.linalg.norm(r.final_state - ideal)))
 print(f"worst state deviation from ideal partial projection: {worst:.2e}")
 print(f"all purities stay at 1: "
-      f"{all(abs(r.purity - 1.0) < 1e-9 for r in records)}")
+      f"{bool(np.all(np.abs(batch.purity - 1.0) < 1e-9))}")
 
 print()
 print("same run with quantum efficiency eta = 0.6")
 lossy = ReadoutConfig(tau_min=1.0, seed=11, efficiency=0.6)
-records = simulate_batch(lossy, t, plus, 2000)
-purities = np.array([r.purity for r in records])
+purities = simulate_batch(lossy, t, plus, 2000).purity
 print(f"mean purity after stopping: {purities.mean():.4f} "
       f"(unobserved signal dephases the qubit)")

@@ -23,6 +23,7 @@ from .channels import NoiseSpec, noise_kraus, noisy_branch
 from .continuous_readout import (
     ReadoutConfig,
     Thresholds,
+    TrajectoryBatch,
     TrajectoryRecord,
     measurement_operator,
     normalization_constants,

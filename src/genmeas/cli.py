@@ -126,15 +126,18 @@ def cmd_simulate(args) -> int:
     with open(args.protocol) as f:
         proto = protocol_from_json(f.read())
     state = _parse_state(args.state)
-    readout = _readout_config(args) if args.backend == "continuous" else None
-    if args.shots == 0:
-        _emit({"format_version": "1.0", "histogram": {}, "shots": 0,
-               "seed": args.seed, "backend": args.backend}, args)
-        return EXIT_OK
     try:
+        readout = _readout_config(args) if args.backend == "continuous" else None
+        if args.shots == 0:
+            _emit({"format_version": "1.0", "histogram": {}, "shots": 0,
+                   "seed": args.seed, "backend": args.backend}, args)
+            return EXIT_OK
         counts, means = sample_protocol(
             proto, state, args.shots, args.seed, args.backend, readout
         )
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (NonFiniteThreshold, InvalidOrdering, MaxDurationExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -153,29 +156,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    if args.p is not None and args.q is not None:
-        try:
-            t = thresholds_from_pq(PartialProjParams(args.p, args.q))
-        except InvalidOrdering as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-    elif args.r0 is not None and args.r1 is not None:
-        t = Thresholds(R0=args.r0, R1=args.r1)
-    else:
-        print("error: provide either --p/--q or --r0/--r1", file=sys.stderr)
-        return EXIT_VALIDATION
-    config = _readout_config(args)
     state = _parse_state(args.state)
     try:
-        records = simulate_batch(config, t, state, args.shots)
+        if args.p is not None and args.q is not None:
+            t = thresholds_from_pq(PartialProjParams(args.p, args.q))
+        elif args.r0 is not None and args.r1 is not None:
+            t = Thresholds(R0=args.r0, R1=args.r1)
+        else:
+            raise ValueError("provide either --p/--q or --r0/--r1")
+        batch = simulate_batch(_readout_config(args), t, state, args.shots)
+    except (ValueError, InvalidOrdering) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (NonFiniteThreshold, MaxDurationExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SIMULATION
-    _write(trajectories_to_jsonl(records), args.output)
-    n0 = sum(1 for r in records if r.outcome == 0)
-    mean_t = sum(r.duration for r in records) / max(len(records), 1)
-    print(f"outcome-0 frequency {n0 / max(len(records), 1):.4f}, "
-          f"mean duration {mean_t:.4f}", file=sys.stderr)
+    _write(trajectories_to_jsonl(batch), args.output)
+    n = max(len(batch), 1)
+    print(f"outcome-0 frequency {np.count_nonzero(batch.outcome == 0) / n:.4f}, "
+          f"mean duration {batch.duration.sum() / n:.4f}", file=sys.stderr)
     return EXIT_OK
 
 

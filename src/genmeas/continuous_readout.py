@@ -11,12 +11,14 @@ at the first crossing realizes the partial projection pair D0, D1 with
 
     R0 = (1/2) ln(p / (1 - q)),    R1 = -(1/2) ln(q / (1 - p)).
 
-The simulator uses a discrete-time quantum Bayesian model: per step the
-readout increment is drawn from the population-weighted Gaussian mixture
-rho00 * N(+dt/tau, dt/tau) + rho11 * N(-dt/tau, dt/tau), which reproduces
-the likelihood ratio e^{2R} implied by M_R. Because increments compose
-exactly through the diagonal exponentials, the populations depend only on
-the accumulated R, and the final state follows in closed form from
+The simulator uses the quantum Bayesian picture: the readout increments of
+a run follow the mixture rho00 * N(+dt/tau, dt/tau) + rho11 * N(-dt/tau,
+dt/tau), whose per-step posterior weights reproduce the likelihood ratio
+e^{2R} implied by M_R. That path law is the same as drawing a hidden label
+once per run (0 with probability rho00) and then walking with drift
++dt/tau (label 0) or -dt/tau (label 1), so all runs of a batch advance
+together as arrays. Because increments compose exactly through the
+diagonal exponentials, the final state follows in closed form from
 (final_R, duration).
 """
 
@@ -25,11 +27,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidOrdering, MaxDurationExceeded, NonFiniteThreshold
-from .linalg import adjoint
 from .partial_projection import PartialProjParams, validate_state
 
 LOCALIZATION_TOL = 1e-6
@@ -108,6 +110,43 @@ class TrajectoryRecord:
     r_path: list[float] = field(default_factory=list)
 
 
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """Struct-of-arrays result of ``n`` readout runs.
+
+    ``outcome``, ``duration``, ``final_R`` and ``purity`` have shape (n,),
+    ``final_state`` has shape (n, 2, 2). The batch has a length; an integer
+    index gives a :class:`TrajectoryRecord`, a slice or index array gives a
+    sub-batch, and iteration yields records.
+    """
+
+    outcome: np.ndarray
+    duration: np.ndarray
+    final_R: np.ndarray
+    final_state: np.ndarray
+    purity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.outcome)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return TrajectoryRecord(
+                outcome=int(self.outcome[i]),
+                duration=float(self.duration[i]),
+                final_R=float(self.final_R[i]),
+                final_state=self.final_state[i].copy(),
+                purity=float(self.purity[i]),
+            )
+        return TrajectoryBatch(
+            self.outcome[i], self.duration[i], self.final_R[i],
+            self.final_state[i], self.purity[i],
+        )
+
+    def __iter__(self) -> Iterator[TrajectoryRecord]:
+        return (self[i] for i in range(len(self)))
+
+
 def thresholds_from_pq(params: PartialProjParams) -> Thresholds:
     """Thresholds realizing the partial projection with fidelities (p, q).
 
@@ -174,113 +213,171 @@ def normalization_constants(params: PartialProjParams) -> tuple[float, float]:
     return math.sqrt(p * (1.0 - q)), math.sqrt(q * (1.0 - p))
 
 
-def _final_record(
-    rho: np.ndarray,
-    R: float,
-    duration: float,
-    outcome: int,
-    config: ReadoutConfig,
-    r_path: list[float],
-) -> TrajectoryRecord:
-    m = measurement_operator(R, config.alpha)
-    out = m @ rho @ adjoint(m)
-    eta = config.efficiency
-    if eta < 1.0:
-        decay = math.exp(-(1.0 - eta) / (2.0 * eta) * duration / config.tau)
-        out[0, 1] *= decay
-        out[1, 0] *= decay
-    out = out / np.trace(out).real
-    purity = float(np.trace(out @ out).real)
-    return TrajectoryRecord(
-        outcome=outcome,
-        duration=duration,
-        final_R=R,
-        final_state=out,
-        purity=purity,
-        r_path=r_path,
-    )
-
-
-def _run_walk(
+def _first_passage(
     rng: np.random.Generator,
-    w0: float,
     t: Thresholds,
     config: ReadoutConfig,
-    record_path: bool,
-) -> tuple[int, float, float, list[float]]:
-    """First-passage walk of the integrated readout; returns (outcome, R, T, path).
+    rho00: np.ndarray,
+    path: list[float] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes and step counts of ``len(rho00)`` first-passage walks.
 
-    Steps advance on a fixed grid of size dt. Stopping uses exact
-    first-passage detection: a step whose endpoint lands beyond a threshold
-    is absorbed there, and a step that stays inside is absorbed with the
-    Brownian-bridge excursion probability exp(-2 g g' tau / dt), where g and
-    g' are the distances to the threshold at the step ends. The bridge law
-    is drift-free, so the correction is exact for the population-weighted
-    mixture as well, and the stopped record satisfies R = R0 or R = R1
-    exactly (well within LOCALIZATION_TOL).
+    Each run draws its hidden label once (0 with probability rho00), then
+    all active runs advance together on a fixed grid of size dt. A step
+    whose endpoint lands beyond a threshold is absorbed there; a step that
+    stays inside is absorbed with the Brownian-bridge excursion probability
+    exp(-2 g g' tau / dt), where g and g' are the distances to the
+    threshold at the step ends. The bridge law is drift-free, so the
+    correction is exact, and a stopped run sits at R0 or R1 exactly. Runs
+    that stop leave the active set by compaction.
+
+    Every buffer is allocated once per call: draws use ``out=`` and
+    compaction writes into a second buffer that is swapped in, which keeps
+    the allocator from fragmenting over thousands of steps. ``path``
+    (single-run batches only) receives R after each step.
     """
-    tau = config.tau
+    n = len(rho00)
     dt = config.dt
     cap = config.duration_cap
     r0, r1 = t.R0, t.R1
-    R = 0.0
-    T = 0.0
-    path = [0.0] if record_path else []
-    # Chunked draws: one normal and two uniforms per step (mixture branch
-    # and bridge-crossing decision).
-    chunk = 256
-    normals = rng.standard_normal(chunk)
-    uniforms = rng.random((chunk, 2))
-    idx = 0
-    m = dt / tau
+    m = dt / config.tau
     s = math.sqrt(m)
-    two_over = 2.0 * tau / dt
+    c = 2.0 * config.tau / dt
     max_steps = int(cap / dt) + 1
-    steps = 0
-    while True:
-        if idx == chunk:
-            normals = rng.standard_normal(chunk)
-            uniforms = rng.random((chunk, 2))
-            idx = 0
-        sign = 1.0 if uniforms[idx, 0] < w0 else -1.0
-        dR = sign * m + s * normals[idx]
-        newR = R + dR
-        if newR >= r0:
-            if record_path:
-                path.append(r0)
-            return 0, r0, T + dt, path
-        if newR <= r1:
-            if record_path:
-                path.append(r1)
-            return 1, r1, T + dt, path
-        # Endpoint stayed inside: the continuous record may still have
-        # touched a threshold during the step.
-        xu = -two_over * (r0 - R) * (r0 - newR)
-        xd = -two_over * (R - r1) * (newR - r1)
-        if xu > -30.0 or xd > -30.0:
-            pu = math.exp(xu)
-            pd = math.exp(xd)
-            u = uniforms[idx, 1]
-            if u < pu:
-                if record_path:
-                    path.append(r0)
-                return 0, r0, T + dt, path
-            if u < pu + pd:
-                if record_path:
-                    path.append(r1)
-                return 1, r1, T + dt, path
-        idx += 1
-        R = newR
-        T += dt
-        e = math.exp(2.0 * dR)
-        w0 = (w0 * e) / (w0 * e + (1.0 - w0))
-        if record_path:
-            path.append(R)
-        steps += 1
-        if T > cap or steps > max_steps:
-            raise MaxDurationExceeded(
-                f"no threshold reached within duration cap {cap:.3e}"
-            )
+    outcome = np.ones(n, dtype=np.int64)
+    steps = np.zeros(n, dtype=np.int64)
+    R, R_next = np.zeros(n), np.empty(n)
+    drift, drift_next = np.empty(n), np.empty(n)
+    idx, idx_next = np.arange(n), np.empty(n, dtype=np.intp)
+    z, u, pu, pd, g = (np.empty(n) for _ in range(5))
+    hit0, done, flag = (np.empty(n, dtype=bool) for _ in range(3))
+    hits = np.empty(n, dtype=np.intp)
+
+    rng.random(out=u)
+    np.less(u, rho00, out=hit0)
+    drift.fill(-m)
+    np.copyto(drift, m, where=hit0)
+
+    k = n
+    j = 0
+    # Endpoints far beyond a threshold overflow the bridge exponent to inf,
+    # which still reads as certain absorption.
+    with np.errstate(over="ignore"):
+        while k:
+            j += 1
+            Rk, zk, uk, puk, pdk, gk = R[:k], z[:k], u[:k], pu[:k], pd[:k], g[:k]
+            h0k, dk, fk = hit0[:k], done[:k], flag[:k]
+            rng.standard_normal(out=zk)
+            rng.random(out=uk)
+            zk *= s
+            zk += drift[:k]
+            zk += Rk  # zk now holds the step endpoints
+            # Bridge probabilities exp(-c (R0 - R)(R0 - R')) and
+            # exp(-c (R - R1)(R' - R1)); >= 1 once R' is at or beyond.
+            np.subtract(Rk, r0, out=puk)
+            np.subtract(r0, zk, out=gk)
+            puk *= gk
+            puk *= c
+            np.exp(puk, out=puk)
+            np.subtract(r1, Rk, out=pdk)
+            np.subtract(zk, r1, out=gk)
+            pdk *= gk
+            pdk *= c
+            np.exp(pdk, out=pdk)
+            # An endpoint beyond R1 stops at R1 even if the bridge touched R0.
+            np.less(uk, puk, out=h0k)
+            np.greater(zk, r1, out=fk)
+            h0k &= fk
+            puk += pdk
+            np.less(uk, puk, out=dk)
+            nd = int(np.count_nonzero(dk))
+            if nd:
+                n0 = int(np.count_nonzero(h0k))
+                if n0:
+                    np.compress(h0k, idx[:k], out=hits[:n0])
+                    outcome[hits[:n0]] = 0
+                np.compress(dk, idx[:k], out=hits[:nd])
+                steps[hits[:nd]] = j
+                np.logical_not(dk, out=fk)
+                k -= nd
+                np.compress(fk, zk, out=R_next[:k])
+                np.compress(fk, drift[: k + nd], out=drift_next[:k])
+                np.compress(fk, idx[: k + nd], out=idx_next[:k])
+                R, R_next = R_next, R
+                drift, drift_next = drift_next, drift
+                idx, idx_next = idx_next, idx
+            else:
+                R, z = z, R
+            if path is not None and k:
+                path.append(float(R[0]))
+            if k and (j * dt > cap or j > max_steps):
+                raise MaxDurationExceeded(
+                    f"no threshold reached within duration cap {cap:.3e}"
+                )
+    if path is not None:
+        path.append(r0 if outcome[0] == 0 else r1)
+    return outcome, steps
+
+
+def _final_batch(
+    states: np.ndarray,
+    final_R: np.ndarray,
+    duration: np.ndarray,
+    outcome: np.ndarray,
+    config: ReadoutConfig,
+) -> TrajectoryBatch:
+    """Closed-form M_R rho M_R^dag / Tr per run, dephased by exp(-(1-eta)/(2 eta) T/tau)."""
+    e = np.exp(final_R)
+    r00 = e * states[:, 0, 0].real
+    r11 = states[:, 1, 1].real / e
+    norm = r00 + r11
+    r01 = states[:, 0, 1] * np.exp(-1j * math.tan(config.alpha) * final_R) / norm
+    eta = config.efficiency
+    if eta < 1.0:
+        r01 *= np.exp(-(1.0 - eta) / (2.0 * eta) * duration / config.tau)
+    r00 /= norm
+    r11 /= norm
+    out = np.empty((len(outcome), 2, 2), dtype=np.complex128)
+    out[:, 0, 0] = r00
+    out[:, 1, 1] = r11
+    out[:, 0, 1] = r01
+    out[:, 1, 0] = r01.conj()
+    purity = r00**2 + r11**2 + 2.0 * np.abs(r01) ** 2
+    return TrajectoryBatch(outcome, duration, final_R, out, purity)
+
+
+def readout_walk(
+    config: ReadoutConfig,
+    t: Thresholds,
+    states: np.ndarray,
+    rng: np.random.Generator,
+    path: list[float] | None = None,
+) -> TrajectoryBatch:
+    """Thresholded readout of each density matrix in ``states`` (shape (n, 2, 2)).
+
+    The one walk behind :func:`simulate_batch`, :func:`simulate_trajectory`
+    and the continuous backend of ``sample_protocol``. The states are taken
+    as valid density matrices; callers validate at their boundary.
+    """
+    if not t.finite:
+        raise NonFiniteThreshold(
+            f"thresholds ({t.R0}, {t.R1}) are not finite; the projective "
+            "limit can only be approximated"
+        )
+    n = len(states)
+    steps = np.zeros(n, dtype=np.int64)
+    if t.R0 == 0.0 and t.R1 == 0.0:
+        # No measurement: terminate at once, outcome split per the
+        # p = q = 1/2 convention.
+        outcome = np.where(rng.random(n) < pq_from_thresholds(t).p, 0, 1)
+    elif t.R0 == 0.0:
+        outcome = np.zeros(n, dtype=np.int64)
+    elif t.R1 == 0.0:
+        outcome = np.ones(n, dtype=np.int64)
+    else:
+        outcome, steps = _first_passage(rng, t, config, states[:, 0, 0].real, path)
+    final_R = np.where(outcome == 0, t.R0, t.R1)
+    return _final_batch(states, final_R, steps * config.dt, outcome, config)
 
 
 def simulate_trajectory(
@@ -292,32 +389,18 @@ def simulate_trajectory(
 ) -> TrajectoryRecord:
     """Simulate one thresholded-readout run from ``initial``.
 
-    Deterministic given (config, thresholds, initial): the generator is
-    derived from ``config.seed`` unless one is supplied explicitly.
+    A batch of one: with ``rng`` omitted it equals
+    ``simulate_batch(config, t, initial, 1)[0]``, plus the readout path
+    ``r_path`` (R after each step, from 0 to the threshold reached).
     """
-    if not t.finite:
-        raise NonFiniteThreshold(
-            f"thresholds ({t.R0}, {t.R1}) are not finite; the projective "
-            "limit can only be approximated"
-        )
     rho = validate_state(initial)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-
-    if t.R0 == 0.0 and t.R1 == 0.0:
-        # No measurement: terminate immediately, outcome split per the
-        # p = q = 1/2 convention.
-        params = pq_from_thresholds(t)
-        outcome = 0 if rng.random() < params.p else 1
-        return _final_record(rho, 0.0, 0.0, outcome, config, [0.0])
-    if t.R0 == 0.0:
-        return _final_record(rho, 0.0, 0.0, 0, config, [0.0])
-    if t.R1 == 0.0:
-        return _final_record(rho, 0.0, 0.0, 1, config, [0.0])
-
-    w0 = float(rho[0, 0].real)
-    outcome, R, T, path = _run_walk(rng, w0, t, config, record_path)
-    return _final_record(rho, R, T, outcome, config, path)
+    path = [0.0] if record_path else None
+    rec = readout_walk(config, t, rho[None], rng, path)[0]
+    if path is not None:
+        rec.r_path = path
+    return rec
 
 
 def simulate_batch(
@@ -325,36 +408,41 @@ def simulate_batch(
     t: Thresholds,
     initial: np.ndarray,
     n: int,
-    record_paths: bool = False,
-) -> list[TrajectoryRecord]:
-    """Simulate ``n`` independent trajectories.
+) -> TrajectoryBatch:
+    """Simulate ``n`` independent trajectories from ``initial``.
 
-    Trajectory ``i`` uses a generator seeded from (config.seed, i), so a
-    batch is reproducible and its members are order-independent.
+    Seeding contract: one generator, ``np.random.default_rng(config.seed)``,
+    drives the whole batch. The same (config, thresholds, initial, n) gives
+    identical arrays, but trajectory i of a batch of n is in general not
+    trajectory i of a batch of m.
     """
-    out = []
-    for i in range(n):
-        rng = np.random.default_rng([config.seed, i])
-        out.append(
-            simulate_trajectory(config, t, initial, rng=rng, record_path=record_paths)
-        )
-    return out
+    if n < 0:
+        raise ValueError(f"trajectory count must be >= 0, got {n}")
+    rho = validate_state(initial)
+    return readout_walk(
+        config, t, np.broadcast_to(rho, (n, 2, 2)), np.random.default_rng(config.seed)
+    )
 
 
-def trajectories_to_jsonl(records: list[TrajectoryRecord]) -> str:
+def trajectories_to_jsonl(batch: TrajectoryBatch) -> str:
     """Serialize a batch as JSON lines, one record per trajectory."""
-    lines = []
-    for r in records:
-        state = [[[c.real, c.imag] for c in row] for row in r.final_state]
-        lines.append(
-            json.dumps(
-                {
-                    "outcome": r.outcome,
-                    "duration": r.duration,
-                    "final_R": r.final_R,
-                    "final_state": state,
-                    "purity": r.purity,
-                }
-            )
+    states = np.stack([batch.final_state.real, batch.final_state.imag], axis=-1)
+    lines = [
+        json.dumps(
+            {
+                "outcome": o,
+                "duration": d,
+                "final_R": r,
+                "final_state": s,
+                "purity": pu,
+            }
         )
+        for o, d, r, s, pu in zip(
+            batch.outcome.tolist(),
+            batch.duration.tolist(),
+            batch.final_R.tolist(),
+            states.tolist(),
+            batch.purity.tolist(),
+        )
+    ]
     return "\n".join(lines) + "\n"

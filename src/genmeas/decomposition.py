@@ -333,9 +333,17 @@ def sample_protocol(
 ) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Histogram and per-leaf mean final states over ``shots`` runs.
 
-    Shot i uses a generator seeded from (seed, i), so batches are
-    reproducible and order-independent.
+    Seeding contract: on the exact and ancilla backends shot i uses its own
+    generator seeded from (seed, i), so shots are order-independent. The
+    continuous backend runs all shots as one batch per protocol step from
+    a single generator seeded from ``seed``: the same call gives the same
+    result, but shot i of a run of n shots is in general not shot i of a
+    run of m.
     """
+    if shots < 0:
+        raise ValueError(f"shot count must be >= 0, got {shots}")
+    if backend == "continuous":
+        return _sample_continuous(p, validate_state(initial), shots, seed, readout_config)
     counts: dict[str, int] = {label: 0 for label in p.leaf_labels}
     sums: dict[str, np.ndarray] = {
         label: np.zeros((2, 2), dtype=np.complex128) for label in p.leaf_labels
@@ -350,6 +358,44 @@ def sample_protocol(
         for label in p.leaf_labels
         if counts[label] > 0
     }
+    return counts, means
+
+
+def _sample_continuous(
+    p: MeasurementProtocol,
+    rho: np.ndarray,
+    shots: int,
+    seed: int,
+    readout_config,
+) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+    """Continuous backend: each step is one batched readout of the active shots."""
+    from .continuous_readout import readout_walk, thresholds_from_pq
+
+    if readout_config is None:
+        raise ValueError("continuous backend requires a ReadoutConfig")
+    rng = np.random.default_rng(seed)
+    counts: dict[str, int] = {label: 0 for label in p.leaf_labels}
+    means: dict[str, np.ndarray] = {}
+    active = np.broadcast_to(rho, (shots, 2, 2))
+    for k, step in enumerate(p.steps):
+        if not len(active):
+            break
+        v = step.pre_unitary
+        batch = readout_walk(
+            readout_config, thresholds_from_pq(step.params),
+            adjoint(v) @ active @ v, rng,
+        )
+        halt = batch.outcome == 0
+        u0, u1 = step.post_unitary_0, step.post_unitary_1
+        halted = u0 @ batch.final_state[halt] @ adjoint(u0)
+        if len(halted):
+            counts[p.leaf_labels[k]] = len(halted)
+            means[p.leaf_labels[k]] = halted.mean(axis=0)
+        active = u1 @ batch.final_state[~halt] @ adjoint(u1)
+    if len(active):
+        f = p.final_unitary
+        counts[p.leaf_labels[-1]] = len(active)
+        means[p.leaf_labels[-1]] = (f @ active @ adjoint(f)).mean(axis=0)
     return counts, means
 
 

@@ -17,6 +17,13 @@ from genmeas.linalg import phase_distance
 from genmeas.serialize import kraus_set_to_json, matrix_to_json
 
 
+# A weak two-outcome measurement: finite thresholds on the continuous backend.
+HADAMARD_OPS = [
+    np.array([[1, 1], [1, -1]]) / math.sqrt(2) @ np.diag([math.sqrt(0.8), math.sqrt(0.4)]),
+    np.array([[1, 1], [1, -1]]) / math.sqrt(2) @ np.diag([math.sqrt(0.2), math.sqrt(0.6)]),
+]
+
+
 def trine_ops():
     ops = []
     for k in range(3):
@@ -135,6 +142,33 @@ def test_trajectory_requires_parameters(capsys):
 
 def test_trajectory_rejects_swapped_roles(capsys):
     assert main(["trajectory", "--p", "0.2", "--q", "0.3"]) == 2
+
+
+BAD_READOUT = [["--shots", "-3"], ["--tau", "0"], ["--dt", "-1"], ["--efficiency", "0"]]
+
+
+@pytest.mark.parametrize("bad", BAD_READOUT)
+def test_trajectory_rejects_bad_settings(bad, tmp_path, capsys):
+    out = str(tmp_path / "traj.jsonl")
+    code = main(["trajectory", "--p", "0.8", "--q", "0.6", "--output", out, *bad])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "traj.jsonl").exists()
+
+
+@pytest.mark.parametrize("bad", BAD_READOUT)
+def test_simulate_continuous_rejects_bad_settings(bad, tmp_path, capsys):
+    ops = [HADAMARD_OPS[0], HADAMARD_OPS[1]]
+    path = tmp_path / "weak.json"
+    path.write_text(kraus_set_to_json(kraus_set(ops)))
+    proto = str(tmp_path / "proto.json")
+    assert main(["synth", str(path), "--output", proto]) == 0
+    capsys.readouterr()
+    code = main(["simulate", proto, "--backend", "continuous", *bad])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_circuit_command(tmp_path):

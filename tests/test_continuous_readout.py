@@ -6,6 +6,8 @@ import pytest
 from genmeas.continuous_readout import (
     ReadoutConfig,
     Thresholds,
+    TrajectoryBatch,
+    TrajectoryRecord,
     measurement_operator,
     normalization_constants,
     pq_from_thresholds,
@@ -14,7 +16,7 @@ from genmeas.continuous_readout import (
     thresholds_from_pq,
     trajectories_to_jsonl,
 )
-from genmeas.errors import InvalidOrdering, NonFiniteThreshold
+from genmeas.errors import InvalidOrdering, MaxDurationExceeded, NonFiniteThreshold
 from genmeas.linalg import equal_up_to_phase
 from genmeas.partial_projection import (
     PartialProjParams,
@@ -24,6 +26,7 @@ from genmeas.partial_projection import (
 )
 
 KET0 = pure_state(np.array([1.0, 0.0]))
+KET1 = pure_state(np.array([0.0, 1.0]))
 PLUS = pure_state(np.array([1.0, 1.0]) / math.sqrt(2))
 
 
@@ -250,3 +253,90 @@ def test_jsonl_export():
     row = json.loads(lines[0])
     assert set(row) == {"outcome", "duration", "final_R", "final_state", "purity"}
     assert len(row["final_state"]) == 2 and len(row["final_state"][0][0]) == 2
+
+
+def test_batch_is_struct_of_arrays():
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    batch = simulate_batch(ReadoutConfig(tau_min=1.0, seed=10), t, PLUS, 50)
+    assert isinstance(batch, TrajectoryBatch) and len(batch) == 50
+    assert batch.outcome.shape == batch.duration.shape == (50,)
+    assert batch.final_R.shape == batch.purity.shape == (50,)
+    assert batch.final_state.shape == (50, 2, 2)
+    rec = batch[-1]
+    assert isinstance(rec, TrajectoryRecord)
+    assert rec.outcome == batch.outcome[49] and rec.duration == batch.duration[49]
+    assert np.array_equal(rec.final_state, batch.final_state[49])
+    part = batch[10:20]
+    assert isinstance(part, TrajectoryBatch) and len(part) == 10
+    assert np.array_equal(part.final_R, batch.final_R[10:20])
+    assert [r.outcome for r in batch] == batch.outcome.tolist()
+
+
+def test_seeding_contract():
+    params = PartialProjParams(0.8, 0.6)
+    t = thresholds_from_pq(params)
+    cfg = ReadoutConfig(tau_min=1.0, seed=12, efficiency=0.7)
+    a = simulate_batch(cfg, t, PLUS, 500)
+    b = simulate_batch(cfg, t, PLUS, 500)
+    assert np.array_equal(a.outcome, b.outcome)
+    assert np.array_equal(a.duration, b.duration)
+    assert np.array_equal(a.final_state, b.final_state)
+    one = simulate_batch(cfg, t, PLUS, 1)
+    rec = simulate_trajectory(cfg, t, PLUS)
+    assert rec.outcome == one.outcome[0] and rec.duration == one.duration[0]
+    assert rec.final_R == one.final_R[0]
+    assert np.array_equal(rec.final_state, one.final_state[0])
+    assert rec.r_path[0] == 0.0 and rec.r_path[-1] == rec.final_R
+    assert len(rec.r_path) == round(rec.duration / cfg.dt) + 1
+
+
+def test_batch_rejects_negative_count():
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    with pytest.raises(ValueError):
+        simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, -3)
+
+
+def test_batch_refuses_infinite_thresholds():
+    t = thresholds_from_pq(PartialProjParams(0.9, 1.0))
+    with pytest.raises(NonFiniteThreshold):
+        simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, 10)
+
+
+def test_batch_duration_cap():
+    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
+    cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=1e-6)
+    with pytest.raises(MaxDurationExceeded):
+        simulate_batch(cfg, t, PLUS, 100)
+
+
+def test_walk_law_closed_forms():
+    # From |0> (|1>) the readout is a Brownian motion with drift +1/tau
+    # (-1/tau) and variance 1/tau per unit time, absorbed at R0 and R1: it
+    # hits R0 with probability p (1 - q), and by Wald's identity its mean
+    # exit time is (R0 P0 + R1 P1) / drift. Stopping on the dt grid adds
+    # up to one step to each duration; a fine grid keeps that allowance
+    # below the statistical error.
+    p, q = 0.8, 0.6
+    t = thresholds_from_pq(PartialProjParams(p, q))
+    cfg = ReadoutConfig(tau_min=1.0, seed=14, dt=1e-3)
+    n = 40_000
+    for rho, p0, drift in ((KET0, p, 1.0 / cfg.tau), (KET1, 1.0 - q, -1.0 / cfg.tau)):
+        batch = simulate_batch(cfg, t, rho, n)
+        f0 = np.count_nonzero(batch.outcome == 0) / n
+        assert abs(f0 - p0) < 4 * math.sqrt(p0 * (1 - p0) / n)
+        mean_t = (t.R0 * p0 + t.R1 * (1.0 - p0)) / drift
+        sigma = batch.duration.std() / math.sqrt(n)
+        assert mean_t - 4 * sigma <= batch.duration.mean() <= mean_t + cfg.dt + 4 * sigma
+
+
+def test_inefficiency_coherence_closed_form():
+    params = PartialProjParams(0.8, 0.6)
+    t = thresholds_from_pq(params)
+    eta = 0.7
+    cfg = ReadoutConfig(tau_min=1.0, seed=15, efficiency=eta)
+    batch = simulate_batch(cfg, t, PLUS, 2000)
+    ideal = np.array([apply_outcome(params, k, PLUS) for k in (0, 1)])[batch.outcome]
+    decay = np.exp(-(1.0 - eta) / (2.0 * eta) * batch.duration / cfg.tau)
+    assert np.allclose(np.abs(batch.final_state[:, 0, 1]),
+                       np.abs(ideal[:, 0, 1]) * decay, rtol=0, atol=1e-12)
+    assert np.allclose(batch.final_state[:, 0, 0], ideal[:, 0, 0], rtol=0, atol=1e-12)

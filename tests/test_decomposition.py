@@ -238,6 +238,65 @@ def test_continuous_backend_rejects_projective_step():
         )
 
 
+def weak_trine_set():
+    # Full rank, so every step of the reduction has finite thresholds.
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    ops = []
+    for k in range(3):
+        theta = 2 * math.pi * k / 3
+        t = np.array([math.cos(theta / 2), math.sin(theta / 2)], dtype=complex)
+        t_perp = np.array([-math.sin(theta / 2), math.cos(theta / 2)], dtype=complex)
+        ops.append(math.sqrt(2.0 / 3.0) * (c * np.outer(t, t.conj())
+                                           + s * np.outer(t_perp, t_perp.conj())))
+    return kraus_set(ops, labels=("a", "b", "c"))
+
+
+def test_continuous_backend_weak_trine():
+    s = weak_trine_set()
+    proto = reduce(s)
+    assert len(proto.steps) == 2
+    cfg = ReadoutConfig(tau_min=1.0, seed=19)
+    psi = np.array([0.6, 0.8j])
+    rho = pure_state(psi)
+    shots = 4000
+    counts, means = sample_protocol(
+        proto, rho, shots, seed=19, backend="continuous", readout_config=cfg
+    )
+    assert sum(counts.values()) == shots
+    for lab, m in zip(s.labels, s.ops):
+        out = m @ rho @ adjoint(m)
+        expect = float(np.trace(out).real)
+        sigma = math.sqrt(expect * (1 - expect) / shots)
+        assert abs(counts[lab] / shots - expect) < 4 * sigma
+        assert np.max(np.abs(means[lab] - out / expect)) < 1e-6
+    again = sample_protocol(
+        proto, rho, shots, seed=19, backend="continuous", readout_config=cfg
+    )
+    assert again[0] == counts
+    assert all(np.array_equal(again[1][lab], means[lab]) for lab in means)
+
+
+def test_continuous_backend_duration_cap():
+    from genmeas.errors import MaxDurationExceeded
+
+    proto = reduce(weak_trine_set())
+    cfg = ReadoutConfig(tau_min=1.0, seed=20, max_duration=1e-6)
+    with pytest.raises(MaxDurationExceeded):
+        sample_protocol(
+            proto, np.eye(2) / 2, 100, seed=20, backend="continuous", readout_config=cfg
+        )
+
+
+@pytest.mark.parametrize("backend", ["exact", "continuous"])
+def test_sample_rejects_negative_shots(backend):
+    proto = reduce(weak_trine_set())
+    cfg = ReadoutConfig(tau_min=1.0, seed=21)
+    with pytest.raises(ValueError):
+        sample_protocol(
+            proto, np.eye(2) / 2, -3, seed=21, backend=backend, readout_config=cfg
+        )
+
+
 def test_round_trip_random_sets():
     rng = np.random.default_rng(56)
     for _ in range(300):
