@@ -213,6 +213,13 @@ def normalization_constants(params: PartialProjParams) -> tuple[float, float]:
     return math.sqrt(p * (1.0 - q)), math.sqrt(q * (1.0 - p))
 
 
+# A batch with k active runs advances min(_BLOCK_STEPS, _BLOCK_DRAWS // k)
+# steps (at least one) per pass, so a single run or a batch's last few runs
+# pay the fixed numpy cost of a pass once per block rather than once per step.
+_BLOCK_DRAWS = 2048
+_BLOCK_STEPS = 256
+
+
 def _first_passage(
     rng: np.random.Generator,
     t: Thresholds,
@@ -223,13 +230,14 @@ def _first_passage(
     """Outcomes and step counts of ``len(rho00)`` first-passage walks.
 
     Each run draws its hidden label once (0 with probability rho00), then
-    all active runs advance together on a fixed grid of size dt. A step
-    whose endpoint lands beyond a threshold is absorbed there; a step that
-    stays inside is absorbed with the Brownian-bridge excursion probability
-    exp(-2 g g' tau / dt), where g and g' are the distances to the
-    threshold at the step ends. The bridge law is drift-free, so the
-    correction is exact, and a stopped run sits at R0 or R1 exactly. Runs
-    that stop leave the active set by compaction.
+    all active runs advance together on a fixed grid of size dt, a block of
+    steps per pass. A step whose endpoint lands beyond a threshold is
+    absorbed there; a step that stays inside is absorbed with the
+    Brownian-bridge excursion probability exp(-2 g g' tau / dt), where g and
+    g' are the distances to the threshold at the step ends. The bridge law
+    is drift-free, so the correction is exact, and a stopped run sits at R0
+    or R1 exactly. A run stops at the first absorbing step of its block (the
+    rest of its block is discarded) and leaves the active set by compaction.
 
     Every buffer is allocated once per call: draws use ``out=`` and
     compaction writes into a second buffer that is swapped in, which keeps
@@ -243,20 +251,28 @@ def _first_passage(
     m = dt / config.tau
     s = math.sqrt(m)
     c = 2.0 * config.tau / dt
-    max_steps = int(cap / dt) + 1
+    # The first step after which a run still active exceeds the cap.
+    j_cap = int(cap / dt) + 2
+    while j_cap > 1 and (j_cap - 1) * dt > cap:
+        j_cap -= 1
+    size = max(n, _BLOCK_DRAWS)
     outcome = np.ones(n, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
     R, R_next = np.zeros(n), np.empty(n)
     drift, drift_next = np.empty(n), np.empty(n)
     idx, idx_next = np.arange(n), np.empty(n, dtype=np.intp)
-    z, u, pu, pd, g = (np.empty(n) for _ in range(5))
-    hit0, done, flag = (np.empty(n, dtype=bool) for _ in range(3))
-    hits = np.empty(n, dtype=np.intp)
+    rows, first, hits = np.arange(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    stop, at0 = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    z, u = np.empty(size), np.empty(size)
+    bridge, gap = np.empty(2 * size), np.empty(2 * size)
+    thr = np.array([r0, r1])[:, None, None]
+    hit0, done = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    walk = np.empty(size + n)  # per run: R, then the endpoints of a block
 
-    rng.random(out=u)
-    np.less(u, rho00, out=hit0)
+    rng.random(out=u[:n])
+    np.less(u[:n], rho00, out=hit0[:n])
     drift.fill(-m)
-    np.copyto(drift, m, where=hit0)
+    np.copyto(drift, m, where=hit0[:n])
 
     k = n
     j = 0
@@ -264,53 +280,68 @@ def _first_passage(
     # which still reads as certain absorption.
     with np.errstate(over="ignore"):
         while k:
-            j += 1
-            Rk, zk, uk, puk, pdk, gk = R[:k], z[:k], u[:k], pu[:k], pd[:k], g[:k]
-            h0k, dk, fk = hit0[:k], done[:k], flag[:k]
-            rng.standard_normal(out=zk)
-            rng.random(out=uk)
-            zk *= s
-            zk += drift[:k]
-            zk += Rk  # zk now holds the step endpoints
+            b = min(_BLOCK_STEPS, max(1, _BLOCK_DRAWS // k), j_cap - j)
+            kb = k * b
+            Z, U = z[:kb].reshape(k, b), u[:kb].reshape(k, b)
+            Q, G = bridge[: 2 * kb].reshape(2, k, b), gap[: 2 * kb].reshape(2, k, b)
+            H0, D = hit0[:kb].reshape(k, b), done[:kb].reshape(k, b)
+            W = walk[: kb + k].reshape(k, b + 1)
+            start, end = W[:, :-1], W[:, 1:]
+            Rk, sk, fk = R[:k], stop[:k], first[:k]
+            rng.standard_normal(out=Z)
+            rng.random(out=U)
+            Z *= s
+            Z += drift[:k, None]
+            W[:, 0] = Rk
+            Z.cumsum(axis=1, out=end)
+            end += Rk[:, None]
             # Bridge probabilities exp(-c (R0 - R)(R0 - R')) and
-            # exp(-c (R - R1)(R' - R1)); >= 1 once R' is at or beyond.
-            np.subtract(Rk, r0, out=puk)
-            np.subtract(r0, zk, out=gk)
-            puk *= gk
-            puk *= c
-            np.exp(puk, out=puk)
-            np.subtract(r1, Rk, out=pdk)
-            np.subtract(zk, r1, out=gk)
-            pdk *= gk
-            pdk *= c
-            np.exp(pdk, out=pdk)
+            # exp(-c (R - R1)(R' - R1)) of each step R -> R', as
+            # exp(c (R - Rt)(Rt - R')) for Rt = R0, R1; >= 1 once R' is at
+            # or beyond.
+            np.subtract(start, thr, out=Q)
+            np.subtract(thr, end, out=G)
+            Q *= G
+            Q *= c
+            np.exp(Q, out=Q)
             # An endpoint beyond R1 stops at R1 even if the bridge touched R0.
-            np.less(uk, puk, out=h0k)
-            np.greater(zk, r1, out=fk)
-            h0k &= fk
-            puk += pdk
-            np.less(uk, puk, out=dk)
-            nd = int(np.count_nonzero(dk))
+            np.less(U, Q[0], out=H0)
+            np.greater(end, r1, out=D)
+            H0 &= D
+            Q[0] += Q[1]
+            np.less(U, Q[0], out=D)
+            D.any(axis=1, out=sk)
+            D.argmax(axis=1, out=fk)  # first absorbing step, 0 if none
+            if path is not None:
+                path.extend(end[0, : fk[0] if sk[0] else b].tolist())
+            nd = int(np.count_nonzero(sk))
             if nd:
-                n0 = int(np.count_nonzero(h0k))
+                # A run stops at R0 if H0 holds at its first absorbing step
+                # (H0 implies D, so runs that go on read False).
+                np.multiply(rows[:k], b, out=hits[:k])
+                hits[:k] += fk
+                hit0[:kb].take(hits[:k], out=at0[:k], mode="clip")
+                n0 = int(np.count_nonzero(at0[:k]))
                 if n0:
-                    np.compress(h0k, idx[:k], out=hits[:n0])
+                    idx[:k].compress(at0[:k], out=hits[:n0])
                     outcome[hits[:n0]] = 0
-                np.compress(dk, idx[:k], out=hits[:nd])
-                steps[hits[:nd]] = j
-                np.logical_not(dk, out=fk)
+                idx[:k].compress(sk, out=hits[:nd])
+                fk.compress(sk, out=idx_next[:nd])
+                idx_next[:nd] += j + 1
+                steps[hits[:nd]] = idx_next[:nd]
+                live = at0[:k]
+                np.logical_not(sk, out=live)
+                end[:, -1].compress(live, axis=0, out=R_next[: k - nd])
+                drift[:k].compress(live, out=drift_next[: k - nd])
+                idx[:k].compress(live, out=idx_next[: k - nd])
                 k -= nd
-                np.compress(fk, zk, out=R_next[:k])
-                np.compress(fk, drift[: k + nd], out=drift_next[:k])
-                np.compress(fk, idx[: k + nd], out=idx_next[:k])
                 R, R_next = R_next, R
                 drift, drift_next = drift_next, drift
                 idx, idx_next = idx_next, idx
             else:
-                R, z = z, R
-            if path is not None and k:
-                path.append(float(R[0]))
-            if k and (j * dt > cap or j > max_steps):
+                np.copyto(Rk, end[:, -1])
+            j += b
+            if k and j >= j_cap:
                 raise MaxDurationExceeded(
                     f"no threshold reached within duration cap {cap:.3e}"
                 )
@@ -358,7 +389,10 @@ def readout_walk(
     The one walk behind :func:`simulate_batch`, :func:`simulate_trajectory`
     and the continuous backend of ``sample_protocol``. The states are taken
     as valid density matrices; callers validate at their boundary.
+    ``path`` records the readout of a single run and needs ``n == 1``.
     """
+    if path is not None and len(states) != 1:
+        raise ValueError(f"a readout path needs a single run, got {len(states)}")
     if not t.finite:
         raise NonFiniteThreshold(
             f"thresholds ({t.R0}, {t.R1}) are not finite; the projective "
@@ -414,7 +448,9 @@ def simulate_batch(
     Seeding contract: one generator, ``np.random.default_rng(config.seed)``,
     drives the whole batch. The same (config, thresholds, initial, n) gives
     identical arrays, but trajectory i of a batch of n is in general not
-    trajectory i of a batch of m.
+    trajectory i of a batch of m: the walk advances in blocks of steps
+    whose length depends on how many runs are active and on the duration
+    cap.
     """
     if n < 0:
         raise ValueError(f"trajectory count must be >= 0, got {n}")

@@ -260,7 +260,6 @@ def _sample_step_outcome(
     rho: np.ndarray,
     rng: np.random.Generator,
     backend: str,
-    readout_config,
 ) -> tuple[int, np.ndarray]:
     if backend == "exact":
         p0, _ = outcome_probabilities(step.params, rho)
@@ -281,16 +280,6 @@ def _sample_step_outcome(
         k = k0 if outcome == 0 else k1
         out = k @ rho @ adjoint(k)
         return outcome, out / np.trace(out).real
-    if backend == "continuous":
-        from .continuous_readout import simulate_trajectory, thresholds_from_pq
-
-        if readout_config is None:
-            raise ValueError("continuous backend requires a ReadoutConfig")
-        t = thresholds_from_pq(step.params)
-        rec = simulate_trajectory(
-            readout_config, t, rho, rng=rng, record_path=False
-        )
-        return rec.outcome, rec.final_state
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -307,14 +296,20 @@ def execute_protocol(
     (direct partial projection), "ancilla-direct" / "ancilla-cphase" /
     "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (thresholded
     readout; needs ``readout_config`` with finite thresholds at each step).
+    The continuous backend is the batched traversal of ``sample_protocol``
+    run on one shot with ``rng``.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     rho = validate_state(initial)
+    if backend == "continuous":
+        _, means = _sample_continuous(p, rho, 1, rng, readout_config)
+        ((label, rho),) = means.items()
+        return label, rho
     for k, step in enumerate(p.steps):
         vdag = adjoint(step.pre_unitary)
         rho = vdag @ rho @ step.pre_unitary
-        outcome, rho = _sample_step_outcome(step, rho, rng, backend, readout_config)
+        outcome, rho = _sample_step_outcome(step, rho, rng, backend)
         u = step.post_unitary_0 if outcome == 0 else step.post_unitary_1
         rho = u @ rho @ adjoint(u)
         if outcome == 0:
@@ -343,7 +338,9 @@ def sample_protocol(
     if shots < 0:
         raise ValueError(f"shot count must be >= 0, got {shots}")
     if backend == "continuous":
-        return _sample_continuous(p, validate_state(initial), shots, seed, readout_config)
+        return _sample_continuous(
+            p, validate_state(initial), shots, np.random.default_rng(seed), readout_config
+        )
     counts: dict[str, int] = {label: 0 for label in p.leaf_labels}
     sums: dict[str, np.ndarray] = {
         label: np.zeros((2, 2), dtype=np.complex128) for label in p.leaf_labels
@@ -365,7 +362,7 @@ def _sample_continuous(
     p: MeasurementProtocol,
     rho: np.ndarray,
     shots: int,
-    seed: int,
+    rng: np.random.Generator,
     readout_config,
 ) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Continuous backend: each step is one batched readout of the active shots."""
@@ -373,7 +370,6 @@ def _sample_continuous(
 
     if readout_config is None:
         raise ValueError("continuous backend requires a ReadoutConfig")
-    rng = np.random.default_rng(seed)
     counts: dict[str, int] = {label: 0 for label in p.leaf_labels}
     means: dict[str, np.ndarray] = {}
     active = np.broadcast_to(rho, (shots, 2, 2))

@@ -11,6 +11,7 @@ from genmeas.continuous_readout import (
     measurement_operator,
     normalization_constants,
     pq_from_thresholds,
+    readout_walk,
     simulate_batch,
     simulate_trajectory,
     thresholds_from_pq,
@@ -307,6 +308,48 @@ def test_batch_duration_cap():
     cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=1e-6)
     with pytest.raises(MaxDurationExceeded):
         simulate_batch(cfg, t, PLUS, 100)
+
+
+def test_duration_cap_is_exact_on_the_grid():
+    # A single run advances in blocks of 256 steps; a cap of 255.5 dt makes
+    # step 256 the first past the cap, on a block boundary, so a capped run
+    # draws exactly what the uncapped run draws. It must raise if and only
+    # if the uncapped run is still going after step 256.
+    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
+    outcomes = set()
+    for seed in range(60):
+        free = simulate_trajectory(ReadoutConfig(tau_min=1.0, seed=seed), t, PLUS)
+        capped = ReadoutConfig(tau_min=1.0, seed=seed, max_duration=255.5e-2)
+        if round(free.duration / capped.dt) > 256:
+            outcomes.add("raised")
+            with pytest.raises(MaxDurationExceeded):
+                simulate_trajectory(capped, t, PLUS)
+        else:
+            outcomes.add("kept")
+            rec = simulate_trajectory(capped, t, PLUS)
+            assert rec.duration == free.duration and rec.r_path == free.r_path
+    assert outcomes == {"raised", "kept"}
+
+
+def test_single_run_path_across_blocks():
+    # dt = tau/1000 makes a run at (0.99, 0.98) thousands of steps long, so
+    # its path spans many blocks of the walk.
+    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
+    cfg = ReadoutConfig(tau_min=1.0, seed=16, dt=1e-3)
+    rec = simulate_trajectory(cfg, t, KET0)
+    path = np.array(rec.r_path)
+    assert len(path) == round(rec.duration / cfg.dt) + 1 > 1000
+    assert path[0] == 0.0 and path[-1] == rec.final_R
+    assert np.all((path[1:-1] > t.R1) & (path[1:-1] < t.R0))
+    steps = np.diff(path[:-1])
+    assert abs(steps.std() / math.sqrt(cfg.dt / cfg.tau) - 1.0) < 0.1
+
+
+def test_readout_path_needs_a_single_run():
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    cfg = ReadoutConfig(tau_min=1.0, seed=17)
+    with pytest.raises(ValueError):
+        readout_walk(cfg, t, np.stack([PLUS, PLUS]), np.random.default_rng(0), [0.0])
 
 
 def test_walk_law_closed_forms():

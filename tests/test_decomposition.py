@@ -276,6 +276,36 @@ def test_continuous_backend_weak_trine():
     assert all(np.array_equal(again[1][lab], means[lab]) for lab in means)
 
 
+def test_execute_protocol_continuous_is_one_shot_batch():
+    # execute_protocol runs the continuous backend's batched traversal on
+    # one shot, so it matches a one-shot sample_protocol with the same seed;
+    # at eta = 1 every shot ends in its leaf's state M rho M^dag / Tr.
+    s = weak_trine_set()
+    proto = reduce(s)
+    cfg = ReadoutConfig(tau_min=1.0, seed=22)
+    rho = pure_state(np.array([0.6, 0.8j]))
+    for seed in range(5):
+        label, out = execute_protocol(proto, rho, seed, "continuous", cfg)
+        counts, means = sample_protocol(
+            proto, rho, 1, seed=seed, backend="continuous", readout_config=cfg
+        )
+        assert counts[label] == 1 and np.array_equal(means[label], out)
+    leaf = {}
+    for lab, m in zip(s.labels, s.ops):
+        out = m @ rho @ adjoint(m)
+        leaf[lab] = (float(np.trace(out).real), out / np.trace(out).real)
+    rng = np.random.default_rng(23)
+    shots = 1000
+    counts = dict.fromkeys(s.labels, 0)
+    for _ in range(shots):
+        label, out = execute_protocol(proto, rho, rng, "continuous", cfg)
+        counts[label] += 1
+        assert np.max(np.abs(out - leaf[label][1])) < 1e-6
+    for lab, (expect, _) in leaf.items():
+        sigma = math.sqrt(expect * (1 - expect) / shots)
+        assert abs(counts[lab] / shots - expect) < 4 * sigma
+
+
 def test_continuous_backend_duration_cap():
     from genmeas.errors import MaxDurationExceeded
 
