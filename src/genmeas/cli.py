@@ -8,7 +8,8 @@ trajectory  run thresholded-readout trajectories for a (p, q) or (R0, R1)
 circuit     emit the ancilla-circuit gate list for a (p, q)
 fidelity    score an actual measurement against an ideal one
 
-Exit codes: 0 ok, 2 validation, 3 reduction, 4 simulation, 5 fidelity input.
+Exit codes: 0 ok, 2 validation (including out-of-range parameters and missing
+or unreadable files), 3 reduction, 4 simulation, 5 fidelity input.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ def cmd_simulate(args) -> int:
         counts, means = sample_protocol(
             proto, state, args.shots, args.seed, args.backend, readout
         )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (NonFiniteThreshold, InvalidOrdering, MaxDurationExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -165,7 +163,7 @@ def cmd_trajectory(args) -> int:
         else:
             raise ValueError("provide either --p/--q or --r0/--r1")
         batch = simulate_batch(_readout_config(args), t, state, args.shots)
-    except (ValueError, InvalidOrdering) as e:
+    except InvalidOrdering as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NonFiniteThreshold, MaxDurationExceeded) as e:
@@ -289,7 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:
+        # Out-of-range parameters and missing or unreadable files.
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

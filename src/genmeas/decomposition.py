@@ -15,6 +15,7 @@ unitary aligns the last branch with M_{n-1}.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -250,9 +251,15 @@ def branch_deviation(p: MeasurementProtocol, leaf: str, target: np.ndarray) -> f
     return phase_distance(target, compose_branch(p, leaf))
 
 
-# Circuit Kraus pairs are pure functions of (variant, p, q); sampling loops
-# hit the same few pairs millions of times.
-_ANCILLA_KRAUS_CACHE: dict[tuple[str, float, float], tuple[np.ndarray, np.ndarray]] = {}
+@functools.lru_cache(maxsize=64)
+def _ancilla_kraus(variant: str, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Circuit Kraus pair of one step, cached: sampling loops revisit a few (p, q)."""
+    from .ancilla_circuit import circuit_from_pq, kraus_from_circuit
+
+    pair = kraus_from_circuit(circuit_from_pq(variant, PartialProjParams(p, q)))
+    for k in pair:
+        k.flags.writeable = False
+    return pair
 
 
 def _sample_step_outcome(
@@ -266,21 +273,33 @@ def _sample_step_outcome(
         outcome = 0 if rng.random() < p0 else 1
         return outcome, apply_outcome(step.params, outcome, rho)
     if backend.startswith("ancilla"):
-        from .ancilla_circuit import circuit_from_pq, kraus_from_circuit
-
         variant = backend.split("-", 1)[1] if "-" in backend else "direct"
-        key = (variant, step.params.p, step.params.q)
-        if key not in _ANCILLA_KRAUS_CACHE:
-            _ANCILLA_KRAUS_CACHE[key] = kraus_from_circuit(
-                circuit_from_pq(variant, step.params)
-            )
-        k0, k1 = _ANCILLA_KRAUS_CACHE[key]
+        k0, k1 = _ancilla_kraus(variant, step.params.p, step.params.q)
         p0 = float(np.trace(k0 @ rho @ adjoint(k0)).real)
         outcome = 0 if rng.random() < p0 else 1
         k = k0 if outcome == 0 else k1
         out = k @ rho @ adjoint(k)
         return outcome, out / np.trace(out).real
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def _walk_steps(
+    p: MeasurementProtocol,
+    rho: np.ndarray,
+    rng: np.random.Generator,
+    backend: str,
+) -> tuple[str, np.ndarray]:
+    """One shot through the steps on the exact or an ancilla backend; ``rho`` is valid."""
+    for k, step in enumerate(p.steps):
+        vdag = adjoint(step.pre_unitary)
+        rho = vdag @ rho @ step.pre_unitary
+        outcome, rho = _sample_step_outcome(step, rho, rng, backend)
+        u = step.post_unitary_0 if outcome == 0 else step.post_unitary_1
+        rho = u @ rho @ adjoint(u)
+        if outcome == 0:
+            return p.leaf_labels[k], rho
+    rho = p.final_unitary @ rho @ adjoint(p.final_unitary)
+    return p.leaf_labels[-1], rho
 
 
 def execute_protocol(
@@ -306,16 +325,7 @@ def execute_protocol(
         _, means = _sample_continuous(p, rho, 1, rng, readout_config)
         ((label, rho),) = means.items()
         return label, rho
-    for k, step in enumerate(p.steps):
-        vdag = adjoint(step.pre_unitary)
-        rho = vdag @ rho @ step.pre_unitary
-        outcome, rho = _sample_step_outcome(step, rho, rng, backend)
-        u = step.post_unitary_0 if outcome == 0 else step.post_unitary_1
-        rho = u @ rho @ adjoint(u)
-        if outcome == 0:
-            return p.leaf_labels[k], rho
-    rho = p.final_unitary @ rho @ adjoint(p.final_unitary)
-    return p.leaf_labels[-1], rho
+    return _walk_steps(p, rho, rng, backend)
 
 
 def sample_protocol(
@@ -337,19 +347,19 @@ def sample_protocol(
     """
     if shots < 0:
         raise ValueError(f"shot count must be >= 0, got {shots}")
+    rho = validate_state(initial)
     if backend == "continuous":
         return _sample_continuous(
-            p, validate_state(initial), shots, np.random.default_rng(seed), readout_config
+            p, rho, shots, np.random.default_rng(seed), readout_config
         )
     counts: dict[str, int] = {label: 0 for label in p.leaf_labels}
     sums: dict[str, np.ndarray] = {
         label: np.zeros((2, 2), dtype=np.complex128) for label in p.leaf_labels
     }
     for i in range(shots):
-        rng = np.random.default_rng([seed, i])
-        label, rho = execute_protocol(p, initial, rng, backend, readout_config)
+        label, out = _walk_steps(p, rho, np.random.default_rng([seed, i]), backend)
         counts[label] += 1
-        sums[label] += rho
+        sums[label] += out
     means = {
         label: sums[label] / counts[label]
         for label in p.leaf_labels

@@ -78,16 +78,12 @@ def chi_from_kraus(ops, d: int) -> ProcessMatrix:
     n_qubits = round(math.log2(d))
     if 2**n_qubits != d:
         raise DimensionMismatch(f"dimension {d} is not a power of 2")
-    basis = pauli_basis(n_qubits)
-    d2 = d * d
-    chi = np.zeros((d2, d2), dtype=np.complex128)
+    ops = [np.asarray(m, dtype=np.complex128) for m in ops]
     for m in ops:
-        m = np.asarray(m, dtype=np.complex128)
         if m.shape != (d, d):
             raise DimensionMismatch(f"operator shape {m.shape}, expected ({d}, {d})")
-        alpha = pauli_expand(m, basis)
-        chi += np.outer(alpha, alpha.conj())
-    return ProcessMatrix(dim=d, chi=chi)
+    alpha = pauli_expand(np.stack(ops), pauli_basis(n_qubits))
+    return ProcessMatrix(dim=d, chi=alpha.T @ alpha.conj())
 
 
 def process_set_from_kraus(ops, labels, d: int = 2) -> ProcessSet:
@@ -104,26 +100,14 @@ def apply_process(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (chi.dim, chi.dim):
         raise DimensionMismatch(f"state shape {rho.shape}, expected dim {chi.dim}")
-    basis = pauli_basis(round(math.log2(chi.dim)))
-    out = np.zeros_like(rho)
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            c = chi.chi[i, j]
-            if abs(c) > 1e-15:
-                out += c * (ei @ rho @ adjoint(ej))
-    return out
+    e = pauli_basis(round(math.log2(chi.dim)))
+    return np.einsum("ij,iab,bc,jdc->ad", chi.chi, e, rho, e.conj())
 
 
 def povm_from_process(chi: ProcessMatrix) -> np.ndarray:
     """POVM element P = sum_ij chi_ij E_j^dag E_i; Tr P = d * Tr chi."""
-    basis = pauli_basis(round(math.log2(chi.dim)))
-    out = np.zeros((chi.dim, chi.dim), dtype=np.complex128)
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            c = chi.chi[i, j]
-            if abs(c) > 1e-15:
-                out += c * (adjoint(ej) @ ei)
-    return out
+    e = pauli_basis(round(math.log2(chi.dim)))
+    return np.einsum("ij,jba,ibc->ac", chi.chi, e.conj(), e)
 
 
 def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
@@ -188,6 +172,11 @@ def state_fidelity(rho, sigma, variant: str = "uhlmann") -> float:
     if variant == "uhlmann_squared":
         return min(f3 * f3, 1.0 + 1e-9)
     raise ValueError(f"unknown state fidelity variant {variant!r}")
+
+
+def _is_trace_preserving(chi: ProcessMatrix, tol: float = 1e-8) -> bool:
+    dev = povm_from_process(chi) - np.eye(chi.dim)
+    return bool(np.abs(dev).max() <= tol)
 
 
 def _is_rank1(chi: ProcessMatrix, tol: float = 1e-10) -> bool:
@@ -333,31 +322,39 @@ def povm_fidelity(actual, ideal, variant: str = "Fp", d: int | None = None) -> f
     raise ValueError(f"unknown POVM fidelity variant {variant!r}")
 
 
-def haar_states(d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vectors, one per row."""
-    z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 def average_state_fidelity(
     chi: ProcessMatrix,
     chi_ideal_unitary: ProcessMatrix,
     samples: int = 10_000,
     seed: int = 0,
 ) -> float:
-    """Monte Carlo Haar average of the squared state fidelity.
+    """Haar average of the squared state fidelity against a unitary ideal.
 
-    For a unitary ideal this satisfies 1 - F6 = (1 - Fbar_st)(1 + 1/d).
+    The squared fidelity of a pure input is quadratic in that input, so its
+    Haar average is exact in closed form (Nielsen, quant-ph/0205035):
+    Fbar = (d F6 + 1) / (d + 1) with F6 = Tr(chi chi_ideal), equivalently
+    1 - F6 = (1 - Fbar)(1 + 1/d). ``samples`` and ``seed`` are accepted for
+    compatibility and ignored.
+
+    Raises
+    ------
+    RankViolation
+        If the ideal is not unitary (rank-1 and trace-preserving).
+    NotDensityMatrix
+        If ``chi`` is not trace-preserving or not positive semidefinite.
     """
-    rng = np.random.default_rng(seed)
+    if chi.dim != chi_ideal_unitary.dim:
+        raise DimensionMismatch("process matrices have different dimensions")
     d = chi.dim
-    acc = 0.0
-    for psi in haar_states(d, samples, rng):
-        rho = np.outer(psi, psi.conj())
-        out = apply_process(chi, rho)
-        ref = apply_process(chi_ideal_unitary, rho)
-        acc += state_fidelity(out, ref, variant="uhlmann_squared")
-    return acc / samples
+    if not (_is_rank1(chi_ideal_unitary) and _is_trace_preserving(chi_ideal_unitary)):
+        raise RankViolation("average state fidelity requires a unitary ideal")
+    if not _is_trace_preserving(chi):
+        raise NotDensityMatrix("process is not trace-preserving")
+    w = np.linalg.eigvalsh((chi.chi + adjoint(chi.chi)) / 2)
+    if w[0] < -1e-8:
+        raise NotDensityMatrix(f"process matrix has eigenvalue {w[0]:.3e}")
+    f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
+    return (d * f6 + 1.0) / (d + 1.0)
 
 
 def process_set_to_json(ps: ProcessSet) -> str:

@@ -3,11 +3,13 @@
 Everything in this package runs on plain ``numpy.ndarray`` matrices with
 ``complex128`` entries; the helpers here cover the handful of factorizations
 the rest of the library needs (Hermitian eigendecomposition, PSD square
-root, 2x2 SVD, Pauli-basis expansion) together with tolerance-aware
-comparisons, including equality up to a global phase.
+root, Pauli-basis expansion) together with tolerance-aware comparisons,
+including equality up to a global phase.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,10 +27,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return np.linalg.norm(m - adjoint(m)) <= tol
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -68,60 +66,35 @@ def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
     return (v * np.sqrt(w)) @ adjoint(v)
 
 
-def svd2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition of a 2x2 matrix.
-
-    Returns ``(u, s, vdag)`` with ``s`` descending and ``m = u @ diag(s) @ vdag``.
-    Degenerate singular values (equal within 1e-10) are resolved by the
-    polar-like choice ``vdag = I``, ``u = m / s``, so that (near-)unitary
-    inputs such as the identity factor as themselves.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise DimensionMismatch(f"svd2 expects a 2x2 matrix, got {m.shape}")
-    u, s, vdag = np.linalg.svd(m)
-    if s[0] - s[1] < 1e-10 and s[0] > 1e-12:
-        return m / s[0], np.array([s[0], s[0]]), np.eye(2, dtype=np.complex128)
-    if s[0] < 1e-12:  # zero matrix
-        return np.eye(2, dtype=np.complex128), s, np.eye(2, dtype=np.complex128)
-    return u, s, vdag
-
-
-def pauli_basis(n_qubits: int = 1) -> list[np.ndarray]:
-    """Ordered Pauli operator basis for ``n_qubits``.
+@functools.lru_cache(maxsize=8)
+def pauli_basis(n_qubits: int = 1) -> np.ndarray:
+    """Ordered Pauli operator basis for ``n_qubits``, stacked as (d^2, d, d).
 
     For one qubit the order is (I, X, Y, Z); for more, all tensor products
     in lexicographic order. Normalization: Tr(E_j^dag E_i) = d * delta_ij.
+    The array is cached per ``n_qubits`` and read-only.
     """
     single = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
     basis = single
     for _ in range(n_qubits - 1):
         basis = [np.kron(a, b) for a in basis for b in single]
+    basis = np.stack(basis)
+    basis.flags.writeable = False
     return basis
 
 
-def pauli_expand(m: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+def pauli_expand(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Expansion coefficients of ``m`` in a Pauli basis.
 
-    ``alpha_i = Tr(E_i^dag m) / d`` so that ``sum_i alpha_i E_i = m``.
+    ``alpha_i = Tr(E_i^dag m) / d`` so that ``sum_i alpha_i E_i = m``. A
+    stack of matrices (..., d, d) gives coefficients of shape (..., d^2).
     """
     m = np.asarray(m, dtype=np.complex128)
-    d = basis[0].shape[0]
-    if m.shape != (d, d):
+    basis = np.asarray(basis)
+    d = basis.shape[-1]
+    if m.shape[-2:] != (d, d):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match basis dim {d}")
-    return np.array([np.trace(adjoint(e) @ m) / d for e in basis])
-
-
-def pauli_synthesize(coeffs: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Inverse of :func:`pauli_expand`."""
-    if len(coeffs) != len(basis):
-        raise DimensionMismatch(
-            f"{len(coeffs)} coefficients for a basis of {len(basis)} elements"
-        )
-    out = np.zeros_like(basis[0])
-    for a, e in zip(coeffs, basis):
-        out = out + a * e
-    return out
+    return np.einsum("iab,...ab->...i", basis.conj(), m) / d
 
 
 def phase_align(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -250,3 +250,31 @@ def test_fidelity_povm_mode(tmp_path):
     assert code == 0
     report = json.loads(open(out).read())
     assert abs(report["povm_Fp"] - 1.0) < 1e-10
+
+
+def test_circuit_out_of_range_exits_2(capsys):
+    assert main(["circuit", "--p", "1.5", "--q", "0.6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_missing_protocol_exits_2(tmp_path, capsys):
+    assert main(["simulate", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_trajectory_missing_state_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["trajectory", "--p", "0.8", "--q", "0.6", "--state", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fidelity_missing_input_exits_2(tmp_path, capsys):
+    ps = tmp_path / "ps.json"
+    ps.write_text(process_set_to_json(process_set_from_kraus(trine_ops(), ("a", "b", "c"))))
+    for args in ([str(tmp_path / "missing.json"), str(ps)], [str(ps), str(tmp_path / "other.json")]):
+        assert main(["fidelity", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

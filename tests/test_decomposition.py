@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genmeas import decomposition
 from genmeas.continuous_readout import ReadoutConfig
 from genmeas.decomposition import (
     compose_branch,
@@ -325,6 +326,40 @@ def test_sample_rejects_negative_shots(backend):
         sample_protocol(
             proto, np.eye(2) / 2, -3, seed=21, backend=backend, readout_config=cfg
         )
+
+
+def test_ancilla_kraus_cache_is_bounded():
+    # Every random set brings new (p, q) pairs; the cache must not grow with them.
+    rng = np.random.default_rng(57)
+    cache = decomposition._ancilla_kraus
+    for i in range(60):
+        proto = reduce(random_kraus_set(4, rng))
+        sample_protocol(proto, np.eye(2) / 2, 2, seed=i, backend="ancilla-direct")
+    info = cache.cache_info()
+    assert info.currsize <= info.maxsize == 64
+    assert info.misses > info.maxsize
+
+
+@pytest.mark.parametrize("backend", ["exact", "ancilla-cphase"])
+def test_sample_protocol_validates_initial_once(backend, monkeypatch):
+    proto = reduce(trine_set())
+    rho = pure_state(np.array([0.6, 0.8j]))
+    shots, seed = 200, 58
+    # Reference: the seeding contract, one execute_protocol per (seed, i).
+    counts = {lab: 0 for lab in proto.leaf_labels}
+    sums = {lab: np.zeros((2, 2), dtype=complex) for lab in proto.leaf_labels}
+    for i in range(shots):
+        label, out = execute_protocol(proto, rho, np.random.default_rng([seed, i]), backend)
+        counts[label] += 1
+        sums[label] += out
+    calls = []
+    real = decomposition.validate_state
+    monkeypatch.setattr(decomposition, "validate_state", lambda r: calls.append(1) or real(r))
+    got_counts, got_means = sample_protocol(proto, rho, shots, seed, backend)
+    assert len(calls) == 1
+    assert got_counts == counts
+    for lab, mean in got_means.items():
+        assert np.array_equal(mean, sums[lab] / counts[lab])
 
 
 def test_round_trip_random_sets():

@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from genmeas.channels import NoiseSpec, noisy_branch
+from genmeas.channels import (
+    NoiseSpec,
+    amplitude_damping_kraus,
+    depolarizing_kraus,
+    noisy_branch,
+    unitary_jitter_kraus,
+)
 from genmeas.decomposition import random_kraus_set, random_unitary
 from genmeas.errors import (
     IncompleteSet,
     LabelMismatch,
     LengthMismatch,
+    NotDensityMatrix,
     RankViolation,
     TraceNotUnit,
     ZeroTrace,
@@ -31,7 +38,7 @@ from genmeas.fidelity import (
     state_fidelity,
     total_fidelity,
 )
-from genmeas.linalg import PAULI_X, adjoint
+from genmeas.linalg import PAULI_X, adjoint, pauli_basis
 from genmeas.partial_projection import PartialProjParams, dops, pure_state
 
 
@@ -88,6 +95,37 @@ def test_apply_process_cases():
     lam = 0.3
     out = apply_process(depolarizing_chi(lam), ket0)
     assert np.allclose(out, np.diag([1 - lam / 2, lam / 2]), atol=1e-12)
+
+
+def loop_apply_process(chi, rho):
+    """Reference: the explicit double sum over Pauli pairs."""
+    basis = pauli_basis(round(math.log2(chi.dim)))
+    out = np.zeros((chi.dim, chi.dim), dtype=complex)
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            out += chi.chi[i, j] * (ei @ rho @ adjoint(ej))
+    return out
+
+
+def loop_povm_from_process(chi):
+    basis = pauli_basis(round(math.log2(chi.dim)))
+    out = np.zeros((chi.dim, chi.dim), dtype=complex)
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            out += chi.chi[i, j] * (adjoint(ej) @ ei)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_process_algebra_matches_double_loop(d):
+    rng = np.random.default_rng(63 + d)
+    for _ in range(50):
+        a = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        chi = a @ adjoint(a)
+        chi = ProcessMatrix(d, chi / np.trace(chi).real)
+        rho = random_density(rng, d)
+        assert np.abs(apply_process(chi, rho) - loop_apply_process(chi, rho)).max() < 1e-12
+        assert np.abs(povm_from_process(chi) - loop_povm_from_process(chi)).max() < 1e-12
 
 
 def test_povm_from_process():
@@ -380,6 +418,85 @@ def test_average_state_fidelity_linear_relation():
         f6 = process_fidelity(depolarizing_chi(lam), chi_ideal, "F6")
         assert abs(fbar - expect) < 0.01
         assert abs((1 - f6) - (1 - expect) * 1.5) < 1e-9
+
+
+PAULI_EIGENSTATES = [
+    np.array(v, dtype=complex) / np.linalg.norm(v)
+    for v in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])
+]
+
+
+def noisy_unitary_kraus(kind, u):
+    noise = {
+        "depolarizing": depolarizing_kraus(0.3),
+        "amplitude_damping": amplitude_damping_kraus(0.25),
+        "unitary_jitter": unitary_jitter_kraus(0.4, seed=5),
+    }[kind]
+    return [k @ u for k in noise]
+
+
+def squared_fidelities(ops, u, psis):
+    """<psi|U^dag E(psi) U|psi> for each row of ``psis``, from the Kraus operators."""
+    ideal = psis @ u.T
+    amps = np.stack([psis @ k.T for k in ops])  # K|psi>, shape (m, samples, d)
+    overlaps = np.einsum("sa,msa->ms", ideal.conj(), amps)
+    return np.sum(np.abs(overlaps) ** 2, axis=0)
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping", "unitary_jitter"])
+def test_average_state_fidelity_matches_pauli_eigenstate_average(kind):
+    # The six Pauli eigenstates form a state 2-design, so their average of a
+    # quadratic function of the input equals the Haar average exactly.
+    rng = np.random.default_rng(80)
+    u = random_unitary(rng)
+    ops = noisy_unitary_kraus(kind, u)
+    expect = squared_fidelities(ops, u, np.stack(PAULI_EIGENSTATES)).mean()
+    fbar = average_state_fidelity(chi_from_kraus(ops, 2), chi_from_kraus([u], 2))
+    assert abs(fbar - expect) < 1e-12
+
+
+def haar_kets(rng, d, samples):
+    z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping", "unitary_jitter", "two_qubit"])
+def test_average_state_fidelity_matches_haar_monte_carlo(kind):
+    rng = np.random.default_rng(81)
+    if kind == "two_qubit":
+        d = 4
+        u = random_unitary(rng, dim=4)
+        ops = [np.kron(k, np.eye(2)) @ u for k in amplitude_damping_kraus(0.4)]
+    else:
+        d = 2
+        u = random_unitary(rng)
+        ops = noisy_unitary_kraus(kind, u)
+    f = squared_fidelities(ops, u, haar_kets(rng, d, 20_000))
+    sigma = f.std(ddof=1) / math.sqrt(len(f))
+    fbar = average_state_fidelity(chi_from_kraus(ops, d), chi_from_kraus([u], d))
+    assert abs(fbar - f.mean()) <= 4 * sigma + 1e-12
+
+
+def test_average_state_fidelity_ignores_samples_and_seed():
+    chi = depolarizing_chi(0.2)
+    ideal = chi_from_kraus([np.eye(2)], 2)
+    ref = average_state_fidelity(chi, ideal)
+    for samples, seed in ((1, 0), (100, 7), (10_000, 123)):
+        assert average_state_fidelity(chi, ideal, samples=samples, seed=seed) == ref
+
+
+def test_average_state_fidelity_rejects_bad_inputs():
+    chi = depolarizing_chi(0.2)
+    d0, _ = dops(PartialProjParams(0.8, 0.6))
+    for ideal in (depolarizing_chi(0.1), chi_from_kraus([d0], 2)):
+        with pytest.raises(RankViolation):
+            average_state_fidelity(chi, ideal)
+    ideal = chi_from_kraus([np.eye(2)], 2)
+    with pytest.raises(NotDensityMatrix):
+        average_state_fidelity(chi_from_kraus([0.9 * np.eye(2)], 2), ideal)
+    # Trace-preserving (diagonal sums to 1) but not completely positive.
+    with pytest.raises(NotDensityMatrix):
+        average_state_fidelity(ProcessMatrix(2, np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal)
 
 
 def test_process_set_json_round_trip():

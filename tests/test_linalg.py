@@ -12,10 +12,8 @@ from genmeas.linalg import (
     is_unitary,
     pauli_basis,
     pauli_expand,
-    pauli_synthesize,
     phase_distance,
     psd_sqrt,
-    svd2,
 )
 
 
@@ -88,31 +86,6 @@ def test_psd_sqrt_squares_and_commutes():
         assert np.linalg.norm(r @ m - m @ r) < 1e-10
 
 
-def test_svd2_identity_tie_break():
-    u, s, vdag = svd2(np.eye(2, dtype=complex))
-    assert np.allclose(u, np.eye(2))
-    assert np.allclose(s, [1.0, 1.0])
-    assert np.allclose(vdag, np.eye(2))
-
-
-def test_svd2_diagonal():
-    u, s, vdag = svd2(np.diag([0.9, 0.4]).astype(complex))
-    assert np.allclose(u, np.eye(2))
-    assert np.allclose(s, [0.9, 0.4])
-    assert np.allclose(vdag, np.eye(2))
-
-
-def test_svd2_reconstruction_random():
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        m = random_complex(rng, 2)
-        u, s, vdag = svd2(m)
-        assert s[0] >= s[1] >= 0.0
-        assert np.linalg.norm(u @ np.diag(s) @ vdag - m) < 1e-11
-        assert is_unitary(u, tol=1e-12)
-        assert is_unitary(vdag, tol=1e-12)
-
-
 def test_pauli_basis_normalization():
     for n in (1, 2):
         basis = pauli_basis(n)
@@ -158,7 +131,7 @@ def test_pauli_round_trip_random():
         basis = pauli_basis(n)
         for _ in range(500):
             m = random_complex(rng, 2**n)
-            back = pauli_synthesize(pauli_expand(m, basis), basis)
+            back = sum(a * e for a, e in zip(pauli_expand(m, basis), basis))
             assert np.linalg.norm(back - m) < 1e-12
 
 
