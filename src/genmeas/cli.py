@@ -49,7 +49,7 @@ from .errors import (
 )
 from .fidelity import fidelity_report, povm_fidelity, process_set_from_json
 from .partial_projection import PartialProjParams, pure_state
-from .serialize import kraus_set_from_json, matrix_from_json, matrix_to_json
+from .serialize import kraus_set_from_json, matrix_from_json, matrix_to_json, require_key
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,7 +71,7 @@ def _parse_state(spec: str) -> np.ndarray:
     if spec in _NAMED_STATES:
         return pure_state(_NAMED_STATES[spec])
     with open(spec) as f:
-        return matrix_from_json(json.load(f))
+        return matrix_from_json(json.load(f), 2)
 
 
 def _emit(payload: dict, args) -> None:
@@ -193,18 +193,16 @@ def cmd_fidelity(args) -> int:
             ideal = process_set_from_json(ideal_text)
             report = fidelity_report(actual, ideal)
         else:
-            a = json.loads(actual_text)
-            b = json.loads(ideal_text)
-            if [e["label"] for e in a["elements"]] != [
-                e["label"] for e in b["elements"]
-            ]:
+            a = require_key(json.loads(actual_text), "elements")
+            b = require_key(json.loads(ideal_text), "elements")
+            if [require_key(e, "label") for e in a] != [require_key(e, "label") for e in b]:
                 raise LabelMismatch("POVM labels differ")
-            pa = [matrix_from_json(e["matrix"]) for e in a["elements"]]
-            pi = [matrix_from_json(e["matrix"]) for e in b["elements"]]
+            pa = [matrix_from_json(require_key(e, "matrix")) for e in a]
+            pi = [matrix_from_json(require_key(e, "matrix")) for e in b]
             report = {
                 "povm_Fp": povm_fidelity(pa, pi, variant="Fp"),
                 "povm_FpTilde": povm_fidelity(pa, pi, variant="FpTilde"),
-                "labels": [e["label"] for e in a["elements"]],
+                "labels": [e["label"] for e in a],
             }
     except (LabelMismatch, IncompleteSet) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -218,7 +216,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--output", default=None)
     p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10)
 
 
 def _add_readout(p: argparse.ArgumentParser) -> None:

@@ -21,14 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NormExceeded, NotComplete, SingularRemainder, UnknownLeaf
+from .errors import (
+    NormExceeded, NotComplete, SingularRemainder, UnknownLeaf, ZeroProbabilityBranch,
+)
 from .linalg import adjoint, herm_eig, phase_distance, psd_sqrt
 from .partial_projection import (
+    ZERO_BRANCH_TOL,
     PartialProjParams,
-    apply_outcome,
     dops,
-    outcome_probabilities,
     validate_state,
+)
+from .serialize import (
+    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_key,
 )
 
 COMPLETENESS_TOL = 1e-9
@@ -262,44 +266,39 @@ def _ancilla_kraus(variant: str, p: float, q: float) -> tuple[np.ndarray, np.nda
     return pair
 
 
-def _sample_step_outcome(
-    step: TwoOutcomeStep,
-    rho: np.ndarray,
-    rng: np.random.Generator,
-    backend: str,
-) -> tuple[int, np.ndarray]:
-    if backend == "exact":
-        p0, _ = outcome_probabilities(step.params, rho)
-        outcome = 0 if rng.random() < p0 else 1
-        return outcome, apply_outcome(step.params, outcome, rho)
-    if backend.startswith("ancilla"):
-        variant = backend.split("-", 1)[1] if "-" in backend else "direct"
-        k0, k1 = _ancilla_kraus(variant, step.params.p, step.params.q)
-        p0 = float(np.trace(k0 @ rho @ adjoint(k0)).real)
-        outcome = 0 if rng.random() < p0 else 1
-        k = k0 if outcome == 0 else k1
-        out = k @ rho @ adjoint(k)
-        return outcome, out / np.trace(out).real
-    raise ValueError(f"unknown backend {backend!r}")
+def _leaf_table(
+    p: MeasurementProtocol, rho: np.ndarray, backend: str
+) -> tuple[list[float], list[np.ndarray | None]]:
+    """Halting probability of each step on the surviving branch, and the leaf states.
+
+    A shot halts at the first step k whose uniform draw is below ``halt[k]``,
+    else it reaches leaf ``len(halt)``. A leaf of probability below
+    ``ZERO_BRANCH_TOL`` has state None, and a surviving branch below it ends the walk.
+    """
+    if backend != "exact" and not backend.startswith("ancilla"):
+        raise ValueError(f"unknown backend {backend!r}")
+    variant = backend.split("-", 1)[1] if "-" in backend else "direct"
+    halt, states = [], []
+    for step in p.steps:
+        pq = step.params
+        k0, k1 = dops(pq) if backend == "exact" else _ancilla_kraus(variant, pq.p, pq.q)
+        rho = adjoint(step.pre_unitary) @ rho @ step.pre_unitary
+        out0, out1 = k0 @ rho @ adjoint(k0), k1 @ rho @ adjoint(k1)
+        h, survive = float(np.trace(out0).real), np.trace(out1).real
+        halt.append(h)
+        u0, u1 = step.post_unitary_0, step.post_unitary_1
+        states.append(u0 @ (out0 / h) @ adjoint(u0) if h >= ZERO_BRANCH_TOL else None)
+        if survive < ZERO_BRANCH_TOL:
+            return halt, states + [None]
+        rho = u1 @ (out1 / survive) @ adjoint(u1)
+    return halt, states + [p.final_unitary @ rho @ adjoint(p.final_unitary)]
 
 
-def _walk_steps(
-    p: MeasurementProtocol,
-    rho: np.ndarray,
-    rng: np.random.Generator,
-    backend: str,
-) -> tuple[str, np.ndarray]:
-    """One shot through the steps on the exact or an ancilla backend; ``rho`` is valid."""
-    for k, step in enumerate(p.steps):
-        vdag = adjoint(step.pre_unitary)
-        rho = vdag @ rho @ step.pre_unitary
-        outcome, rho = _sample_step_outcome(step, rho, rng, backend)
-        u = step.post_unitary_0 if outcome == 0 else step.post_unitary_1
-        rho = u @ rho @ adjoint(u)
-        if outcome == 0:
-            return p.leaf_labels[k], rho
-    rho = p.final_unitary @ rho @ adjoint(p.final_unitary)
-    return p.leaf_labels[-1], rho
+def _leaf_state(p: MeasurementProtocol, states: list, k: int) -> np.ndarray:
+    if states[k] is None:
+        label = p.leaf_labels[k]
+        raise ZeroProbabilityBranch(f"leaf {label!r} has probability < {ZERO_BRANCH_TOL}")
+    return states[k]
 
 
 def execute_protocol(
@@ -315,8 +314,10 @@ def execute_protocol(
     (direct partial projection), "ancilla-direct" / "ancilla-cphase" /
     "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (thresholded
     readout; needs ``readout_config`` with finite thresholds at each step).
-    The continuous backend is the batched traversal of ``sample_protocol``
-    run on one shot with ``rng``.
+    On the exact and ancilla backends the shot reads the leaf table of
+    ``sample_protocol``, drawing one uniform from ``rng`` per step until it
+    halts. The continuous backend is the batched traversal of
+    ``sample_protocol`` run on one shot with ``rng``.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -325,7 +326,11 @@ def execute_protocol(
         _, means = _sample_continuous(p, rho, 1, rng, readout_config)
         ((label, rho),) = means.items()
         return label, rho
-    return _walk_steps(p, rho, rng, backend)
+    halt, states = _leaf_table(p, rho, backend)
+    k = 0
+    while k < len(halt) and rng.random() >= halt[k]:
+        k += 1
+    return p.leaf_labels[k], _leaf_state(p, states, k)
 
 
 def sample_protocol(
@@ -338,12 +343,15 @@ def sample_protocol(
 ) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Histogram and per-leaf mean final states over ``shots`` runs.
 
-    Seeding contract: on the exact and ancilla backends shot i uses its own
-    generator seeded from (seed, i), so shots are order-independent. The
-    continuous backend runs all shots as one batch per protocol step from
-    a single generator seeded from ``seed``: the same call gives the same
-    result, but shot i of a run of n shots is in general not shot i of a
-    run of m.
+    Seeding contract: on the exact and ancilla backends the leaf table is
+    built once per call and shot i is only its draws, from its own generator
+    seeded from (seed, i). Shots are order-independent, histograms are those
+    of the per-shot step walk, and a leaf's mean is its state; a shot that
+    reaches a leaf of probability below ``ZERO_BRANCH_TOL`` raises
+    ``ZeroProbabilityBranch``. The continuous backend runs all shots as one
+    batch per protocol step from a single generator seeded from ``seed``:
+    the same call gives the same result, but shot i of a run of n shots is
+    in general not shot i of a run of m.
     """
     if shots < 0:
         raise ValueError(f"shot count must be >= 0, got {shots}")
@@ -352,20 +360,14 @@ def sample_protocol(
         return _sample_continuous(
             p, rho, shots, np.random.default_rng(seed), readout_config
         )
-    counts: dict[str, int] = {label: 0 for label in p.leaf_labels}
-    sums: dict[str, np.ndarray] = {
-        label: np.zeros((2, 2), dtype=np.complex128) for label in p.leaf_labels
-    }
+    halt, states = _leaf_table(p, rho, backend)
+    draws = np.empty((shots, len(halt)))
     for i in range(shots):
-        label, out = _walk_steps(p, rho, np.random.default_rng([seed, i]), backend)
-        counts[label] += 1
-        sums[label] += out
-    means = {
-        label: sums[label] / counts[label]
-        for label in p.leaf_labels
-        if counts[label] > 0
-    }
-    return counts, means
+        np.random.default_rng([seed, i]).random(out=draws[i])
+    leaf = np.logical_and.accumulate(draws >= halt, axis=1).sum(axis=1)
+    counts = np.bincount(leaf, minlength=len(p.leaf_labels)).tolist()
+    means = {p.leaf_labels[k]: _leaf_state(p, states, k) for k in np.flatnonzero(counts)}
+    return dict(zip(p.leaf_labels, counts)), means
 
 
 def _sample_continuous(
@@ -441,24 +443,20 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 
 def protocol_to_json(p: MeasurementProtocol) -> str:
     """Serialize per the protocol schema; matrices row-major [[re, im], ...]."""
-
-    def mat(m):
-        return [[[c.real, c.imag] for c in row] for row in m]
-
     return json.dumps(
         {
-            "format_version": "1.0",
+            "format_version": FORMAT_VERSION,
             "steps": [
                 {
-                    "pre_unitary": mat(s.pre_unitary),
+                    "pre_unitary": matrix_to_json(s.pre_unitary),
                     "p": s.params.p,
                     "q": s.params.q,
-                    "post_unitary_0": mat(s.post_unitary_0),
-                    "post_unitary_1": mat(s.post_unitary_1),
+                    "post_unitary_0": matrix_to_json(s.post_unitary_0),
+                    "post_unitary_1": matrix_to_json(s.post_unitary_1),
                 }
                 for s in p.steps
             ],
-            "final_unitary": mat(p.final_unitary),
+            "final_unitary": matrix_to_json(p.final_unitary),
             "leaf_labels": list(p.leaf_labels),
         },
         indent=2,
@@ -467,24 +465,18 @@ def protocol_to_json(p: MeasurementProtocol) -> str:
 
 def protocol_from_json(text: str) -> MeasurementProtocol:
     data = json.loads(text)
-    major = str(data.get("format_version", "1.0")).split(".")[0]
-    if major != "1":
-        raise ValueError(f"unsupported protocol format_version {data['format_version']}")
-
-    def mat(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-
+    check_version(data, "protocol")
     steps = tuple(
         TwoOutcomeStep(
-            pre_unitary=mat(s["pre_unitary"]),
-            params=PartialProjParams(s["p"], s["q"]),
-            post_unitary_0=mat(s["post_unitary_0"]),
-            post_unitary_1=mat(s["post_unitary_1"]),
+            pre_unitary=matrix_from_json(require_key(s, "pre_unitary"), 2),
+            params=PartialProjParams(require_key(s, "p"), require_key(s, "q")),
+            post_unitary_0=matrix_from_json(require_key(s, "post_unitary_0"), 2),
+            post_unitary_1=matrix_from_json(require_key(s, "post_unitary_1"), 2),
         )
-        for s in data["steps"]
+        for s in require_key(data, "steps")
     )
     return MeasurementProtocol(
         steps=steps,
-        final_unitary=mat(data["final_unitary"]),
-        leaf_labels=tuple(data["leaf_labels"]),
+        final_unitary=matrix_from_json(require_key(data, "final_unitary"), 2),
+        leaf_labels=tuple(require_key(data, "leaf_labels")),
     )

@@ -31,6 +31,9 @@ from .errors import (
     ZeroTrace,
 )
 from .linalg import adjoint, pauli_basis, pauli_expand, psd_sqrt
+from .serialize import (
+    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_key,
+)
 
 UHLMANN_CLAMP = 1e-10
 
@@ -358,15 +361,12 @@ def average_state_fidelity(
 
 
 def process_set_to_json(ps: ProcessSet) -> str:
-    def mat(m):
-        return [[[c.real, c.imag] for c in row] for row in m]
-
     return json.dumps(
         {
-            "format_version": "1.0",
+            "format_version": FORMAT_VERSION,
             "dim": ps.dim,
             "outcomes": [
-                {"label": label, "p": chi.trace, "chi": mat(chi.chi)}
+                {"label": label, "p": chi.trace, "chi": matrix_to_json(chi.chi)}
                 for label, chi in ps.outcomes
             ],
         },
@@ -376,20 +376,15 @@ def process_set_to_json(ps: ProcessSet) -> str:
 
 def process_set_from_json(text: str) -> ProcessSet:
     data = json.loads(text)
-    major = str(data.get("format_version", "1.0")).split(".")[0]
-    if major != "1":
-        raise ValueError(
-            f"unsupported process set format_version {data['format_version']}"
-        )
-    d = int(data["dim"])
-
-    def mat(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-
+    check_version(data, "process set")
+    d = int(require_key(data, "dim"))
     return ProcessSet(
         outcomes=tuple(
-            (o["label"], ProcessMatrix(dim=d, chi=mat(o["chi"])))
-            for o in data["outcomes"]
+            (
+                require_key(o, "label"),
+                ProcessMatrix(dim=d, chi=matrix_from_json(require_key(o, "chi"), d * d)),
+            )
+            for o in require_key(data, "outcomes")
         )
     )
 

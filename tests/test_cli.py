@@ -278,3 +278,38 @@ def test_fidelity_missing_input_exits_2(tmp_path, capsys):
         assert main(["fidelity", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _bare_ops(path):
+    path.write_text(json.dumps({"ops": [matrix_to_json(m) for m in trine_ops()]}))
+
+
+def _one_by_one(path):
+    path.write_text(json.dumps({"ops": [{"label": "0", "matrix": [[[1.0, 0.0]]]}]}))
+
+
+@pytest.mark.parametrize(
+    "command, write, message",
+    [
+        ("synth", _bare_ops, "key 'matrix'"),
+        ("synth", _one_by_one, "expected a 2x2 matrix"),
+        ("simulate", None, "key 'steps'"),
+        ("fidelity", None, "key 'dim'"),
+    ],
+)
+def test_wrong_schema_exits_2(command, write, message, trine_json, tmp_path, capsys):
+    path = trine_json
+    if write is not None:
+        path = tmp_path / "bad.json"
+        write(path)
+    args = [command, str(path)] + ([str(path)] if command == "fidelity" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_tol_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["circuit", "--p", "0.8", "--q", "0.6", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,17 @@ from genmeas.decomposition import (
     svd_decompose_pair,
     validate_kraus_set,
 )
-from genmeas.errors import NormExceeded, NotComplete, UnknownLeaf
+from genmeas.errors import NormExceeded, NotComplete, UnknownLeaf, ZeroProbabilityBranch
 from genmeas.linalg import adjoint, is_unitary, phase_distance
-from genmeas.partial_projection import PartialProjParams, dops, pure_state
+from genmeas.partial_projection import (
+    PartialProjParams,
+    apply_outcome,
+    dops,
+    outcome_probabilities,
+    pure_state,
+)
+
+BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz")
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -348,18 +357,132 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
     # Reference: the seeding contract, one execute_protocol per (seed, i).
     counts = {lab: 0 for lab in proto.leaf_labels}
     sums = {lab: np.zeros((2, 2), dtype=complex) for lab in proto.leaf_labels}
+    leaf_state = {}
     for i in range(shots):
         label, out = execute_protocol(proto, rho, np.random.default_rng([seed, i]), backend)
         counts[label] += 1
         sums[label] += out
+        leaf_state[label] = out
     calls = []
     real = decomposition.validate_state
     monkeypatch.setattr(decomposition, "validate_state", lambda r: calls.append(1) or real(r))
     got_counts, got_means = sample_protocol(proto, rho, shots, seed, backend)
     assert len(calls) == 1
     assert got_counts == counts
+    assert got_means.keys() == leaf_state.keys()
     for lab, mean in got_means.items():
-        assert np.array_equal(mean, sums[lab] / counts[lab])
+        # A leaf's mean is its state; the summed reference differs by rounding.
+        assert np.array_equal(mean, leaf_state[lab])
+        assert np.max(np.abs(mean - sums[lab] / counts[lab])) < 1e-13
+
+
+def reference_walk(p, rho, rng, backend):
+    """One shot stepped through the protocol, drawing and updating at each step.
+
+    The per-shot walk that the leaf table replaced, kept as its reference.
+    """
+    for k, step in enumerate(p.steps):
+        rho = adjoint(step.pre_unitary) @ rho @ step.pre_unitary
+        if backend == "exact":
+            p0, _ = outcome_probabilities(step.params, rho)
+            outcome = 0 if rng.random() < p0 else 1
+            rho = apply_outcome(step.params, outcome, rho)
+        else:
+            pair = decomposition._ancilla_kraus(
+                backend.split("-", 1)[1], step.params.p, step.params.q
+            )
+            p0 = float(np.trace(pair[0] @ rho @ adjoint(pair[0])).real)
+            outcome = 0 if rng.random() < p0 else 1
+            out = pair[outcome] @ rho @ adjoint(pair[outcome])
+            rho = out / np.trace(out).real
+        u = step.post_unitary_0 if outcome == 0 else step.post_unitary_1
+        rho = u @ rho @ adjoint(u)
+        if outcome == 0:
+            return p.leaf_labels[k], rho
+    return p.leaf_labels[-1], p.final_unitary @ rho @ adjoint(p.final_unitary)
+
+
+def reference_sample(p, rho, shots, seed, backend):
+    counts = dict.fromkeys(p.leaf_labels, 0)
+    sums = {lab: np.zeros((2, 2), dtype=complex) for lab in p.leaf_labels}
+    for i in range(shots):
+        label, out = reference_walk(p, rho, np.random.default_rng([seed, i]), backend)
+        counts[label] += 1
+        sums[label] += out
+    return counts, {lab: sums[lab] / c for lab, c in counts.items() if c}
+
+
+def random_density(rng):
+    psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    w = rng.uniform(0.5, 1.0)
+    return w * pure_state(psi) + (1 - w) * np.eye(2) / 2
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_leaf_table_matches_step_walk(backend, n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        s = random_kraus_set(n, rng)
+        proto = reduce(s)
+        rho = random_density(rng)
+        seed = int(rng.integers(2**31))
+        counts, means = sample_protocol(proto, rho, 300, seed, backend)
+        ref_counts, ref_means = reference_sample(proto, rho, 300, seed, backend)
+        assert counts == ref_counts
+        assert means.keys() == ref_means.keys()
+        for lab, mean in means.items():
+            assert np.max(np.abs(mean - ref_means[lab])) < 1e-13
+        # execute_protocol draws one uniform per step until it halts, as the
+        # step walk does, so a shared generator stays in step with it.
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            label, out = execute_protocol(proto, rho, rng_a, backend)
+            ref_label, ref_out = reference_walk(proto, rho, rng_b, backend)
+            assert label == ref_label
+            assert np.max(np.abs(out - ref_out)) < 1e-13
+        assert rng_a.random() == rng_b.random()
+        if backend == "exact":
+            halt, _ = decomposition._leaf_table(proto, rho, backend)
+            survive = 1.0
+            for k, lab in enumerate(proto.leaf_labels):
+                leaf_p = survive * halt[k] if k < len(halt) else survive
+                survive *= 1.0 - halt[k] if k < len(halt) else 0.0
+                m = s.ops[s.labels.index(lab)]
+                assert abs(leaf_p - np.trace(m @ rho @ adjoint(m)).real) < 1e-12
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_zero_probability_branches(backend):
+    pair = kraus_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    kets = [pure_state(np.array([1.0, 0.0])), pure_state(np.array([0.0, 1.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (pair, trine_set()):
+            proto = reduce(s)
+            for rho in kets:
+                counts, means = sample_protocol(proto, rho, 300, seed=62, backend=backend)
+                assert sum(counts.values()) == 300
+                for lab, m in zip(s.labels, s.ops):
+                    if np.trace(m @ rho @ adjoint(m)).real < 1e-12:
+                        assert counts[lab] == 0 and lab not in means
+                    else:
+                        assert counts[lab] > 0 and np.all(np.isfinite(means[lab]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_shot_in_zero_probability_leaf_raises(backend, monkeypatch):
+    # No draw lands in a branch below 1e-12, so raise the tolerance until
+    # leaf "a" of the trine from the mixed state (probability 1/3) is below it.
+    monkeypatch.setattr(decomposition, "ZERO_BRANCH_TOL", 0.5)
+    proto = reduce(trine_set())
+    mixed = np.eye(2) / 2
+    with pytest.raises(ZeroProbabilityBranch):
+        sample_protocol(proto, mixed, 100, seed=63, backend=backend)
+    rng = np.random.default_rng(63)
+    with pytest.raises(ZeroProbabilityBranch):
+        for _ in range(100):
+            execute_protocol(proto, mixed, rng, backend)
 
 
 def test_round_trip_random_sets():
