@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, UnknownVariant
 from .partial_projection import PartialProjParams
 
 VARIANTS = ("direct", "cphase", "fixed_cz")
@@ -84,7 +83,7 @@ def angles_from_pq(params: PartialProjParams) -> tuple[float, float]:
 def pq_from_angles(phi: float, epsilon: float) -> PartialProjParams:
     """Inverse of :func:`angles_from_pq`; requires |phi +- epsilon| <= pi/2."""
     if abs(phi + epsilon) > math.pi / 2 + 1e-12 or abs(phi - epsilon) > math.pi / 2 + 1e-12:
-        raise OutOfRange(
+        raise ValueError(
             f"|phi +- epsilon| must not exceed pi/2, got phi={phi}, epsilon={epsilon}"
         )
     p = 0.5 * (1.0 + math.sin(phi + epsilon))
@@ -132,7 +131,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return _ry_given_z(g.angle)
     if g.kind == "CZ":
         return _cz(g.angle)
-    raise UnknownVariant(f"gate kind {g.kind!r} has no matrix")
+    raise ValueError(f"gate kind {g.kind!r} has no matrix")
 
 
 def _embed(g: Gate) -> np.ndarray:
@@ -168,7 +167,7 @@ def build_circuit(variant: str, phi: float, epsilon: float) -> TwoQubitCircuit:
             Gate("CZ", math.pi, BOTH),
         ) + readout
     else:
-        raise UnknownVariant(f"unknown circuit variant {variant!r}")
+        raise ValueError(f"unknown circuit variant {variant!r}")
     return TwoQubitCircuit(variant=variant, gates=gates, phi=phi, epsilon=epsilon)
 
 

@@ -8,8 +8,12 @@ trajectory  run thresholded-readout trajectories for a (p, q) or (R0, R1)
 circuit     emit the ancilla-circuit gate list for a (p, q)
 fidelity    score an actual measurement against an ideal one
 
-Exit codes: 0 ok, 2 validation (including out-of-range parameters and missing
-or unreadable files), 3 reduction, 4 simulation, 5 fidelity input.
+Exit codes: 0 ok; 2 invalid input (``ValueError``, including out-of-range
+parameters, a wrong-schema JSON document and a missing or unreadable file);
+3 a singular remainder in the reduction; 4 a backend that cannot realize a
+step; 5 measurements that cannot be compared. A ``GenmeasError`` carries its
+code as ``exit_code``, and ``main`` is the one place that maps an exception
+to an exit code and prints it as a single ``error:`` line.
 """
 
 from __future__ import annotations
@@ -38,24 +42,13 @@ from .decomposition import (
     reduce as reduce_kraus,
     sample_protocol,
 )
-from .errors import (
-    IncompleteSet,
-    InvalidOrdering,
-    LabelMismatch,
-    MaxDurationExceeded,
-    NonFiniteThreshold,
-    NotComplete,
-    SingularRemainder,
-)
+from .errors import GenmeasError, Mismatch
 from .fidelity import fidelity_report, povm_fidelity, process_set_from_json
-from .partial_projection import PartialProjParams, pure_state
+from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import kraus_set_from_json, matrix_from_json, matrix_to_json, require_key
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_REDUCTION = 3
-EXIT_SIMULATION = 4
-EXIT_FIDELITY = 5
 
 _NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -71,7 +64,7 @@ def _parse_state(spec: str) -> np.ndarray:
     if spec in _NAMED_STATES:
         return pure_state(_NAMED_STATES[spec])
     with open(spec) as f:
-        return matrix_from_json(json.load(f), 2)
+        return validate_state(matrix_from_json(json.load(f), 2))
 
 
 def _emit(payload: dict, args) -> None:
@@ -97,15 +90,7 @@ def cmd_synth(args) -> int:
     with open(args.kraus) as f:
         ks = kraus_set_from_json(f.read())
     order = tuple(int(x) for x in args.order.split(",")) if args.order else None
-    try:
-        proto = reduce_kraus(ks, order=order, cancel_u1=args.cancel_u1)
-    except NotComplete as e:
-        print(f"error: kraus set not complete (deviation {e.deviation:.3e})",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    except SingularRemainder as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REDUCTION
+    proto = reduce_kraus(ks, order=order, cancel_u1=args.cancel_u1)
     for label, m in zip(ks.labels, ks.ops):
         dev = branch_deviation(proto, label, m)
         print(f"leaf {label}: composition deviation {dev:.3e}")
@@ -127,18 +112,14 @@ def cmd_simulate(args) -> int:
     with open(args.protocol) as f:
         proto = protocol_from_json(f.read())
     state = _parse_state(args.state)
-    try:
-        readout = _readout_config(args) if args.backend == "continuous" else None
-        if args.shots == 0:
-            _emit({"format_version": "1.0", "histogram": {}, "shots": 0,
-                   "seed": args.seed, "backend": args.backend}, args)
-            return EXIT_OK
-        counts, means = sample_protocol(
-            proto, state, args.shots, args.seed, args.backend, readout
-        )
-    except (NonFiniteThreshold, InvalidOrdering, MaxDurationExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SIMULATION
+    readout = _readout_config(args) if args.backend == "continuous" else None
+    if args.shots == 0:
+        _emit({"format_version": "1.0", "histogram": {}, "shots": 0,
+               "seed": args.seed, "backend": args.backend}, args)
+        return EXIT_OK
+    counts, means = sample_protocol(
+        proto, state, args.shots, args.seed, args.backend, readout
+    )
     _emit(
         {
             "format_version": "1.0",
@@ -155,20 +136,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_trajectory(args) -> int:
     state = _parse_state(args.state)
-    try:
-        if args.p is not None and args.q is not None:
-            t = thresholds_from_pq(PartialProjParams(args.p, args.q))
-        elif args.r0 is not None and args.r1 is not None:
-            t = Thresholds(R0=args.r0, R1=args.r1)
-        else:
-            raise ValueError("provide either --p/--q or --r0/--r1")
-        batch = simulate_batch(_readout_config(args), t, state, args.shots)
-    except InvalidOrdering as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NonFiniteThreshold, MaxDurationExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SIMULATION
+    if args.p is not None and args.q is not None:
+        t = thresholds_from_pq(PartialProjParams(args.p, args.q))
+    elif args.r0 is not None and args.r1 is not None:
+        t = Thresholds(R0=args.r0, R1=args.r1)
+    else:
+        raise ValueError("provide either --p/--q or --r0/--r1")
+    batch = simulate_batch(_readout_config(args), t, state, args.shots)
     _write(trajectories_to_jsonl(batch), args.output)
     n = max(len(batch), 1)
     print(f"outcome-0 frequency {np.count_nonzero(batch.outcome == 0) / n:.4f}, "
@@ -187,26 +161,22 @@ def cmd_fidelity(args) -> int:
         actual_text = f.read()
     with open(args.ideal) as f:
         ideal_text = f.read()
-    try:
-        if args.mode == "process":
-            actual = process_set_from_json(actual_text)
-            ideal = process_set_from_json(ideal_text)
-            report = fidelity_report(actual, ideal)
-        else:
-            a = require_key(json.loads(actual_text), "elements")
-            b = require_key(json.loads(ideal_text), "elements")
-            if [require_key(e, "label") for e in a] != [require_key(e, "label") for e in b]:
-                raise LabelMismatch("POVM labels differ")
-            pa = [matrix_from_json(require_key(e, "matrix")) for e in a]
-            pi = [matrix_from_json(require_key(e, "matrix")) for e in b]
-            report = {
-                "povm_Fp": povm_fidelity(pa, pi, variant="Fp"),
-                "povm_FpTilde": povm_fidelity(pa, pi, variant="FpTilde"),
-                "labels": [e["label"] for e in a],
-            }
-    except (LabelMismatch, IncompleteSet) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FIDELITY
+    if args.mode == "process":
+        actual = process_set_from_json(actual_text)
+        ideal = process_set_from_json(ideal_text)
+        report = fidelity_report(actual, ideal)
+    else:
+        a = require_key(json.loads(actual_text), "elements", list)
+        b = require_key(json.loads(ideal_text), "elements", list)
+        if [require_key(e, "label", str) for e in a] != [require_key(e, "label", str) for e in b]:
+            raise Mismatch("POVM labels differ")
+        pa = [matrix_from_json(require_key(e, "matrix")) for e in a]
+        pi = [matrix_from_json(require_key(e, "matrix")) for e in b]
+        report = {
+            "povm_Fp": povm_fidelity(pa, pi, variant="Fp"),
+            "povm_FpTilde": povm_fidelity(pa, pi, variant="FpTilde"),
+            "labels": [e["label"] for e in a],
+        }
     report["format_version"] = "1.0"
     _emit(report, args)
     return EXIT_OK
@@ -286,10 +256,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
-        # Out-of-range parameters and missing or unreadable files.
+    except (GenmeasError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return getattr(e, "exit_code", EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

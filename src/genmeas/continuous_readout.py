@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidOrdering, MaxDurationExceeded, NonFiniteThreshold
+from .errors import Infeasible
 from .partial_projection import PartialProjParams, validate_state
 
 LOCALIZATION_TOL = 1e-6
@@ -152,16 +152,18 @@ def thresholds_from_pq(params: PartialProjParams) -> Thresholds:
 
     Projective limits are flagged by explicit infinities (q = 1 gives
     R0 = +inf, p = 1 gives R1 = -inf). Requires p + q >= 1 so that the
-    thresholds have the right signs.
+    thresholds have the right signs (``ValueError`` otherwise). p = 0 or
+    q = 0 then forces the other to 1, a threshold at infinity as in the
+    projective limit, and raises ``Infeasible``.
     """
     p, q = params.p, params.q
-    if p <= 0.0 or q <= 0.0:
-        raise InvalidOrdering(f"thresholds require p, q in (0, 1], got ({p}, {q})")
     if p + q < 1.0:
-        raise InvalidOrdering(
+        raise ValueError(
             f"p + q = {p + q} < 1: the outcome roles are swapped; "
             "relabel outcomes so that p + q >= 1"
         )
+    if p <= 0.0 or q <= 0.0:
+        raise Infeasible(f"thresholds require p, q in (0, 1], got ({p}, {q})")
     r0 = math.inf if q == 1.0 else 0.5 * math.log(p / (1.0 - q))
     r1 = -math.inf if p == 1.0 else -0.5 * math.log(q / (1.0 - p))
     # p + q >= 1 guarantees the signs; snap log round-off (p + q = 1 cases)
@@ -180,7 +182,7 @@ def pq_from_thresholds(t: Thresholds) -> PartialProjParams:
     p = q = 1/2.
     """
     if not t.finite:
-        raise NonFiniteThreshold("cannot invert infinite thresholds")
+        raise Infeasible("cannot invert infinite thresholds")
     if t.R0 == 0.0 and t.R1 == 0.0:
         return PartialProjParams(0.5, 0.5)
     e0 = math.exp(2.0 * t.R0)
@@ -342,7 +344,7 @@ def _first_passage(
                 np.copyto(Rk, end[:, -1])
             j += b
             if k and j >= j_cap:
-                raise MaxDurationExceeded(
+                raise Infeasible(
                     f"no threshold reached within duration cap {cap:.3e}"
                 )
     if path is not None:
@@ -394,7 +396,7 @@ def readout_walk(
     if path is not None and len(states) != 1:
         raise ValueError(f"a readout path needs a single run, got {len(states)}")
     if not t.finite:
-        raise NonFiniteThreshold(
+        raise Infeasible(
             f"thresholds ({t.R0}, {t.R1}) are not finite; the projective "
             "limit can only be approximated"
         )

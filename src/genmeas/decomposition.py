@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NormExceeded, NotComplete, SingularRemainder, UnknownLeaf, ZeroProbabilityBranch,
-)
-from .linalg import adjoint, herm_eig, phase_distance, psd_sqrt
+from .errors import Infeasible, NotComplete, SingularRemainder
+from .linalg import adjoint, herm_eig, is_unitary, phase_distance, psd_sqrt
 from .partial_projection import (
     ZERO_BRANCH_TOL,
     PartialProjParams,
@@ -37,6 +35,7 @@ from .serialize import (
 
 COMPLETENESS_TOL = 1e-9
 SINGULAR_CUTOFF = 1e-8
+UNIT_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,9 @@ def completeness_deviation(ops) -> float:
 
 
 def validate_kraus_set(s: KrausSet, tol: float = COMPLETENESS_TOL) -> None:
-    """Raise ``NotComplete`` if sum_k M_k^dag M_k deviates from I beyond tol."""
+    """Raise ``NotComplete`` if sum_k M_k^dag M_k deviates from I beyond tol (or is NaN)."""
     dev = completeness_deviation(s.ops)
-    if dev > tol:
+    if not dev <= tol:
         raise NotComplete(dev)
 
 
@@ -122,13 +121,18 @@ def svd_decompose_pair(n0: np.ndarray, n1: np.ndarray) -> TwoOutcomeStep:
     n0 = np.asarray(n0, dtype=np.complex128)
     n1 = np.asarray(n1, dtype=np.complex128)
     dev = completeness_deviation([n0, n1])
-    if dev > COMPLETENESS_TOL:
+    if not dev <= COMPLETENESS_TOL:
         raise NotComplete(dev)
-    w, v = herm_eig(adjoint(n0) @ n0, tol=1e-8)
-    # Larger |N0| eigenvalue on the |0> slot: p = w_hi, q = 1 - w_lo, so
-    # p + q = 1 + (w_hi - w_lo) >= 1.
-    v = v[:, ::-1]
-    w = np.clip(w[::-1], 0.0, 1.0)
+    # Singular values of N0 rather than eigenvalues of N0^dag N0: a zero
+    # singular value then stays zero instead of becoming sqrt(round-off).
+    _, sv, vh = np.linalg.svd(n0)
+    v = adjoint(vh)
+    # Larger singular value on the |0> slot: p = s_hi^2, q = 1 - s_lo^2, so
+    # p + q = 1 + (s_hi^2 - s_lo^2) >= 1. An s^2 within UNIT_SNAP of 1 is 1:
+    # D1 = sqrt(1 - s^2) would turn the round-off of a rank-deficient
+    # remainder into a spurious amplitude of about 1e-8.
+    w = np.clip(sv**2, 0.0, 1.0)
+    w[w > 1.0 - UNIT_SNAP] = 1.0
     params = PartialProjParams(p=float(w[0]), q=float(1.0 - w[1]))
     d0, d1 = dops(params)
     u0 = _left_unitary(n0, v, np.diag(d0).real)
@@ -139,19 +143,24 @@ def svd_decompose_pair(n0: np.ndarray, n1: np.ndarray) -> TwoOutcomeStep:
 
 
 def _left_unitary(n: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Unitary U with N = U diag V^dag, completing columns at zero singular values."""
-    u = np.zeros((2, 2), dtype=np.complex128)
-    have = []
-    for i in range(2):
-        if diag[i] > 1e-9:
-            u[:, i] = (n @ v[:, i]) / diag[i]
-            have.append(i)
-    if len(have) == 0:
+    """Unitary U with N = U diag V^dag, completing columns at zero singular values.
+
+    Column i of the larger singular value is N v_i normalized; the other is
+    its orthogonal complement, phased like N v_j when d_j is nonzero. Taking
+    N v_j / d_j instead leaves U far from unitary when d_j is round-off.
+    """
+    i = 0 if diag[0] >= diag[1] else 1
+    if diag[i] <= 1e-9:
         return np.eye(2, dtype=np.complex128)
-    if len(have) == 1:
-        a = u[:, have[0]]
-        # Orthogonal complement of (a0, a1) in C^2.
-        u[:, 1 - have[0]] = np.array([-a[1].conj(), a[0].conj()])
+    nv = n @ v
+    a = nv[:, i] / np.sqrt(np.vdot(nv[:, i], nv[:, i]).real)
+    # Orthogonal complement of (a0, a1) in C^2.
+    b = np.array([-a[1].conj(), a[0].conj()])
+    t = complex(np.vdot(b, nv[:, 1 - i]))
+    if diag[1 - i] > 1e-9 and t:
+        b *= t / abs(t)
+    u = np.empty((2, 2), dtype=np.complex128)
+    u[:, i], u[:, 1 - i] = a, b
     return u
 
 
@@ -160,8 +169,8 @@ def remainder(n0: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     n0 = np.asarray(n0, dtype=np.complex128)
     g = adjoint(n0) @ n0
     w = np.linalg.eigvalsh((g + adjoint(g)) / 2)
-    if w[-1] > 1.0 + tol:
-        raise NormExceeded(f"|N0|^2 has eigenvalue {w[-1]} > 1")
+    if not w[-1] <= 1.0 + tol:
+        raise ValueError(f"|N0|^2 has eigenvalue {w[-1]} > 1")
     eye = np.eye(n0.shape[0], dtype=np.complex128)
     return psd_sqrt(eye - g, tol=tol)
 
@@ -210,10 +219,8 @@ def reduce(
     chain = eye  # N1^(k-1) ... N1^(0)
     for k in range(n - 1):
         n0k = ops[k] @ chain_inv
-        n1k = remainder(n0k)
-        step = svd_decompose_pair(n0k, n1k)
+        step = svd_decompose_pair(n0k, remainder(n0k))
         if cancel_u1:
-            n1k = adjoint(step.post_unitary_1) @ n1k
             step = TwoOutcomeStep(
                 pre_unitary=step.pre_unitary,
                 params=step.params,
@@ -221,6 +228,10 @@ def reduce(
                 post_unitary_1=eye,
             )
         steps.append(step)
+        # The step's own U1 D1 V^dag rather than the computed remainder: at
+        # a rank-deficient remainder the two differ by sqrt(round-off), and
+        # the final alignment must match the branch the protocol runs.
+        n1k = step.branch_operator(1)
         chain = n1k @ chain
         if k < n - 2:
             # The last remainder's inverse is never needed; it may be
@@ -239,7 +250,7 @@ def compose_branch(p: MeasurementProtocol, leaf: str) -> np.ndarray:
     try:
         k = p.leaf_labels.index(leaf)
     except ValueError:
-        raise UnknownLeaf(f"no leaf labeled {leaf!r}") from None
+        raise ValueError(f"no leaf labeled {leaf!r}") from None
     op = np.eye(2, dtype=np.complex128)
     for j in range(min(k, len(p.steps))):
         op = p.steps[j].branch_operator(1) @ op
@@ -297,7 +308,7 @@ def _leaf_table(
 def _leaf_state(p: MeasurementProtocol, states: list, k: int) -> np.ndarray:
     if states[k] is None:
         label = p.leaf_labels[k]
-        raise ZeroProbabilityBranch(f"leaf {label!r} has probability < {ZERO_BRANCH_TOL}")
+        raise Infeasible(f"leaf {label!r} has probability < {ZERO_BRANCH_TOL}")
     return states[k]
 
 
@@ -348,7 +359,7 @@ def sample_protocol(
     seeded from (seed, i). Shots are order-independent, histograms are those
     of the per-shot step walk, and a leaf's mean is its state; a shot that
     reaches a leaf of probability below ``ZERO_BRANCH_TOL`` raises
-    ``ZeroProbabilityBranch``. The continuous backend runs all shots as one
+    ``Infeasible``. The continuous backend runs all shots as one
     batch per protocol step from a single generator seeded from ``seed``:
     the same call gives the same result, but shot i of a run of n shots is
     in general not shot i of a run of m.
@@ -464,19 +475,28 @@ def protocol_to_json(p: MeasurementProtocol) -> str:
 
 
 def protocol_from_json(text: str) -> MeasurementProtocol:
+    """Read a protocol document; ``ValueError`` if a unitary in it is not unitary
+    within ``COMPLETENESS_TOL`` (a one-operator complete set)."""
     data = json.loads(text)
     check_version(data, "protocol")
     steps = tuple(
         TwoOutcomeStep(
             pre_unitary=matrix_from_json(require_key(s, "pre_unitary"), 2),
-            params=PartialProjParams(require_key(s, "p"), require_key(s, "q")),
+            params=PartialProjParams(require_key(s, "p", float), require_key(s, "q", float)),
             post_unitary_0=matrix_from_json(require_key(s, "post_unitary_0"), 2),
             post_unitary_1=matrix_from_json(require_key(s, "post_unitary_1"), 2),
         )
-        for s in require_key(data, "steps")
+        for s in require_key(data, "steps", list)
     )
+    final_unitary = matrix_from_json(require_key(data, "final_unitary"), 2)
+    unitaries = [final_unitary]
+    for s in steps:
+        unitaries += [s.pre_unitary, s.post_unitary_0, s.post_unitary_1]
+    if not is_unitary(np.stack(unitaries), tol=COMPLETENESS_TOL):
+        raise ValueError("a protocol unitary is not unitary")
+    labels = require_key(data, "leaf_labels", list)
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError("expected 'leaf_labels' to be a list of strings")
     return MeasurementProtocol(
-        steps=steps,
-        final_unitary=matrix_from_json(require_key(data, "final_unitary"), 2),
-        leaf_labels=tuple(require_key(data, "leaf_labels")),
+        steps=steps, final_unitary=final_unitary, leaf_labels=tuple(labels)
     )

@@ -1,47 +1,18 @@
-"""Exception hierarchy for the genmeas package."""
+"""Exception hierarchy for the genmeas package.
+
+Invalid input raises a plain ``ValueError``. The classes here are the
+failures that carry data of their own or that the command line reports with
+an exit code other than 2: each carries its code as ``exit_code``.
+"""
 
 
 class GenmeasError(Exception):
-    """Base class for all genmeas errors."""
+    """Base class for genmeas errors; ``exit_code`` is the command-line exit status."""
+
+    exit_code = 2
 
 
-class DimensionMismatch(GenmeasError):
-    """Operands have incompatible dimensions."""
-
-
-class NotHermitian(GenmeasError):
-    """Matrix fails the Hermiticity check at the given tolerance."""
-
-
-class NotPSD(GenmeasError):
-    """Matrix has an eigenvalue below the allowed negative tolerance."""
-
-
-class ZeroProbabilityBranch(GenmeasError):
-    """Conditioning on an outcome whose probability is numerically zero."""
-
-
-class NonFiniteThreshold(GenmeasError):
-    """Trajectory simulation requested with an infinite readout threshold."""
-
-
-class InvalidOrdering(GenmeasError):
-    """Threshold computation requested for p + q < 1 (R0 would be negative)."""
-
-
-class MaxDurationExceeded(GenmeasError):
-    """Trajectory failed to reach a threshold within the duration cap."""
-
-
-class OutOfRange(GenmeasError):
-    """Angle pair maps outside the valid probability range."""
-
-
-class UnknownVariant(GenmeasError):
-    """Unrecognized circuit variant name."""
-
-
-class NotComplete(GenmeasError):
+class NotComplete(GenmeasError, ValueError):
     """Kraus set violates the completeness condition."""
 
     def __init__(self, deviation: float):
@@ -49,12 +20,10 @@ class NotComplete(GenmeasError):
         super().__init__(f"completeness violated: deviation {deviation:.3e}")
 
 
-class NormExceeded(GenmeasError):
-    """Operator has |N|^2 with an eigenvalue above 1."""
-
-
 class SingularRemainder(GenmeasError):
     """Reduction hit a (near-)singular intermediate remainder operator."""
+
+    exit_code = 3
 
     def __init__(self, step: int, sigma_min: float):
         self.step = step
@@ -65,33 +34,15 @@ class SingularRemainder(GenmeasError):
         )
 
 
-class UnknownLeaf(GenmeasError):
-    """Requested leaf label does not exist in the protocol."""
+class Infeasible(GenmeasError):
+    """A backend cannot realize a step: an infinite readout threshold, a
+    readout past its duration cap, or a shot drawn into a zero-probability leaf."""
+
+    exit_code = 4
 
 
-class LengthMismatch(GenmeasError):
-    """Probability distributions have different lengths."""
+class Mismatch(GenmeasError):
+    """Two measurement descriptions cannot be compared: their outcome labels
+    differ, or a POVM does not sum to the identity."""
 
-
-class NotDensityMatrix(GenmeasError):
-    """Matrix is not a valid density matrix."""
-
-
-class TraceNotUnit(GenmeasError):
-    """Process matrix trace differs from 1 where a trace-preserving map is required."""
-
-
-class RankViolation(GenmeasError):
-    """Fidelity variant requires a rank-1 (purity-preserving) ideal process."""
-
-
-class ZeroTrace(GenmeasError):
-    """Partial fidelity undefined for a zero-trace process matrix."""
-
-
-class LabelMismatch(GenmeasError):
-    """Outcome labels of the two measurement descriptions do not match."""
-
-
-class IncompleteSet(GenmeasError):
-    """POVM elements do not sum to the identity."""
+    exit_code = 5

@@ -20,17 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IncompleteSet,
-    LabelMismatch,
-    LengthMismatch,
-    NotDensityMatrix,
-    RankViolation,
-    TraceNotUnit,
-    ZeroTrace,
-)
+from .errors import Mismatch
 from .linalg import adjoint, pauli_basis, pauli_expand, psd_sqrt
+from .partial_projection import validate_state
 from .serialize import (
     FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_key,
 )
@@ -48,7 +40,7 @@ class ProcessMatrix:
     def __post_init__(self):
         d2 = self.dim * self.dim
         if self.chi.shape != (d2, d2):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"chi shape {self.chi.shape} does not match dim {self.dim}"
             )
 
@@ -62,6 +54,10 @@ class ProcessSet:
     """Per-outcome process matrices of a measurement, keyed by label."""
 
     outcomes: tuple[tuple[str, ProcessMatrix], ...]
+
+    def __post_init__(self):
+        if not self.outcomes:
+            raise ValueError("a process set needs at least one outcome")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -80,11 +76,11 @@ def chi_from_kraus(ops, d: int) -> ProcessMatrix:
     """Process matrix of the channel rho -> sum_m K_m rho K_m^dag."""
     n_qubits = round(math.log2(d))
     if 2**n_qubits != d:
-        raise DimensionMismatch(f"dimension {d} is not a power of 2")
+        raise ValueError(f"dimension {d} is not a power of 2")
     ops = [np.asarray(m, dtype=np.complex128) for m in ops]
     for m in ops:
         if m.shape != (d, d):
-            raise DimensionMismatch(f"operator shape {m.shape}, expected ({d}, {d})")
+            raise ValueError(f"operator shape {m.shape}, expected ({d}, {d})")
     alpha = pauli_expand(np.stack(ops), pauli_basis(n_qubits))
     return ProcessMatrix(dim=d, chi=alpha.T @ alpha.conj())
 
@@ -102,7 +98,7 @@ def apply_process(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     """Evaluate rho -> sum_ij chi_ij E_i rho E_j^dag."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (chi.dim, chi.dim):
-        raise DimensionMismatch(f"state shape {rho.shape}, expected dim {chi.dim}")
+        raise ValueError(f"state shape {rho.shape}, expected dim {chi.dim}")
     e = pauli_basis(round(math.log2(chi.dim)))
     return np.einsum("ij,iab,bc,jdc->ad", chi.chi, e, rho, e.conj())
 
@@ -122,7 +118,7 @@ def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
+        raise ValueError(f"lengths {a.shape} vs {b.shape}")
     if variant == "kolmogorov":
         return float(0.5 * np.sum(np.abs(a - b)))
     f1 = float(np.sum(np.sqrt(np.clip(a, 0, None) * np.clip(b, 0, None))))
@@ -142,17 +138,6 @@ def _uhlmann_trace(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
-def _check_density(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if np.linalg.norm(rho - adjoint(rho)) > tol:
-        raise NotDensityMatrix("not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise NotDensityMatrix(f"trace {np.trace(rho).real} != 1")
-    if np.linalg.eigvalsh((rho + adjoint(rho)) / 2)[0] < -tol:
-        raise NotDensityMatrix("negative eigenvalue")
-    return rho
-
-
 def _is_pure(rho: np.ndarray, tol: float = 1e-12) -> bool:
     return abs(np.trace(rho @ rho).real - 1.0) <= tol
 
@@ -164,8 +149,8 @@ def state_fidelity(rho, sigma, variant: str = "uhlmann") -> float:
     F3^2 = Tr(rho sigma), which is evaluated directly (the general Uhlmann
     route loses a couple of digits to the matrix square roots).
     """
-    rho = _check_density(rho)
-    sigma = _check_density(sigma)
+    rho = validate_state(rho, tol=1e-8)
+    sigma = validate_state(sigma, tol=1e-8)
     if _is_pure(rho) or _is_pure(sigma):
         f3 = math.sqrt(max(np.trace(rho @ sigma).real, 0.0))
     else:
@@ -198,19 +183,19 @@ def process_fidelity(
     ideal; F9 is fully general and reduces to F8 for rank-1 ideals.
     """
     if chi.dim != chi_ideal.dim:
-        raise DimensionMismatch("process matrices have different dimensions")
+        raise ValueError("process matrices have different dimensions")
     t, ti = chi.trace, chi_ideal.trace
     if variant in ("F6", "F7"):
-        if abs(t - 1.0) > 1e-9 or abs(ti - 1.0) > 1e-9:
-            raise TraceNotUnit(f"traces ({t}, {ti}) must both be 1 for {variant}")
+        if not (abs(t - 1.0) <= 1e-9 and abs(ti - 1.0) <= 1e-9):
+            raise ValueError(f"traces ({t}, {ti}) must both be 1 for {variant}")
         if variant == "F6":
             return float(np.trace(chi.chi @ chi_ideal.chi).real)
         return _uhlmann_trace(chi.chi, chi_ideal.chi) ** 2
     if t <= 0.0 or ti <= 0.0:
-        raise ZeroTrace("process fidelity undefined for zero-trace chi")
+        raise ValueError("process fidelity undefined for zero-trace chi")
     if variant == "F8":
         if not _is_rank1(chi_ideal):
-            raise RankViolation("F8 requires a rank-1 (purity-preserving) ideal")
+            raise ValueError("F8 requires a rank-1 (purity-preserving) ideal")
         return float(np.trace(chi.chi @ chi_ideal.chi).real) / (t * ti)
     if variant == "F9":
         if _is_rank1(chi_ideal):
@@ -222,23 +207,17 @@ def process_fidelity(
 
 
 def partial_fidelity(chi_k: ProcessMatrix, chi_k_ideal: ProcessMatrix) -> float:
-    """Per-outcome fidelity F^(k); scale-invariant in chi_k.
+    """Per-outcome fidelity F^(k), the process fidelity F9; scale-invariant in chi_k.
 
     Uses the trace formula for a rank-1 ideal and falls back to the full
-    Uhlmann form F9 otherwise.
+    Uhlmann form otherwise.
     """
-    if chi_k.trace <= 0.0 or chi_k_ideal.trace <= 0.0:
-        raise ZeroTrace("partial fidelity undefined for zero-trace chi")
-    if _is_rank1(chi_k_ideal):
-        return float(np.trace(chi_k.chi @ chi_k_ideal.chi).real) / (
-            chi_k.trace * chi_k_ideal.trace
-        )
-    return process_fidelity(chi_k, chi_k_ideal, variant="F9")
+    return process_fidelity(chi_k, chi_k_ideal, "F9")
 
 
 def _paired(actual: ProcessSet, ideal: ProcessSet):
     if actual.labels != ideal.labels:
-        raise LabelMismatch(
+        raise Mismatch(
             f"outcome labels differ: {actual.labels} vs {ideal.labels}"
         )
     return [
@@ -302,15 +281,17 @@ def povm_fidelity(actual, ideal, variant: str = "Fp", d: int | None = None) -> f
     * "FpTilde" = [(1/d) sum_k Tr sqrt(sqrt(Pi_k) P_k sqrt(Pi_k))]^2
     """
     if len(actual) != len(ideal):
-        raise LabelMismatch(f"{len(actual)} vs {len(ideal)} POVM elements")
+        raise Mismatch(f"{len(actual)} vs {len(ideal)} POVM elements")
+    if not actual:
+        raise ValueError("a POVM needs at least one element")
     actual = [np.asarray(m, dtype=np.complex128) for m in actual]
     ideal = [np.asarray(m, dtype=np.complex128) for m in ideal]
     if d is None:
         d = actual[0].shape[0]
     for name, elems in (("actual", actual), ("ideal", ideal)):
         dev = np.linalg.norm(sum(elems) - np.eye(d))
-        if dev > 1e-9:
-            raise IncompleteSet(f"{name} POVM sums to I only within {dev:.3e}")
+        if not dev <= 1e-9:
+            raise Mismatch(f"{name} POVM sums to I only within {dev:.3e}")
     if variant == "Fp":
         acc = 0.0
         for pk, pik in zip(actual, ideal):
@@ -341,21 +322,20 @@ def average_state_fidelity(
 
     Raises
     ------
-    RankViolation
-        If the ideal is not unitary (rank-1 and trace-preserving).
-    NotDensityMatrix
-        If ``chi`` is not trace-preserving or not positive semidefinite.
+    ValueError
+        If the ideal is not unitary (rank-1 and trace-preserving), or if
+        ``chi`` is not trace-preserving or not positive semidefinite.
     """
     if chi.dim != chi_ideal_unitary.dim:
-        raise DimensionMismatch("process matrices have different dimensions")
+        raise ValueError("process matrices have different dimensions")
     d = chi.dim
     if not (_is_rank1(chi_ideal_unitary) and _is_trace_preserving(chi_ideal_unitary)):
-        raise RankViolation("average state fidelity requires a unitary ideal")
+        raise ValueError("average state fidelity requires a unitary ideal")
     if not _is_trace_preserving(chi):
-        raise NotDensityMatrix("process is not trace-preserving")
+        raise ValueError("process is not trace-preserving")
     w = np.linalg.eigvalsh((chi.chi + adjoint(chi.chi)) / 2)
     if w[0] < -1e-8:
-        raise NotDensityMatrix(f"process matrix has eigenvalue {w[0]:.3e}")
+        raise ValueError(f"process matrix has eigenvalue {w[0]:.3e}")
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
     return (d * f6 + 1.0) / (d + 1.0)
 
@@ -377,14 +357,14 @@ def process_set_to_json(ps: ProcessSet) -> str:
 def process_set_from_json(text: str) -> ProcessSet:
     data = json.loads(text)
     check_version(data, "process set")
-    d = int(require_key(data, "dim"))
+    d = require_key(data, "dim", int)
     return ProcessSet(
         outcomes=tuple(
             (
-                require_key(o, "label"),
+                require_key(o, "label", str),
                 ProcessMatrix(dim=d, chi=matrix_from_json(require_key(o, "chi"), d * d)),
             )
-            for o in require_key(data, "outcomes")
+            for o in require_key(data, "outcomes", list)
         )
     )
 

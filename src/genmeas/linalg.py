@@ -13,8 +13,6 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
-
 EIG_CLAMP_TOL = 1e-10
 
 # Single-qubit Pauli matrices, in the conventional (I, X, Y, Z) order.
@@ -30,8 +28,10 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    d = m.shape[0]
-    return np.linalg.norm(adjoint(m) @ m - np.eye(d)) <= tol
+    """Whether ``m``, or every matrix of a stack (..., d, d), is unitary within ``tol``."""
+    m = np.asarray(m)
+    dev = np.linalg.norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
+    return bool(np.all(dev <= tol))
 
 
 def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -42,13 +42,13 @@ def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
 
     Raises
     ------
-    NotHermitian
+    ValueError
         If ``|m - m^dag|_F > tol``.
     """
     m = np.asarray(m, dtype=np.complex128)
     dev = np.linalg.norm(m - adjoint(m))
-    if dev > tol:
-        raise NotHermitian(f"deviation from Hermiticity {dev:.3e} > tol {tol:.1e}")
+    if not dev <= tol:
+        raise ValueError(f"deviation from Hermiticity {dev:.3e} > tol {tol:.1e}")
     w, v = np.linalg.eigh((m + adjoint(m)) / 2)
     return w, v
 
@@ -57,11 +57,11 @@ def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
     """Positive-semidefinite square root.
 
     Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below
-    ``-tol`` raises ``NotPSD``.
+    ``-tol`` raises ``ValueError``.
     """
     w, v = herm_eig(m, tol=max(tol, 1e-9))
     if w[0] < -tol:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
+        raise ValueError(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ adjoint(v)
 
@@ -93,7 +93,7 @@ def pauli_expand(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
     basis = np.asarray(basis)
     d = basis.shape[-1]
     if m.shape[-2:] != (d, d):
-        raise DimensionMismatch(f"matrix shape {m.shape} does not match basis dim {d}")
+        raise ValueError(f"matrix shape {m.shape} does not match basis dim {d}")
     return np.einsum("iab,...ab->...i", basis.conj(), m) / d
 
 

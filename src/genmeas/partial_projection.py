@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDensityMatrix, ZeroProbabilityBranch
+from .errors import Infeasible
 from .linalg import adjoint
 
 ZERO_BRANCH_TOL = 1e-12
@@ -41,17 +41,20 @@ class PartialProjParams:
 
 
 def validate_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Check that ``rho`` is a valid 2x2 density matrix and return it as complex128."""
+    """Check that ``rho`` is a valid 2x2 density matrix and return it as complex128.
+
+    Raises ``ValueError`` otherwise, also for a NaN entry.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
-        raise NotDensityMatrix(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if np.linalg.norm(rho - adjoint(rho)) > tol:
-        raise NotDensityMatrix("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise NotDensityMatrix(f"trace is {np.trace(rho).real}, expected 1")
+        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    if not np.linalg.norm(rho - adjoint(rho)) <= tol:
+        raise ValueError("state is not Hermitian")
+    if not abs(np.trace(rho).real - 1.0) <= tol:
+        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
     w = np.linalg.eigvalsh((rho + adjoint(rho)) / 2)
     if w[0] < -tol:
-        raise NotDensityMatrix(f"negative eigenvalue {w[0]:.3e}")
+        raise ValueError(f"negative eigenvalue {w[0]:.3e}")
     return rho
 
 
@@ -93,7 +96,7 @@ def apply_outcome(
 
     Raises
     ------
-    ZeroProbabilityBranch
+    Infeasible
         If the renormalization denominator is below ``tol``.
     """
     rho = validate_state(rho)
@@ -102,7 +105,7 @@ def apply_outcome(
     out = dk @ rho @ adjoint(dk)
     norm = np.trace(out).real
     if norm < tol:
-        raise ZeroProbabilityBranch(
+        raise Infeasible(
             f"outcome {outcome} has probability {norm:.3e} < {tol:.1e}"
         )
     return out / norm

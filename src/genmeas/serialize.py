@@ -3,7 +3,8 @@
 Complex numbers are [re, im] pairs, matrices row-major nested lists, angles
 radians as doubles. Every document carries a "format_version"; readers
 reject unknown major versions. A document of the wrong schema raises
-``ValueError`` naming the missing key or the wrong matrix shape.
+``ValueError`` naming the missing or wrong-typed key or the wrong matrix
+shape; a matrix entry must be finite.
 """
 
 from __future__ import annotations
@@ -34,14 +35,29 @@ def matrix_from_json(rows: list, dim: int | None = None) -> np.ndarray:
     n = len(m) if dim is None else dim
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     return m
 
 
-def require_key(data, key: str):
-    """``data[key]`` of a decoded JSON object; ``ValueError`` naming ``key`` if absent."""
+_KINDS = {list: "a list", str: "a string", int: "an integer", float: "a number"}
+
+
+def require_key(data, key: str, kind: type | None = None):
+    """``data[key]`` of a decoded JSON object.
+
+    Raises ``ValueError`` naming ``key`` if it is absent or, given ``kind``
+    (``list``, ``str``, ``int`` or ``float``), if its value is not of that
+    JSON type. An integer is also a number; a boolean is neither.
+    """
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"expected a JSON object with key {key!r}")
-    return data[key]
+    value = data[key]
+    if kind is not None and (
+        isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+    ):
+        raise ValueError(f"expected {key!r} to be {_KINDS[kind]}")
+    return value
 
 
 def check_version(data: dict, what: str) -> None:
@@ -72,8 +88,8 @@ def kraus_set_from_json(text: str) -> KrausSet:
 
     data = json.loads(text)
     check_version(data, "kraus set")
-    ops = require_key(data, "ops")
+    ops = require_key(data, "ops", list)
     return kraus_set(
         [matrix_from_json(require_key(o, "matrix"), 2) for o in ops],
-        [require_key(o, "label") for o in ops],
+        [require_key(o, "label", str) for o in ops],
     )

@@ -313,3 +313,59 @@ def test_tol_option_is_gone(capsys):
         main(["circuit", "--p", "0.8", "--q", "0.6", "--tol", "1e-9"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_singular_remainder_exits_3(tmp_path, capsys):
+    # Outcome 0 is projective, so its remainder diag(0, 1) cannot be inverted
+    # for the next step; starting from outcome 1 avoids that.
+    path = tmp_path / "singular.json"
+    ops = [np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, math.sqrt(3) / 2])]
+    path.write_text(kraus_set_to_json(kraus_set(ops)))
+    assert main(["synth", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "try a different outcome ordering" in err
+    out = str(tmp_path / "proto.json")
+    assert main(["synth", str(path), "--order", "1,2,0", "--output", out]) == 0
+    proto = protocol_from_json(open(out).read())
+    for label, m in zip(("0", "1", "2"), ops):
+        assert phase_distance(m, compose_branch(proto, label)) < 1e-9
+
+
+def test_trajectory_zero_p_exits_4(capsys):
+    # p = 0 with q = 1 puts a threshold at infinity, like --p 1 --q 1.
+    for p, q in (("0", "1"), ("1", "1")):
+        assert main(["trajectory", "--p", p, "--q", q]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_swapped_roles_step_exits_2(tmp_path, capsys):
+    # A hand-edited step with p + q < 1 is invalid input on every backend.
+    path = tmp_path / "weak.json"
+    path.write_text(kraus_set_to_json(kraus_set(HADAMARD_OPS)))
+    proto = tmp_path / "proto.json"
+    assert main(["synth", str(path), "--output", str(proto)]) == 0
+    doc = json.loads(proto.read_text())
+    doc["steps"][0]["p"], doc["steps"][0]["q"] = 0.3, 0.4
+    proto.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", str(proto), "--backend", "continuous", "--shots", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outcome roles are swapped" in err
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.diag([1.0, 1.0]), "trace is 2"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    ],
+)
+def test_simulate_non_density_state_exits_2(rho, message, trine_protocol, tmp_path, capsys):
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps(matrix_to_json(rho)))
+    for shots in ("100", "0"):
+        assert main(["simulate", trine_protocol, "--state", str(state), "--shots", shots]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -1,0 +1,125 @@
+"""Single-field mutations of every document the command line reads.
+
+Each mutation takes a valid document and sets one of its nodes to a wrong
+type, null, NaN or an out-of-range number, or deletes one key. Whatever the
+document, ``main`` must return (never raise) one of the documented exit
+codes, and a failure must print exactly one ``error:`` line. The values
+marked "never valid" fit no node of a Kraus set, protocol or state
+document, so those mutations must fail; the process-set document carries a
+redundant ``p`` per outcome and a POVM element may be any PSD matrix, so
+there the mutations need only fail cleanly.
+"""
+
+import copy
+import json
+import math
+
+import numpy as np
+import pytest
+
+from genmeas.cli import main
+from genmeas.decomposition import kraus_set, protocol_to_json, reduce
+from genmeas.fidelity import process_set_from_kraus, process_set_to_json
+from genmeas.serialize import kraus_set_to_json, matrix_to_json
+
+from test_cli import trine_ops
+
+LABELS = ("a", "b", "c")
+DELETE = object()
+# (value, never valid)
+BAD_VALUES = (
+    (None, True), (math.nan, True), ([], True), (5, True), (-1.5, True),
+    ("x", False), (True, False),
+)
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def mutations(doc):
+    """(path, value, never valid, mutated document) for every single-field mutation."""
+    for path in _paths(doc):
+        for value, never_valid in BAD_VALUES:
+            yield path, value, never_valid, _mutated(doc, path, value)
+        if path and isinstance(_parent(doc, path), dict):
+            yield path, DELETE, False, _mutated(doc, path, DELETE)
+
+
+def _documents():
+    ops = trine_ops()
+    povm = [m.conj().T @ m for m in ops]
+    return {
+        "kraus": json.loads(kraus_set_to_json(kraus_set(ops, LABELS))),
+        "protocol": json.loads(protocol_to_json(reduce(kraus_set(ops, LABELS)))),
+        "process": json.loads(process_set_to_json(process_set_from_kraus(ops, LABELS))),
+        "state": matrix_to_json(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])),
+        "povm": {"elements": [
+            {"label": label, "matrix": matrix_to_json(e)} for label, e in zip(LABELS, povm)
+        ]},
+    }
+
+
+STRICT = ("kraus", "protocol", "state")
+
+
+@pytest.mark.parametrize("name", ["kraus", "protocol", "process", "state", "povm"])
+def test_every_mutation_exits_cleanly(name, tmp_path, capsys):
+    docs = _documents()
+    fixed = {}
+    for other in ("protocol", "process", "povm"):
+        fixed[other] = tmp_path / f"{other}.json"
+        fixed[other].write_text(json.dumps(docs[other]))
+    path = tmp_path / "mutated.json"
+    args = {
+        "kraus": ["synth", str(path)],
+        "protocol": ["simulate", str(path), "--shots", "20"],
+        "state": ["simulate", str(fixed["protocol"]), "--state", str(path), "--shots", "20"],
+        "process": ["fidelity", str(path), str(fixed["process"])],
+        "povm": ["fidelity", str(path), str(fixed["povm"]), "--mode", "povm"],
+    }[name]
+    path.write_text(json.dumps(docs[name]))
+    assert main(args) == 0
+    capsys.readouterr()
+    count = 0
+    for where, value, never_valid, doc in mutations(docs[name]):
+        path.write_text(json.dumps(doc))
+        code = main(args)
+        err = capsys.readouterr().err
+        what = f"{name} {where} = {'deleted' if value is DELETE else value!r}"
+        assert code in EXIT_CODES, what
+        if code:
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1, what
+        if never_valid and name in STRICT:
+            assert code != 0, what
+        count += 1
+    assert count > 100

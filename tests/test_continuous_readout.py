@@ -17,7 +17,7 @@ from genmeas.continuous_readout import (
     thresholds_from_pq,
     trajectories_to_jsonl,
 )
-from genmeas.errors import InvalidOrdering, MaxDurationExceeded, NonFiniteThreshold
+from genmeas.errors import Infeasible
 from genmeas.linalg import equal_up_to_phase
 from genmeas.partial_projection import (
     PartialProjParams,
@@ -49,7 +49,7 @@ def test_thresholds_projective_flagged():
 
 
 def test_thresholds_reject_swapped_roles():
-    with pytest.raises(InvalidOrdering):
+    with pytest.raises(ValueError, match="outcome roles are swapped"):
         thresholds_from_pq(PartialProjParams(0.3, 0.3))
 
 
@@ -140,7 +140,7 @@ def test_normalization_reproduces_dops():
 def test_simulate_refuses_infinite_thresholds():
     cfg = ReadoutConfig(tau_min=1.0, seed=1)
     t = thresholds_from_pq(PartialProjParams(1.0, 1.0))
-    with pytest.raises(NonFiniteThreshold):
+    with pytest.raises(Infeasible, match="not finite"):
         simulate_trajectory(cfg, t, KET0)
 
 
@@ -299,14 +299,14 @@ def test_batch_rejects_negative_count():
 
 def test_batch_refuses_infinite_thresholds():
     t = thresholds_from_pq(PartialProjParams(0.9, 1.0))
-    with pytest.raises(NonFiniteThreshold):
+    with pytest.raises(Infeasible, match="not finite"):
         simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, 10)
 
 
 def test_batch_duration_cap():
     t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
     cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=1e-6)
-    with pytest.raises(MaxDurationExceeded):
+    with pytest.raises(Infeasible, match="duration cap"):
         simulate_batch(cfg, t, PLUS, 100)
 
 
@@ -322,7 +322,7 @@ def test_duration_cap_is_exact_on_the_grid():
         capped = ReadoutConfig(tau_min=1.0, seed=seed, max_duration=255.5e-2)
         if round(free.duration / capped.dt) > 256:
             outcomes.add("raised")
-            with pytest.raises(MaxDurationExceeded):
+            with pytest.raises(Infeasible, match="duration cap"):
                 simulate_trajectory(capped, t, PLUS)
         else:
             outcomes.add("kept")

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import warnings
 
@@ -21,7 +23,7 @@ from genmeas.decomposition import (
     svd_decompose_pair,
     validate_kraus_set,
 )
-from genmeas.errors import NormExceeded, NotComplete, UnknownLeaf, ZeroProbabilityBranch
+from genmeas.errors import Infeasible, NotComplete
 from genmeas.linalg import adjoint, is_unitary, phase_distance
 from genmeas.partial_projection import (
     PartialProjParams,
@@ -104,7 +106,7 @@ def test_remainder_cases():
 
 
 def test_remainder_rejects_expansion():
-    with pytest.raises(NormExceeded):
+    with pytest.raises(ValueError, match=r"\|N0\|\^2 has eigenvalue"):
         remainder(1.1 * np.eye(2))
 
 
@@ -133,7 +135,7 @@ def test_reduce_trine():
 
 
 def test_compose_branch_unknown_leaf():
-    with pytest.raises(UnknownLeaf):
+    with pytest.raises(ValueError, match="no leaf labeled"):
         compose_branch(reduce(trine_set()), "nope")
 
 
@@ -173,6 +175,53 @@ def test_permutation_sensitivity():
     assert phase_distance(a.steps[0].pre_unitary, b.steps[0].pre_unitary) > 1e-6
     for lab, m in zip(s.labels, s.ops):
         assert phase_distance(m, compose_branch(b, lab)) < 1e-9
+
+
+def test_reduce_unitaries_at_rank_deficient_outcomes():
+    # Rank-1 outcomes leave remainders that are singular up to round-off;
+    # every protocol matrix must still be unitary, and every branch exact.
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    minus = np.array([1.0, -1.0]) / math.sqrt(2)
+    cases = [(trine_set(), list(itertools.permutations(range(3)))),
+             (kraus_set([np.outer(plus, plus), np.outer(minus, minus)]), [(0, 1), (1, 0)])]
+    for s, orders in cases:
+        for order in orders:
+            for cancel_u1 in (False, True):
+                proto = reduce(s, order=order, cancel_u1=cancel_u1)
+                for step in proto.steps:
+                    for u in (step.pre_unitary, step.post_unitary_0, step.post_unitary_1):
+                        assert is_unitary(u, tol=1e-12)
+                assert is_unitary(proto.final_unitary, tol=1e-12)
+                for lab, m in zip(s.labels, s.ops):
+                    assert phase_distance(m, compose_branch(proto, lab)) < 1e-12
+
+
+def test_validate_rejects_nan():
+    with pytest.raises(NotComplete):
+        validate_kraus_set(kraus_set([np.full((2, 2), np.nan)]))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("steps",), 5, "'steps' to be a list"),
+        (("steps", 0, "p"), "x", "'p' to be a number"),
+        (("steps", 0, "q"), None, "'q' to be a number"),
+        (("leaf_labels", 0), 3, "list of strings"),
+        (("steps", 1, "pre_unitary", 0, 0), [5.0, 0.0], "not unitary"),
+        (("steps", 1, "post_unitary_0", 0, 0), [5.0, 0.0], "not unitary"),
+        (("steps", 1, "post_unitary_1", 0, 0), [5.0, 0.0], "not unitary"),
+        (("final_unitary", 1, 1), [-1.5, 0.0], "not unitary"),
+    ],
+)
+def test_protocol_json_rejects_bad_documents(path, value, message):
+    doc = json.loads(protocol_to_json(reduce(trine_set())))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        protocol_from_json(json.dumps(doc))
 
 
 def test_execute_projective_deterministic():
@@ -237,12 +286,10 @@ def test_continuous_backend_runs():
 
 
 def test_continuous_backend_rejects_projective_step():
-    from genmeas.errors import NonFiniteThreshold
-
     proto = reduce(trine_set())
     cfg = ReadoutConfig(tau_min=1.0, seed=18)
     mixed = np.eye(2, dtype=complex) / 2
-    with pytest.raises(NonFiniteThreshold):
+    with pytest.raises(Infeasible, match="not finite"):
         sample_protocol(
             proto, mixed, 10, seed=18, backend="continuous", readout_config=cfg
         )
@@ -317,11 +364,9 @@ def test_execute_protocol_continuous_is_one_shot_batch():
 
 
 def test_continuous_backend_duration_cap():
-    from genmeas.errors import MaxDurationExceeded
-
     proto = reduce(weak_trine_set())
     cfg = ReadoutConfig(tau_min=1.0, seed=20, max_duration=1e-6)
-    with pytest.raises(MaxDurationExceeded):
+    with pytest.raises(Infeasible, match="duration cap"):
         sample_protocol(
             proto, np.eye(2) / 2, 100, seed=20, backend="continuous", readout_config=cfg
         )
@@ -477,10 +522,10 @@ def test_shot_in_zero_probability_leaf_raises(backend, monkeypatch):
     monkeypatch.setattr(decomposition, "ZERO_BRANCH_TOL", 0.5)
     proto = reduce(trine_set())
     mixed = np.eye(2) / 2
-    with pytest.raises(ZeroProbabilityBranch):
+    with pytest.raises(Infeasible, match="leaf 'a' has probability"):
         sample_protocol(proto, mixed, 100, seed=63, backend=backend)
     rng = np.random.default_rng(63)
-    with pytest.raises(ZeroProbabilityBranch):
+    with pytest.raises(Infeasible, match="leaf 'a' has probability"):
         for _ in range(100):
             execute_protocol(proto, mixed, rng, backend)
 

@@ -11,15 +11,7 @@ from genmeas.channels import (
     unitary_jitter_kraus,
 )
 from genmeas.decomposition import random_kraus_set, random_unitary
-from genmeas.errors import (
-    IncompleteSet,
-    LabelMismatch,
-    LengthMismatch,
-    NotDensityMatrix,
-    RankViolation,
-    TraceNotUnit,
-    ZeroTrace,
-)
+from genmeas.errors import Mismatch
 from genmeas.fidelity import (
     ProcessMatrix,
     ProcessSet,
@@ -157,7 +149,7 @@ def test_classical_fidelity_cases():
     assert abs(classical_fidelity(a, b, "squared") - 0.95192) < 5e-6
     assert abs(classical_fidelity(a, b, "squared") - f1 * f1) < 1e-15
     assert classical_fidelity(a, b, "kolmogorov") == pytest.approx(0.2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="lengths"):
         classical_fidelity([1.0], [0.5, 0.5])
 
 
@@ -213,9 +205,9 @@ def test_process_fidelity_f6_unitary_duality():
 def test_process_fidelity_trace_checks():
     d0, _ = dops(PartialProjParams(0.8, 0.6))
     chi = chi_from_kraus([d0], 2)
-    with pytest.raises(TraceNotUnit):
+    with pytest.raises(ValueError, match="must both be 1 for F6"):
         process_fidelity(chi, chi, "F6")
-    with pytest.raises(RankViolation):
+    with pytest.raises(ValueError, match="F8 requires a rank-1"):
         process_fidelity(chi, depolarizing_chi(0.5), "F8")
 
 
@@ -237,7 +229,7 @@ def test_partial_fidelity_scale_invariance():
     assert partial_fidelity(chi, chi) == pytest.approx(1.0)
     scaled = ProcessMatrix(dim=2, chi=3.0 * chi.chi)
     assert partial_fidelity(scaled, chi) == pytest.approx(1.0)
-    with pytest.raises(ZeroTrace):
+    with pytest.raises(ValueError, match="zero-trace chi"):
         partial_fidelity(ProcessMatrix(dim=2, chi=np.zeros((4, 4))), chi)
 
 
@@ -351,7 +343,7 @@ def test_total_fidelity_label_mismatch():
     s = random_kraus_set(2, rng)
     a = process_set_from_kraus(s.ops, ("x", "y"))
     b = process_set_from_kraus(s.ops, ("x", "z"))
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(Mismatch, match="outcome labels differ"):
         total_fidelity(a, b)
 
 
@@ -379,9 +371,9 @@ def test_povm_fidelity_cases():
     assert povm_fidelity(proj, proj, "FpTilde") == pytest.approx(1.0)
     swapped = [proj[1], proj[0]]
     assert povm_fidelity(swapped, proj, "Fp") == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(IncompleteSet):
+    with pytest.raises(Mismatch, match="actual POVM sums to I only"):
         povm_fidelity([0.9 * proj[0], proj[1]], proj)
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(Mismatch, match="POVM elements"):
         povm_fidelity(proj, proj[:1])
 
 
@@ -489,13 +481,13 @@ def test_average_state_fidelity_rejects_bad_inputs():
     chi = depolarizing_chi(0.2)
     d0, _ = dops(PartialProjParams(0.8, 0.6))
     for ideal in (depolarizing_chi(0.1), chi_from_kraus([d0], 2)):
-        with pytest.raises(RankViolation):
+        with pytest.raises(ValueError, match="requires a unitary ideal"):
             average_state_fidelity(chi, ideal)
     ideal = chi_from_kraus([np.eye(2)], 2)
-    with pytest.raises(NotDensityMatrix):
+    with pytest.raises(ValueError, match="not trace-preserving"):
         average_state_fidelity(chi_from_kraus([0.9 * np.eye(2)], 2), ideal)
     # Trace-preserving (diagonal sums to 1) but not completely positive.
-    with pytest.raises(NotDensityMatrix):
+    with pytest.raises(ValueError, match="process matrix has eigenvalue"):
         average_state_fidelity(ProcessMatrix(2, np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal)
 
 
@@ -522,3 +514,20 @@ def test_fidelity_report_keys():
     for entry in report["partial"].values():
         assert entry["F"] == pytest.approx(1.0, abs=1e-10)
         assert entry["failed"] is False
+
+
+def test_state_fidelity_rejects_nan_and_non_states():
+    mixed = np.eye(2) / 2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        state_fidelity(np.full((2, 2), np.nan), mixed)
+    with pytest.raises(ValueError, match="trace is"):
+        state_fidelity(mixed, 2 * mixed)
+    # The tolerance is 1e-8: a trace off by 1e-9 is accepted.
+    assert state_fidelity(mixed * (1 + 2e-9), mixed) == pytest.approx(1.0)
+
+
+def test_empty_measurements_rejected():
+    with pytest.raises(ValueError, match="at least one outcome"):
+        ProcessSet(outcomes=())
+    with pytest.raises(ValueError, match="at least one element"):
+        povm_fidelity([], [])

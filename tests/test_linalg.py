@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from genmeas.errors import DimensionMismatch, NotHermitian, NotPSD
 from genmeas.linalg import (
     PAULI_X,
     PAULI_Y,
@@ -48,8 +47,21 @@ def test_herm_eig_sigma_x():
 
 
 def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(ValueError, match="deviation from Hermiticity"):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_herm_eig_rejects_nan():
+    with pytest.raises(ValueError, match="deviation from Hermiticity nan"):
+        herm_eig(np.full((2, 2), np.nan, dtype=complex))
+
+
+def test_is_unitary_on_a_stack():
+    stack = np.stack([np.eye(2), PAULI_X, np.eye(2)]).astype(complex)
+    assert is_unitary(stack)
+    stack[2, 0, 0] = 5.0
+    assert not is_unitary(stack)
+    assert not is_unitary(np.full((2, 2), np.nan))
 
 
 def test_herm_eig_reconstruction_random():
@@ -72,7 +84,7 @@ def test_psd_sqrt_identity():
 
 
 def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSD):
+    with pytest.raises(ValueError, match="below -"):
         psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
 
 
@@ -121,7 +133,7 @@ def test_pauli_expand_partial_projection():
 
 
 def test_pauli_expand_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="does not match basis dim"):
         pauli_expand(np.eye(4, dtype=complex), pauli_basis(1))
 
 

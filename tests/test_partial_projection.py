@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genmeas.errors import ZeroProbabilityBranch
+from genmeas.errors import Infeasible
 from genmeas.linalg import adjoint
 from genmeas.partial_projection import (
     PartialProjParams,
@@ -12,6 +12,7 @@ from genmeas.partial_projection import (
     outcome_probabilities,
     pure_state,
     strength,
+    validate_state,
 )
 
 KET0 = pure_state(np.array([1.0, 0.0]))
@@ -106,7 +107,7 @@ def test_apply_outcome_partial_collapse():
 
 
 def test_apply_outcome_zero_branch():
-    with pytest.raises(ZeroProbabilityBranch):
+    with pytest.raises(Infeasible, match="outcome 1 has probability"):
         apply_outcome(PartialProjParams(1.0, 1.0), 1, KET0)
 
 
@@ -124,3 +125,17 @@ def test_strength_values():
     assert strength(PartialProjParams(1.0, 1.0)) == 1.0
     assert strength(PartialProjParams(0.5, 0.5)) == 0.0
     assert abs(strength(PartialProjParams(0.8, 0.6)) - 0.4) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.full((2, 2), np.nan), "not Hermitian"),
+        (np.eye(2), "trace is 2"),
+        (np.eye(3) / 3, "expected a 2x2 matrix"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    ],
+)
+def test_validate_state_rejects(rho, message):
+    with pytest.raises(ValueError, match=message):
+        validate_state(rho)

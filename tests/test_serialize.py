@@ -11,6 +11,7 @@ from genmeas.serialize import (
     kraus_set_to_json,
     matrix_from_json,
     matrix_to_json,
+    require_key,
 )
 
 
@@ -52,3 +53,35 @@ def test_kraus_set_json_carries_version():
     s = random_kraus_set(2, rng)
     data = json.loads(kraus_set_to_json(s))
     assert data["format_version"] == FORMAT_VERSION
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_matrix_from_json_rejects_non_finite(bad):
+    rows = matrix_to_json(np.eye(2))
+    rows[1][0][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        matrix_from_json(json.loads(json.dumps(rows)))
+
+
+@pytest.mark.parametrize(
+    "value, kind, ok",
+    [
+        ([], list, True), ({}, list, False), ("a", str, True), (1, str, False),
+        (2, int, True), (2.0, int, False), (True, int, False),
+        (0.5, float, True), (1, float, True), (False, float, False), (None, float, False),
+    ],
+)
+def test_require_key_kind(value, kind, ok):
+    if ok:
+        assert require_key({"k": value}, "k", kind) is value
+    else:
+        with pytest.raises(ValueError, match="expected 'k' to be"):
+            require_key({"k": value}, "k", kind)
+
+
+def test_kraus_set_json_rejects_wrong_types():
+    data = json.loads(kraus_set_to_json(random_kraus_set(2, np.random.default_rng(94))))
+    with pytest.raises(ValueError, match="'label' to be a string"):
+        kraus_set_from_json(json.dumps({**data, "ops": [{**data["ops"][0], "label": None}]}))
+    with pytest.raises(ValueError, match="'ops' to be a list"):
+        kraus_set_from_json(json.dumps({**data, "ops": 3}))
