@@ -35,6 +35,8 @@ from .errors import Infeasible
 from .partial_projection import PartialProjParams, validate_state
 
 LOCALIZATION_TOL = 1e-6
+_CAP = "no threshold reached within duration cap {:.3e}"
+_NOT_FINITE = "thresholds ({}, {}) are not finite; the projective limit can only be approximated"
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,50 @@ def normalization_constants(params: PartialProjParams) -> tuple[float, float]:
     return math.sqrt(p * (1.0 - q)), math.sqrt(q * (1.0 - p))
 
 
+def _readout_instrument(params: PartialProjParams, config: ReadoutConfig):
+    """Run-averaged thresholded readout: Kraus pair and coherence factors.
+
+    Outcome b gives K_b rho K_b^dag, K_b = sqrt(C_b) M_{R_b}(alpha) = D_b with the
+    alpha phase, its off-diagonal scaled by kappa_b = E[z^J | side b]: z = exp(-(1 -
+    eta) dt / (2 eta tau)), J the run's step count, whose law given the side is one
+    under both hidden labels, so the averaged map is linear. S_b(s) = sum_n c[b, n]
+    e^{-lam_n s} is P(side b, T > s) at drift +1 and e^{-2 R_b} S_b(s) at drift -1
+    (Cox & Miller 1965). ``Infeasible`` if a run outlasts the cap w.p. > 1e-12.
+    """
+    t = thresholds_from_pq(params)
+    if not t.finite:
+        raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
+    c0, c1 = normalization_constants(params)
+    pair = (math.sqrt(c0) * measurement_operator(t.R0, config.alpha),
+            math.sqrt(c1) * measurement_operator(t.R1, config.alpha))
+    if t.R0 == 0.0 or t.R1 == 0.0:
+        return pair, np.ones(2)  # the walk stops before its first step
+    m, big_l, x = config.dt / config.tau, t.R0 - t.R1, -t.R1  # units of tau
+    # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m.
+    n = np.arange(1, int(big_l / math.pi * math.sqrt(92.0 / m)) + 3)
+    k = n * math.pi / big_l
+    lam = 0.5 * (1.0 + k * k)
+    a = math.pi / big_l**2 * np.where(n % 2, n, -n) / lam
+    c = np.stack([math.exp(big_l - x) * np.sin(k * x), math.exp(-x) * np.sin(k * (big_l - x))]) * a
+    survive = c @ np.exp(-lam * (_cap_steps(config) * m))  # S_b after the cap
+    if max(survive.sum(), survive @ np.exp(-2.0 * np.array([t.R0, t.R1]))) > 1e-12:
+        raise Infeasible(_CAP.format(config.duration_cap))
+    # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j m), h_b = P(side b) at drift +1.
+    log_z = -(1.0 - config.efficiency) * m / (2.0 * config.efficiency)
+    h, w = np.array([params.p, 1.0 - params.p]), log_z - lam * m
+    kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
+    return pair, np.divide(kappa, h, out=np.ones(2), where=h > 0)
+
+
+def _cap_steps(config: ReadoutConfig) -> int:
+    """The first step after which a run still active exceeds the duration cap."""
+    cap, dt = config.duration_cap, config.dt
+    j_cap = int(cap / dt) + 2
+    while j_cap > 1 and (j_cap - 1) * dt > cap:
+        j_cap -= 1
+    return j_cap
+
+
 # A batch with k active runs advances min(_BLOCK_STEPS, _BLOCK_DRAWS // k)
 # steps (at least one) per pass, so a single run or a batch's last few runs
 # pay the fixed numpy cost of a pass once per block rather than once per step.
@@ -248,15 +294,11 @@ def _first_passage(
     """
     n = len(rho00)
     dt = config.dt
-    cap = config.duration_cap
     r0, r1 = t.R0, t.R1
     m = dt / config.tau
     s = math.sqrt(m)
     c = 2.0 * config.tau / dt
-    # The first step after which a run still active exceeds the cap.
-    j_cap = int(cap / dt) + 2
-    while j_cap > 1 and (j_cap - 1) * dt > cap:
-        j_cap -= 1
+    j_cap = _cap_steps(config)
     size = max(n, _BLOCK_DRAWS)
     outcome = np.ones(n, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
@@ -344,9 +386,7 @@ def _first_passage(
                 np.copyto(Rk, end[:, -1])
             j += b
             if k and j >= j_cap:
-                raise Infeasible(
-                    f"no threshold reached within duration cap {cap:.3e}"
-                )
+                raise Infeasible(_CAP.format(config.duration_cap))
     if path is not None:
         path.append(r0 if outcome[0] == 0 else r1)
     return outcome, steps
@@ -388,18 +428,15 @@ def readout_walk(
 ) -> TrajectoryBatch:
     """Thresholded readout of each density matrix in ``states`` (shape (n, 2, 2)).
 
-    The one walk behind :func:`simulate_batch`, :func:`simulate_trajectory`
-    and the continuous backend of ``sample_protocol``. The states are taken
-    as valid density matrices; callers validate at their boundary.
+    The one walk behind :func:`simulate_batch` and :func:`simulate_trajectory`;
+    ``sample_protocol`` averages its law in closed form (``_readout_instrument``).
+    The states are taken as valid density matrices; callers validate at their boundary.
     ``path`` records the readout of a single run and needs ``n == 1``.
     """
     if path is not None and len(states) != 1:
         raise ValueError(f"a readout path needs a single run, got {len(states)}")
     if not t.finite:
-        raise Infeasible(
-            f"thresholds ({t.R0}, {t.R1}) are not finite; the projective "
-            "limit can only be approximated"
-        )
+        raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
     n = len(states)
     steps = np.zeros(n, dtype=np.int64)
     if t.R0 == 0.0 and t.R1 == 0.0:

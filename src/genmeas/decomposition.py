@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .continuous_readout import _readout_instrument
 from .errors import Infeasible, NotComplete, SingularRemainder
 from .linalg import adjoint, herm_eig, is_unitary, phase_distance, psd_sqrt
 from .partial_projection import (
@@ -30,7 +31,8 @@ from .partial_projection import (
     validate_state,
 )
 from .serialize import (
-    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_key,
+    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_distinct,
+    require_key,
 )
 
 COMPLETENESS_TOL = 1e-9
@@ -50,6 +52,7 @@ class KrausSet:
             raise ValueError("a Kraus set needs at least one operator")
         if len(self.labels) != len(self.ops):
             raise ValueError("one label per operator required")
+        require_distinct(self.labels)
 
     @property
     def n(self) -> int:
@@ -96,6 +99,7 @@ class MeasurementProtocol:
     def __post_init__(self):
         if len(self.leaf_labels) != len(self.steps) + 1:
             raise ValueError("need one leaf label per step plus the final branch")
+        require_distinct(self.leaf_labels)
 
 
 def completeness_deviation(ops) -> float:
@@ -278,23 +282,32 @@ def _ancilla_kraus(variant: str, p: float, q: float) -> tuple[np.ndarray, np.nda
 
 
 def _leaf_table(
-    p: MeasurementProtocol, rho: np.ndarray, backend: str
+    p: MeasurementProtocol, rho: np.ndarray, backend: str, readout_config=None
 ) -> tuple[list[float], list[np.ndarray | None]]:
     """Halting probability of each step on the surviving branch, and the leaf states.
 
-    A shot halts at the first step k whose uniform draw is below ``halt[k]``,
-    else it reaches leaf ``len(halt)``. A leaf of probability below
-    ``ZERO_BRANCH_TOL`` has state None, and a surviving branch below it ends the walk.
+    A step is its backend's Kraus pair, outcome b's coherence scaled by kappa_b
+    (below 1 only on the continuous backend at efficiency < 1). A shot halts at
+    the first step k whose uniform draw is below ``halt[k]``, else it reaches leaf
+    ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has state None,
+    and a surviving branch below it ends the walk.
     """
-    if backend != "exact" and not backend.startswith("ancilla"):
+    if backend == "continuous" and readout_config is None:
+        raise ValueError("continuous backend requires a ReadoutConfig")
+    if backend not in ("exact", "continuous") and not backend.startswith("ancilla"):
         raise ValueError(f"unknown backend {backend!r}")
     variant = backend.split("-", 1)[1] if "-" in backend else "direct"
     halt, states = [], []
     for step in p.steps:
-        pq = step.params
-        k0, k1 = dops(pq) if backend == "exact" else _ancilla_kraus(variant, pq.p, pq.q)
+        pq, kappa = step.params, (1.0, 1.0)
+        if backend == "exact":
+            k0, k1 = dops(pq)
+        elif backend == "continuous":
+            (k0, k1), kappa = _readout_instrument(pq, readout_config)
+        else:
+            k0, k1 = _ancilla_kraus(variant, pq.p, pq.q)
         rho = adjoint(step.pre_unitary) @ rho @ step.pre_unitary
-        out0, out1 = k0 @ rho @ adjoint(k0), k1 @ rho @ adjoint(k1)
+        out0, out1 = (k @ rho @ adjoint(k) * [[1, c], [c, 1]] for k, c in zip((k0, k1), kappa))
         h, survive = float(np.trace(out0).real), np.trace(out1).real
         halt.append(h)
         u0, u1 = step.post_unitary_0, step.post_unitary_1
@@ -323,23 +336,18 @@ def execute_protocol(
 
     ``backend`` selects how each two-outcome step is realized: "exact"
     (direct partial projection), "ancilla-direct" / "ancilla-cphase" /
-    "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (thresholded
-    readout; needs ``readout_config`` with finite thresholds at each step).
-    On the exact and ancilla backends the shot reads the leaf table of
-    ``sample_protocol``, drawing one uniform from ``rng`` per step until it
-    halts. The continuous backend is the batched traversal of
-    ``sample_protocol`` run on one shot with ``rng``.
+    "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (run-averaged
+    thresholded readout; needs ``readout_config`` and finite thresholds). The
+    shot reads the leaf table of ``sample_protocol`` with uniforms from ``rng``:
+    one per step until it halts, or on the continuous backend one row at once,
+    so ``rng = default_rng(seed)`` gives its shot 0.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    rho = validate_state(initial)
-    if backend == "continuous":
-        _, means = _sample_continuous(p, rho, 1, rng, readout_config)
-        ((label, rho),) = means.items()
-        return label, rho
-    halt, states = _leaf_table(p, rho, backend)
+    halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
+    draws = iter(rng.random(len(halt))) if backend == "continuous" else iter(rng.random, None)
     k = 0
-    while k < len(halt) and rng.random() >= halt[k]:
+    while k < len(halt) and next(draws) >= halt[k]:
         k += 1
     return p.leaf_labels[k], _leaf_state(p, states, k)
 
@@ -354,68 +362,26 @@ def sample_protocol(
 ) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Histogram and per-leaf mean final states over ``shots`` runs.
 
-    Seeding contract: on the exact and ancilla backends the leaf table is
-    built once per call and shot i is only its draws, from its own generator
-    seeded from (seed, i). Shots are order-independent, histograms are those
-    of the per-shot step walk, and a leaf's mean is its state; a shot that
-    reaches a leaf of probability below ``ZERO_BRANCH_TOL`` raises
-    ``Infeasible``. The continuous backend runs all shots as one
-    batch per protocol step from a single generator seeded from ``seed``:
-    the same call gives the same result, but shot i of a run of n shots is
-    in general not shot i of a run of m.
+    Seeding contract: the leaf table is built once per call, also at shots=0,
+    and shot i is only its draws, one uniform per step: from a generator seeded
+    from (seed, i) on the exact and ancilla backends, row i of
+    ``default_rng(seed).random((shots, steps))`` on the continuous one. Shot i
+    of n is shot i of m, and a leaf's mean is its state. A shot that reaches a
+    leaf of probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
     """
     if shots < 0:
         raise ValueError(f"shot count must be >= 0, got {shots}")
-    rho = validate_state(initial)
+    halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
     if backend == "continuous":
-        return _sample_continuous(
-            p, rho, shots, np.random.default_rng(seed), readout_config
-        )
-    halt, states = _leaf_table(p, rho, backend)
-    draws = np.empty((shots, len(halt)))
-    for i in range(shots):
-        np.random.default_rng([seed, i]).random(out=draws[i])
+        draws = np.random.default_rng(seed).random((shots, len(halt)))
+    else:
+        draws = np.empty((shots, len(halt)))
+        for i in range(shots):
+            np.random.default_rng([seed, i]).random(out=draws[i])
     leaf = np.logical_and.accumulate(draws >= halt, axis=1).sum(axis=1)
     counts = np.bincount(leaf, minlength=len(p.leaf_labels)).tolist()
     means = {p.leaf_labels[k]: _leaf_state(p, states, k) for k in np.flatnonzero(counts)}
     return dict(zip(p.leaf_labels, counts)), means
-
-
-def _sample_continuous(
-    p: MeasurementProtocol,
-    rho: np.ndarray,
-    shots: int,
-    rng: np.random.Generator,
-    readout_config,
-) -> tuple[dict[str, int], dict[str, np.ndarray]]:
-    """Continuous backend: each step is one batched readout of the active shots."""
-    from .continuous_readout import readout_walk, thresholds_from_pq
-
-    if readout_config is None:
-        raise ValueError("continuous backend requires a ReadoutConfig")
-    counts: dict[str, int] = {label: 0 for label in p.leaf_labels}
-    means: dict[str, np.ndarray] = {}
-    active = np.broadcast_to(rho, (shots, 2, 2))
-    for k, step in enumerate(p.steps):
-        if not len(active):
-            break
-        v = step.pre_unitary
-        batch = readout_walk(
-            readout_config, thresholds_from_pq(step.params),
-            adjoint(v) @ active @ v, rng,
-        )
-        halt = batch.outcome == 0
-        u0, u1 = step.post_unitary_0, step.post_unitary_1
-        halted = u0 @ batch.final_state[halt] @ adjoint(u0)
-        if len(halted):
-            counts[p.leaf_labels[k]] = len(halted)
-            means[p.leaf_labels[k]] = halted.mean(axis=0)
-        active = u1 @ batch.final_state[~halt] @ adjoint(u1)
-    if len(active):
-        f = p.final_unitary
-        counts[p.leaf_labels[-1]] = len(active)
-        means[p.leaf_labels[-1]] = (f @ active @ adjoint(f)).mean(axis=0)
-    return counts, means
 
 
 def random_kraus_set(

@@ -14,6 +14,7 @@ one-parameter interpolating family, and POVM-only fidelities.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +25,8 @@ from .errors import Mismatch
 from .linalg import adjoint, pauli_basis, pauli_expand, psd_sqrt
 from .partial_projection import validate_state
 from .serialize import (
-    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_key,
+    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_distinct,
+    require_key,
 )
 
 UHLMANN_CLAMP = 1e-10
@@ -44,7 +46,7 @@ class ProcessMatrix:
                 f"chi shape {self.chi.shape} does not match dim {self.dim}"
             )
 
-    @property
+    @functools.cached_property
     def trace(self) -> float:
         return float(np.trace(self.chi).real)
 
@@ -58,6 +60,7 @@ class ProcessSet:
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("a process set needs at least one outcome")
+        require_distinct(self.labels)
 
     @property
     def labels(self) -> tuple[str, ...]:

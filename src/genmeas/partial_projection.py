@@ -12,6 +12,7 @@ which satisfy D0^dag D0 + D1^dag D1 = I exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,9 @@ def pure_state(psi: np.ndarray) -> np.ndarray:
 def dops(params: PartialProjParams) -> tuple[np.ndarray, np.ndarray]:
     """Partial projection operator pair (D0, D1)."""
     p, q = params.p, params.q
-    d0 = np.diag([np.sqrt(p), np.sqrt(1.0 - q)]).astype(np.complex128)
-    d1 = np.diag([np.sqrt(1.0 - p), np.sqrt(q)]).astype(np.complex128)
+    d0, d1 = np.zeros((2, 2), dtype=np.complex128), np.zeros((2, 2), dtype=np.complex128)
+    d0[0, 0], d0[1, 1] = math.sqrt(p), math.sqrt(1.0 - q)
+    d1[0, 0], d1[1, 1] = math.sqrt(1.0 - p), math.sqrt(q)
     return d0, d1
 
 

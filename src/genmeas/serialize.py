@@ -60,6 +60,12 @@ def require_key(data, key: str, kind: type | None = None):
     return value
 
 
+def require_distinct(labels) -> None:
+    """``ValueError`` if an outcome label repeats: outcomes are keyed by label."""
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"outcome labels must be distinct, got {list(labels)}")
+
+
 def check_version(data: dict, what: str) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"expected a {what} JSON object")

@@ -339,6 +339,29 @@ def test_trajectory_zero_p_exits_4(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_synth_repeated_labels_exits_2(tmp_path, capsys):
+    path = tmp_path / "trine.json"
+    doc = json.loads(kraus_set_to_json(kraus_set(trine_ops(), ("a", "b", "c"))))
+    doc["ops"][1]["label"] = "a"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "protocol.json"
+    assert main(["synth", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "labels must be distinct" in err
+    assert not out.exists()
+
+
+def test_simulate_repeated_leaf_labels_exits_2(trine_protocol, tmp_path, capsys):
+    doc = json.loads(open(trine_protocol).read())
+    doc["leaf_labels"] = ["a", "a", "c"]
+    proto = tmp_path / "repeated.json"
+    proto.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", str(proto), "--shots", "3000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "labels must be distinct" in err
+
+
 def test_simulate_swapped_roles_step_exits_2(tmp_path, capsys):
     # A hand-edited step with p + q < 1 is invalid input on every backend.
     path = tmp_path / "weak.json"

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from genmeas import decomposition
-from genmeas.continuous_readout import ReadoutConfig
+from genmeas import continuous_readout, decomposition
+from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq
 from genmeas.decomposition import (
+    MeasurementProtocol,
     compose_branch,
     completeness_deviation,
     execute_protocol,
@@ -31,6 +32,7 @@ from genmeas.partial_projection import (
     dops,
     outcome_probabilities,
     pure_state,
+    strength,
 )
 
 BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz")
@@ -201,6 +203,21 @@ def test_validate_rejects_nan():
         validate_kraus_set(kraus_set([np.full((2, 2), np.nan)]))
 
 
+def test_kraus_set_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        kraus_set(trine_set().ops, labels=("a", "a", "c"))
+
+
+def test_protocol_rejects_repeated_leaf_labels():
+    proto = reduce(trine_set())
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        MeasurementProtocol(proto.steps, proto.final_unitary, ("a", "b", "a"))
+    doc = json.loads(protocol_to_json(proto))
+    doc["leaf_labels"] = ["a", "c", "c"]
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        protocol_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -334,8 +351,8 @@ def test_continuous_backend_weak_trine():
 
 
 def test_execute_protocol_continuous_is_one_shot_batch():
-    # execute_protocol runs the continuous backend's batched traversal on
-    # one shot, so it matches a one-shot sample_protocol with the same seed;
+    # execute_protocol draws a whole row of uniforms, as shot 0 of
+    # sample_protocol does from default_rng(seed), so the two agree;
     # at eta = 1 every shot ends in its leaf's state M rho M^dag / Tr.
     s = weak_trine_set()
     proto = reduce(s)
@@ -370,6 +387,74 @@ def test_continuous_backend_duration_cap():
         sample_protocol(
             proto, np.eye(2) / 2, 100, seed=20, backend="continuous", readout_config=cfg
         )
+
+
+def test_continuous_backend_zero_strength_step():
+    # sqrt(0.7) I and sqrt(0.3) X reduce to one step with p + q = 1, whose
+    # thresholds collapse to (0, 0): outcome 0 still has probability 0.7.
+    s = kraus_set([math.sqrt(0.7) * np.eye(2), math.sqrt(0.3) * np.array([[0, 1], [1, 0]])])
+    proto = reduce(s)
+    assert strength(proto.steps[0].params) < 1e-12
+    cfg = ReadoutConfig(tau_min=1.0, seed=64)
+    mixed = np.eye(2, dtype=complex) / 2
+    shots = 20_000
+    sigma = math.sqrt(0.7 * 0.3 / shots)
+    for backend in ("exact", "ancilla-direct", "continuous"):
+        counts, means = sample_protocol(proto, mixed, shots, 64, backend, cfg)
+        assert abs(counts["0"] / shots - 0.7) < 4 * sigma
+        assert all(np.max(np.abs(m - mixed)) < 1e-12 for m in means.values())
+
+
+def test_continuous_backend_averages_the_walk_below_unit_efficiency():
+    # At eta < 1 the leaf states are the run averages of the readout walk,
+    # with each side's coherence scaled by kappa_b = E[z^J | side b].
+    d0, d1 = dops(PartialProjParams(0.8, 0.6))
+    proto = reduce(kraus_set([HADAMARD @ d0, HADAMARD @ d1]))
+    (step,) = proto.steps
+    cfg = ReadoutConfig(tau_min=1.0, seed=65, alpha=math.pi / 4, efficiency=0.7)
+    t = thresholds_from_pq(step.params)
+    rho = pure_state(np.array([0.6, 0.8j]))
+    _, means = sample_protocol(proto, rho, 100, 65, "continuous", cfg)
+    n = 20_000
+    batch = simulate_batch(cfg, t, adjoint(step.pre_unitary) @ rho @ step.pre_unitary, n)
+    rotate = (step.post_unitary_0, proto.final_unitary @ step.post_unitary_1)
+    for b, label in enumerate(proto.leaf_labels):
+        side = batch.final_state[batch.outcome == b]
+        mean = adjoint(rotate[b]) @ means[label] @ rotate[b]
+        for part in (np.real, np.imag):
+            # Diagonals are fixed by the side, so their spread is zero.
+            err = part(side).std(axis=0) / math.sqrt(len(side))
+            assert np.all(np.abs(part(mean) - part(side).mean(axis=0)) <= 4 * err + 1e-12)
+        expect = np.trace(step.branch_operator(b) @ rho @ adjoint(step.branch_operator(b))).real
+        assert abs(len(side) / n - expect) < 4 * math.sqrt(expect * (1 - expect) / n)
+    # The coherence factors do not depend on the hidden label: walks from
+    # |0> and from |1> estimate the same kappa_b.
+    _, kappa = continuous_readout._readout_instrument(step.params, cfg)
+    z = math.exp(-(1 - cfg.efficiency) * cfg.dt / (2 * cfg.efficiency * cfg.tau))
+    for ket in ([1, 0], [0, 1]):
+        batch = simulate_batch(cfg, t, pure_state(np.array(ket)), n)
+        zj = z ** np.rint(batch.duration / cfg.dt)
+        for b in (0, 1):
+            v = zj[batch.outcome == b]
+            assert abs(v.mean() - kappa[b]) < 4 * v.std() / math.sqrt(len(v))
+    assert kappa[0] < 1 and kappa[1] < 1
+
+
+def test_continuous_backend_cap_is_deterministic():
+    # A cap that runs outlast with probability above 1e-12 raises on every
+    # seed, also at shots=0, though a 200-run walk rarely reaches it.
+    proto = reduce(weak_trine_set())
+    mixed = np.eye(2) / 2
+    tight = ReadoutConfig(tau_min=1.0, seed=66, max_duration=5.0)
+    for seed in range(10):
+        for shots in (0, 100):
+            with pytest.raises(Infeasible, match="duration cap"):
+                sample_protocol(proto, mixed, shots, seed, "continuous", tight)
+    simulate_batch(tight, thresholds_from_pq(proto.steps[0].params), mixed, 200)
+    default = ReadoutConfig(tau_min=1.0, seed=66)
+    for seed in range(10):
+        counts, _ = sample_protocol(proto, mixed, 100, seed, "continuous", default)
+        assert sum(counts.values()) == 100
 
 
 @pytest.mark.parametrize("backend", ["exact", "continuous"])

@@ -531,3 +531,12 @@ def test_empty_measurements_rejected():
         ProcessSet(outcomes=())
     with pytest.raises(ValueError, match="at least one element"):
         povm_fidelity([], [])
+
+
+def test_process_set_rejects_repeated_labels():
+    ps = process_set_from_kraus(list(dops(PartialProjParams(0.8, 0.6))), ("0", "1"))
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        ProcessSet(outcomes=(ps.outcomes[0], ("0", ps.outcomes[1][1])))
+    doc = process_set_to_json(ps).replace('"label": "1"', '"label": "0"')
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        process_set_from_json(doc)

@@ -1,0 +1,95 @@
+"""Generated-input properties: every backend's leaf table is the Born rule.
+
+For Kraus sets of 2 to 4 outcomes, some of them scaled unitaries sqrt(w) U
+(whose reduction steps have p + q = 1, no measurement at all), the leaf
+table of each backend must give leaf k the probability Tr(M_k rho M_k^dag)
+and the state M_k rho M_k^dag / Tr. Examples are derandomized, so a run is
+reproducible.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from genmeas import decomposition  # noqa: E402
+from genmeas.continuous_readout import ReadoutConfig  # noqa: E402
+from genmeas.decomposition import kraus_set, reduce  # noqa: E402
+from genmeas.errors import SingularRemainder  # noqa: E402
+from genmeas.linalg import adjoint, herm_eig  # noqa: E402
+
+BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz", "continuous")
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+quaternions = st.tuples(unit, unit, unit, unit)
+
+
+def su2(v) -> np.ndarray:
+    """Unitary [[a, -b*], [b, a*]] of a normalized quaternion; identity near zero."""
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-3:
+        return np.eye(2, dtype=complex)
+    a, b = complex(v[0], v[1]) / norm, complex(v[2], v[3]) / norm
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+@st.composite
+def kraus_sets(draw):
+    """A complete set: scaled unitaries sqrt(w_k) U_k, and full-rank outcomes
+    A_k G^{-1/2} sqrt(W) that fill the weight W left over, G = sum A_k^dag A_k."""
+    n = draw(st.integers(2, 4))
+    scaled = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    w /= w.sum()
+    ops = []
+    for k in range(n):
+        u = su2(draw(quaternions))
+        if scaled[k]:
+            ops.append(np.sqrt(w[k]) * u)
+        else:
+            singular = np.diag(draw(st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0))))
+            ops.append(u @ singular @ su2(draw(quaternions)))
+    generic = [k for k in range(n) if not scaled[k]]
+    if generic:
+        g = sum(adjoint(ops[k]) @ ops[k] for k in generic)
+        vals, vecs = herm_eig(g)
+        g_inv_sqrt = vecs @ np.diag(vals**-0.5) @ adjoint(vecs)
+        for k in generic:
+            ops[k] = ops[k] @ g_inv_sqrt * np.sqrt(w[generic].sum())
+    return kraus_set(ops)
+
+
+@st.composite
+def states(draw):
+    """A density matrix with Bloch vector of length at most 0.9."""
+    r = np.array(draw(st.tuples(unit, unit, unit)))
+    r *= 0.9 / max(1.0, float(np.linalg.norm(r)))
+    return (np.eye(2) + sum(c * s for c, s in zip(r, PAULIS))) / 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kraus_sets(), states())
+def test_leaf_tables_follow_the_born_rule(s, rho):
+    try:
+        proto = reduce(s)
+    except SingularRemainder:
+        assume(False)
+    cfg = ReadoutConfig(tau_min=1.0, seed=0)
+    for backend in BACKENDS:
+        halt, leaf_states = decomposition._leaf_table(proto, rho, backend, cfg)
+        survive = 1.0
+        for k, label in enumerate(proto.leaf_labels):
+            leaf_p = survive * (halt[k] if k < len(halt) else 1.0)
+            survive *= 1.0 - halt[k] if k < len(halt) else 0.0
+            m = s.ops[s.labels.index(label)]
+            out = m @ rho @ adjoint(m)
+            expect = np.trace(out).real
+            assert abs(leaf_p - expect) < 1e-10, (backend, label)
+            assert np.max(np.abs(leaf_states[k] - out / expect)) < 1e-8, (backend, label)
