@@ -338,16 +338,14 @@ def execute_protocol(
     (direct partial projection), "ancilla-direct" / "ancilla-cphase" /
     "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (run-averaged
     thresholded readout; needs ``readout_config`` and finite thresholds). The
-    shot reads the leaf table of ``sample_protocol`` with uniforms from ``rng``:
-    one per step until it halts, or on the continuous backend one row at once,
-    so ``rng = default_rng(seed)`` gives its shot 0.
+    shot reads the leaf table of ``sample_protocol`` with uniforms from ``rng``,
+    one per step until it halts.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
-    draws = iter(rng.random(len(halt))) if backend == "continuous" else iter(rng.random, None)
     k = 0
-    while k < len(halt) and next(draws) >= halt[k]:
+    while k < len(halt) and rng.random() >= halt[k]:
         k += 1
     return p.leaf_labels[k], _leaf_state(p, states, k)
 

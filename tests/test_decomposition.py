@@ -351,8 +351,9 @@ def test_continuous_backend_weak_trine():
 
 
 def test_execute_protocol_continuous_is_one_shot_batch():
-    # execute_protocol draws a whole row of uniforms, as shot 0 of
-    # sample_protocol does from default_rng(seed), so the two agree;
+    # execute_protocol draws one uniform per step until it halts; these are
+    # the first entries of shot 0's row of default_rng(seed), so it matches a
+    # one-shot sample_protocol with the same seed;
     # at eta = 1 every shot ends in its leaf's state M rho M^dag / Tr.
     s = weak_trine_set()
     proto = reduce(s)
