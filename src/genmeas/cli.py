@@ -31,6 +31,7 @@ from .ancilla_circuit import circuit_from_pq, circuit_to_json
 from .continuous_readout import (
     ReadoutConfig,
     Thresholds,
+    pq_from_thresholds,
     simulate_batch,
     thresholds_from_pq,
     trajectories_to_jsonl,
@@ -42,7 +43,7 @@ from .decomposition import (
     reduce as reduce_kraus,
     sample_protocol,
 )
-from .errors import GenmeasError, Mismatch
+from .errors import GenmeasError, Infeasible, Mismatch
 from .fidelity import fidelity_report, povm_fidelity, process_set_from_json
 from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import kraus_set_from_json, matrix_from_json, matrix_to_json, require_key
@@ -91,9 +92,11 @@ def cmd_synth(args) -> int:
         ks = kraus_set_from_json(f.read())
     order = tuple(int(x) for x in args.order.split(",")) if args.order else None
     proto = reduce_kraus(ks, order=order, cancel_u1=args.cancel_u1)
+    # Without --output stdout carries the protocol JSON, so the deviations go to stderr.
     for label, m in zip(ks.labels, ks.ops):
         dev = branch_deviation(proto, label, m)
-        print(f"leaf {label}: composition deviation {dev:.3e}")
+        print(f"leaf {label}: composition deviation {dev:.3e}",
+              file=sys.stdout if args.output else sys.stderr)
     _write(protocol_to_json(proto), args.output)
     return EXIT_OK
 
@@ -138,6 +141,9 @@ def cmd_trajectory(args) -> int:
     state = _parse_state(args.state)
     if args.p is not None and args.q is not None:
         t = thresholds_from_pq(PartialProjParams(args.p, args.q))
+        if t.finite and abs(pq_from_thresholds(t).p - args.p) > 1e-9:
+            raise Infeasible(f"thresholds ({t.R0:.3g}, {t.R1:.3g}) cannot carry p = {args.p}: at "
+                             "p + q = 1 the readout stops at once; use `simulate --backend continuous`")
     elif args.r0 is not None and args.r1 is not None:
         t = Thresholds(R0=args.r0, R1=args.r1)
     else:

@@ -16,10 +16,16 @@ a run follow the mixture rho00 * N(+dt/tau, dt/tau) + rho11 * N(-dt/tau,
 dt/tau), whose per-step posterior weights reproduce the likelihood ratio
 e^{2R} implied by M_R. That path law is the same as drawing a hidden label
 once per run (0 with probability rho00) and then walking with drift
-+dt/tau (label 0) or -dt/tau (label 1), so all runs of a batch advance
-together as arrays. Because increments compose exactly through the
-diagonal exponentials, the final state follows in closed form from
-(final_R, duration).
++dt/tau (label 0) or -dt/tau (label 1). The walk's exit side and exit time
+have a closed-form law, the eigenfunction series of Brownian motion with
+drift leaving an interval (Cox & Miller 1965; Borodin & Salminen 2002).
+Given its side, a run's exit time has the same law under both labels, so
+``simulate_batch`` draws each run's side by the Born rule and its step
+count from that series, with no walk, and the ``continuous`` backend
+averages over it in closed form. ``simulate_trajectory`` walks the grid
+step by step to record a readout path. Because increments compose exactly
+through the diagonal exponentials, the final state follows in closed form
+from (final_R, duration).
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import numpy as np
 from .errors import Infeasible
 from .partial_projection import PartialProjParams, validate_state
 
-LOCALIZATION_TOL = 1e-6
 _CAP = "no threshold reached within duration cap {:.3e}"
 _NOT_FINITE = "thresholds ({}, {}) are not finite; the projective limit can only be approximated"
 
@@ -217,15 +222,35 @@ def normalization_constants(params: PartialProjParams) -> tuple[float, float]:
     return math.sqrt(p * (1.0 - q)), math.sqrt(q * (1.0 - p))
 
 
+def _exit_series(t: Thresholds, config: ReadoutConfig):
+    """Exit-time series of the readout between finite, nonzero thresholds.
+
+    Returns (lam, c, m, j_cap): m = dt / tau, and S_b(s) = sum_n c[b, n] e^{-lam_n s}
+    is P(side b, T > s) at drift +1 and e^{-2 R_b} S_b(s) at drift -1, s in units of
+    tau (Cox & Miller 1965). ``Infeasible`` if a run is still going after step j_cap
+    (:func:`_cap_steps`) w.p. > 1e-12 under either drift.
+    """
+    m, big_l, x = config.dt / config.tau, t.R0 - t.R1, -t.R1
+    # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m.
+    n = np.arange(1, int(big_l / math.pi * math.sqrt(92.0 / m)) + 3)
+    k = n * math.pi / big_l
+    lam = 0.5 * (1.0 + k * k)
+    a = math.pi / big_l**2 * np.where(n % 2, n, -n) / lam
+    c = np.stack([math.exp(big_l - x) * np.sin(k * x), math.exp(-x) * np.sin(k * (big_l - x))]) * a
+    j_cap = _cap_steps(config)
+    survive = c @ np.exp(-lam * (j_cap * m))
+    if max(survive.sum(), survive @ np.exp(-2.0 * np.array([t.R0, t.R1]))) > 1e-12:
+        raise Infeasible(_CAP.format(config.duration_cap))
+    return lam, c, m, j_cap
+
+
 def _readout_instrument(params: PartialProjParams, config: ReadoutConfig):
     """Run-averaged thresholded readout: Kraus pair and coherence factors.
 
     Outcome b gives K_b rho K_b^dag, K_b = sqrt(C_b) M_{R_b}(alpha) = D_b with the
     alpha phase, its off-diagonal scaled by kappa_b = E[z^J | side b]: z = exp(-(1 -
     eta) dt / (2 eta tau)), J the run's step count, whose law given the side is one
-    under both hidden labels, so the averaged map is linear. S_b(s) = sum_n c[b, n]
-    e^{-lam_n s} is P(side b, T > s) at drift +1 and e^{-2 R_b} S_b(s) at drift -1
-    (Cox & Miller 1965). ``Infeasible`` if a run outlasts the cap w.p. > 1e-12.
+    under both hidden labels, so the averaged map is linear (:func:`_exit_series`).
     """
     t = thresholds_from_pq(params)
     if not t.finite:
@@ -234,22 +259,36 @@ def _readout_instrument(params: PartialProjParams, config: ReadoutConfig):
     pair = (math.sqrt(c0) * measurement_operator(t.R0, config.alpha),
             math.sqrt(c1) * measurement_operator(t.R1, config.alpha))
     if t.R0 == 0.0 or t.R1 == 0.0:
-        return pair, np.ones(2)  # the walk stops before its first step
-    m, big_l, x = config.dt / config.tau, t.R0 - t.R1, -t.R1  # units of tau
-    # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m.
-    n = np.arange(1, int(big_l / math.pi * math.sqrt(92.0 / m)) + 3)
-    k = n * math.pi / big_l
-    lam = 0.5 * (1.0 + k * k)
-    a = math.pi / big_l**2 * np.where(n % 2, n, -n) / lam
-    c = np.stack([math.exp(big_l - x) * np.sin(k * x), math.exp(-x) * np.sin(k * (big_l - x))]) * a
-    survive = c @ np.exp(-lam * (_cap_steps(config) * m))  # S_b after the cap
-    if max(survive.sum(), survive @ np.exp(-2.0 * np.array([t.R0, t.R1]))) > 1e-12:
-        raise Infeasible(_CAP.format(config.duration_cap))
+        return pair, np.ones(2)  # the readout stops before its first step
+    lam, c, m, _ = _exit_series(t, config)
     # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j m), h_b = P(side b) at drift +1.
     log_z = -(1.0 - config.efficiency) * m / (2.0 * config.efficiency)
     h, w = np.array([params.p, 1.0 - params.p]), log_z - lam * m
     kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
     return pair, np.divide(kappa, h, out=np.ones(2), where=h > 0)
+
+
+def _exit_table(t: Thresholds, config: ReadoutConfig) -> np.ndarray:
+    """Survival table S[b, j] = P(side b, J > j) at drift +1 for j = 0 .. K.
+
+    J = ceil(T / dt) is a run's step count on the grid and S[:, 0] = h = (p, 1 - p).
+    K is j_cap or the first j where both sides' tails are below 1e-17 of h. The
+    bins are built 64 at a time, each chunk with only the terms lam_n s <= 60.
+    """
+    lam, c, m, j_cap = _exit_series(t, config)
+    e0, e1 = math.expm1(-2.0 * t.R0), math.expm1(-2.0 * t.R1)
+    h = np.array([e1, -e0]) / (e1 - e0)  # (p, 1 - p) without cancellation
+    chunks = [h[:, None]]
+    for j in range(1, j_cap + 1, 64):
+        s = np.arange(j, min(j + 64, j_cap + 1)) * m
+        terms = np.searchsorted(lam, 60.0 / s[0], side="right")
+        chunk = c[:, :terms] @ np.exp(-np.outer(lam[:terms], s))
+        done = np.all(chunk < 1e-17 * h[:, None], axis=0)
+        if done.any():
+            chunks.append(chunk[:, : done.argmax() + 1])
+            break
+        chunks.append(chunk)
+    return np.concatenate(chunks, axis=1)
 
 
 def _cap_steps(config: ReadoutConfig) -> int:
@@ -259,137 +298,6 @@ def _cap_steps(config: ReadoutConfig) -> int:
     while j_cap > 1 and (j_cap - 1) * dt > cap:
         j_cap -= 1
     return j_cap
-
-
-# A batch with k active runs advances min(_BLOCK_STEPS, _BLOCK_DRAWS // k)
-# steps (at least one) per pass, so a single run or a batch's last few runs
-# pay the fixed numpy cost of a pass once per block rather than once per step.
-_BLOCK_DRAWS = 2048
-_BLOCK_STEPS = 256
-
-
-def _first_passage(
-    rng: np.random.Generator,
-    t: Thresholds,
-    config: ReadoutConfig,
-    rho00: np.ndarray,
-    path: list[float] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcomes and step counts of ``len(rho00)`` first-passage walks.
-
-    Each run draws its hidden label once (0 with probability rho00), then
-    all active runs advance together on a fixed grid of size dt, a block of
-    steps per pass. A step whose endpoint lands beyond a threshold is
-    absorbed there; a step that stays inside is absorbed with the
-    Brownian-bridge excursion probability exp(-2 g g' tau / dt), where g and
-    g' are the distances to the threshold at the step ends. The bridge law
-    is drift-free, so the correction is exact, and a stopped run sits at R0
-    or R1 exactly. A run stops at the first absorbing step of its block (the
-    rest of its block is discarded) and leaves the active set by compaction.
-
-    Every buffer is allocated once per call: draws use ``out=`` and
-    compaction writes into a second buffer that is swapped in, which keeps
-    the allocator from fragmenting over thousands of steps. ``path``
-    (single-run batches only) receives R after each step.
-    """
-    n = len(rho00)
-    dt = config.dt
-    r0, r1 = t.R0, t.R1
-    m = dt / config.tau
-    s = math.sqrt(m)
-    c = 2.0 * config.tau / dt
-    j_cap = _cap_steps(config)
-    size = max(n, _BLOCK_DRAWS)
-    outcome = np.ones(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    R, R_next = np.zeros(n), np.empty(n)
-    drift, drift_next = np.empty(n), np.empty(n)
-    idx, idx_next = np.arange(n), np.empty(n, dtype=np.intp)
-    rows, first, hits = np.arange(n), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    stop, at0 = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    z, u = np.empty(size), np.empty(size)
-    bridge, gap = np.empty(2 * size), np.empty(2 * size)
-    thr = np.array([r0, r1])[:, None, None]
-    hit0, done = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    walk = np.empty(size + n)  # per run: R, then the endpoints of a block
-
-    rng.random(out=u[:n])
-    np.less(u[:n], rho00, out=hit0[:n])
-    drift.fill(-m)
-    np.copyto(drift, m, where=hit0[:n])
-
-    k = n
-    j = 0
-    # Endpoints far beyond a threshold overflow the bridge exponent to inf,
-    # which still reads as certain absorption.
-    with np.errstate(over="ignore"):
-        while k:
-            b = min(_BLOCK_STEPS, max(1, _BLOCK_DRAWS // k), j_cap - j)
-            kb = k * b
-            Z, U = z[:kb].reshape(k, b), u[:kb].reshape(k, b)
-            Q, G = bridge[: 2 * kb].reshape(2, k, b), gap[: 2 * kb].reshape(2, k, b)
-            H0, D = hit0[:kb].reshape(k, b), done[:kb].reshape(k, b)
-            W = walk[: kb + k].reshape(k, b + 1)
-            start, end = W[:, :-1], W[:, 1:]
-            Rk, sk, fk = R[:k], stop[:k], first[:k]
-            rng.standard_normal(out=Z)
-            rng.random(out=U)
-            Z *= s
-            Z += drift[:k, None]
-            W[:, 0] = Rk
-            Z.cumsum(axis=1, out=end)
-            end += Rk[:, None]
-            # Bridge probabilities exp(-c (R0 - R)(R0 - R')) and
-            # exp(-c (R - R1)(R' - R1)) of each step R -> R', as
-            # exp(c (R - Rt)(Rt - R')) for Rt = R0, R1; >= 1 once R' is at
-            # or beyond.
-            np.subtract(start, thr, out=Q)
-            np.subtract(thr, end, out=G)
-            Q *= G
-            Q *= c
-            np.exp(Q, out=Q)
-            # An endpoint beyond R1 stops at R1 even if the bridge touched R0.
-            np.less(U, Q[0], out=H0)
-            np.greater(end, r1, out=D)
-            H0 &= D
-            Q[0] += Q[1]
-            np.less(U, Q[0], out=D)
-            D.any(axis=1, out=sk)
-            D.argmax(axis=1, out=fk)  # first absorbing step, 0 if none
-            if path is not None:
-                path.extend(end[0, : fk[0] if sk[0] else b].tolist())
-            nd = int(np.count_nonzero(sk))
-            if nd:
-                # A run stops at R0 if H0 holds at its first absorbing step
-                # (H0 implies D, so runs that go on read False).
-                np.multiply(rows[:k], b, out=hits[:k])
-                hits[:k] += fk
-                hit0[:kb].take(hits[:k], out=at0[:k], mode="clip")
-                n0 = int(np.count_nonzero(at0[:k]))
-                if n0:
-                    idx[:k].compress(at0[:k], out=hits[:n0])
-                    outcome[hits[:n0]] = 0
-                idx[:k].compress(sk, out=hits[:nd])
-                fk.compress(sk, out=idx_next[:nd])
-                idx_next[:nd] += j + 1
-                steps[hits[:nd]] = idx_next[:nd]
-                live = at0[:k]
-                np.logical_not(sk, out=live)
-                end[:, -1].compress(live, axis=0, out=R_next[: k - nd])
-                drift[:k].compress(live, out=drift_next[: k - nd])
-                idx[:k].compress(live, out=idx_next[: k - nd])
-                k -= nd
-                R, R_next = R_next, R
-                drift, drift_next = drift_next, drift
-                idx, idx_next = idx_next, idx
-            else:
-                np.copyto(Rk, end[:, -1])
-            j += b
-            if k and j >= j_cap:
-                raise Infeasible(_CAP.format(config.duration_cap))
-    if path is not None:
-        path.append(r0 if outcome[0] == 0 else r1)
-    return outcome, steps
 
 
 def _final_batch(
@@ -419,6 +327,30 @@ def _final_batch(
     return TrajectoryBatch(outcome, duration, final_R, out, purity)
 
 
+def _sample_exit(config: ReadoutConfig, t: Thresholds, states: np.ndarray, u: np.ndarray) -> TrajectoryBatch:
+    """Runs drawn from the exact exit law, run i from the uniform pair ``u[i]``.
+
+    The first uniform picks the side by the Born rule, P(side 0) = p rho00 + (1 - q)
+    rho11 with (p, q) = ``pq_from_thresholds(t)``; the second picks the step count J
+    from that side's conditional table (:func:`_exit_table`), whose law is the same
+    under both hidden labels. A zero threshold stops the readout at J = 0.
+    """
+    pq = pq_from_thresholds(t)
+    born0 = pq.p * states[:, 0, 0].real + (1.0 - pq.q) * states[:, 1, 1].real
+    outcome = (u[:, 0] >= born0).astype(np.int64)
+    steps = np.zeros(len(states), dtype=np.int64)
+    if t.R0 != 0.0 and t.R1 != 0.0:
+        surv = _exit_table(t, config)
+        # J - 1 counts the j >= 1 with S_b(j m) / h_b >= 1 - u: a search on -S_b / h_b.
+        tail = surv[:, 1:]
+        tail /= -surv[:, :1]
+        tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
+        j0, j1 = (np.searchsorted(tail[b], u[:, 1] - 1.0, side="right") for b in (0, 1))
+        steps = 1 + np.where(outcome == 0, j0, j1)
+    final_R = np.where(outcome == 0, t.R0, t.R1)
+    return _final_batch(states, final_R, steps * config.dt, outcome, config)
+
+
 def readout_walk(
     config: ReadoutConfig,
     t: Thresholds,
@@ -426,53 +358,70 @@ def readout_walk(
     rng: np.random.Generator,
     path: list[float] | None = None,
 ) -> TrajectoryBatch:
-    """Thresholded readout of each density matrix in ``states`` (shape (n, 2, 2)).
+    """Grid walk of the readout of each density matrix in ``states`` (shape (n, 2, 2)).
 
-    The one walk behind :func:`simulate_batch` and :func:`simulate_trajectory`;
-    ``sample_protocol`` averages its law in closed form (``_readout_instrument``).
-    The states are taken as valid density matrices; callers validate at their boundary.
-    ``path`` records the readout of a single run and needs ``n == 1``.
+    Each run draws its hidden label (0 w.p. rho00), then the active runs advance
+    together one step of dt at a time. A step that ends beyond a threshold stops
+    there; one that stays inside stops with the Brownian-bridge excursion probability
+    exp(-2 g g' tau / dt), g and g' its ends' distances to the threshold. The rule
+    takes one threshold per step, biased when they are close: ``ValueError`` if both
+    are nonzero and R0 - R1 < 2 sqrt(dt / tau). ``Infeasible`` if a run outlasts the cap. It
+    records :func:`simulate_trajectory`'s path (R after each step into ``path``,
+    one run only) and is the reference for the law :func:`simulate_batch` samples.
+    The states are taken as valid density matrices.
     """
     if path is not None and len(states) != 1:
         raise ValueError(f"a readout path needs a single run, got {len(states)}")
     if not t.finite:
         raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
     n = len(states)
-    steps = np.zeros(n, dtype=np.int64)
-    if t.R0 == 0.0 and t.R1 == 0.0:
-        # No measurement: terminate at once, outcome split per the
-        # p = q = 1/2 convention.
-        outcome = np.where(rng.random(n) < pq_from_thresholds(t).p, 0, 1)
-    elif t.R0 == 0.0:
-        outcome = np.zeros(n, dtype=np.int64)
-    elif t.R1 == 0.0:
-        outcome = np.ones(n, dtype=np.int64)
-    else:
-        outcome, steps = _first_passage(rng, t, config, states[:, 0, 0].real, path)
-    final_R = np.where(outcome == 0, t.R0, t.R1)
+    if t.R0 == 0.0 or t.R1 == 0.0:
+        return _sample_exit(config, t, states, rng.random((n, 2)))
+    m = config.dt / config.tau
+    if t.R0 - t.R1 < 2.0 * math.sqrt(m):
+        raise ValueError(f"thresholds {t.R0 - t.R1:.4g} apart bias the grid walk at dt = "
+                         f"{config.dt:g}; it needs dt <= tau (R0 - R1)^2 / 4")
+    r0, r1, c = t.R0, t.R1, 2.0 / m
+    outcome, steps = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    idx, R = np.arange(n), np.zeros(n)
+    drift = np.where(rng.random(n) < states[:, 0, 0].real, m, -m)
+    j_cap, j = _cap_steps(config), 0
+    # Endpoints far beyond a threshold overflow the bridge exponent to inf,
+    # which still reads as certain absorption.
+    with np.errstate(over="ignore"):
+        while len(idx):
+            if j == j_cap:
+                raise Infeasible(_CAP.format(config.duration_cap))
+            j += 1
+            end = R + drift + math.sqrt(m) * rng.standard_normal(len(idx))
+            u = rng.random(len(idx))
+            q0 = np.exp(c * (R - r0) * (r0 - end))
+            stop = u < q0 + np.exp(c * (R - r1) * (r1 - end))
+            if path is not None:
+                path.append(float(end[0]))
+            R = end
+            if stop.any():
+                # An endpoint beyond R1 stops at R1 even if the bridge touched R0.
+                outcome[idx[(u < q0) & (end > r1)]] = 0
+                steps[idx[stop]] = j
+                idx, R, drift = idx[~stop], end[~stop], drift[~stop]
+    final_R = np.where(outcome == 0, r0, r1)
+    if path is not None:
+        path[-1] = float(final_R[0])
     return _final_batch(states, final_R, steps * config.dt, outcome, config)
 
 
-def simulate_trajectory(
-    config: ReadoutConfig,
-    t: Thresholds,
-    initial: np.ndarray,
-    rng: np.random.Generator | None = None,
-    record_path: bool = True,
-) -> TrajectoryRecord:
-    """Simulate one thresholded-readout run from ``initial``.
+def simulate_trajectory(config: ReadoutConfig, t: Thresholds, initial: np.ndarray) -> TrajectoryRecord:
+    """One :func:`readout_walk` run from ``initial``, driven by ``default_rng(config.seed)``.
 
-    A batch of one: with ``rng`` omitted it equals
-    ``simulate_batch(config, t, initial, 1)[0]``, plus the readout path
-    ``r_path`` (R after each step, from 0 to the threshold reached).
+    The record carries the readout path ``r_path``: R after each step, from 0 to
+    the threshold reached. It equals ``simulate_batch(config, t, initial, 1)[0]``
+    in law, not bit for bit.
     """
-    rho = validate_state(initial)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    path = [0.0] if record_path else None
-    rec = readout_walk(config, t, rho[None], rng, path)[0]
-    if path is not None:
-        rec.r_path = path
+    path = [0.0]
+    rho = validate_state(initial)[None]
+    rec = readout_walk(config, t, rho, np.random.default_rng(config.seed), path)[0]
+    rec.r_path = path
     return rec
 
 
@@ -484,19 +433,20 @@ def simulate_batch(
 ) -> TrajectoryBatch:
     """Simulate ``n`` independent trajectories from ``initial``.
 
-    Seeding contract: one generator, ``np.random.default_rng(config.seed)``,
-    drives the whole batch. The same (config, thresholds, initial, n) gives
-    identical arrays, but trajectory i of a batch of n is in general not
-    trajectory i of a batch of m: the walk advances in blocks of steps
-    whose length depends on how many runs are active and on the duration
-    cap.
+    Each run's side and step count are drawn from the exact exit law of the walk
+    (:func:`_sample_exit`), with no walk. Seeding contract: run i uses row i of
+    ``np.random.default_rng(config.seed).random((n, 2))``, so the same call repeats
+    exactly and trajectory i of a batch of n is trajectory i of a batch of m.
+    ``Infeasible`` if a run outlasts the duration cap with probability above 1e-12
+    under either hidden label, whatever the seed.
     """
     if n < 0:
         raise ValueError(f"trajectory count must be >= 0, got {n}")
     rho = validate_state(initial)
-    return readout_walk(
-        config, t, np.broadcast_to(rho, (n, 2, 2)), np.random.default_rng(config.seed)
-    )
+    if not t.finite:
+        raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
+    u = np.random.default_rng(config.seed).random((n, 2))
+    return _sample_exit(config, t, np.broadcast_to(rho, (n, 2, 2)), u)
 
 
 def trajectories_to_jsonl(batch: TrajectoryBatch) -> str:

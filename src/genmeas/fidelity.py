@@ -273,7 +273,7 @@ def total_fidelity(
     return acc if variant == "sum" else acc * acc
 
 
-def povm_fidelity(actual, ideal, variant: str = "Fp", d: int | None = None) -> float:
+def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
     """POVM-only ("probability-only") fidelities of Uhlmann form.
 
     ``actual`` and ``ideal`` are matching-length lists of PSD d x d
@@ -289,8 +289,7 @@ def povm_fidelity(actual, ideal, variant: str = "Fp", d: int | None = None) -> f
         raise ValueError("a POVM needs at least one element")
     actual = [np.asarray(m, dtype=np.complex128) for m in actual]
     ideal = [np.asarray(m, dtype=np.complex128) for m in ideal]
-    if d is None:
-        d = actual[0].shape[0]
+    d = actual[0].shape[0]
     for name, elems in (("actual", actual), ("ideal", ideal)):
         dev = np.linalg.norm(sum(elems) - np.eye(d))
         if not dev <= 1e-9:

@@ -339,6 +339,38 @@ def test_trajectory_zero_p_exits_4(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_trajectory_no_measurement_pq_exits_4(tmp_path, capsys):
+    # At p + q = 1 the thresholds collapse onto (0, 0), or (round-off, 0),
+    # which cannot carry p: the split would not follow the state.
+    for p, q in (("0.7", "0.3"), ("0.0101", "0.9899")):
+        assert main(["trajectory", "--p", p, "--q", q, "--state", "0"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "simulate --backend continuous" in err
+    # Thresholds given as (0, 0), or (p, q) = (1/2, 1/2), keep the 1/2 convention.
+    out = str(tmp_path / "traj.jsonl")
+    for args in (["--r0", "0", "--r1", "0"], ["--p", "0.5", "--q", "0.5"]):
+        assert main(["trajectory", *args, "--state", "0", "--output", out]) == 0
+        assert "outcome-0 frequency 0.5" in capsys.readouterr().err
+
+
+def test_synth_stdout_is_json_without_output(trine_json, capsys):
+    assert main(["synth", trine_json]) == 0
+    out, err = capsys.readouterr()
+    proto = protocol_from_json(out)
+    assert proto.leaf_labels == ("a", "b", "c")
+    assert [line.split(":")[0] for line in err.splitlines()] == ["leaf a", "leaf b", "leaf c"]
+
+
+def test_synth_deviations_on_stdout_with_output(trine_json, tmp_path, capsys):
+    out = str(tmp_path / "protocol.json")
+    assert main(["synth", trine_json, "--output", out]) == 0
+    stdout, err = capsys.readouterr()
+    assert err == ""
+    assert [line.split(":")[0] for line in stdout.splitlines()] == ["leaf a", "leaf b", "leaf c"]
+    protocol_from_json(open(out).read())
+
+
 def test_synth_repeated_labels_exits_2(tmp_path, capsys):
     path = tmp_path / "trine.json"
     doc = json.loads(kraus_set_to_json(kraus_set(trine_ops(), ("a", "b", "c"))))

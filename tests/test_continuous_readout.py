@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genmeas import continuous_readout
 from genmeas.continuous_readout import (
     ReadoutConfig,
     Thresholds,
@@ -282,13 +283,32 @@ def test_seeding_contract():
     assert np.array_equal(a.outcome, b.outcome)
     assert np.array_equal(a.duration, b.duration)
     assert np.array_equal(a.final_state, b.final_state)
-    one = simulate_batch(cfg, t, PLUS, 1)
+    # Run i of a batch is row i of default_rng(seed).random((n, 2)): the
+    # first uniform picks the side by the Born rule, the second the step
+    # count from that side's exit table.
+    u = np.random.default_rng(cfg.seed).random((500, 2))
+    born0 = float((params.p * PLUS[0, 0] + (1 - params.q) * PLUS[1, 1]).real)
+    assert np.array_equal(a.outcome, (u[:, 0] >= born0).astype(int))
+    surv = continuous_readout._exit_table(t, cfg)
+    for k in range(500):
+        side = surv[a.outcome[k]]
+        j = round(a.duration[k] / cfg.dt)
+        assert side[j] / side[0] < 1.0 - u[k, 1] <= side[j - 1] / side[0]
+    # simulate_trajectory is the grid walk: equal to a batch of one in law
+    # (test_exit_table_matches_the_walk), not bit for bit.
     rec = simulate_trajectory(cfg, t, PLUS)
-    assert rec.outcome == one.outcome[0] and rec.duration == one.duration[0]
-    assert rec.final_R == one.final_R[0]
-    assert np.array_equal(rec.final_state, one.final_state[0])
     assert rec.r_path[0] == 0.0 and rec.r_path[-1] == rec.final_R
     assert len(rec.r_path) == round(rec.duration / cfg.dt) + 1
+
+
+def test_batches_are_prefix_consistent():
+    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
+    cfg = ReadoutConfig(tau_min=1.0, seed=18, efficiency=0.6)
+    big = simulate_batch(cfg, t, PLUS, 300)
+    for n in (0, 1, 37, 300):
+        small = simulate_batch(cfg, t, PLUS, n)
+        for name in ("outcome", "duration", "final_R", "final_state", "purity"):
+            assert np.array_equal(getattr(small, name), getattr(big, name)[:n])
 
 
 def test_batch_rejects_negative_count():
@@ -311,10 +331,10 @@ def test_batch_duration_cap():
 
 
 def test_duration_cap_is_exact_on_the_grid():
-    # A single run advances in blocks of 256 steps; a cap of 255.5 dt makes
-    # step 256 the first past the cap, on a block boundary, so a capped run
-    # draws exactly what the uncapped run draws. It must raise if and only
-    # if the uncapped run is still going after step 256.
+    # The walk draws one step at a time; a cap of 255.5 dt makes step 256
+    # the first past the cap, so a capped run draws exactly what the
+    # uncapped run draws. It must raise if and only if the uncapped run is
+    # still going after step 256.
     t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
     outcomes = set()
     for seed in range(60):
@@ -333,7 +353,7 @@ def test_duration_cap_is_exact_on_the_grid():
 
 def test_single_run_path_across_blocks():
     # dt = tau/1000 makes a run at (0.99, 0.98) thousands of steps long, so
-    # its path spans many blocks of the walk.
+    # its path records thousands of steps of the walk.
     t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
     cfg = ReadoutConfig(tau_min=1.0, seed=16, dt=1e-3)
     rec = simulate_trajectory(cfg, t, KET0)
@@ -383,3 +403,78 @@ def test_inefficiency_coherence_closed_form():
     assert np.allclose(np.abs(batch.final_state[:, 0, 1]),
                        np.abs(ideal[:, 0, 1]) * decay, rtol=0, atol=1e-12)
     assert np.allclose(batch.final_state[:, 0, 0], ideal[:, 0, 0], rtol=0, atol=1e-12)
+
+
+def test_batch_cap_is_deterministic():
+    # At (0.99, 0.98) a run outlasts 5 tau with probability about 0.04, so a
+    # 30-run walk would raise on some seeds only. The batch raises whenever
+    # a run outlasts the cap with probability above 1e-12: on every seed or
+    # on none.
+    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
+    for cap, raises in ((5.0, True), (60.0, False)):
+        seen = set()
+        for seed in range(10):
+            cfg = ReadoutConfig(tau_min=1.0, seed=seed, max_duration=cap)
+            try:
+                simulate_batch(cfg, t, PLUS, 30)
+                seen.add(False)
+            except Infeasible as e:
+                assert "duration cap" in str(e)
+                seen.add(True)
+        assert seen == {raises}
+
+
+def test_batch_is_unbiased_for_close_thresholds():
+    # R0 - R1 = 0.10 is one step's spread at dt = tau/100, where a grid
+    # walk's bridge rule is biased (0.600 against p = 0.55); the exit law
+    # gives p.
+    p = 0.55
+    t = thresholds_from_pq(PartialProjParams(p, 0.5))
+    n = 200_000
+    batch = simulate_batch(ReadoutConfig(tau_min=1.0, seed=19), t, KET0, n)
+    f0 = np.count_nonzero(batch.outcome == 0) / n
+    assert abs(f0 - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+def test_walk_refuses_close_thresholds():
+    t = thresholds_from_pq(PartialProjParams(0.55, 0.5))
+    with pytest.raises(ValueError, match="dt"):
+        simulate_trajectory(ReadoutConfig(tau_min=1.0, seed=20), t, KET0)
+    rec = simulate_trajectory(ReadoutConfig(tau_min=1.0, seed=20, dt=1e-3), t, KET0)
+    assert rec.final_R in (t.R0, t.R1)
+
+
+def _chi2_z(counts, expect, min_expect: float = 20.0) -> float:
+    """(chi^2 - dof) / sqrt(2 dof) over consecutive bins merged up to ``min_expect``."""
+    c_out, e_out, c_acc, e_acc = [], [], 0.0, 0.0
+    for c, e in zip(counts, expect):
+        c_acc, e_acc = c_acc + c, e_acc + e
+        if e_acc >= min_expect:
+            c_out.append(c_acc)
+            e_out.append(e_acc)
+            c_acc = e_acc = 0.0
+    c_out[-1] += c_acc
+    e_out[-1] += e_acc
+    c, e = np.array(c_out), np.array(e_out)
+    dof = len(e) - 1
+    return float((((c - e) ** 2 / e).sum() - dof) / math.sqrt(2 * dof))
+
+
+@pytest.mark.parametrize(
+    "p, q, n, seed", [(0.6, 0.5, 200_000, 21), (0.8, 0.6, 200_000, 22), (0.99, 0.98, 50_000, 23)]
+)
+def test_exit_table_matches_the_walk(p, q, n, seed):
+    # The grid walk from |+> (both hidden labels) against the exact exit law
+    # that simulate_batch samples: P(side b, J = j) = w_b (S_b(j - 1) -
+    # S_b(j)), w_b = rho00 + rho11 e^{-2 R_b}, by chi^2 over (side, J) bins.
+    t = thresholds_from_pq(PartialProjParams(p, q))
+    cfg = ReadoutConfig(tau_min=1.0, seed=seed)
+    walk = readout_walk(cfg, t, np.broadcast_to(PLUS, (n, 2, 2)), np.random.default_rng(seed))
+    surv = continuous_readout._exit_table(t, cfg)
+    pmf = -np.diff(surv, axis=1)
+    steps = np.rint(walk.duration / cfg.dt).astype(int)
+    assert steps.min() >= 1 and steps.max() <= pmf.shape[1]
+    for b, r in enumerate((t.R0, t.R1)):
+        w = 0.5 + 0.5 * math.exp(-2.0 * r)
+        counts = np.bincount(steps[walk.outcome == b] - 1, minlength=pmf.shape[1])
+        assert abs(_chi2_z(counts, n * w * pmf[b])) < 4, b

@@ -443,7 +443,8 @@ def test_continuous_backend_averages_the_walk_below_unit_efficiency():
 
 def test_continuous_backend_cap_is_deterministic():
     # A cap that runs outlast with probability above 1e-12 raises on every
-    # seed, also at shots=0, though a 200-run walk rarely reaches it.
+    # seed, also at shots=0, though a 200-run walk rarely reaches it;
+    # simulate_batch applies the same rule.
     proto = reduce(weak_trine_set())
     mixed = np.eye(2) / 2
     tight = ReadoutConfig(tau_min=1.0, seed=66, max_duration=5.0)
@@ -451,7 +452,8 @@ def test_continuous_backend_cap_is_deterministic():
         for shots in (0, 100):
             with pytest.raises(Infeasible, match="duration cap"):
                 sample_protocol(proto, mixed, shots, seed, "continuous", tight)
-    simulate_batch(tight, thresholds_from_pq(proto.steps[0].params), mixed, 200)
+    with pytest.raises(Infeasible, match="duration cap"):
+        simulate_batch(tight, thresholds_from_pq(proto.steps[0].params), mixed, 200)
     default = ReadoutConfig(tau_min=1.0, seed=66)
     for seed in range(10):
         counts, _ = sample_protocol(proto, mixed, 100, seed, "continuous", default)

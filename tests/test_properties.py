@@ -14,11 +14,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from genmeas import decomposition  # noqa: E402
-from genmeas.continuous_readout import ReadoutConfig  # noqa: E402
+from genmeas import continuous_readout, decomposition  # noqa: E402
+from genmeas.continuous_readout import ReadoutConfig, thresholds_from_pq  # noqa: E402
 from genmeas.decomposition import kraus_set, reduce  # noqa: E402
 from genmeas.errors import SingularRemainder  # noqa: E402
 from genmeas.linalg import adjoint, herm_eig  # noqa: E402
+from genmeas.partial_projection import PartialProjParams  # noqa: E402
 
 BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz", "continuous")
 PAULIS = (
@@ -93,3 +94,29 @@ def test_leaf_tables_follow_the_born_rule(s, rho):
             expect = np.trace(out).real
             assert abs(leaf_p - expect) < 1e-10, (backend, label)
             assert np.max(np.abs(leaf_states[k] - out / expect)) < 1e-8, (backend, label)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.995), st.floats(0.0, 1.0), st.sampled_from([1e-2, 1e-3]), st.floats(0.3, 1.0))
+def test_exit_table_is_the_exit_law(p, frac, m, eta):
+    # The table that simulate_batch samples against closed forms of the exit
+    # law at drift +1 (hidden label 0), times in units of tau.
+    q = 1.0 - p + 1e-3 + frac * (p - 1e-3 - 0.005)
+    params = PartialProjParams(p, q)
+    t = thresholds_from_pq(params)
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, dt=m, efficiency=eta)
+    surv = continuous_readout._exit_table(t, cfg)
+    pmf = -np.diff(surv, axis=1)
+    h = np.array([p, 1.0 - p])
+    assert pmf.min() > -1e-14  # survival is nonincreasing up to round-off
+    # Each side's mass is its hit probability; the rest outlasts the cap.
+    assert np.all(np.abs(pmf.sum(axis=1) - h) < 1e-12)
+    assert abs(pmf.sum() - (1.0 - surv[:, -1].sum())) < 1e-12
+    # Wald's identity: E[T] = E[R_T] / drift, and J = ceil(T / m).
+    mean_t = t.R0 * p + t.R1 * (1.0 - p)
+    mean_j = pmf.sum(axis=0) @ np.arange(1, pmf.shape[1] + 1)
+    assert mean_t - 1e-9 <= m * mean_j <= mean_t + m + 1e-9
+    # The coherence factors of the continuous backend's instrument.
+    z = np.exp(-(1.0 - eta) * m / (2.0 * eta)) ** np.arange(1, pmf.shape[1] + 1)
+    _, kappa = continuous_readout._readout_instrument(params, cfg)
+    assert np.all(np.abs(pmf @ z / h - kappa) < 1e-10)
