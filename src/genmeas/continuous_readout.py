@@ -30,7 +30,6 @@ from (final_R, duration).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -161,7 +160,9 @@ def thresholds_from_pq(params: PartialProjParams) -> Thresholds:
     R0 = +inf, p = 1 gives R1 = -inf). Requires p + q >= 1 so that the
     thresholds have the right signs (``ValueError`` otherwise). p = 0 or
     q = 0 then forces the other to 1, a threshold at infinity as in the
-    projective limit, and raises ``Infeasible``.
+    projective limit, and raises ``Infeasible``. Zero strength, p + q = 1,
+    gives exactly (0, 0): no readout, which cannot carry p and which
+    :func:`pq_from_thresholds` reads as p = q = 1/2.
     """
     p, q = params.p, params.q
     if p + q < 1.0:
@@ -171,10 +172,13 @@ def thresholds_from_pq(params: PartialProjParams) -> Thresholds:
         )
     if p <= 0.0 or q <= 0.0:
         raise Infeasible(f"thresholds require p, q in (0, 1], got ({p}, {q})")
+    if p + q == 1.0:
+        # The logs below would leave round-off, e.g. (1.1e-16, 0) at p = 0.0101.
+        return Thresholds(R0=0.0, R1=0.0)
     r0 = math.inf if q == 1.0 else 0.5 * math.log(p / (1.0 - q))
     r1 = -math.inf if p == 1.0 else -0.5 * math.log(q / (1.0 - p))
-    # p + q >= 1 guarantees the signs; snap log round-off (p + q = 1 cases)
-    # onto the boundary so the Thresholds invariant holds exactly.
+    # p + q > 1 guarantees the signs; snap log round-off onto the boundary
+    # so the Thresholds invariant holds exactly.
     if math.isfinite(r0):
         r0 = max(r0, 0.0)
     if math.isfinite(r1):
@@ -272,15 +276,17 @@ def _exit_table(t: Thresholds, config: ReadoutConfig) -> np.ndarray:
     """Survival table S[b, j] = P(side b, J > j) at drift +1 for j = 0 .. K.
 
     J = ceil(T / dt) is a run's step count on the grid and S[:, 0] = h = (p, 1 - p).
-    K is j_cap or the first j where both sides' tails are below 1e-17 of h. The
-    bins are built 64 at a time, each chunk with only the terms lam_n s <= 60.
+    K is j_cap or the first j where both sides' tails are below 1e-17 of h. Each
+    chunk of bins is as long as the table built before it (64 bins at least), so
+    K bins take about log2(K / 64) + 1 numpy passes; a chunk starting at s keeps only
+    the terms lam_n s <= 60.
     """
     lam, c, m, j_cap = _exit_series(t, config)
     e0, e1 = math.expm1(-2.0 * t.R0), math.expm1(-2.0 * t.R1)
     h = np.array([e1, -e0]) / (e1 - e0)  # (p, 1 - p) without cancellation
-    chunks = [h[:, None]]
-    for j in range(1, j_cap + 1, 64):
-        s = np.arange(j, min(j + 64, j_cap + 1)) * m
+    chunks, j = [h[:, None]], 1
+    while j <= j_cap:
+        s = np.arange(j, min(j + max(j, 64), j_cap + 1)) * m
         terms = np.searchsorted(lam, 60.0 / s[0], side="right")
         chunk = c[:, :terms] @ np.exp(-np.outer(lam[:terms], s))
         done = np.all(chunk < 1e-17 * h[:, None], axis=0)
@@ -288,6 +294,7 @@ def _exit_table(t: Thresholds, config: ReadoutConfig) -> np.ndarray:
             chunks.append(chunk[:, : done.argmax() + 1])
             break
         chunks.append(chunk)
+        j += len(s)
     return np.concatenate(chunks, axis=1)
 
 
@@ -333,7 +340,8 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, states: np.ndarray, u: np
     The first uniform picks the side by the Born rule, P(side 0) = p rho00 + (1 - q)
     rho11 with (p, q) = ``pq_from_thresholds(t)``; the second picks the step count J
     from that side's conditional table (:func:`_exit_table`), whose law is the same
-    under both hidden labels. A zero threshold stops the readout at J = 0.
+    under both hidden labels: each run's second uniform is searched in its own side's
+    table only. A zero threshold stops the readout at J = 0.
     """
     pq = pq_from_thresholds(t)
     born0 = pq.p * states[:, 0, 0].real + (1.0 - pq.q) * states[:, 1, 1].real
@@ -345,8 +353,10 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, states: np.ndarray, u: np
         tail = surv[:, 1:]
         tail /= -surv[:, :1]
         tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
-        j0, j1 = (np.searchsorted(tail[b], u[:, 1] - 1.0, side="right") for b in (0, 1))
-        steps = 1 + np.where(outcome == 0, j0, j1)
+        key = u[:, 1] - 1.0
+        for b in (0, 1):
+            side = outcome == b
+            steps[side] = 1 + np.searchsorted(tail[b], key[side], side="right")
     final_R = np.where(outcome == 0, t.R0, t.R1)
     return _final_batch(states, final_R, steps * config.dt, outcome, config)
 
@@ -449,25 +459,17 @@ def simulate_batch(
     return _sample_exit(config, t, np.broadcast_to(rho, (n, 2, 2)), u)
 
 
+_JSONL = ('{"outcome": %r, "duration": %r, "final_R": %r, "final_state": '
+          '[[[%r, %r], [%r, %r]], [[%r, %r], [%r, %r]]], "purity": %r}')
+
+
 def trajectories_to_jsonl(batch: TrajectoryBatch) -> str:
-    """Serialize a batch as JSON lines, one record per trajectory."""
+    """Serialize a batch as JSON lines, one record per trajectory.
+
+    Each line is what ``json.dumps`` writes for the record's dict, filled into one
+    template: ``repr`` of a finite float is its JSON text.
+    """
     states = np.stack([batch.final_state.real, batch.final_state.imag], axis=-1)
-    lines = [
-        json.dumps(
-            {
-                "outcome": o,
-                "duration": d,
-                "final_R": r,
-                "final_state": s,
-                "purity": pu,
-            }
-        )
-        for o, d, r, s, pu in zip(
-            batch.outcome.tolist(),
-            batch.duration.tolist(),
-            batch.final_R.tolist(),
-            states.tolist(),
-            batch.purity.tolist(),
-        )
-    ]
-    return "\n".join(lines) + "\n"
+    columns = (batch.outcome.tolist(), batch.duration.tolist(), batch.final_R.tolist(),
+               *states.reshape(-1, 8).T.tolist(), batch.purity.tolist())
+    return "\n".join(map(_JSONL.__mod__, zip(*columns))) + "\n"

@@ -72,6 +72,20 @@ def test_pq_round_trip():
         assert abs(back.q - q) < 1e-12
 
 
+def test_thresholds_zero_strength_is_exactly_no_measurement():
+    # Every (p, 1 - p) on a 1e-4 grid gives exactly (0, 0), never log
+    # round-off such as (1.1e-16, 0), which read back as p = 0.
+    for k in range(1, 10_000):
+        t = thresholds_from_pq(PartialProjParams(k / 10_000, 1.0 - k / 10_000))
+        assert (t.R0, t.R1) == (0.0, 0.0), k
+    t = thresholds_from_pq(PartialProjParams(0.0101, 0.9899))
+    assert (t.R0, t.R1) == (0.0, 0.0)
+    # A mixed state then splits by the documented 1/2 convention.
+    n = 4000
+    batch = simulate_batch(ReadoutConfig(tau_min=1.0, seed=24), t, np.eye(2) / 2, n)
+    assert abs(np.count_nonzero(batch.outcome == 0) / n - 0.5) < 4 * math.sqrt(0.25 / n)
+
+
 def test_pq_degenerate_convention():
     back = pq_from_thresholds(Thresholds(0.0, 0.0))
     assert back.p == 0.5 and back.q == 0.5
@@ -255,6 +269,30 @@ def test_jsonl_export():
     row = json.loads(lines[0])
     assert set(row) == {"outcome", "duration", "final_R", "final_state", "purity"}
     assert len(row["final_state"]) == 2 and len(row["final_state"][0][0]) == 2
+
+
+def test_jsonl_is_json_dumps():
+    # The template writer against json.dumps of each record, with complex
+    # off-diagonals (alpha != 0) damped by eta < 1.
+    import json
+
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    for seed in range(3):
+        cfg = ReadoutConfig(tau_min=1.0, seed=seed, alpha=0.6, efficiency=0.7)
+        batch = simulate_batch(cfg, t, PLUS, 300)
+        assert np.all(batch.final_state[:, 0, 1].imag != 0)
+        expect = "".join(
+            json.dumps({
+                "outcome": int(r.outcome),
+                "duration": r.duration,
+                "final_R": r.final_R,
+                "final_state": np.stack([r.final_state.real, r.final_state.imag], axis=-1).tolist(),
+                "purity": r.purity,
+            }) + "\n"
+            for r in batch
+        )
+        assert trajectories_to_jsonl(batch) == expect
+    assert trajectories_to_jsonl(batch[:0]) == "\n"
 
 
 def test_batch_is_struct_of_arrays():
@@ -478,3 +516,42 @@ def test_exit_table_matches_the_walk(p, q, n, seed):
         w = 0.5 + 0.5 * math.exp(-2.0 * r)
         counts = np.bincount(steps[walk.outcome == b] - 1, minlength=pmf.shape[1])
         assert abs(_chi2_z(counts, n * w * pmf[b])) < 4, b
+
+
+def reference_exit_table(t: Thresholds, cfg: ReadoutConfig) -> np.ndarray:
+    """The exit table built 64 bins at a time, each chunk with the terms lam_n s <= 60."""
+    lam, c, m, j_cap = continuous_readout._exit_series(t, cfg)
+    e0, e1 = math.expm1(-2.0 * t.R0), math.expm1(-2.0 * t.R1)
+    h = np.array([e1, -e0]) / (e1 - e0)
+    chunks = [h[:, None]]
+    for j in range(1, j_cap + 1, 64):
+        s = np.arange(j, min(j + 64, j_cap + 1)) * m
+        terms = np.searchsorted(lam, 60.0 / s[0], side="right")
+        chunk = c[:, :terms] @ np.exp(-np.outer(lam[:terms], s))
+        done = np.all(chunk < 1e-17 * h[:, None], axis=0)
+        if done.any():
+            chunks.append(chunk[:, : done.argmax() + 1])
+            break
+        chunks.append(chunk)
+    return np.concatenate(chunks, axis=1)
+
+
+@pytest.mark.parametrize("pq", [(0.8, 0.6), (0.99, 0.98)])
+@pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7)])
+def test_batch_draws_from_the_reference_table(pq, alpha, eta):
+    # Run i: its first uniform picks the side by the Born rule, its second
+    # the step count from that side's reference table.
+    t = thresholds_from_pq(PartialProjParams(*pq))
+    back = pq_from_thresholds(t)
+    surv = reference_exit_table(t, ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, efficiency=eta))
+    tail = -surv[:, 1:] / surv[:, :1]
+    tail[:, -1] = 0.0
+    for seed in range(10):
+        cfg = ReadoutConfig(tau_min=1.0, seed=seed, alpha=alpha, efficiency=eta)
+        rho = (KET0, KET1, PLUS)[seed % 3]
+        batch = simulate_batch(cfg, t, rho, 1000)
+        u = np.random.default_rng(seed).random((1000, 2))
+        outcome = (u[:, 0] >= back.p * rho[0, 0].real + (1 - back.q) * rho[1, 1].real).astype(int)
+        j0, j1 = (np.searchsorted(tail[b], u[:, 1] - 1.0, side="right") for b in (0, 1))
+        assert np.array_equal(batch.outcome, outcome)
+        assert np.array_equal(batch.duration, (1 + np.where(outcome == 0, j0, j1)) * cfg.dt)

@@ -17,9 +17,10 @@ from hypothesis import strategies as st  # noqa: E402
 from genmeas import continuous_readout, decomposition  # noqa: E402
 from genmeas.continuous_readout import ReadoutConfig, thresholds_from_pq  # noqa: E402
 from genmeas.decomposition import kraus_set, reduce  # noqa: E402
-from genmeas.errors import SingularRemainder  # noqa: E402
+from genmeas.errors import Infeasible, SingularRemainder  # noqa: E402
 from genmeas.linalg import adjoint, herm_eig  # noqa: E402
 from genmeas.partial_projection import PartialProjParams  # noqa: E402
+from test_continuous_readout import reference_exit_table  # noqa: E402
 
 BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz", "continuous")
 PAULIS = (
@@ -120,3 +121,40 @@ def test_exit_table_is_the_exit_law(p, frac, m, eta):
     z = np.exp(-(1.0 - eta) * m / (2.0 * eta)) ** np.arange(1, pmf.shape[1] + 1)
     _, kappa = continuous_readout._readout_instrument(params, cfg)
     assert np.all(np.abs(pmf @ z / h - kappa) < 1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.995), st.floats(0.0, 1.0), st.sampled_from([1e-2, 1e-3, 1e-4]),
+       st.floats(-1.2, 1.2), st.floats(0.3, 1.0), st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
+    # The doubling-chunk table against the 64-bin reference, uncapped or with a
+    # cap between the shortest one the cap check allows and the uncapped length,
+    # where the table ends at the cap.
+    q = 1.0 - p + 1e-3 + frac * (p - 1e-3 - 0.005)
+    t = thresholds_from_pq(PartialProjParams(p, q))
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, dt=m, efficiency=eta)
+    try:
+        free = reference_exit_table(t, cfg)
+    except Infeasible:  # the default cap, 1e6 dt, is too short
+        with pytest.raises(Infeasible, match="duration cap"):
+            continuous_readout._exit_table(t, cfg)
+        return
+    if cap is not None:
+        outlast = np.maximum(free.sum(axis=0), np.exp(-2.0 * np.array([t.R0, t.R1])) @ free)
+        j_lo = int(np.argmax(outlast < 5e-13))
+        j_cap = j_lo + int(cap * max(free.shape[1] - 2 - j_lo, 0))
+        cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, dt=m, efficiency=eta,
+                            max_duration=(j_cap - 0.5) * m)
+    ref = reference_exit_table(t, cfg)
+    surv = continuous_readout._exit_table(t, cfg)
+    assert surv.shape == ref.shape
+    if cap is not None:
+        assert surv.shape[1] == j_cap + 1
+    # Both sum one alternating series in different orders and with different term
+    # cuts: allow 1e-15 h plus 16 ulps of its absolute sum A_b(s) = sum_n |c_bn|
+    # e^{-lam_n s}, which is nonincreasing in s, so A at the power of two at or
+    # below j bounds bin j.
+    lam, c, m_tau, _ = continuous_readout._exit_series(t, cfg)
+    k = np.frexp(np.maximum(np.arange(ref.shape[1]), 1))[1] - 1
+    absum = np.abs(c) @ np.exp(-np.outer(lam, 2.0 ** np.arange(k.max() + 1) * m_tau))
+    assert np.all(np.abs(surv - ref) <= 1e-15 * ref[:, :1] + 16 * np.finfo(float).eps * absum[:, k])
