@@ -46,7 +46,9 @@ from .decomposition import (
 from .errors import GenmeasError, Infeasible, Mismatch
 from .fidelity import fidelity_report, povm_fidelity, process_set_from_json
 from .partial_projection import PartialProjParams, pure_state, validate_state
-from .serialize import kraus_set_from_json, matrix_from_json, matrix_to_json, require_key
+from .serialize import (
+    check_version, kraus_set_from_json, matrix_from_json, matrix_to_json, require_key,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -163,17 +165,17 @@ def cmd_circuit(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
-    with open(args.actual) as f:
-        actual_text = f.read()
-    with open(args.ideal) as f:
-        ideal_text = f.read()
+    texts = []
+    for path in (args.actual, args.ideal):
+        with open(path) as f:
+            texts.append(f.read())
     if args.mode == "process":
-        actual = process_set_from_json(actual_text)
-        ideal = process_set_from_json(ideal_text)
-        report = fidelity_report(actual, ideal)
+        report = fidelity_report(*(process_set_from_json(text) for text in texts))
     else:
-        a = require_key(json.loads(actual_text), "elements", list)
-        b = require_key(json.loads(ideal_text), "elements", list)
+        docs = [json.loads(text) for text in texts]
+        for doc in docs:
+            check_version(doc, "POVM")
+        a, b = (require_key(doc, "elements", list) for doc in docs)
         if [require_key(e, "label", str) for e in a] != [require_key(e, "label", str) for e in b]:
             raise Mismatch("POVM labels differ")
         pa = [matrix_from_json(require_key(e, "matrix")) for e in a]

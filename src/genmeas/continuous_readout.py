@@ -40,7 +40,7 @@ from .errors import Infeasible
 from .partial_projection import PartialProjParams, validate_state
 
 _CAP = "no threshold reached within duration cap {:.3e}"
-_NOT_FINITE = "thresholds ({}, {}) are not finite; the projective limit can only be approximated"
+_NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
 
 
 @dataclass(frozen=True)
@@ -172,35 +172,41 @@ def thresholds_from_pq(params: PartialProjParams) -> Thresholds:
         )
     if p <= 0.0 or q <= 0.0:
         raise Infeasible(f"thresholds require p, q in (0, 1], got ({p}, {q})")
-    if p + q == 1.0:
-        # The logs below would leave round-off, e.g. (1.1e-16, 0) at p = 0.0101.
+    if p + q == 1.0:  # s below can still be round-off rather than 0
         return Thresholds(R0=0.0, R1=0.0)
-    r0 = math.inf if q == 1.0 else 0.5 * math.log(p / (1.0 - q))
-    r1 = -math.inf if p == 1.0 else -0.5 * math.log(q / (1.0 - p))
+    # log1p of p / (1 - q) - 1 = s / (1 - q): no log of a ratio within ulps of 1.
+    s = p - (1.0 - q)
+    r0 = math.inf if q == 1.0 else 0.5 * math.log1p(s / (1.0 - q))
+    r1 = -math.inf if p == 1.0 else -0.5 * math.log1p(s / (1.0 - p))
     # p + q > 1 guarantees the signs; snap log round-off onto the boundary
     # so the Thresholds invariant holds exactly.
-    if math.isfinite(r0):
-        r0 = max(r0, 0.0)
-    if math.isfinite(r1):
-        r1 = min(r1, 0.0)
-    return Thresholds(R0=r0, R1=r1)
+    return Thresholds(R0=max(r0, 0.0), R1=min(r1, 0.0))
 
 
 def pq_from_thresholds(t: Thresholds) -> PartialProjParams:
     """Invert :func:`thresholds_from_pq` for finite thresholds.
 
-    The degenerate no-measurement case R0 = R1 = 0 maps to the convention
-    p = q = 1/2.
+    p = expm1(2 R1) / d and q = expm1(-2 R0) / d, d = expm1(2 (R1 - R0)): no exponent
+    is positive, so nothing overflows or cancels; 1 - p = q e^{2 R1}, 1 - q = p e^{-2 R0}.
+    R0 = R1 = 0 (no measurement) maps to the convention p = q = 1/2.
     """
     if not t.finite:
         raise Infeasible("cannot invert infinite thresholds")
     if t.R0 == 0.0 and t.R1 == 0.0:
         return PartialProjParams(0.5, 0.5)
-    e0 = math.exp(2.0 * t.R0)
-    e1 = math.exp(2.0 * t.R1)
-    q = (e0 - 1.0) / (e0 - e1)
-    p = e0 * (1.0 - q)
+    d = math.expm1(2.0 * (t.R1 - t.R0))
+    p, q = math.expm1(2.0 * t.R1) / d, math.expm1(-2.0 * t.R0) / d
     return PartialProjParams(min(p, 1.0), min(q, 1.0))
+
+
+def _realizable(t: Thresholds) -> PartialProjParams:
+    """(p, q) of runnable thresholds; ``Infeasible`` for an infinite one, or for nonzero
+    ones projective in double precision: p or q reads back as 1 (|R| above about 18.7)."""
+    if t.finite:
+        pq = pq_from_thresholds(t)
+        if t.R0 == 0.0 or t.R1 == 0.0 or max(pq.p, pq.q) < 1.0:
+            return pq
+    raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
 
 
 def measurement_operator(R: float, alpha: float = 0.0) -> np.ndarray:
@@ -257,8 +263,7 @@ def _readout_instrument(params: PartialProjParams, config: ReadoutConfig):
     under both hidden labels, so the averaged map is linear (:func:`_exit_series`).
     """
     t = thresholds_from_pq(params)
-    if not t.finite:
-        raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
+    _realizable(t)
     c0, c1 = normalization_constants(params)
     pair = (math.sqrt(c0) * measurement_operator(t.R0, config.alpha),
             math.sqrt(c1) * measurement_operator(t.R1, config.alpha))
@@ -282,8 +287,8 @@ def _exit_table(t: Thresholds, config: ReadoutConfig) -> np.ndarray:
     the terms lam_n s <= 60.
     """
     lam, c, m, j_cap = _exit_series(t, config)
-    e0, e1 = math.expm1(-2.0 * t.R0), math.expm1(-2.0 * t.R1)
-    h = np.array([e1, -e0]) / (e1 - e0)  # (p, 1 - p) without cancellation
+    pq = pq_from_thresholds(t)
+    h = np.array([pq.p, pq.q * math.exp(2.0 * t.R1)])  # (p, 1 - p) without cancellation
     chunks, j = [h[:, None]], 1
     while j <= j_cap:
         s = np.arange(j, min(j + max(j, 64), j_cap + 1)) * m
@@ -338,13 +343,13 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, states: np.ndarray, u: np
     """Runs drawn from the exact exit law, run i from the uniform pair ``u[i]``.
 
     The first uniform picks the side by the Born rule, P(side 0) = p rho00 + (1 - q)
-    rho11 with (p, q) = ``pq_from_thresholds(t)``; the second picks the step count J
+    rho11, (p, q) = ``_realizable(t)`` and 1 - q = p e^{-2 R0}; the second picks the step count J
     from that side's conditional table (:func:`_exit_table`), whose law is the same
     under both hidden labels: each run's second uniform is searched in its own side's
     table only. A zero threshold stops the readout at J = 0.
     """
-    pq = pq_from_thresholds(t)
-    born0 = pq.p * states[:, 0, 0].real + (1.0 - pq.q) * states[:, 1, 1].real
+    p = _realizable(t).p
+    born0 = p * (states[:, 0, 0].real + math.exp(-2.0 * t.R0) * states[:, 1, 1].real)
     outcome = (u[:, 0] >= born0).astype(np.int64)
     steps = np.zeros(len(states), dtype=np.int64)
     if t.R0 != 0.0 and t.R1 != 0.0:
@@ -382,8 +387,7 @@ def readout_walk(
     """
     if path is not None and len(states) != 1:
         raise ValueError(f"a readout path needs a single run, got {len(states)}")
-    if not t.finite:
-        raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
+    _realizable(t)
     n = len(states)
     if t.R0 == 0.0 or t.R1 == 0.0:
         return _sample_exit(config, t, states, rng.random((n, 2)))
@@ -453,8 +457,6 @@ def simulate_batch(
     if n < 0:
         raise ValueError(f"trajectory count must be >= 0, got {n}")
     rho = validate_state(initial)
-    if not t.finite:
-        raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
     u = np.random.default_rng(config.seed).random((n, 2))
     return _sample_exit(config, t, np.broadcast_to(rho, (n, 2, 2)), u)
 

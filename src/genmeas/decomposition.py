@@ -7,7 +7,7 @@ pair. An n-outcome Kraus set {M_k} then reduces to a chain of at most
 n - 1 such two-outcome steps: step k measures
 
     N0^(k) = M_k [N1^(0)]^{-1} ... [N1^(k-1)]^{-1},
-    N1^(k) = sqrt(I - |N0^(k)|^2),
+    N1^(k) = sqrt(I - |N0^(k)|^2) = V D1 V^dag,
 
 halting on outcome 0 with net effect M_k and otherwise continuing; a final
 unitary aligns the last branch with M_{n-1}.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .continuous_readout import _readout_instrument
 from .errors import Infeasible, NotComplete, SingularRemainder
-from .linalg import adjoint, herm_eig, is_unitary, phase_distance, psd_sqrt
+from .linalg import adjoint, is_unitary, phase_distance, psd_sqrt
 from .partial_projection import (
     ZERO_BRANCH_TOL,
     PartialProjParams,
@@ -115,35 +115,37 @@ def validate_kraus_set(s: KrausSet, tol: float = COMPLETENESS_TOL) -> None:
         raise NotComplete(dev)
 
 
+def _factor(n0: np.ndarray) -> tuple[np.ndarray, PartialProjParams, np.ndarray]:
+    """One SVD N0 = U0 D0 V^dag of a contraction: (U0, (p, q), V).
+
+    p = s_hi^2 and q = 1 - s_lo^2, so p + q >= 1. Singular values of N0, not
+    eigenvalues of N0^dag N0, keep a zero one zero instead of sqrt(round-off).
+    An s^2 within UNIT_SNAP of 1 is 1: D1 = sqrt(1 - s^2) would turn the
+    round-off of a rank-deficient remainder into an amplitude of about 1e-8.
+    """
+    u0, sv, vh = np.linalg.svd(n0)
+    w = sv**2
+    if not w[0] <= 1.0 + 1e-9:
+        raise ValueError(f"|N0|^2 has eigenvalue {w[0]} > 1")
+    w[w > 1.0 - UNIT_SNAP] = 1.0
+    return u0, PartialProjParams(p=float(w[0]), q=float(1.0 - w[1])), adjoint(vh)
+
+
 def svd_decompose_pair(n0: np.ndarray, n1: np.ndarray) -> TwoOutcomeStep:
     """Factor a complete two-outcome pair as N_k = U_k D_k V^dag.
 
-    The shared V diagonalizes |N0| (and hence |N1|). Singular values are
-    assigned so that the resulting (p, q) satisfy p + q >= 1, which keeps
-    the continuous-readout thresholds on the right sides of zero.
+    One SVD of N0 gives U0, V and (p, q) with p + q >= 1 (:func:`_factor`),
+    which keeps the continuous-readout thresholds on the right sides of
+    zero; the shared V also diagonalizes |N1|, so U1 follows from N1 V.
     """
     n0 = np.asarray(n0, dtype=np.complex128)
     n1 = np.asarray(n1, dtype=np.complex128)
     dev = completeness_deviation([n0, n1])
     if not dev <= COMPLETENESS_TOL:
         raise NotComplete(dev)
-    # Singular values of N0 rather than eigenvalues of N0^dag N0: a zero
-    # singular value then stays zero instead of becoming sqrt(round-off).
-    _, sv, vh = np.linalg.svd(n0)
-    v = adjoint(vh)
-    # Larger singular value on the |0> slot: p = s_hi^2, q = 1 - s_lo^2, so
-    # p + q = 1 + (s_hi^2 - s_lo^2) >= 1. An s^2 within UNIT_SNAP of 1 is 1:
-    # D1 = sqrt(1 - s^2) would turn the round-off of a rank-deficient
-    # remainder into a spurious amplitude of about 1e-8.
-    w = np.clip(sv**2, 0.0, 1.0)
-    w[w > 1.0 - UNIT_SNAP] = 1.0
-    params = PartialProjParams(p=float(w[0]), q=float(1.0 - w[1]))
-    d0, d1 = dops(params)
-    u0 = _left_unitary(n0, v, np.diag(d0).real)
-    u1 = _left_unitary(n1, v, np.diag(d1).real)
-    return TwoOutcomeStep(
-        pre_unitary=v, params=params, post_unitary_0=u0, post_unitary_1=u1
-    )
+    u0, params, v = _factor(n0)
+    u1 = _left_unitary(n1, v, np.sqrt([1.0 - params.p, params.q]))
+    return TwoOutcomeStep(v, params, u0, u1)
 
 
 def _left_unitary(n: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -180,19 +182,9 @@ def remainder(n0: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def _aligning_unitary(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Unitary W with W c = g, given |c| = |g| (shared right singular basis)."""
-    w, v = herm_eig(adjoint(c) @ c, tol=1e-7)
-    d = np.sqrt(np.clip(w, 0.0, None))
-    uc = _left_unitary(c, v, d)
-    ug = _left_unitary(g, v, d)
-    return ug @ adjoint(uc)
-
-
-def _svd_inverse(m: np.ndarray, step: int) -> np.ndarray:
-    u, s, vdag = np.linalg.svd(m)
-    if s[-1] < SINGULAR_CUTOFF:
-        raise SingularRemainder(step, s[-1])
-    return adjoint(vdag) @ np.diag(1.0 / s) @ adjoint(u)
+    """Unitary W with W c = g, given |c| = |g|: W = U_g U_c^dag from one SVD c = U_c S V^dag."""
+    uc, sv, vh = np.linalg.svd(c)
+    return _left_unitary(g, adjoint(vh), sv) @ adjoint(uc)
 
 
 def reduce(
@@ -207,6 +199,17 @@ def reduce(
     intermediate can make one order fail with ``SingularRemainder`` while
     another succeeds. With ``cancel_u1`` each step's unitary freedom is
     used to absorb U_1 into the remainder, leaving post_unitary_1 = I.
+
+    Each step is one SVD, N0 = U0 D0 V^dag (:func:`_factor`); its remainder
+    sqrt(I - |N0|^2) is V D1 V^dag, so U1 = V, and the chain and its inverse
+    take U1 D1 V^dag and V D1^-1 U1^dag. The set is checked once, on entry;
+    n outcomes cost n SVDs, the last one aligning the final branch.
+
+    ``UNIT_SNAP`` drops a real leak amplitude below 1e-6. Worst branch deviation
+    over 200 rotated pairs per column, q = 1 - (1 - p) U(0.1, 1):
+
+        1 - p        1e-4     1e-6     1e-8     1e-10    1e-12
+        deviation    7.8e-14  7.2e-13  8.3e-12  6.7e-11  1.0e-6
     """
     validate_kraus_set(s)
     n = s.n
@@ -222,25 +225,17 @@ def reduce(
     chain_inv = eye  # [N1^(0)]^{-1} ... [N1^(k-1)]^{-1}
     chain = eye  # N1^(k-1) ... N1^(0)
     for k in range(n - 1):
-        n0k = ops[k] @ chain_inv
-        step = svd_decompose_pair(n0k, remainder(n0k))
-        if cancel_u1:
-            step = TwoOutcomeStep(
-                pre_unitary=step.pre_unitary,
-                params=step.params,
-                post_unitary_0=step.post_unitary_0,
-                post_unitary_1=eye,
-            )
-        steps.append(step)
-        # The step's own U1 D1 V^dag rather than the computed remainder: at
-        # a rank-deficient remainder the two differ by sqrt(round-off), and
-        # the final alignment must match the branch the protocol runs.
-        n1k = step.branch_operator(1)
-        chain = n1k @ chain
+        u0, params, v = _factor(ops[k] @ chain_inv)
+        u1 = eye if cancel_u1 else v
+        steps.append(TwoOutcomeStep(v, params, u0, u1))
+        d1 = np.sqrt([1.0 - params.p, params.q])
+        chain = (u1 * d1) @ adjoint(v) @ chain
         if k < n - 2:
             # The last remainder's inverse is never needed; it may be
             # singular when M_{n-1} is rank-deficient (e.g. projective).
-            chain_inv = chain_inv @ _svd_inverse(n1k, step=k)
+            if d1.min() < SINGULAR_CUTOFF:
+                raise SingularRemainder(k, d1.min())
+            chain_inv = chain_inv @ (v / d1) @ adjoint(u1)
     final_unitary = _aligning_unitary(ops[-1], chain) if n > 1 else ops[0]
     return MeasurementProtocol(
         steps=tuple(steps),

@@ -252,6 +252,17 @@ def test_fidelity_povm_mode(tmp_path):
     assert abs(report["povm_Fp"] - 1.0) < 1e-10
 
 
+def test_fidelity_povm_checks_format_version(tmp_path, capsys):
+    elements = [{"label": "0", "matrix": matrix_to_json(np.eye(2))}]
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"format_version": "1.0", "elements": elements}))
+    bad.write_text(json.dumps({"format_version": "9.0", "elements": elements}))
+    for pair in ((bad, good), (good, bad)):
+        assert main(["fidelity", *map(str, pair), "--mode", "povm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "9.0" in err
+
+
 def test_circuit_out_of_range_exits_2(capsys):
     assert main(["circuit", "--p", "1.5", "--q", "0.6"]) == 2
     err = capsys.readouterr().err
@@ -352,6 +363,15 @@ def test_trajectory_no_measurement_pq_exits_4(tmp_path, capsys):
     for args in (["--r0", "0", "--r1", "0"], ["--p", "0.5", "--q", "0.5"]):
         assert main(["trajectory", *args, "--state", "0", "--output", out]) == 0
         assert "outcome-0 frequency 0.5" in capsys.readouterr().err
+
+
+def test_trajectory_thresholds_projective_in_double_exit_4(capsys):
+    # Past |R| of about 18.7, q reads back as exactly 1: the readout is
+    # projective in double precision, as an infinite threshold is.
+    for r0 in ("20", "400"):
+        assert main(["trajectory", "--r0", r0, "--r1", "-1", "--state", "0"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
 
 
 def test_synth_stdout_is_json_without_output(trine_json, capsys):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -84,6 +85,54 @@ def test_thresholds_zero_strength_is_exactly_no_measurement():
     n = 4000
     batch = simulate_batch(ReadoutConfig(tau_min=1.0, seed=24), t, np.eye(2) / 2, n)
     assert abs(np.count_nonzero(batch.outcome == 0) / n - 0.5) < 4 * math.sqrt(0.25 / n)
+
+
+def test_thresholds_round_trip_a_few_ulps_from_zero_strength():
+    # With q the next float above 1 - p, the map either sees p + q == 1 and
+    # gives exactly (0, 0), or its thresholds read back as (p, q).
+    for k in range(1, 10_000):
+        p = k / 10_000
+        q = float(np.nextafter(1.0 - p, 2.0))
+        t = thresholds_from_pq(PartialProjParams(p, q))
+        if (t.R0, t.R1) != (0.0, 0.0):
+            back = pq_from_thresholds(t)
+            assert abs(back.p - p) <= 1e-12 and abs(back.q - q) <= 1e-12, k
+
+
+def test_pq_from_large_thresholds_is_the_closed_form():
+    # p = (1 - e^{2 R1}) / (1 - e^{2 (R1 - R0)}), q = (1 - e^{-2 R0}) / (same),
+    # in 50-digit decimal arithmetic; 1 - q is far below p's precision here.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for r0 in range(1, 19):
+            back = pq_from_thresholds(Thresholds(float(r0), -1.0))
+            d = 1 - Decimal(-2 - 2 * r0).exp()
+            for got, expect in ((back.p, (1 - Decimal(-2).exp()) / d),
+                                (back.q, (1 - Decimal(-2 * r0).exp()) / d)):
+                assert abs(Decimal(got) / expect - 1) < Decimal("1e-12"), r0
+
+
+@pytest.mark.parametrize("r0", [10.0, 15.0, 18.0])
+def test_batch_at_large_thresholds_samples_p(r0):
+    t = Thresholds(r0, -1.0)
+    p = -math.expm1(-2.0) / -math.expm1(-2.0 - 2.0 * r0)
+    n = 4000
+    batch = simulate_batch(ReadoutConfig(tau_min=1.0, seed=25), t, KET0, n)
+    assert abs(np.count_nonzero(batch.outcome == 0) / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+def test_thresholds_projective_in_double_are_refused():
+    # q reads back as exactly 1, so the thresholds are those of a projection.
+    cfg = ReadoutConfig(tau_min=1.0, seed=26)
+    for t in (Thresholds(20.0, -1.0), Thresholds(1.0, -40.0), Thresholds(400.0, -1.0)):
+        with pytest.raises(Infeasible, match="not finite"):
+            simulate_batch(cfg, t, KET0, 10)
+        with pytest.raises(Infeasible, match="not finite"):
+            simulate_trajectory(cfg, t, KET0)
+    # A zero threshold still stops the readout at once.
+    for t, side in ((Thresholds(0.0, -40.0), 0), (Thresholds(400.0, 0.0), 1)):
+        batch = simulate_batch(cfg, t, PLUS, 10)
+        assert np.all(batch.outcome == side) and np.all(batch.duration == 0.0)
 
 
 def test_pq_degenerate_convention():

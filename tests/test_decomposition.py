@@ -198,6 +198,25 @@ def test_reduce_unitaries_at_rank_deficient_outcomes():
                     assert phase_distance(m, compose_branch(proto, lab)) < 1e-12
 
 
+def test_unit_snap_trade_off():
+    # The table in the reduce docstring, each row pinned at twice its measured
+    # worst branch deviation: near-projective rotated pairs with 1 - p = eps and
+    # 1 - q = eps U(0.1, 1). At eps = 1e-12, p snaps to 1 (UNIT_SNAP) and the
+    # leak amplitude sqrt(eps) is dropped.
+    rng = np.random.default_rng(2024)
+    for eps, measured in ((1e-4, 7.8e-14), (1e-6, 7.2e-13), (1e-8, 8.3e-12),
+                          (1e-10, 6.7e-11), (1e-12, 1.0e-6)):
+        worst = 0.0
+        for _ in range(200):
+            d0, d1 = dops(PartialProjParams(1.0 - eps, 1.0 - eps * rng.uniform(0.1, 1.0)))
+            v = random_unitary(rng)
+            s = kraus_set([random_unitary(rng) @ d0 @ v, random_unitary(rng) @ d1 @ v])
+            proto = reduce(s)
+            worst = max(worst, *(phase_distance(m, compose_branch(proto, lab))
+                                 for lab, m in zip(s.labels, s.ops)))
+        assert worst <= 2 * measured, eps
+
+
 def test_validate_rejects_nan():
     with pytest.raises(NotComplete):
         validate_kraus_set(kraus_set([np.full((2, 2), np.nan)]))

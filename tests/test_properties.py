@@ -3,9 +3,13 @@
 For Kraus sets of 2 to 4 outcomes, some of them scaled unitaries sqrt(w) U
 (whose reduction steps have p + q = 1, no measurement at all), the leaf
 table of each backend must give leaf k the probability Tr(M_k rho M_k^dag)
-and the state M_k rho M_k^dag / Tr. Examples are derandomized, so a run is
-reproducible.
+and the state M_k rho M_k^dag / Tr. The protocols ``reduce`` builds from
+random sets of 2 to 6 outcomes keep their invariants at every order.
+Examples are derandomized, so a run is reproducible.
 """
+
+import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -14,11 +18,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from genmeas import continuous_readout, decomposition  # noqa: E402
+from genmeas import continuous_readout, decomposition, linalg  # noqa: E402
 from genmeas.continuous_readout import ReadoutConfig, thresholds_from_pq  # noqa: E402
-from genmeas.decomposition import kraus_set, reduce  # noqa: E402
+from genmeas.decomposition import compose_branch, kraus_set, random_kraus_set, reduce  # noqa: E402
 from genmeas.errors import Infeasible, SingularRemainder  # noqa: E402
-from genmeas.linalg import adjoint, herm_eig  # noqa: E402
+from genmeas.linalg import adjoint, herm_eig, is_unitary, phase_distance  # noqa: E402
 from genmeas.partial_projection import PartialProjParams  # noqa: E402
 from test_continuous_readout import reference_exit_table  # noqa: E402
 
@@ -158,3 +162,54 @@ def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
     k = np.frexp(np.maximum(np.arange(ref.shape[1]), 1))[1] - 1
     absum = np.abs(c) @ np.exp(-np.outer(lam, 2.0 ** np.arange(k.max() + 1) * m_tau))
     assert np.all(np.abs(surv - ref) <= 1e-15 * ref[:, :1] + 16 * np.finfo(float).eps * absum[:, k])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_reduce_keeps_its_invariants(n, seed):
+    # Every order for n <= 4, both cancel_u1 values: unitary protocol matrices,
+    # p + q >= 1, a complete set of branches, each its target up to phase, and
+    # without cancel_u1 a PSD remainder branch V D1 V^dag.
+    s = random_kraus_set(n, np.random.default_rng(seed))
+    orders = itertools.permutations(range(n)) if n <= 4 else [tuple(range(n))]
+    for order, cancel_u1 in itertools.product(orders, (False, True)):
+        try:
+            proto = reduce(s, order=order, cancel_u1=cancel_u1)
+        except SingularRemainder:
+            continue
+        for step in proto.steps:
+            assert is_unitary(np.stack([step.pre_unitary, step.post_unitary_0,
+                                        step.post_unitary_1]), tol=1e-12)
+            assert step.params.p + step.params.q >= 1.0
+            if not cancel_u1:
+                b1 = step.branch_operator(1)
+                assert np.linalg.norm(b1 - adjoint(b1)) <= 1e-12
+                assert np.linalg.eigvalsh((b1 + adjoint(b1)) / 2)[0] >= -1e-12
+                assert np.array_equal(step.post_unitary_1, step.pre_unitary)
+        assert is_unitary(proto.final_unitary, tol=1e-12)
+        branches = [compose_branch(proto, label) for label in s.labels]
+        assert np.linalg.norm(sum(adjoint(b) @ b for b in branches) - np.eye(2)) <= 1e-12
+        for b, m in zip(branches, s.ops):
+            assert phase_distance(m, b) <= 1e-12, (order, cancel_u1)
+
+
+def test_reduce_makes_one_svd_per_outcome(monkeypatch):
+    # An n-outcome set costs one SVD per step plus one for the final branch,
+    # and no eigendecomposition or PSD square root.
+    calls = collections.Counter()
+    for name in ("svd", "eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduce must not call this")
+
+    sets = {n: random_kraus_set(n, np.random.default_rng(n)) for n in range(2, 7)}
+    for module, name in ((decomposition, "remainder"), (decomposition, "svd_decompose_pair"),
+                         (decomposition, "psd_sqrt"), (linalg, "herm_eig"), (linalg, "psd_sqrt")):
+        monkeypatch.setattr(module, name, forbidden)
+    for n, s in sets.items():
+        calls.clear()
+        reduce(s)
+        assert calls == {"svd": n}, n
