@@ -91,11 +91,4 @@ def noisy_branch(
     decoherence); set ``noise_first`` to compose the other way.
     """
     m = np.asarray(ideal_kraus, dtype=np.complex128)
-    if spec.strength == 0.0 and spec.kind != "unitary_jitter":
-        return chi_from_kraus([m], d=2)
-    ops = (
-        [m @ k for k in noise_kraus(spec)]
-        if noise_first
-        else [k @ m for k in noise_kraus(spec)]
-    )
-    return chi_from_kraus(ops, d=2)
+    return chi_from_kraus([m @ k if noise_first else k @ m for k in noise_kraus(spec)], d=2)

@@ -29,7 +29,10 @@ from .serialize import (
     require_key,
 )
 
+# Eigenvalues down to -UHLMANN_CLAMP pass the POVM check, and down to -PSD_TOL
+# the state and process-matrix checks; the Uhlmann square roots clamp both to 0.
 UHLMANN_CLAMP = 1e-10
+PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,24 @@ def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
     raise ValueError(f"unknown classical fidelity variant {variant!r}")
 
 
-def _uhlmann_trace(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Tr sqrt(sqrt(sigma) rho sqrt(sigma)), clamped PSD square roots."""
-    s = psd_sqrt(sigma, tol=UHLMANN_CLAMP)
-    inner = s @ rho @ s
-    inner = (inner + adjoint(inner)) / 2
-    w = np.linalg.eigvalsh(inner)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+def _uhlmann_trace(rho: np.ndarray, sigma: np.ndarray):
+    """Tr sqrt(sqrt(sigma) rho sqrt(sigma)), one per pair for stacks (..., d, d): the
+    singular values of sqrt(rho) sqrt(sigma) keep full precision at rank-deficient
+    states, where eigenvalues of sqrt(sigma) rho sqrt(sigma) would keep half the digits."""
+    roots = psd_sqrt(np.stack([rho, sigma]), tol=PSD_TOL)
+    return np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum(axis=-1)
+
+
+def _require_psd(m: np.ndarray, tol: float, what: str = "process matrix") -> None:
+    """Raise ``ValueError`` unless ``m``, or each matrix of a stack (..., d, d),
+    is Hermitian within ``tol`` with no eigenvalue below -``tol``."""
+    m = np.asarray(m)
+    dev = np.abs(m - adjoint(m)).max()
+    if not dev <= tol:
+        raise ValueError(f"{what} deviates from Hermitian by {dev:.3e}")
+    w = np.linalg.eigvalsh((m + adjoint(m)) / 2)[..., 0].min()
+    if w < -tol:
+        raise ValueError(f"{what} has eigenvalue {w:.3e}")
 
 
 def _is_pure(rho: np.ndarray, tol: float = 1e-12) -> bool:
@@ -152,8 +166,8 @@ def state_fidelity(rho, sigma, variant: str = "uhlmann") -> float:
     F3^2 = Tr(rho sigma), which is evaluated directly (the general Uhlmann
     route loses a couple of digits to the matrix square roots).
     """
-    rho = validate_state(rho, tol=1e-8)
-    sigma = validate_state(sigma, tol=1e-8)
+    rho = validate_state(rho, tol=PSD_TOL)
+    sigma = validate_state(sigma, tol=PSD_TOL)
     if _is_pure(rho) or _is_pure(sigma):
         f3 = math.sqrt(max(np.trace(rho @ sigma).real, 0.0))
     else:
@@ -170,9 +184,11 @@ def _is_trace_preserving(chi: ProcessMatrix, tol: float = 1e-8) -> bool:
     return bool(np.abs(dev).max() <= tol)
 
 
-def _is_rank1(chi: ProcessMatrix, tol: float = 1e-10) -> bool:
+def _is_rank1(chi: ProcessMatrix, tol: float = 1e-12) -> bool:
+    """Whether every other eigenvalue is within ``tol`` of 0 relative to the largest:
+    F9's trace formula is off by about twice their sum over the largest."""
     w = np.linalg.eigvalsh((chi.chi + adjoint(chi.chi)) / 2)
-    return bool(np.all(w[:-1] < tol * max(1.0, w[-1])))
+    return bool(np.all(np.abs(w[:-1]) <= tol * w[-1]))
 
 
 def process_fidelity(
@@ -193,20 +209,19 @@ def process_fidelity(
             raise ValueError(f"traces ({t}, {ti}) must both be 1 for {variant}")
         if variant == "F6":
             return float(np.trace(chi.chi @ chi_ideal.chi).real)
-        return _uhlmann_trace(chi.chi, chi_ideal.chi) ** 2
+        return float(_uhlmann_trace(chi.chi, chi_ideal.chi)) ** 2
+    if variant not in ("F8", "F9"):
+        raise ValueError(f"unknown process fidelity variant {variant!r}")
     if t <= 0.0 or ti <= 0.0:
         raise ValueError("process fidelity undefined for zero-trace chi")
-    if variant == "F8":
-        if not _is_rank1(chi_ideal):
-            raise ValueError("F8 requires a rank-1 (purity-preserving) ideal")
-        return float(np.trace(chi.chi @ chi_ideal.chi).real) / (t * ti)
-    if variant == "F9":
-        if _is_rank1(chi_ideal):
-            # Exact reduction to the trace formula (F8) for a rank-1
-            # ideal; avoids the Uhlmann route's square-root round-off.
-            return float(np.trace(chi.chi @ chi_ideal.chi).real) / (t * ti)
-        return _uhlmann_trace(chi.chi, chi_ideal.chi) ** 2 / (t * ti)
-    raise ValueError(f"unknown process fidelity variant {variant!r}")
+    rank1 = _is_rank1(chi_ideal)
+    if variant == "F8" and not rank1:
+        raise ValueError("F8 requires a rank-1 (purity-preserving) ideal")
+    if rank1:
+        # F9 reduces exactly to the trace formula (F8) for a rank-1 ideal,
+        # without the Uhlmann route's square-root round-off.
+        return max(float(np.trace(chi.chi @ chi_ideal.chi).real), 0.0) / (t * ti)
+    return float(_uhlmann_trace(chi.chi, chi_ideal.chi)) ** 2 / (t * ti)
 
 
 def partial_fidelity(chi_k: ProcessMatrix, chi_k_ideal: ProcessMatrix) -> float:
@@ -218,15 +233,27 @@ def partial_fidelity(chi_k: ProcessMatrix, chi_k_ideal: ProcessMatrix) -> float:
     return process_fidelity(chi_k, chi_k_ideal, "F9")
 
 
-def _paired(actual: ProcessSet, ideal: ProcessSet):
+def _family(w: np.ndarray, F: np.ndarray, alpha: float) -> float:
+    """[sum_{w_k > 0} w_k max(F_k, 0)^alpha]^(1/alpha): every total and POVM fidelity."""
+    keep = w > 0.0
+    return float(np.sum(w[keep] * np.maximum(F[keep], 0.0) ** alpha) ** (1.0 / alpha))
+
+
+def _partials(actual: ProcessSet, ideal: ProcessSet):
+    """Weights sqrt(p_k p~_k), partial fidelities F_k (F9) and both sides' probabilities;
+    F_k is 0 for a failed outcome (p_k = 0 < p~_k) and NaN where p~_k = 0."""
     if actual.labels != ideal.labels:
-        raise Mismatch(
-            f"outcome labels differ: {actual.labels} vs {ideal.labels}"
-        )
-    return [
-        (a_chi, i_chi)
-        for (_, a_chi), (_, i_chi) in zip(actual.outcomes, ideal.outcomes)
-    ]
+        raise Mismatch(f"outcome labels differ: {actual.labels} vs {ideal.labels}")
+    p, p_ideal = np.array(actual.probabilities), np.array(ideal.probabilities)
+    F = np.array([
+        np.nan if ti <= 0.0 else 0.0 if t <= 0.0 else partial_fidelity(a, i)
+        for (_, a), (_, i), t, ti in zip(actual.outcomes, ideal.outcomes, p, p_ideal)
+    ])
+    return np.sqrt(np.clip(p, 0.0, None) * np.clip(p_ideal, 0.0, None)), F, p, p_ideal
+
+
+_TOTAL_ALPHA = {"sum": 1.0, "sqrt_squared": 0.5}
+_POVM_ALPHA = {"Fp": 1.0, "FpTilde": 0.5}
 
 
 def total_fidelity(
@@ -235,77 +262,58 @@ def total_fidelity(
     variant: str = "sum",
     alpha: float = 1.0,
 ) -> float:
-    """Total fidelity of a multiple-outcome measurement.
+    """Total fidelity of a multiple-outcome measurement: the family
+    [sum_k sqrt(p_k p~_k) F_k^alpha]^(1/alpha) over the partial fidelities F_k (F9)
+    and the outcome probabilities p_k, p~_k of the two sides. "sum" is alpha = 1,
+    "sqrt_squared" alpha = 1/2 and "parametric" the caller's ``alpha`` > 0. For a
+    purity-preserving ideal, "sum" is sum_k Tr(chi~^(k) chi^(k)) / sqrt(p_k p~_k)
+    and "sqrt_squared" is [sum_k sqrt(Tr(chi~^(k) chi^(k)))]^2.
 
-    Variants:
-
-    * "sum":  sum_k Tr(chi_ideal^(k) chi^(k)) / sqrt(Tr chi_ideal^(k) Tr chi^(k)),
-      the sqrt(p_k p_k_ideal)-weighted sum of partial fidelities.
-    * "sqrt_squared":  [sum_k sqrt(Tr(chi_ideal^(k) chi^(k)))]^2.
-    * "parametric": [sum_k sqrt(p_k p_k_ideal) F9^alpha]^(1/alpha), which
-      reduces to "sum" at alpha = 1 and to "sqrt_squared" at alpha = 1/2
-      for purity-preserving ideals.
-
-    Outcomes with zero probability on both sides contribute nothing; a
-    zero-probability actual outcome against a nonzero ideal one counts as
-    a failed outcome (zero contribution).
+    An outcome with zero probability on either side contributes nothing: a
+    zero-probability actual outcome against a nonzero ideal one is a failed outcome.
     """
-    pairs = _paired(actual, ideal)
-    if variant == "parametric":
-        acc = 0.0
-        for a, i in pairs:
-            w = math.sqrt(max(a.trace, 0.0) * max(i.trace, 0.0))
-            if w <= 0.0:
-                continue
-            acc += w * process_fidelity(a, i, variant="F9") ** alpha
-        return acc ** (1.0 / alpha)
-    acc = 0.0
-    for a, i in pairs:
-        if a.trace <= 0.0 or i.trace <= 0.0:
-            continue
-        overlap = max(float(np.trace(a.chi @ i.chi).real), 0.0)
-        if variant == "sum":
-            acc += overlap / math.sqrt(a.trace * i.trace)
-        elif variant == "sqrt_squared":
-            acc += math.sqrt(overlap)
-        else:
+    if variant != "parametric":
+        if variant not in _TOTAL_ALPHA:
             raise ValueError(f"unknown total fidelity variant {variant!r}")
-    return acc if variant == "sum" else acc * acc
+        alpha = _TOTAL_ALPHA[variant]
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return _family(*_partials(actual, ideal)[:2], alpha)
+
+
+def _povm_terms(actual: np.ndarray, ideal: np.ndarray):
+    """Weights sqrt(Tr P_k Tr Pi_k)/d and terms u_k^2/(Tr P_k Tr Pi_k) of the POVM
+    fidelities for stacks (n, d, d) of elements, from one Uhlmann call."""
+    tr = np.einsum("kii->k", actual).real * np.einsum("kii->k", ideal).real
+    u = _uhlmann_trace(actual, ideal)
+    F = np.divide(u * u, tr, out=np.zeros_like(u), where=tr > 0.0)
+    return np.sqrt(np.clip(tr, 0.0, None)) / actual.shape[-1], F
 
 
 def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
     """POVM-only ("probability-only") fidelities of Uhlmann form.
 
-    ``actual`` and ``ideal`` are matching-length lists of PSD d x d
-    elements, each set summing to the identity.
-
-    * "Fp"      = (1/d) sum_k [Tr sqrt(sqrt(Pi_k) P_k sqrt(Pi_k))]^2
-                  / sqrt(Tr Pi_k Tr P_k)
-    * "FpTilde" = [(1/d) sum_k Tr sqrt(sqrt(Pi_k) P_k sqrt(Pi_k))]^2
+    ``actual`` and ``ideal`` are matching-length lists of PSD d x d elements P_k
+    and Pi_k, each set summing to the identity. Both variants are the family
+    [sum_k w_k F_k^alpha]^(1/alpha) with w_k = sqrt(Tr P_k Tr Pi_k)/d and
+    F_k = u_k^2/(Tr P_k Tr Pi_k), u_k = Tr sqrt(sqrt(Pi_k) P_k sqrt(Pi_k)):
+    "Fp" (alpha = 1) is (1/d) sum_k u_k^2 / sqrt(Tr P_k Tr Pi_k) and "FpTilde"
+    (alpha = 1/2) is [(1/d) sum_k u_k]^2. ``Mismatch`` if the lengths differ or
+    a set does not sum to I; ``ValueError`` if an element is not Hermitian PSD.
     """
+    if variant not in _POVM_ALPHA:
+        raise ValueError(f"unknown POVM fidelity variant {variant!r}")
     if len(actual) != len(ideal):
         raise Mismatch(f"{len(actual)} vs {len(ideal)} POVM elements")
-    if not actual:
+    if not len(actual):
         raise ValueError("a POVM needs at least one element")
-    actual = [np.asarray(m, dtype=np.complex128) for m in actual]
-    ideal = [np.asarray(m, dtype=np.complex128) for m in ideal]
-    d = actual[0].shape[0]
+    actual, ideal = (np.asarray(e, dtype=np.complex128) for e in (actual, ideal))
     for name, elems in (("actual", actual), ("ideal", ideal)):
-        dev = np.linalg.norm(sum(elems) - np.eye(d))
+        dev = np.linalg.norm(elems.sum(axis=0) - np.eye(actual.shape[-1]))
         if not dev <= 1e-9:
             raise Mismatch(f"{name} POVM sums to I only within {dev:.3e}")
-    if variant == "Fp":
-        acc = 0.0
-        for pk, pik in zip(actual, ideal):
-            tr_a, tr_i = np.trace(pk).real, np.trace(pik).real
-            if tr_a <= 0.0 or tr_i <= 0.0:
-                continue
-            acc += _uhlmann_trace(pk, pik) ** 2 / math.sqrt(tr_i * tr_a)
-        return acc / d
-    if variant == "FpTilde":
-        acc = sum(_uhlmann_trace(pk, pik) for pk, pik in zip(actual, ideal))
-        return (acc / d) ** 2
-    raise ValueError(f"unknown POVM fidelity variant {variant!r}")
+    _require_psd(np.concatenate([actual, ideal]), UHLMANN_CLAMP, "POVM element")
+    return _family(*_povm_terms(actual, ideal), _POVM_ALPHA[variant])
 
 
 def average_state_fidelity(
@@ -335,9 +343,7 @@ def average_state_fidelity(
         raise ValueError("average state fidelity requires a unitary ideal")
     if not _is_trace_preserving(chi):
         raise ValueError("process is not trace-preserving")
-    w = np.linalg.eigvalsh((chi.chi + adjoint(chi.chi)) / 2)
-    if w[0] < -1e-8:
-        raise ValueError(f"process matrix has eigenvalue {w[0]:.3e}")
+    _require_psd(chi.chi, PSD_TOL)
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
     return (d * f6 + 1.0) / (d + 1.0)
 
@@ -357,10 +363,11 @@ def process_set_to_json(ps: ProcessSet) -> str:
 
 
 def process_set_from_json(text: str) -> ProcessSet:
+    """Read a process set; each chi must be Hermitian PSD within 1e-8."""
     data = json.loads(text)
     check_version(data, "process set")
     d = require_key(data, "dim", int)
-    return ProcessSet(
+    ps = ProcessSet(
         outcomes=tuple(
             (
                 require_key(o, "label", str),
@@ -369,31 +376,28 @@ def process_set_from_json(text: str) -> ProcessSet:
             for o in require_key(data, "outcomes", list)
         )
     )
+    _require_psd(np.stack([chi.chi for _, chi in ps.outcomes]), PSD_TOL)
+    return ps
 
 
 def fidelity_report(actual: ProcessSet, ideal: ProcessSet) -> dict:
-    """All fidelity variants between two process sets, keyed by name."""
-    pairs = _paired(actual, ideal)
-    partials = {}
-    for (label, a_chi), (_, i_chi) in zip(actual.outcomes, ideal.outcomes):
-        if a_chi.trace <= 0.0 and i_chi.trace > 0.0:
-            partials[label] = {"F": 0.0, "failed": True}
-        elif i_chi.trace <= 0.0:
-            partials[label] = {"F": None, "failed": False}
-        else:
-            partials[label] = {
-                "F": partial_fidelity(a_chi, i_chi),
-                "failed": False,
-            }
-    povm_actual = [povm_from_process(chi) for _, chi in actual.outcomes]
-    povm_ideal = [povm_from_process(chi) for _, chi in ideal.outcomes]
+    """All fidelity variants between two process sets, keyed by name: the partials
+    and the POVM terms are computed once and the family is evaluated on them."""
+    w, F, p, p_ideal = _partials(actual, ideal)
+    povm_w, povm_F = _povm_terms(
+        np.stack([povm_from_process(chi) for _, chi in actual.outcomes]),
+        np.stack([povm_from_process(chi) for _, chi in ideal.outcomes]),
+    )
     return {
-        "partial": partials,
-        "total_sum": total_fidelity(actual, ideal, variant="sum"),
-        "total_sqrt_squared": total_fidelity(actual, ideal, variant="sqrt_squared"),
-        "povm_Fp": povm_fidelity(povm_actual, povm_ideal, variant="Fp"),
-        "povm_FpTilde": povm_fidelity(povm_actual, povm_ideal, variant="FpTilde"),
-        "p_actual": list(actual.probabilities),
-        "p_ideal": list(ideal.probabilities),
+        "partial": {
+            label: {"F": None if np.isnan(f) else float(f), "failed": bool(t <= 0.0 < ti)}
+            for label, f, t, ti in zip(actual.labels, F, p, p_ideal)
+        },
+        "total_sum": _family(w, F, 1.0),
+        "total_sqrt_squared": _family(w, F, 0.5),
+        "povm_Fp": _family(povm_w, povm_F, 1.0),
+        "povm_FpTilde": _family(povm_w, povm_F, 0.5),
+        "p_actual": p.tolist(),
+        "p_ideal": p_ideal.tolist(),
         "labels": list(actual.labels),
     }

@@ -23,8 +23,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of every matrix of a stack (..., d, d)."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -35,7 +35,7 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack (..., d, d).
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
     such that ``m = v @ diag(w) @ v.conj().T``.
@@ -43,10 +43,10 @@ def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     Raises
     ------
     ValueError
-        If ``|m - m^dag|_F > tol``.
+        If ``|m - m^dag|_F > tol`` for any matrix.
     """
     m = np.asarray(m, dtype=np.complex128)
-    dev = np.linalg.norm(m - adjoint(m))
+    dev = np.linalg.norm(m - adjoint(m), axis=(-2, -1)).max()
     if not dev <= tol:
         raise ValueError(f"deviation from Hermiticity {dev:.3e} > tol {tol:.1e}")
     w, v = np.linalg.eigh((m + adjoint(m)) / 2)
@@ -54,16 +54,16 @@ def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
 
 
 def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
-    """Positive-semidefinite square root.
+    """Positive-semidefinite square root of a matrix, or of each matrix of a stack (..., d, d).
 
     Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below
     ``-tol`` raises ``ValueError``.
     """
     w, v = herm_eig(m, tol=max(tol, 1e-9))
-    if w[0] < -tol:
-        raise ValueError(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
+    if w[..., 0].min() < -tol:
+        raise ValueError(f"eigenvalue {w[..., 0].min():.3e} below -{tol:.1e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ adjoint(v)
+    return (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 
 @functools.lru_cache(maxsize=8)

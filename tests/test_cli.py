@@ -14,6 +14,7 @@ from genmeas.decomposition import (
 )
 from genmeas.fidelity import process_set_from_kraus, process_set_to_json
 from genmeas.linalg import phase_distance
+from genmeas.partial_projection import PartialProjParams, dops
 from genmeas.serialize import kraus_set_to_json, matrix_to_json
 
 
@@ -232,6 +233,22 @@ def test_fidelity_label_mismatch_exits_5(tmp_path, capsys):
     a.write_text(process_set_to_json(process_set_from_kraus(ops, ("a", "b", "c"))))
     b.write_text(process_set_to_json(process_set_from_kraus(ops, ("a", "b", "z"))))
     assert main(["fidelity", str(a), str(b)]) == 5
+
+
+def test_fidelity_rejects_non_psd_process_matrix(tmp_path, capsys):
+    # Adding 0.2 diag(1, -1, 0, 0) to each chi keeps the traces and the POVMs:
+    # only positivity is wrong, and the report would score above 1.
+    ps = process_set_from_kraus(list(dops(PartialProjParams(0.8, 0.6))), ("0", "1"))
+    ideal, bad = tmp_path / "ideal.json", tmp_path / "bad.json"
+    ideal.write_text(process_set_to_json(ps))
+    doc = json.loads(ideal.read_text())
+    for o, (_, chi) in zip(doc["outcomes"], ps.outcomes):
+        o["chi"] = matrix_to_json(chi.chi + 0.2 * np.diag([1.0, -1.0, 0.0, 0.0]))
+    bad.write_text(json.dumps(doc))
+    assert main(["fidelity", str(bad), str(ideal)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "process matrix has eigenvalue" in err
 
 
 def test_fidelity_povm_mode(tmp_path):

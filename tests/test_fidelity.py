@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from genmeas import fidelity
 from genmeas.channels import (
     NoiseSpec,
     amplitude_damping_kraus,
@@ -377,6 +379,31 @@ def test_povm_fidelity_cases():
         povm_fidelity(proj, proj[:1])
 
 
+def test_povm_fidelity_matches_qubit_closed_form():
+    # For 2x2 PSD A, B: [Tr sqrt(sqrt(B) A sqrt(B))]^2 = Tr(AB) + 2 sqrt(det A det B)
+    # (Hubner 1992). A per-element loop over it is the reference for both variants.
+    rng = np.random.default_rng(79)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        pa, pi = ([adjoint(m) @ m for m in random_kraus_set(n, rng).ops] for _ in range(2))
+        dets = [max(np.linalg.det(a).real * np.linalg.det(b).real, 0.0) for a, b in zip(pa, pi)]
+        u = [math.sqrt(np.trace(a @ b).real + 2 * math.sqrt(dt)) for a, b, dt in zip(pa, pi, dets)]
+        fp = sum(uk**2 / math.sqrt(np.trace(a).real * np.trace(b).real) for uk, a, b in zip(u, pa, pi)) / 2
+        assert povm_fidelity(pa, pi, "Fp") == pytest.approx(fp, abs=1e-12)
+        assert povm_fidelity(pa, pi, "FpTilde") == pytest.approx((sum(u) / 2) ** 2, abs=1e-12)
+
+
+def test_povm_fidelity_rejects_non_psd_elements():
+    # Traces and sums are those of a POVM; only positivity is wrong, and the
+    # actual side used to score Fp 1.107 and FpTilde 1.098.
+    proj = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    bad = [np.diag([1.2, 0.0]).astype(complex), np.diag([-0.2, 1.0]).astype(complex)]
+    for args in ((bad, proj), (proj, bad)):
+        for variant in ("Fp", "FpTilde"):
+            with pytest.raises(ValueError, match="POVM element has eigenvalue"):
+                povm_fidelity(*args, variant)
+
+
 def test_povm_fidelity_partial_vs_projective():
     p, q = 0.8, 0.6
     actual = [np.diag([p, 1 - q]).astype(complex), np.diag([1 - p, q]).astype(complex)]
@@ -514,6 +541,49 @@ def test_fidelity_report_keys():
     for entry in report["partial"].values():
         assert entry["F"] == pytest.approx(1.0, abs=1e-10)
         assert entry["failed"] is False
+
+
+def test_fidelity_report_makes_one_uhlmann_call(monkeypatch):
+    # One 4-outcome report: the POVM traces are one stacked Uhlmann call (one
+    # eigh, one SVD) and each partial fidelity one rank-1 eigvalsh.
+    s = random_kraus_set(4, np.random.default_rng(78))
+    actual = ProcessSet(outcomes=tuple(
+        (label, noisy_branch(m, NoiseSpec("depolarizing", 0.1))) for label, m in zip(s.labels, s.ops)
+    ))
+    ideal = process_set_from_kraus(s.ops, s.labels)
+    calls = collections.Counter()
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
+                         (fidelity, "_uhlmann_trace")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
+    fidelity_report(actual, ideal)
+    assert calls == {"_uhlmann_trace": 1, "eigh": 1, "svd": 1, "eigvalsh": 4}
+
+
+def test_mixed_measurement_scores_one_against_itself():
+    # Every total is the family over the partials, so a noisy (mixed) set
+    # against itself totals 1, as its partials and parametric(alpha) do.
+    ps = ProcessSet(outcomes=tuple(
+        (label, noisy_branch(m, NoiseSpec("depolarizing", 0.3)))
+        for label, m in zip(("0", "1"), dops(PartialProjParams(0.8, 0.6)))
+    ))
+    report = fidelity_report(ps, ps)
+    for key in ("total_sum", "total_sqrt_squared", "povm_Fp", "povm_FpTilde"):
+        assert report[key] == pytest.approx(1.0, abs=1e-12), key
+    for alpha in (0.2, 0.5, 1.0):
+        assert total_fidelity(ps, ps, "parametric", alpha=alpha) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        total_fidelity(ps, ps, "parametric", alpha=0.0)
+
+
+def test_state_fidelity_accepts_what_validation_accepts():
+    # An eigenvalue of -5e-9 passes validate_state at 1e-8, so the Uhlmann route
+    # clamps it in either argument order rather than raising in one of them.
+    rho = np.diag([1 + 5e-9, -5e-9]).astype(complex)
+    sigma = np.diag([0.7, 0.3]).astype(complex)
+    assert state_fidelity(rho, sigma) == pytest.approx(math.sqrt(0.7), abs=1e-8)
+    assert state_fidelity(sigma, rho) == pytest.approx(math.sqrt(0.7), abs=1e-8)
 
 
 def test_state_fidelity_rejects_nan_and_non_states():

@@ -98,6 +98,26 @@ def test_psd_sqrt_squares_and_commutes():
         assert np.linalg.norm(r @ m - m @ r) < 1e-10
 
 
+def test_stack_helpers_match_single_matrices():
+    # adjoint, herm_eig and psd_sqrt on a (3, 4, 2, 2) stack equal the
+    # single-matrix results; one bad matrix fails the whole stack.
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    m = adjoint(a) @ a
+    w, _ = herm_eig(m)
+    r = psd_sqrt(m)
+    for i in np.ndindex(3, 4):
+        assert np.array_equal(adjoint(a)[i], adjoint(a[i]))
+        assert np.allclose(w[i], herm_eig(m[i])[0], atol=1e-12)
+        assert np.allclose(r[i], psd_sqrt(m[i]), atol=1e-12)
+    m[1, 2] = np.diag([1.0, -0.5])
+    with pytest.raises(ValueError, match="below -"):
+        psd_sqrt(m)
+    m[1, 2] = a[1, 2]
+    with pytest.raises(ValueError, match="Hermiticity"):
+        herm_eig(m)
+
+
 def test_pauli_basis_normalization():
     for n in (1, 2):
         basis = pauli_basis(n)

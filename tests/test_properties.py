@@ -4,7 +4,9 @@ For Kraus sets of 2 to 4 outcomes, some of them scaled unitaries sqrt(w) U
 (whose reduction steps have p + q = 1, no measurement at all), the leaf
 table of each backend must give leaf k the probability Tr(M_k rho M_k^dag)
 and the state M_k rho M_k^dag / Tr. The protocols ``reduce`` builds from
-random sets of 2 to 6 outcomes keep their invariants at every order.
+random sets of 2 to 6 outcomes keep their invariants at every order. Every
+fidelity lies in [0, 1] and a report agrees with itself; JSON and angle
+round trips are exact or within 1e-12; updates keep trace 1 and purity.
 Examples are derandomized, so a run is reproducible.
 """
 
@@ -19,11 +21,20 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from genmeas import continuous_readout, decomposition, linalg  # noqa: E402
-from genmeas.continuous_readout import ReadoutConfig, thresholds_from_pq  # noqa: E402
-from genmeas.decomposition import compose_branch, kraus_set, random_kraus_set, reduce  # noqa: E402
+from genmeas.ancilla_circuit import angles_from_pq, pq_from_angles  # noqa: E402
+from genmeas.channels import KINDS, NoiseSpec, noisy_branch  # noqa: E402
+from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq  # noqa: E402
+from genmeas.decomposition import (  # noqa: E402
+    compose_branch, kraus_set, protocol_from_json, protocol_to_json, random_kraus_set, reduce,
+)
 from genmeas.errors import Infeasible, SingularRemainder  # noqa: E402
+from genmeas.fidelity import (  # noqa: E402
+    ProcessSet, fidelity_report, process_set_from_json, process_set_from_kraus, process_set_to_json,
+    state_fidelity, total_fidelity,
+)
 from genmeas.linalg import adjoint, herm_eig, is_unitary, phase_distance  # noqa: E402
-from genmeas.partial_projection import PartialProjParams  # noqa: E402
+from genmeas.partial_projection import PartialProjParams, apply_outcome  # noqa: E402
+from genmeas.serialize import kraus_set_from_json, kraus_set_to_json  # noqa: E402
 from test_continuous_readout import reference_exit_table  # noqa: E402
 
 BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz", "continuous")
@@ -78,6 +89,34 @@ def states(draw):
     r = np.array(draw(st.tuples(unit, unit, unit)))
     r *= 0.9 / max(1.0, float(np.linalg.norm(r)))
     return (np.eye(2) + sum(c * s for c, s in zip(r, PAULIS))) / 2
+
+
+@st.composite
+def density_matrices(draw):
+    """A density matrix with Bloch vector of any length in [0, 1], pure states included."""
+    r = np.array(draw(st.tuples(unit, unit, unit)))
+    norm = float(np.linalg.norm(r))
+    assume(norm > 1e-3)
+    r *= draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))) / norm
+    return (np.eye(2) + sum(c * s for c, s in zip(r, PAULIS))) / 2
+
+
+@st.composite
+def scored_sets(draw):
+    """A noisy n-outcome process set (n = 2..6), each outcome with its own noise
+    kind and strength, and an ideal for it: the purity-preserving set of the same
+    Kraus operators or another noisy version of them."""
+    n = draw(st.integers(2, 6))
+    s = random_kraus_set(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+    def noisy():
+        specs = [NoiseSpec(draw(st.sampled_from(KINDS)), draw(st.floats(0.0, 1.0)), k) for k in range(n)]
+        return ProcessSet(tuple(
+            (label, noisy_branch(m, spec)) for label, m, spec in zip(s.labels, s.ops, specs)
+        ))
+
+    actual = noisy()
+    return actual, noisy() if draw(st.booleans()) else process_set_from_kraus(s.ops, s.labels)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -213,3 +252,104 @@ def test_reduce_makes_one_svd_per_outcome(monkeypatch):
         calls.clear()
         reduce(s)
         assert calls == {"svd": n}, n
+
+
+TOTALS = ("total_sum", "total_sqrt_squared", "povm_Fp", "povm_FpTilde")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scored_sets(), st.floats(0.1, 1.0), density_matrices(), density_matrices())
+def test_every_fidelity_lies_in_the_unit_interval(sets, alpha, rho, sigma):
+    # Every numeric field of a report, the parametric total and the state
+    # fidelities lie in [0, 1]; the totals are the family over the report's own
+    # partials and probabilities.
+    actual, ideal = sets
+    report = fidelity_report(actual, ideal)
+    partial = [report["partial"][label]["F"] for label in report["labels"]]
+    values = [f for f in partial if f is not None] + [report[key] for key in TOTALS]
+    values += report["p_actual"] + report["p_ideal"]
+    values.append(total_fidelity(actual, ideal, "parametric", alpha=alpha))
+    values += [state_fidelity(rho, sigma, variant) for variant in ("uhlmann", "uhlmann_squared")]
+    assert all(0.0 <= v <= 1.0 + 1e-9 for v in values), values
+    w = np.sqrt(np.multiply(report["p_actual"], report["p_ideal"]))
+    f = np.array(partial, dtype=float)
+    assert abs(report["total_sum"] - w @ f) <= 1e-12
+    assert abs(report["total_sqrt_squared"] - (w @ np.sqrt(f)) ** 2) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scored_sets())
+def test_a_measurement_scores_one_against_itself(sets):
+    # Mixed (noisy) sets included: each total is the family over partials of 1.
+    for ps in sets:
+        report = fidelity_report(ps, ps)
+        values = {key: report[key] for key in TOTALS}
+        values.update((label, e["F"]) for label, e in report["partial"].items())
+        for key, f in values.items():
+            assert abs(f - 1.0) <= 1e-10, key
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kraus_sets(), scored_sets())
+def test_json_round_trips_are_exact(s, sets):
+    back = kraus_set_from_json(kraus_set_to_json(s))
+    assert back.labels == s.labels and all(np.array_equal(a, b) for a, b in zip(back.ops, s.ops))
+    try:
+        proto = reduce(s)
+    except SingularRemainder:
+        proto = None
+    if proto is not None:
+        again = protocol_from_json(protocol_to_json(proto))
+        assert again.leaf_labels == proto.leaf_labels and len(again.steps) == len(proto.steps)
+        assert np.array_equal(again.final_unitary, proto.final_unitary)
+        for a, b in zip(again.steps, proto.steps):
+            assert a.params == b.params
+            for name in ("pre_unitary", "post_unitary_0", "post_unitary_1"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+    for ps in sets:
+        again = process_set_from_json(process_set_to_json(ps))
+        assert again.labels == ps.labels
+        assert all(np.array_equal(a.chi, b.chi) for (_, a), (_, b) in zip(again.outcomes, ps.outcomes))
+
+
+near_edges = st.sampled_from([0.0, 1e-16, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 1e-16, 1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.floats(0.0, 1.0), near_edges), st.one_of(st.floats(0.0, 1.0), near_edges))
+def test_angles_round_trip(p, q):
+    back = pq_from_angles(*angles_from_pq(PartialProjParams(p, q)))
+    assert abs(back.p - p) <= 1e-12 and abs(back.q - q) <= 1e-12
+
+
+def purity(rho) -> float:
+    return float(np.einsum("...ij,...ji->...", rho, rho).real)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 1), density_matrices())
+def test_apply_outcome_keeps_trace_and_purity(p, q, outcome, rho):
+    try:
+        out = apply_outcome(PartialProjParams(p, q), outcome, rho)
+    except Infeasible:  # a zero-probability outcome
+        assume(False)
+    assert abs(np.trace(out).real - 1.0) <= 1e-12
+    if abs(purity(rho) - 1.0) <= 1e-12:
+        assert abs(purity(out) - 1.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.995), st.floats(0.0, 1.0), st.floats(-1.2, 1.2),
+       st.one_of(st.just(1.0), st.floats(0.3, 1.0)), density_matrices(), st.integers(0, 2**32 - 1))
+def test_simulate_batch_keeps_trace_and_purity(p, frac, alpha, eta, rho, seed):
+    # Final states have trace 1 and the batch's purity is Tr rho^2; at eta = 1 a
+    # pure input ends pure.
+    q = 1.0 - p + 1e-3 + frac * (p - 1e-3 - 0.005)
+    t = thresholds_from_pq(PartialProjParams(p, q))
+    batch = simulate_batch(ReadoutConfig(tau_min=1.0, seed=seed, alpha=alpha, efficiency=eta), t, rho, 20)
+    states = batch.final_state
+    assert np.all(np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0) <= 1e-12)
+    tr_sq = np.einsum("nij,nji->n", states, states).real
+    assert np.all(np.abs(batch.purity - tr_sq) <= 1e-12)
+    if eta == 1.0 and abs(purity(rho) - 1.0) <= 1e-12:
+        assert np.all(np.abs(tr_sq - 1.0) <= 1e-10)
