@@ -30,6 +30,7 @@ from (final_R, duration).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import Infeasible
 from .partial_projection import PartialProjParams, validate_state
 
-_CAP = "no threshold reached within duration cap {:.3e}"
+_CAP = "no threshold reached within the duration cap of {} steps"
 _NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
 
 
@@ -232,52 +233,68 @@ def normalization_constants(params: PartialProjParams) -> tuple[float, float]:
     return math.sqrt(p * (1.0 - q)), math.sqrt(q * (1.0 - p))
 
 
-def _exit_series(t: Thresholds, config: ReadoutConfig):
+def _grid(config: ReadoutConfig) -> tuple[float, int]:
+    """(m, j_cap): the grid step m = dt / tau and the first step after which a run
+    still active exceeds the duration cap. With the thresholds they fix the exit law."""
+    cap, dt = config.duration_cap, config.dt
+    j_cap = int(cap / dt) + 2
+    while j_cap > 1 and (j_cap - 1) * dt > cap:
+        j_cap -= 1
+    return dt / config.tau, j_cap
+
+
+def _exit_series(t: Thresholds, m: float, j_cap: int):
     """Exit-time series of the readout between finite, nonzero thresholds.
 
-    Returns (lam, c, m, j_cap): m = dt / tau, and S_b(s) = sum_n c[b, n] e^{-lam_n s}
-    is P(side b, T > s) at drift +1 and e^{-2 R_b} S_b(s) at drift -1, s in units of
-    tau (Cox & Miller 1965). ``Infeasible`` if a run is still going after step j_cap
-    (:func:`_cap_steps`) w.p. > 1e-12 under either drift.
+    Returns (lam, c): S_b(s) = sum_n c[b, n] e^{-lam_n s} is P(side b, T > s) at drift
+    +1 and e^{-2 R_b} S_b(s) at drift -1, s in units of tau (Cox & Miller 1965).
+    ``Infeasible`` if a run is still going after step j_cap w.p. > 1e-12 under either
+    drift.
     """
-    m, big_l, x = config.dt / config.tau, t.R0 - t.R1, -t.R1
+    big_l, x = t.R0 - t.R1, -t.R1
     # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m.
     n = np.arange(1, int(big_l / math.pi * math.sqrt(92.0 / m)) + 3)
     k = n * math.pi / big_l
     lam = 0.5 * (1.0 + k * k)
     a = math.pi / big_l**2 * np.where(n % 2, n, -n) / lam
     c = np.stack([math.exp(big_l - x) * np.sin(k * x), math.exp(-x) * np.sin(k * (big_l - x))]) * a
-    j_cap = _cap_steps(config)
     survive = c @ np.exp(-lam * (j_cap * m))
     if max(survive.sum(), survive @ np.exp(-2.0 * np.array([t.R0, t.R1]))) > 1e-12:
-        raise Infeasible(_CAP.format(config.duration_cap))
-    return lam, c, m, j_cap
+        raise Infeasible(_CAP.format(j_cap))
+    return lam, c
 
 
-def _readout_instrument(params: PartialProjParams, config: ReadoutConfig):
-    """Run-averaged thresholded readout: Kraus pair and coherence factors.
+@functools.lru_cache(maxsize=64)
+def _readout_instrument(params: PartialProjParams, alpha: float, eta: float, m: float, j_cap: int):
+    """Run-averaged thresholded readout: Kraus pair and coherence factors, read-only.
 
     Outcome b gives K_b rho K_b^dag, K_b = sqrt(C_b) M_{R_b}(alpha) = D_b with the
     alpha phase, its off-diagonal scaled by kappa_b = E[z^J | side b]: z = exp(-(1 -
-    eta) dt / (2 eta tau)), J the run's step count, whose law given the side is one
+    eta) m / (2 eta)), J the run's step count, whose law given the side is one
     under both hidden labels, so the averaged map is linear (:func:`_exit_series`).
+    Cached on what it reads, (p, q), alpha, eta and the grid (:func:`_grid`), never
+    on the seed, so calls that share a readout share one build.
     """
     t = thresholds_from_pq(params)
     _realizable(t)
     c0, c1 = normalization_constants(params)
-    pair = (math.sqrt(c0) * measurement_operator(t.R0, config.alpha),
-            math.sqrt(c1) * measurement_operator(t.R1, config.alpha))
+    pair = (math.sqrt(c0) * measurement_operator(t.R0, alpha),
+            math.sqrt(c1) * measurement_operator(t.R1, alpha))
     if t.R0 == 0.0 or t.R1 == 0.0:
-        return pair, np.ones(2)  # the readout stops before its first step
-    lam, c, m, _ = _exit_series(t, config)
-    # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j m), h_b = P(side b) at drift +1.
-    log_z = -(1.0 - config.efficiency) * m / (2.0 * config.efficiency)
-    h, w = np.array([params.p, 1.0 - params.p]), log_z - lam * m
-    kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
-    return pair, np.divide(kappa, h, out=np.ones(2), where=h > 0)
+        kappa = np.ones(2)  # the readout stops before its first step
+    else:
+        lam, c = _exit_series(t, m, j_cap)
+        # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j m), h_b = P(side b) at drift +1.
+        log_z = -(1.0 - eta) * m / (2.0 * eta)
+        h, w = np.array([params.p, 1.0 - params.p]), log_z - lam * m
+        kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
+        kappa = np.divide(kappa, h, out=np.ones(2), where=h > 0)
+    for a in (*pair, kappa):
+        a.flags.writeable = False
+    return pair, kappa
 
 
-def _exit_table(t: Thresholds, config: ReadoutConfig) -> np.ndarray:
+def _exit_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
     """Survival table S[b, j] = P(side b, J > j) at drift +1 for j = 0 .. K.
 
     J = ceil(T / dt) is a run's step count on the grid and S[:, 0] = h = (p, 1 - p).
@@ -286,7 +303,7 @@ def _exit_table(t: Thresholds, config: ReadoutConfig) -> np.ndarray:
     K bins take about log2(K / 64) + 1 numpy passes; a chunk starting at s keeps only
     the terms lam_n s <= 60.
     """
-    lam, c, m, j_cap = _exit_series(t, config)
+    lam, c = _exit_series(t, m, j_cap)
     pq = pq_from_thresholds(t)
     h = np.array([pq.p, pq.q * math.exp(2.0 * t.R1)])  # (p, 1 - p) without cancellation
     chunks, j = [h[:, None]], 1
@@ -303,13 +320,22 @@ def _exit_table(t: Thresholds, config: ReadoutConfig) -> np.ndarray:
     return np.concatenate(chunks, axis=1)
 
 
-def _cap_steps(config: ReadoutConfig) -> int:
-    """The first step after which a run still active exceeds the duration cap."""
-    cap, dt = config.duration_cap, config.dt
-    j_cap = int(cap / dt) + 2
-    while j_cap > 1 and (j_cap - 1) * dt > cap:
-        j_cap -= 1
-    return j_cap
+@functools.lru_cache(maxsize=8)
+def _search_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
+    """-S_b(j) / h_b for j = 1 .. K (:func:`_exit_table`), read-only, last bin 0.
+
+    J - 1 counts the j >= 1 with S_b(j m) / h_b >= 1 - u: a right search of u - 1.
+    Cached on (t, m, j_cap), never on the seed. A table holds at most 2 j_cap
+    floats, which the slowest readouts reach (alpha near pi/2, strong thresholds):
+    16 MB at the default cap of 1e6 dt, so the 8 entries hold at most 128 MB; a
+    longer ``max_duration`` raises both in proportion.
+    """
+    surv = _exit_table(t, m, j_cap)
+    tail = surv[:, 1:]
+    tail /= -surv[:, :1]
+    tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
+    tail.flags.writeable = False
+    return tail
 
 
 def _final_batch(
@@ -344,7 +370,7 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, states: np.ndarray, u: np
 
     The first uniform picks the side by the Born rule, P(side 0) = p rho00 + (1 - q)
     rho11, (p, q) = ``_realizable(t)`` and 1 - q = p e^{-2 R0}; the second picks the step count J
-    from that side's conditional table (:func:`_exit_table`), whose law is the same
+    from that side's conditional table (:func:`_search_table`), whose law is the same
     under both hidden labels: each run's second uniform is searched in its own side's
     table only. A zero threshold stops the readout at J = 0.
     """
@@ -353,11 +379,7 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, states: np.ndarray, u: np
     outcome = (u[:, 0] >= born0).astype(np.int64)
     steps = np.zeros(len(states), dtype=np.int64)
     if t.R0 != 0.0 and t.R1 != 0.0:
-        surv = _exit_table(t, config)
-        # J - 1 counts the j >= 1 with S_b(j m) / h_b >= 1 - u: a search on -S_b / h_b.
-        tail = surv[:, 1:]
-        tail /= -surv[:, :1]
-        tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
+        tail = _search_table(t, *_grid(config))
         key = u[:, 1] - 1.0
         for b in (0, 1):
             side = outcome == b
@@ -391,7 +413,7 @@ def readout_walk(
     n = len(states)
     if t.R0 == 0.0 or t.R1 == 0.0:
         return _sample_exit(config, t, states, rng.random((n, 2)))
-    m = config.dt / config.tau
+    m, j_cap = _grid(config)
     if t.R0 - t.R1 < 2.0 * math.sqrt(m):
         raise ValueError(f"thresholds {t.R0 - t.R1:.4g} apart bias the grid walk at dt = "
                          f"{config.dt:g}; it needs dt <= tau (R0 - R1)^2 / 4")
@@ -399,13 +421,13 @@ def readout_walk(
     outcome, steps = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     idx, R = np.arange(n), np.zeros(n)
     drift = np.where(rng.random(n) < states[:, 0, 0].real, m, -m)
-    j_cap, j = _cap_steps(config), 0
+    j = 0
     # Endpoints far beyond a threshold overflow the bridge exponent to inf,
     # which still reads as certain absorption.
     with np.errstate(over="ignore"):
         while len(idx):
             if j == j_cap:
-                raise Infeasible(_CAP.format(config.duration_cap))
+                raise Infeasible(_CAP.format(j_cap))
             j += 1
             end = R + drift + math.sqrt(m) * rng.standard_normal(len(idx))
             u = rng.random(len(idx))

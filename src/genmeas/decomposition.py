@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous_readout import _readout_instrument
+from .continuous_readout import _grid, _readout_instrument
 from .errors import Infeasible, NotComplete, SingularRemainder
 from .linalg import adjoint, is_unitary, phase_distance, psd_sqrt
 from .partial_projection import (
@@ -298,7 +298,8 @@ def _leaf_table(
         if backend == "exact":
             k0, k1 = dops(pq)
         elif backend == "continuous":
-            (k0, k1), kappa = _readout_instrument(pq, readout_config)
+            cfg = readout_config
+            (k0, k1), kappa = _readout_instrument(pq, cfg.alpha, cfg.efficiency, *_grid(cfg))
         else:
             k0, k1 = _ancilla_kraus(variant, pq.p, pq.q)
         rho = adjoint(step.pre_unitary) @ rho @ step.pre_unitary
@@ -383,7 +384,8 @@ def random_kraus_set(
     """Random n-outcome purity-preserving qubit Kraus set.
 
     Draws n - 1 random contractions scaled to keep their squared sum below
-    the identity, completes the set via :func:`remainder`, and rotates each
+    the identity, completes the set with the PSD square root of the identity minus
+    their squared sum (:func:`~genmeas.linalg.psd_sqrt`), and rotates each
     operator by an independent random unitary.
     """
     raw = [

@@ -299,7 +299,9 @@ def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
     F_k = u_k^2/(Tr P_k Tr Pi_k), u_k = Tr sqrt(sqrt(Pi_k) P_k sqrt(Pi_k)):
     "Fp" (alpha = 1) is (1/d) sum_k u_k^2 / sqrt(Tr P_k Tr Pi_k) and "FpTilde"
     (alpha = 1/2) is [(1/d) sum_k u_k]^2. ``Mismatch`` if the lengths differ or
-    a set does not sum to I; ``ValueError`` if an element is not Hermitian PSD.
+    a set does not sum to I; ``ValueError`` naming the set if its elements do not
+    share one d x d shape, or if the two sets' shapes differ, or if an element is
+    not Hermitian PSD.
     """
     if variant not in _POVM_ALPHA:
         raise ValueError(f"unknown POVM fidelity variant {variant!r}")
@@ -307,6 +309,13 @@ def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
         raise Mismatch(f"{len(actual)} vs {len(ideal)} POVM elements")
     if not len(actual):
         raise ValueError("a POVM needs at least one element")
+    shapes = [sorted({np.shape(e) for e in elems}) for elems in (actual, ideal)]
+    for name, s in zip(("actual", "ideal"), shapes):
+        if len(s) != 1 or len(s[0]) != 2 or s[0][0] != s[0][1]:
+            raise ValueError(f"{name} POVM elements must share one d x d shape, got {s}")
+    if shapes[0] != shapes[1]:
+        a, b = (s[0] for s in shapes)
+        raise ValueError(f"actual POVM elements are {a}, ideal POVM elements {b}")
     actual, ideal = (np.asarray(e, dtype=np.complex128) for e in (actual, ideal))
     for name, elems in (("actual", actual), ("ideal", ideal)):
         dev = np.linalg.norm(elems.sum(axis=0) - np.eye(actual.shape[-1]))

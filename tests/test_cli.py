@@ -280,6 +280,25 @@ def test_fidelity_povm_checks_format_version(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "9.0" in err
 
 
+def test_fidelity_povm_mixed_shapes_exit_2(tmp_path, capsys):
+    def doc(*mats):
+        elements = [{"label": str(k), "matrix": matrix_to_json(m)} for k, m in enumerate(mats)]
+        return json.dumps({"format_version": "1.0", "elements": elements})
+
+    q2 = tmp_path / "q2.json"
+    q2.write_text(doc(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    q3 = tmp_path / "q3.json"
+    q3.write_text(doc(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(doc(np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 1.0])))
+    for pair, text in (((q2, q3), "actual POVM elements are (2, 2), ideal POVM elements (3, 3)"),
+                       ((q2, mixed), "ideal POVM elements must share one d x d shape"),
+                       ((mixed, q2), "actual POVM elements must share one d x d shape")):
+        assert main(["fidelity", *map(str, pair), "--mode", "povm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and text in err
+
+
 def test_circuit_out_of_range_exits_2(capsys):
     assert main(["circuit", "--p", "1.5", "--q", "0.6"]) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,6 +21,7 @@ from genmeas.continuous_readout import (
     thresholds_from_pq,
     trajectories_to_jsonl,
 )
+from genmeas.decomposition import kraus_set, reduce, sample_protocol
 from genmeas.errors import Infeasible
 from genmeas.linalg import equal_up_to_phase
 from genmeas.partial_projection import (
@@ -376,7 +379,7 @@ def test_seeding_contract():
     u = np.random.default_rng(cfg.seed).random((500, 2))
     born0 = float((params.p * PLUS[0, 0] + (1 - params.q) * PLUS[1, 1]).real)
     assert np.array_equal(a.outcome, (u[:, 0] >= born0).astype(int))
-    surv = continuous_readout._exit_table(t, cfg)
+    surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
     for k in range(500):
         side = surv[a.outcome[k]]
         j = round(a.duration[k] / cfg.dt)
@@ -557,7 +560,7 @@ def test_exit_table_matches_the_walk(p, q, n, seed):
     t = thresholds_from_pq(PartialProjParams(p, q))
     cfg = ReadoutConfig(tau_min=1.0, seed=seed)
     walk = readout_walk(cfg, t, np.broadcast_to(PLUS, (n, 2, 2)), np.random.default_rng(seed))
-    surv = continuous_readout._exit_table(t, cfg)
+    surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
     pmf = -np.diff(surv, axis=1)
     steps = np.rint(walk.duration / cfg.dt).astype(int)
     assert steps.min() >= 1 and steps.max() <= pmf.shape[1]
@@ -569,7 +572,8 @@ def test_exit_table_matches_the_walk(p, q, n, seed):
 
 def reference_exit_table(t: Thresholds, cfg: ReadoutConfig) -> np.ndarray:
     """The exit table built 64 bins at a time, each chunk with the terms lam_n s <= 60."""
-    lam, c, m, j_cap = continuous_readout._exit_series(t, cfg)
+    m, j_cap = continuous_readout._grid(cfg)
+    lam, c = continuous_readout._exit_series(t, m, j_cap)
     e0, e1 = math.expm1(-2.0 * t.R0), math.expm1(-2.0 * t.R1)
     h = np.array([e1, -e0]) / (e1 - e0)
     chunks = [h[:, None]]
@@ -604,3 +608,70 @@ def test_batch_draws_from_the_reference_table(pq, alpha, eta):
         j0, j1 = (np.searchsorted(tail[b], u[:, 1] - 1.0, side="right") for b in (0, 1))
         assert np.array_equal(batch.outcome, outcome)
         assert np.array_equal(batch.duration, (1 + np.where(outcome == 0, j0, j1)) * cfg.dt)
+
+
+@pytest.mark.parametrize("pq", [(0.8, 0.6), (0.99, 0.98)])
+@pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7)])
+def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
+    # A cold call builds the readout's search table and instrument, a warm one
+    # reads them: the same batch and samples bit for bit, and cached entries equal
+    # to fresh builds, the table from _exit_table's survival table.
+    params = PartialProjParams(*pq)
+    t = thresholds_from_pq(params)
+    proto = reduce(kraus_set(dops(params)))
+    cfg = ReadoutConfig(tau_min=1.0, seed=5, alpha=alpha, efficiency=eta)
+    grid = continuous_readout._grid(cfg)
+    calls = (lambda: simulate_batch(cfg, t, PLUS, 1000),
+             lambda: sample_protocol(proto, PLUS, 200, 9, "continuous", cfg))
+    for call in calls:
+        continuous_readout._search_table.cache_clear()
+        continuous_readout._readout_instrument.cache_clear()
+        cold, warm = call(), call()
+        assert pickle.dumps(cold) == pickle.dumps(warm)
+    surv = continuous_readout._exit_table(t, *grid)
+    fresh = surv[:, 1:] / -surv[:, :1]
+    fresh[:, -1] = 0.0
+    assert np.array_equal(continuous_readout._search_table(t, *grid), fresh)
+    cached = continuous_readout._readout_instrument(params, alpha, eta, *grid)
+    rebuilt = continuous_readout._readout_instrument.__wrapped__(params, alpha, eta, *grid)
+    assert pickle.dumps(cached) == pickle.dumps(rebuilt)
+
+
+def test_exit_law_cache_ignores_seed_state_and_efficiency():
+    # The law depends on (thresholds, m, j_cap) alone: eight calls that differ in
+    # seed, state and efficiency build one table.
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    cache = continuous_readout._search_table
+    cache.cache_clear()
+    for seed, rho, eta in itertools.product((3, 4), (KET0, PLUS), (1.0, 0.6)):
+        simulate_batch(ReadoutConfig(tau_min=1.0, seed=seed, efficiency=eta), t, rho, 100)
+    info = cache.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 7, 8)
+    assert continuous_readout._readout_instrument.cache_info().maxsize == 64
+
+
+def test_cached_exit_law_is_read_only():
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7)
+    grid = continuous_readout._grid(cfg)
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    arrays = [continuous_readout._search_table(t, *grid)]
+    for pq in ((0.8, 0.6), (0.7, 0.3)):  # the second stops before its first step
+        params = PartialProjParams(*pq)
+        pair, kappa = continuous_readout._readout_instrument(params, 0.0, 0.7, *grid)
+        arrays += [*pair, kappa]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_duration_cap_raises_on_every_call():
+    # Exceptions are not cached: a cap the readout outlasts raises each time.
+    params = PartialProjParams(0.99, 0.98)
+    t = thresholds_from_pq(params)
+    cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=0.05)
+    grid = continuous_readout._grid(cfg)
+    for _ in range(3):
+        with pytest.raises(Infeasible, match="duration cap of 6 steps"):
+            simulate_batch(cfg, t, PLUS, 10)
+        with pytest.raises(Infeasible, match="duration cap of 6 steps"):
+            continuous_readout._readout_instrument(params, 0.0, 1.0, *grid)

@@ -449,7 +449,8 @@ def test_continuous_backend_averages_the_walk_below_unit_efficiency():
         assert abs(len(side) / n - expect) < 4 * math.sqrt(expect * (1 - expect) / n)
     # The coherence factors do not depend on the hidden label: walks from
     # |0> and from |1> estimate the same kappa_b.
-    _, kappa = continuous_readout._readout_instrument(step.params, cfg)
+    grid = continuous_readout._grid(cfg)
+    _, kappa = continuous_readout._readout_instrument(step.params, cfg.alpha, cfg.efficiency, *grid)
     z = math.exp(-(1 - cfg.efficiency) * cfg.dt / (2 * cfg.efficiency * cfg.tau))
     for ket in ([1, 0], [0, 1]):
         batch = simulate_batch(cfg, t, pure_state(np.array(ket)), n)

@@ -404,6 +404,22 @@ def test_povm_fidelity_rejects_non_psd_elements():
                 povm_fidelity(*args, variant)
 
 
+def test_povm_fidelity_rejects_mixed_shapes():
+    # A 2 x 2 POVM against a 3 x 3 one, and a set mixing both sizes, name the
+    # set at fault instead of failing inside numpy.
+    q2 = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    q3 = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 1.0]).astype(complex)]
+    with pytest.raises(ValueError, match=r"actual POVM elements are \(2, 2\), ideal .* \(3, 3\)"):
+        povm_fidelity(q2, q3)
+    with pytest.raises(ValueError, match=r"actual POVM elements are \(3, 3\), ideal .* \(2, 2\)"):
+        povm_fidelity(q3, q2)
+    mixed = r"actual POVM .* one d x d shape, got \[\(2, 2\), \(3, 3\)\]"
+    with pytest.raises(ValueError, match=mixed):
+        povm_fidelity([q2[0], q3[1]], q2)
+    with pytest.raises(ValueError, match=r"ideal POVM .* one d x d shape"):
+        povm_fidelity(q2, [q2[0], q3[1]])
+
+
 def test_povm_fidelity_partial_vs_projective():
     p, q = 0.8, 0.6
     actual = [np.diag([p, 1 - q]).astype(complex), np.diag([1 - p, q]).astype(complex)]

@@ -149,7 +149,7 @@ def test_exit_table_is_the_exit_law(p, frac, m, eta):
     params = PartialProjParams(p, q)
     t = thresholds_from_pq(params)
     cfg = ReadoutConfig(tau_min=1.0, seed=0, dt=m, efficiency=eta)
-    surv = continuous_readout._exit_table(t, cfg)
+    surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
     pmf = -np.diff(surv, axis=1)
     h = np.array([p, 1.0 - p])
     assert pmf.min() > -1e-14  # survival is nonincreasing up to round-off
@@ -162,7 +162,8 @@ def test_exit_table_is_the_exit_law(p, frac, m, eta):
     assert mean_t - 1e-9 <= m * mean_j <= mean_t + m + 1e-9
     # The coherence factors of the continuous backend's instrument.
     z = np.exp(-(1.0 - eta) * m / (2.0 * eta)) ** np.arange(1, pmf.shape[1] + 1)
-    _, kappa = continuous_readout._readout_instrument(params, cfg)
+    grid = continuous_readout._grid(cfg)
+    _, kappa = continuous_readout._readout_instrument(params, cfg.alpha, cfg.efficiency, *grid)
     assert np.all(np.abs(pmf @ z / h - kappa) < 1e-10)
 
 
@@ -180,7 +181,7 @@ def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
         free = reference_exit_table(t, cfg)
     except Infeasible:  # the default cap, 1e6 dt, is too short
         with pytest.raises(Infeasible, match="duration cap"):
-            continuous_readout._exit_table(t, cfg)
+            continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
         return
     if cap is not None:
         outlast = np.maximum(free.sum(axis=0), np.exp(-2.0 * np.array([t.R0, t.R1])) @ free)
@@ -189,7 +190,7 @@ def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
         cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, dt=m, efficiency=eta,
                             max_duration=(j_cap - 0.5) * m)
     ref = reference_exit_table(t, cfg)
-    surv = continuous_readout._exit_table(t, cfg)
+    surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
     assert surv.shape == ref.shape
     if cap is not None:
         assert surv.shape[1] == j_cap + 1
@@ -197,7 +198,8 @@ def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
     # cuts: allow 1e-15 h plus 16 ulps of its absolute sum A_b(s) = sum_n |c_bn|
     # e^{-lam_n s}, which is nonincreasing in s, so A at the power of two at or
     # below j bounds bin j.
-    lam, c, m_tau, _ = continuous_readout._exit_series(t, cfg)
+    m_tau, cap_steps = continuous_readout._grid(cfg)
+    lam, c = continuous_readout._exit_series(t, m_tau, cap_steps)
     k = np.frexp(np.maximum(np.arange(ref.shape[1]), 1))[1] - 1
     absum = np.abs(c) @ np.exp(-np.outer(lam, 2.0 ** np.arange(k.max() + 1) * m_tau))
     assert np.all(np.abs(surv - ref) <= 1e-15 * ref[:, :1] + 16 * np.finfo(float).eps * absum[:, k])
