@@ -10,10 +10,12 @@ fidelity    score an actual measurement against an ideal one
 
 Exit codes: 0 ok; 2 invalid input (``ValueError``, including out-of-range
 parameters, a wrong-schema JSON document and a missing or unreadable file);
-3 a singular remainder in the reduction; 4 a backend that cannot realize a
-step; 5 measurements that cannot be compared. A ``GenmeasError`` carries its
-code as ``exit_code``, and ``main`` is the one place that maps an exception
-to an exit code and prints it as a single ``error:`` line.
+3 a reduction that fails numerically: a singular remainder, or a leaf that
+composes its Kraus operator only to a deviation above ``BRANCH_TOL`` (1e-9);
+4 a backend that cannot realize a step; 5 measurements that cannot be
+compared. A ``GenmeasError`` carries its code as ``exit_code``, and ``main``
+is the one place that maps an exception to an exit code and prints it as a
+single ``error:`` line.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .continuous_readout import (
     trajectories_to_jsonl,
 )
 from .decomposition import (
-    branch_deviation,
+    branch_deviations,
     protocol_from_json,
     protocol_to_json,
     reduce as reduce_kraus,
@@ -95,8 +97,7 @@ def cmd_synth(args) -> int:
     order = tuple(int(x) for x in args.order.split(",")) if args.order else None
     proto = reduce_kraus(ks, order=order, cancel_u1=args.cancel_u1)
     # Without --output stdout carries the protocol JSON, so the deviations go to stderr.
-    for label, m in zip(ks.labels, ks.ops):
-        dev = branch_deviation(proto, label, m)
+    for label, dev in branch_deviations(proto, ks).items():
         print(f"leaf {label}: composition deviation {dev:.3e}",
               file=sys.stdout if args.output else sys.stderr)
     _write(protocol_to_json(proto), args.output)

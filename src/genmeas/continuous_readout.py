@@ -25,7 +25,8 @@ count from that series, with no walk, and the ``continuous`` backend
 averages over it in closed form. ``simulate_trajectory`` walks the grid
 step by step to record a readout path. Because increments compose exactly
 through the diagonal exponentials, the final state follows in closed form
-from (final_R, duration).
+from (final_R, duration): a batch from one state has one final state per
+threshold, whose coherence each run scales by its duration at eta < 1.
 """
 
 from __future__ import annotations
@@ -339,63 +340,72 @@ def _search_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
 
 
 def _final_batch(
-    states: np.ndarray,
-    final_R: np.ndarray,
-    duration: np.ndarray,
+    rho: np.ndarray,
     outcome: np.ndarray,
+    steps: np.ndarray,
+    t: Thresholds,
     config: ReadoutConfig,
 ) -> TrajectoryBatch:
-    """Closed-form M_R rho M_R^dag / Tr per run, dephased by exp(-(1-eta)/(2 eta) T/tau)."""
-    e = np.exp(final_R)
-    r00 = e * states[:, 0, 0].real
-    r11 = states[:, 1, 1].real / e
+    """Runs from ``rho`` ending on side ``outcome`` after ``steps`` steps of dt.
+
+    The two final states M_R rho M_R^dag / Tr, R = R0 or R1, and their purities are
+    built once and gathered by outcome; at eta < 1 each run's off-diagonals are then
+    scaled by exp(-(1 - eta)/(2 eta) T/tau), T its duration.
+    """
+    r = np.array([t.R0, t.R1])
+    e = np.exp(r)
+    r00 = e * rho[0, 0].real
+    r11 = rho[1, 1].real / e
     norm = r00 + r11
-    r01 = states[:, 0, 1] * np.exp(-1j * math.tan(config.alpha) * final_R) / norm
-    eta = config.efficiency
-    if eta < 1.0:
-        r01 *= np.exp(-(1.0 - eta) / (2.0 * eta) * duration / config.tau)
+    r01 = rho[0, 1] * np.exp(-1j * math.tan(config.alpha) * r) / norm
     r00 /= norm
     r11 /= norm
-    out = np.empty((len(outcome), 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = r00
-    out[:, 1, 1] = r11
-    out[:, 0, 1] = r01
-    out[:, 1, 0] = r01.conj()
-    purity = r00**2 + r11**2 + 2.0 * np.abs(r01) ** 2
-    return TrajectoryBatch(outcome, duration, final_R, out, purity)
+    states = np.stack([r00, r01, r01.conj(), r11], axis=1).reshape(2, 2, 2)
+    diag = r00**2 + r11**2
+    out = states.take(outcome, axis=0)
+    duration = steps * config.dt
+    eta = config.efficiency
+    if eta < 1.0:
+        out[:, 0, 1] *= np.exp(-(1.0 - eta) / (2.0 * eta) * duration / config.tau)
+        out[:, 1, 0] = out[:, 0, 1].conj()
+        purity = diag[outcome] + 2.0 * np.abs(out[:, 0, 1]) ** 2
+    else:
+        purity = (diag + 2.0 * np.abs(r01) ** 2)[outcome]
+    return TrajectoryBatch(outcome, duration, r[outcome], out, purity)
 
 
-def _sample_exit(config: ReadoutConfig, t: Thresholds, states: np.ndarray, u: np.ndarray) -> TrajectoryBatch:
-    """Runs drawn from the exact exit law, run i from the uniform pair ``u[i]``.
+def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.ndarray) -> TrajectoryBatch:
+    """Runs from ``rho`` drawn from the exact exit law, run i from the uniform pair ``u[i]``.
 
-    The first uniform picks the side by the Born rule, P(side 0) = p rho00 + (1 - q)
-    rho11, (p, q) = ``_realizable(t)`` and 1 - q = p e^{-2 R0}; the second picks the step count J
-    from that side's conditional table (:func:`_search_table`), whose law is the same
-    under both hidden labels: each run's second uniform is searched in its own side's
-    table only. A zero threshold stops the readout at J = 0.
+    The first uniform picks the side by the Born rule, one weight for the batch:
+    P(side 0) = p rho00 + (1 - q) rho11, (p, q) = ``_realizable(t)`` and 1 - q = p e^{-2 R0}.
+    The second picks the step count J from that side's conditional table
+    (:func:`_search_table`), whose law is the same under both hidden labels: each
+    run's second uniform is searched in its own side's table only. A zero threshold
+    stops the readout at J = 0.
     """
     p = _realizable(t).p
-    born0 = p * (states[:, 0, 0].real + math.exp(-2.0 * t.R0) * states[:, 1, 1].real)
+    born0 = p * (rho[0, 0].real + math.exp(-2.0 * t.R0) * rho[1, 1].real)
     outcome = (u[:, 0] >= born0).astype(np.int64)
-    steps = np.zeros(len(states), dtype=np.int64)
+    steps = np.zeros(len(u), dtype=np.int64)
     if t.R0 != 0.0 and t.R1 != 0.0:
         tail = _search_table(t, *_grid(config))
         key = u[:, 1] - 1.0
         for b in (0, 1):
             side = outcome == b
             steps[side] = 1 + np.searchsorted(tail[b], key[side], side="right")
-    final_R = np.where(outcome == 0, t.R0, t.R1)
-    return _final_batch(states, final_R, steps * config.dt, outcome, config)
+    return _final_batch(rho, outcome, steps, t, config)
 
 
 def readout_walk(
     config: ReadoutConfig,
     t: Thresholds,
-    states: np.ndarray,
+    rho: np.ndarray,
+    n: int,
     rng: np.random.Generator,
     path: list[float] | None = None,
 ) -> TrajectoryBatch:
-    """Grid walk of the readout of each density matrix in ``states`` (shape (n, 2, 2)).
+    """Grid walk of ``n`` readout runs that all start from the density matrix ``rho``.
 
     Each run draws its hidden label (0 w.p. rho00), then the active runs advance
     together one step of dt at a time. A step that ends beyond a threshold stops
@@ -405,14 +415,14 @@ def readout_walk(
     are nonzero and R0 - R1 < 2 sqrt(dt / tau). ``Infeasible`` if a run outlasts the cap. It
     records :func:`simulate_trajectory`'s path (R after each step into ``path``,
     one run only) and is the reference for the law :func:`simulate_batch` samples.
-    The states are taken as valid density matrices.
+    ``rho`` is taken as valid; the runs end in its two final states, one per side
+    (:func:`_final_batch`).
     """
-    if path is not None and len(states) != 1:
-        raise ValueError(f"a readout path needs a single run, got {len(states)}")
+    if path is not None and n != 1:
+        raise ValueError(f"a readout path needs a single run, got {n}")
     _realizable(t)
-    n = len(states)
     if t.R0 == 0.0 or t.R1 == 0.0:
-        return _sample_exit(config, t, states, rng.random((n, 2)))
+        return _sample_exit(config, t, rho, rng.random((n, 2)))
     m, j_cap = _grid(config)
     if t.R0 - t.R1 < 2.0 * math.sqrt(m):
         raise ValueError(f"thresholds {t.R0 - t.R1:.4g} apart bias the grid walk at dt = "
@@ -420,7 +430,7 @@ def readout_walk(
     r0, r1, c = t.R0, t.R1, 2.0 / m
     outcome, steps = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     idx, R = np.arange(n), np.zeros(n)
-    drift = np.where(rng.random(n) < states[:, 0, 0].real, m, -m)
+    drift = np.where(rng.random(n) < rho[0, 0].real, m, -m)
     j = 0
     # Endpoints far beyond a threshold overflow the bridge exponent to inf,
     # which still reads as certain absorption.
@@ -441,10 +451,10 @@ def readout_walk(
                 outcome[idx[(u < q0) & (end > r1)]] = 0
                 steps[idx[stop]] = j
                 idx, R, drift = idx[~stop], end[~stop], drift[~stop]
-    final_R = np.where(outcome == 0, r0, r1)
+    batch = _final_batch(rho, outcome, steps, t, config)
     if path is not None:
-        path[-1] = float(final_R[0])
-    return _final_batch(states, final_R, steps * config.dt, outcome, config)
+        path[-1] = float(batch.final_R[0])
+    return batch
 
 
 def simulate_trajectory(config: ReadoutConfig, t: Thresholds, initial: np.ndarray) -> TrajectoryRecord:
@@ -455,8 +465,8 @@ def simulate_trajectory(config: ReadoutConfig, t: Thresholds, initial: np.ndarra
     in law, not bit for bit.
     """
     path = [0.0]
-    rho = validate_state(initial)[None]
-    rec = readout_walk(config, t, rho, np.random.default_rng(config.seed), path)[0]
+    rho = validate_state(initial)
+    rec = readout_walk(config, t, rho, 1, np.random.default_rng(config.seed), path)[0]
     rec.r_path = path
     return rec
 
@@ -480,7 +490,7 @@ def simulate_batch(
         raise ValueError(f"trajectory count must be >= 0, got {n}")
     rho = validate_state(initial)
     u = np.random.default_rng(config.seed).random((n, 2))
-    return _sample_exit(config, t, np.broadcast_to(rho, (n, 2, 2)), u)
+    return _sample_exit(config, t, rho, u)
 
 
 _JSONL = ('{"outcome": %r, "duration": %r, "final_R": %r, "final_state": '

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous_readout import _grid, _readout_instrument
-from .errors import Infeasible, NotComplete, SingularRemainder
+from .errors import InaccurateBranch, Infeasible, NotComplete, SingularRemainder
 from .linalg import adjoint, is_unitary, phase_distance, psd_sqrt
 from .partial_projection import (
     ZERO_BRANCH_TOL,
@@ -38,6 +38,7 @@ from .serialize import (
 COMPLETENESS_TOL = 1e-9
 SINGULAR_CUTOFF = 1e-8
 UNIT_SNAP = 1e-12
+BRANCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,19 @@ def compose_branch(p: MeasurementProtocol, leaf: str) -> np.ndarray:
 def branch_deviation(p: MeasurementProtocol, leaf: str, target: np.ndarray) -> float:
     """Frobenius deviation of a branch composition from its target, phase-aligned."""
     return phase_distance(target, compose_branch(p, leaf))
+
+
+def branch_deviations(p: MeasurementProtocol, s: KrausSet) -> dict[str, float]:
+    """:func:`branch_deviation` of each leaf of ``s`` from its Kraus operator, in order.
+
+    ``InaccurateBranch`` (exit 3) for the first one above ``BRANCH_TOL`` (1e-9), which
+    ``UNIT_SNAP`` can leave near projective steps (1.0e-6, see :func:`reduce`).
+    """
+    devs = {label: branch_deviation(p, label, m) for label, m in zip(s.labels, s.ops)}
+    for label, dev in devs.items():
+        if not dev <= BRANCH_TOL:
+            raise InaccurateBranch(label, dev, BRANCH_TOL)
+    return devs
 
 
 @functools.lru_cache(maxsize=64)

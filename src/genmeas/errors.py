@@ -34,6 +34,21 @@ class SingularRemainder(GenmeasError):
         )
 
 
+class InaccurateBranch(GenmeasError):
+    """A reduced protocol composes a leaf's Kraus operator only to a deviation above
+    the bound: near-projective steps lose their leak amplitude to round-off."""
+
+    exit_code = 3
+
+    def __init__(self, leaf: str, deviation: float, tol: float):
+        self.leaf = leaf
+        self.deviation = float(deviation)
+        super().__init__(
+            f"leaf {leaf}: composition deviation {deviation:.3e} exceeds {tol:.0e}; "
+            "the reduction lost accuracy on a near-projective step"
+        )
+
+
 class Infeasible(GenmeasError):
     """A backend cannot realize a step: an infinite readout threshold, a
     readout past its duration cap, or a shot drawn into a zero-probability leaf."""

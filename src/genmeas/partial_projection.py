@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .linalg import adjoint
 
 ZERO_BRANCH_TOL = 1e-12
 
@@ -44,18 +43,25 @@ class PartialProjParams:
 def validate_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Check that ``rho`` is a valid 2x2 density matrix and return it as complex128.
 
-    Raises ``ValueError`` otherwise, also for a NaN entry.
+    Raises ``ValueError`` otherwise, also for a NaN entry. Closed form on Python
+    scalars: the Frobenius norm of rho - rho^dag by ``math.hypot``, and the smallest
+    eigenvalue of the Hermitian part, tr/2 - hypot((rho00 - rho11)/2, |rho01 + rho10*|/2).
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if not np.linalg.norm(rho - adjoint(rho)) <= tol:
+    (a, b), (c, d) = rho.tolist()
+    x, y, u, v = a - a.conjugate(), d - d.conjugate(), b - c.conjugate(), c - b.conjugate()
+    if not math.hypot(x.real, x.imag, y.real, y.imag, u.real, u.imag, v.real, v.imag) <= tol:
         raise ValueError("state is not Hermitian")
-    if not abs(np.trace(rho).real - 1.0) <= tol:
-        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
-    w = np.linalg.eigvalsh((rho + adjoint(rho)) / 2)
-    if w[0] < -tol:
-        raise ValueError(f"negative eigenvalue {w[0]:.3e}")
+    trace = a.real + d.real
+    if not abs(trace - 1.0) <= tol:
+        raise ValueError(f"trace is {trace}, expected 1")
+    # Each term is halved before it is summed, so no finite entry overflows.
+    off = (b.real / 2 + c.real / 2, b.imag / 2 - c.imag / 2)  # (rho01 + rho10*) / 2
+    low = trace / 2 - math.hypot(a.real / 2 - d.real / 2, *off)
+    if low < -tol:
+        raise ValueError(f"negative eigenvalue {low:.3e}")
     return rho
 
 
@@ -96,16 +102,20 @@ def apply_outcome(
 ) -> np.ndarray:
     """Post-measurement state rho' = D_k rho D_k^dag / Tr(D_k rho D_k^dag).
 
+    D_k = diag(sqrt(g0), sqrt(g1)) is diagonal, so D_k rho D_k^dag is rho scaled
+    entrywise by [[g0, sqrt(g0 g1)], [sqrt(g0 g1), g1]], with no matrix product.
+
     Raises
     ------
     Infeasible
         If the renormalization denominator is below ``tol``.
     """
     rho = validate_state(rho)
-    d0, d1 = dops(params)
-    dk = d0 if outcome == 0 else d1
-    out = dk @ rho @ adjoint(dk)
-    norm = np.trace(out).real
+    p, q = params.p, params.q
+    g0, g1 = (p, 1.0 - q) if outcome == 0 else (1.0 - p, q)
+    s = math.sqrt(g0 * g1)
+    out = rho * np.array([[g0, s], [s, g1]])
+    norm = out[0, 0].real + out[1, 1].real
     if norm < tol:
         raise Infeasible(
             f"outcome {outcome} has probability {norm:.3e} < {tol:.1e}"

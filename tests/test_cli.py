@@ -10,6 +10,7 @@ from genmeas.decomposition import (
     compose_branch,
     kraus_set,
     protocol_from_json,
+    random_unitary,
     reduce,
 )
 from genmeas.fidelity import process_set_from_kraus, process_set_to_json
@@ -360,6 +361,28 @@ def test_tol_option_is_gone(capsys):
         main(["circuit", "--p", "0.8", "--q", "0.6", "--tol", "1e-9"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_inaccurate_branch_exits_3(tmp_path, capsys):
+    # A near-projective pair, 1 - p = 1e-12, whose reduction snaps p to 1 and
+    # drops the leak amplitude: a leaf deviates by about 1e-6 > BRANCH_TOL.
+    rng = np.random.default_rng(7)
+    d0, d1 = dops(PartialProjParams(1.0 - 1e-12, 1.0 - 2e-13))
+    while True:
+        u0, u1, v = (random_unitary(rng) for _ in range(3))
+        s = kraus_set([u0 @ d0 @ v, u1 @ d1 @ v])
+        proto = reduce(s)
+        devs = [phase_distance(m, compose_branch(proto, lab)) for lab, m in zip(s.labels, s.ops)]
+        if max(devs) > 1e-9:
+            break
+    path = tmp_path / "near_projective.json"
+    path.write_text(kraus_set_to_json(s))
+    out = tmp_path / "proto.json"
+    assert main(["synth", str(path), "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: leaf ")
+    assert "composition deviation" in captured.err and "exceeds 1e-09" in captured.err
 
 
 def test_singular_remainder_exits_3(tmp_path, capsys):

@@ -459,7 +459,7 @@ def test_readout_path_needs_a_single_run():
     t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
     cfg = ReadoutConfig(tau_min=1.0, seed=17)
     with pytest.raises(ValueError):
-        readout_walk(cfg, t, np.stack([PLUS, PLUS]), np.random.default_rng(0), [0.0])
+        readout_walk(cfg, t, PLUS, 2, np.random.default_rng(0), [0.0])
 
 
 def test_walk_law_closed_forms():
@@ -559,7 +559,7 @@ def test_exit_table_matches_the_walk(p, q, n, seed):
     # S_b(j)), w_b = rho00 + rho11 e^{-2 R_b}, by chi^2 over (side, J) bins.
     t = thresholds_from_pq(PartialProjParams(p, q))
     cfg = ReadoutConfig(tau_min=1.0, seed=seed)
-    walk = readout_walk(cfg, t, np.broadcast_to(PLUS, (n, 2, 2)), np.random.default_rng(seed))
+    walk = readout_walk(cfg, t, PLUS, n, np.random.default_rng(seed))
     surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
     pmf = -np.diff(surv, axis=1)
     steps = np.rint(walk.duration / cfg.dt).astype(int)
@@ -608,6 +608,78 @@ def test_batch_draws_from_the_reference_table(pq, alpha, eta):
         j0, j1 = (np.searchsorted(tail[b], u[:, 1] - 1.0, side="right") for b in (0, 1))
         assert np.array_equal(batch.outcome, outcome)
         assert np.array_equal(batch.duration, (1 + np.where(outcome == 0, j0, j1)) * cfg.dt)
+
+
+def reference_final(states, final_R, duration, config):
+    """M_R rho M_R^dag / Tr for each run of an (n, 2, 2) stack, dephased by
+    exp(-(1 - eta)/(2 eta) T/tau): (final_state, purity), built run by run."""
+    e = np.exp(final_R)
+    r00 = e * states[:, 0, 0].real
+    r11 = states[:, 1, 1].real / e
+    norm = r00 + r11
+    r01 = states[:, 0, 1] * np.exp(-1j * math.tan(config.alpha) * final_R) / norm
+    eta = config.efficiency
+    if eta < 1.0:
+        r01 *= np.exp(-(1.0 - eta) / (2.0 * eta) * duration / config.tau)
+    r00 /= norm
+    r11 /= norm
+    out = np.empty((len(final_R), 2, 2), dtype=np.complex128)
+    out[:, 0, 0], out[:, 1, 1], out[:, 0, 1], out[:, 1, 0] = r00, r11, r01, r01.conj()
+    return out, r00**2 + r11**2 + 2.0 * np.abs(r01) ** 2
+
+
+def reference_batch(config, t, rho, n):
+    """simulate_batch over the broadcast stack of n copies of rho: a Born weight and
+    a final state per run. Returns (outcome, duration, final_R, final_state, purity)."""
+    states = np.broadcast_to(rho, (n, 2, 2))
+    u = np.random.default_rng(config.seed).random((n, 2))
+    p = pq_from_thresholds(t).p
+    born0 = p * (states[:, 0, 0].real + math.exp(-2.0 * t.R0) * states[:, 1, 1].real)
+    outcome = (u[:, 0] >= born0).astype(np.int64)
+    steps = np.zeros(n, dtype=np.int64)
+    if t.R0 != 0.0 and t.R1 != 0.0:
+        tail = continuous_readout._search_table(t, *continuous_readout._grid(config))
+        for b in (0, 1):
+            side = outcome == b
+            steps[side] = 1 + np.searchsorted(tail[b], u[side, 1] - 1.0, side="right")
+    final_R = np.where(outcome == 0, t.R0, t.R1)
+    duration = steps * config.dt
+    return (outcome, duration, final_R, *reference_final(states, final_R, duration, config))
+
+
+@pytest.mark.parametrize("thresholds", [
+    thresholds_from_pq(PartialProjParams(0.8, 0.6)), thresholds_from_pq(PartialProjParams(0.99, 0.98)),
+    Thresholds(0.0, -0.3), Thresholds(0.4, 0.0), Thresholds(0.0, 0.0),
+])
+@pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7), (-1.2, 0.5)])
+def test_batch_matches_the_per_run_reference(thresholds, alpha, eta):
+    # One state per side, gathered by outcome, against a final state built per
+    # run: the same draws bit for bit, states and purities within 1e-15, for
+    # zero thresholds and batches of 0, 1 and 1000 runs.
+    mixed = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    for seed, rho in enumerate((KET0, KET1, PLUS, mixed)):
+        cfg = ReadoutConfig(tau_min=1.0, seed=seed, alpha=alpha, efficiency=eta)
+        for n in (0, 1, 1000):
+            batch = simulate_batch(cfg, thresholds, rho, n)
+            outcome, duration, final_R, final_state, purity = reference_batch(cfg, thresholds, rho, n)
+            assert np.array_equal(batch.outcome, outcome)
+            assert np.array_equal(batch.duration, duration)
+            assert np.array_equal(batch.final_R, final_R)
+            assert batch.final_state.shape == (n, 2, 2) and batch.purity.shape == (n,)
+            assert np.all(np.abs(batch.final_state - final_state) <= 1e-15)
+            assert np.all(np.abs(batch.purity - purity) <= 1e-15)
+
+
+@pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7)])
+def test_walk_final_states_match_the_per_run_reference(alpha, eta):
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    cfg = ReadoutConfig(tau_min=1.0, seed=3, alpha=alpha, efficiency=eta)
+    walk = readout_walk(cfg, t, PLUS, 500, np.random.default_rng(3))
+    assert np.array_equal(walk.final_R, np.where(walk.outcome == 0, t.R0, t.R1))
+    stack = np.broadcast_to(PLUS, (500, 2, 2))
+    final_state, purity = reference_final(stack, walk.final_R, walk.duration, cfg)
+    assert np.all(np.abs(walk.final_state - final_state) <= 1e-15)
+    assert np.all(np.abs(walk.purity - purity) <= 1e-15)
 
 
 @pytest.mark.parametrize("pq", [(0.8, 0.6), (0.99, 0.98)])

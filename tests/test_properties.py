@@ -33,7 +33,9 @@ from genmeas.fidelity import (  # noqa: E402
     state_fidelity, total_fidelity,
 )
 from genmeas.linalg import adjoint, herm_eig, is_unitary, phase_distance  # noqa: E402
-from genmeas.partial_projection import PartialProjParams, apply_outcome  # noqa: E402
+from genmeas.partial_projection import (  # noqa: E402
+    ZERO_BRANCH_TOL, PartialProjParams, apply_outcome, dops, validate_state,
+)
 from genmeas.serialize import kraus_set_from_json, kraus_set_to_json  # noqa: E402
 from test_continuous_readout import reference_exit_table  # noqa: E402
 
@@ -338,6 +340,109 @@ def test_apply_outcome_keeps_trace_and_purity(p, q, outcome, rho):
     assert abs(np.trace(out).real - 1.0) <= 1e-12
     if abs(purity(rho) - 1.0) <= 1e-12:
         assert abs(purity(out) - 1.0) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.floats(0.0, 1.0), near_edges), st.one_of(st.floats(0.0, 1.0), near_edges),
+       st.integers(0, 1), density_matrices())
+def test_apply_outcome_matches_the_matmul_reference(p, q, outcome, rho):
+    # D_k rho D_k^dag / Tr by two matrix products, against the entrywise scaling.
+    params = PartialProjParams(p, q)
+    dk = dops(params)[outcome]
+    ref = dk @ rho @ adjoint(dk)
+    norm = np.trace(ref).real
+    if abs(norm - ZERO_BRANCH_TOL) <= 1e-15:
+        return  # the two norms may fall on either side of the Infeasible rule
+    if norm < ZERO_BRANCH_TOL:
+        with pytest.raises(Infeasible):
+            apply_outcome(params, outcome, rho)
+    else:
+        assert np.abs(apply_outcome(params, outcome, rho) - ref / norm).max() <= 1e-15
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def reference_validate_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """The eigvalsh routine that the closed-form ``validate_state`` replaced."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        skew = np.linalg.norm(rho - adjoint(rho))
+    if not skew <= tol:
+        raise ValueError("state is not Hermitian")
+    if not abs(np.trace(rho).real - 1.0) <= tol:
+        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
+    w = np.linalg.eigvalsh((rho + adjoint(rho)) / 2)
+    if w[0] < -tol:
+        raise ValueError(f"negative eigenvalue {w[0]:.3e}")
+    return rho
+
+
+@st.composite
+def checked_matrices(draw):
+    """(rho, tol) at the edges of each check of ``validate_state``.
+
+    U diag(l, 1 - l) U^dag scaled by 1 + d, plus an anti-Hermitian perturbation
+    of norm s. Each of l, s and d is drawn either near its edge, within 16 ulps
+    of 1 from -tol for l and within 16 ulps of tol from tol for s and d, or away from
+    it. Rounding into entries of size 1 moves s by up to about 1e-6 of tol, so the
+    non-Hermitian part lands near tol, on either side. Then, in a quarter of the
+    cases, one or two real or imaginary parts become NaN or an infinity.
+    """
+    tol = draw(st.sampled_from([1e-10, 1e-8]))
+    ulps = st.integers(-16, 16)
+    lam = draw(st.one_of(ulps.map(lambda k: -tol + k * EPS), st.floats(-2e-8, 1.0)))
+    near_tol = ulps.map(lambda k: tol * (1.0 + k * EPS))
+    skew = draw(st.one_of(near_tol, st.sampled_from([0.0, 0.5 * tol, 10 * tol])))
+    dtrace = draw(st.sampled_from([0.0, 0.0, -0.5 * tol, 1e-3, draw(near_tol)]))
+    u = su2(draw(quaternions))
+    e = np.array(draw(st.tuples(*[unit] * 8))).view(complex).reshape(2, 2)
+    k = e - adjoint(e)  # anti-Hermitian: it leaves the eigenvalues of the Hermitian part
+    k_norm = np.linalg.norm(k)
+    rho = (u * [lam, 1.0 - lam]) @ adjoint(u) * (1.0 + dtrace)
+    if k_norm > 0:
+        rho += skew / (2 * k_norm) * k  # rho - rho^dag = s k / |k|
+    flat = rho.reshape(-1).view(float)
+    if draw(st.integers(0, 3)) == 0:
+        for i in draw(st.sampled_from([(0,), (3,), (6, 7), (2, 5)])):
+            flat[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return rho, tol
+
+
+def _check(validate, rho, tol) -> str | None:
+    try:
+        validate(rho, tol)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(checked_matrices())
+def test_validate_state_matches_the_eigvalsh_routine(case):
+    # Accept or reject and the message agree with the eigvalsh routine, except
+    # in a band at each edge: a non-Hermitian part within 2 ulps (relative) of
+    # tol, where numpy's norm and math.hypot round differently (0.58 ulp apart
+    # at most over 1e5 samples), and a smallest eigenvalue within 4 ulps of 1
+    # from -tol (1.9 apart at most). A negative-eigenvalue message agrees to
+    # within one unit of its last printed digit.
+    rho, tol = case
+    with np.errstate(invalid="ignore"):
+        skew = np.linalg.norm(rho - adjoint(rho))
+    if abs(skew - tol) <= 2 * EPS * tol:
+        return
+    finite = np.all(np.isfinite(rho))
+    if finite and abs(np.linalg.eigvalsh((rho + adjoint(rho)) / 2)[0] + tol) <= 4 * EPS:
+        return
+    ref, new = _check(reference_validate_state, rho, tol), _check(validate_state, rho, tol)
+    if ref is None or new is None or not ref.startswith("negative eigenvalue"):
+        assert new == ref
+    else:
+        assert new.startswith("negative eigenvalue")
+        w_ref, w_new = float(ref.split()[-1]), float(new.split()[-1])
+        assert abs(w_new - w_ref) <= 1.001e-3 * abs(w_ref)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
