@@ -21,13 +21,13 @@ inverted by p = [1 + sin(phi + epsilon)]/2, q = [1 + sin(phi - epsilon)]/2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .partial_projection import PartialProjParams
+from .serialize import dump
 
 VARIANTS = ("direct", "cphase", "fixed_cz")
 
@@ -134,15 +134,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise ValueError(f"gate kind {g.kind!r} has no matrix")
 
 
-def _embed(g: Gate) -> np.ndarray:
-    """Lift a gate to the 4-dimensional main (x) ancilla space."""
-    m = gate_matrix(g)
-    if m.shape == (4, 4):
-        return m
-    eye = np.eye(2, dtype=np.complex128)
-    return np.kron(m, eye) if g.target == MAIN else np.kron(eye, m)
-
-
 def build_circuit(variant: str, phi: float, epsilon: float) -> TwoQubitCircuit:
     """Assemble the gate list for one of the three constructions."""
     readout = (
@@ -177,21 +168,30 @@ def circuit_from_pq(variant: str, params: PartialProjParams) -> TwoQubitCircuit:
 
 
 def kraus_from_circuit(c: TwoQubitCircuit) -> tuple[np.ndarray, np.ndarray]:
-    """Realized Kraus pair K_a = <a|_ancilla U_total |0>_ancilla on the main qubit."""
-    u = np.eye(4, dtype=np.complex128)
+    """Realized Kraus pair K_a = <a|_ancilla U_total |0>_ancilla on the main qubit.
+
+    Only the two columns with the ancilla in |0> are propagated, as a (main,
+    ancilla, in) tensor: a main-wire gate multiplies axis 0, an ancilla gate
+    axis 1, and a two-wire gate the (4, 2) reshape, whose row is 2 * main + ancilla.
+    """
+    psi = np.zeros((2, 2, 2), dtype=np.complex128)
+    psi[0, 0, 0] = psi[1, 0, 1] = 1.0
     for g in c.gates:
         if g.kind == "MeasureAncillaZ":
             break
-        u = _embed(g) @ u
-    # Basis index is 2 * main + ancilla; |0>_ancilla selects columns 0, 2.
-    k0 = u[np.ix_([0, 2], [0, 2])]
-    k1 = u[np.ix_([1, 3], [0, 2])]
-    return k0, k1
+        m = gate_matrix(g)
+        if g.target == BOTH:
+            psi = (m @ psi.reshape(4, 2)).reshape(2, 2, 2)
+        elif g.target == MAIN:
+            psi = (m @ psi.reshape(2, 4)).reshape(2, 2, 2)
+        else:
+            psi = m @ psi
+    return psi[:, 0], psi[:, 1]
 
 
 def circuit_to_json(c: TwoQubitCircuit) -> str:
     """Serialize the ordered gate list; angles are radians as doubles."""
-    return json.dumps(
+    return dump(
         {
             "format_version": "1.0",
             "tensor_ordering": "main_x_ancilla",
@@ -202,6 +202,5 @@ def circuit_to_json(c: TwoQubitCircuit) -> str:
                 {"kind": g.kind, "angle": g.angle, "target": g.target}
                 for g in c.gates
             ],
-        },
-        indent=2,
+        }
     )

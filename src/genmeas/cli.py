@@ -49,7 +49,7 @@ from .errors import GenmeasError, Infeasible, Mismatch
 from .fidelity import fidelity_report, povm_fidelity, process_set_from_json
 from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import (
-    check_version, kraus_set_from_json, matrix_from_json, matrix_to_json, require_key,
+    check_version, dump, kraus_set_from_json, matrix_from_json, matrix_to_json, require_key,
 )
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def _parse_state(spec: str) -> np.ndarray:
 def _emit(payload: dict, args) -> None:
     if not args.no_timestamp:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2)
+    text = dump(payload)
     if args.output:
         with open(args.output, "w") as f:
             f.write(text + "\n")

@@ -501,9 +501,16 @@ def trajectories_to_jsonl(batch: TrajectoryBatch) -> str:
     """Serialize a batch as JSON lines, one record per trajectory.
 
     Each line is what ``json.dumps`` writes for the record's dict, filled into one
-    template: ``repr`` of a finite float is its JSON text.
+    template: ``repr`` of a finite float is its JSON text. A batch repeats few
+    distinct records, so each distinct row of bytes is formatted once and the
+    lines are indexed from those.
     """
-    states = np.stack([batch.final_state.real, batch.final_state.imag], axis=-1)
-    columns = (batch.outcome.tolist(), batch.duration.tolist(), batch.final_R.tolist(),
-               *states.reshape(-1, 8).T.tolist(), batch.purity.tolist())
-    return "\n".join(map(_JSONL.__mod__, zip(*columns))) + "\n"
+    states = np.stack([batch.final_state.real, batch.final_state.imag], axis=-1).reshape(-1, 8)
+    rows = np.column_stack([batch.outcome, batch.duration, batch.final_R, states, batch.purity])
+    _, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    columns = (batch.outcome[first].tolist(), *rows[first, 1:].T.tolist())
+    lines = list(map(_JSONL.__mod__, zip(*columns)))
+    return "\n".join(map(lines.__getitem__, inverse.tolist())) + "\n"

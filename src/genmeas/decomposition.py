@@ -31,7 +31,7 @@ from .partial_projection import (
     validate_state,
 )
 from .serialize import (
-    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_distinct,
+    FORMAT_VERSION, check_version, dump, matrix_from_json, matrix_to_json, require_distinct,
     require_key,
 )
 
@@ -429,7 +429,7 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 
 def protocol_to_json(p: MeasurementProtocol) -> str:
     """Serialize per the protocol schema; matrices row-major [[re, im], ...]."""
-    return json.dumps(
+    return dump(
         {
             "format_version": FORMAT_VERSION,
             "steps": [
@@ -444,8 +444,7 @@ def protocol_to_json(p: MeasurementProtocol) -> str:
             ],
             "final_unitary": matrix_to_json(p.final_unitary),
             "leaf_labels": list(p.leaf_labels),
-        },
-        indent=2,
+        }
     )
 
 

@@ -25,7 +25,7 @@ from .errors import Mismatch
 from .linalg import adjoint, pauli_basis, pauli_expand, psd_sqrt
 from .partial_projection import validate_state
 from .serialize import (
-    FORMAT_VERSION, check_version, matrix_from_json, matrix_to_json, require_distinct,
+    FORMAT_VERSION, check_version, dump, matrix_from_json, matrix_to_json, require_distinct,
     require_key,
 )
 
@@ -358,7 +358,7 @@ def average_state_fidelity(
 
 
 def process_set_to_json(ps: ProcessSet) -> str:
-    return json.dumps(
+    return dump(
         {
             "format_version": FORMAT_VERSION,
             "dim": ps.dim,
@@ -366,8 +366,7 @@ def process_set_to_json(ps: ProcessSet) -> str:
                 {"label": label, "p": chi.trace, "chi": matrix_to_json(chi.chi)}
                 for label, chi in ps.outcomes
             ],
-        },
-        indent=2,
+        }
     )
 
 

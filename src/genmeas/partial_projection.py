@@ -107,9 +107,13 @@ def apply_outcome(
 
     Raises
     ------
+    ValueError
+        If ``outcome`` is not 0 or 1.
     Infeasible
         If the renormalization denominator is below ``tol``.
     """
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     rho = validate_state(rho)
     p, q = params.p, params.q
     g0, g1 = (p, 1.0 - q) if outcome == 0 else (1.0 - p, q)

@@ -2,9 +2,10 @@
 
 Complex numbers are [re, im] pairs, matrices row-major nested lists, angles
 radians as doubles. Every document carries a "format_version"; readers
-reject unknown major versions. A document of the wrong schema raises
-``ValueError`` naming the missing or wrong-typed key or the wrong matrix
-shape; a matrix entry must be finite.
+reject unknown major versions. Writers lay a document out with :func:`dump`:
+one top-level key per line, each value compact on its line. A document of
+the wrong schema raises ``ValueError`` naming the missing or wrong-typed key
+or the wrong matrix shape; a matrix entry must be finite.
 """
 
 from __future__ import annotations
@@ -21,7 +22,18 @@ FORMAT_VERSION = "1.0"
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[c.real, c.imag] for c in row] for row in np.asarray(m, dtype=complex)]
+    """Nested [re, im] rows of ``m``: one ``tolist`` of its (rows, cols, 2) float view."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
+
+
+def dump(doc: dict) -> str:
+    """JSON text of ``doc`` with one ``"key": value`` line per top-level key.
+
+    Each value is encoded compactly by ``json.dumps``, which runs CPython's C
+    encoder only when there is no ``indent``; ``json.loads`` reads the result.
+    """
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}"
 
 
 def matrix_from_json(rows: list, dim: int | None = None) -> np.ndarray:
@@ -77,15 +89,14 @@ def check_version(data: dict, what: str) -> None:
 
 
 def kraus_set_to_json(s: KrausSet) -> str:
-    return json.dumps(
+    return dump(
         {
             "format_version": FORMAT_VERSION,
             "ops": [
                 {"label": label, "matrix": matrix_to_json(m)}
                 for label, m in zip(s.labels, s.ops)
             ],
-        },
-        indent=2,
+        }
     )
 
 

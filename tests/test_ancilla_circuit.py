@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genmeas.ancilla_circuit import (
+    MAIN,
     VARIANTS,
     Gate,
     angles_from_pq,
@@ -16,6 +17,21 @@ from genmeas.ancilla_circuit import (
 )
 from genmeas.linalg import adjoint, equal_up_to_phase, phase_distance
 from genmeas.partial_projection import PartialProjParams, dops
+
+
+def kron_kraus_from_circuit(c):
+    """The Kronecker-product build that ``kraus_from_circuit`` replaced, kept as
+    its reference (``tests/test_properties.py``): every gate lifted to the 4x4
+    main (x) ancilla space, the whole unitary multiplied out, and the ancilla-|0>
+    columns 0 and 2 read off."""
+    eye = np.eye(2, dtype=complex)
+    u = np.eye(4, dtype=complex)
+    for g in c.gates[:-1]:
+        m = gate_matrix(g)
+        if m.shape != (4, 4):
+            m = np.kron(m, eye) if g.target == MAIN else np.kron(eye, m)
+        u = m @ u
+    return u[np.ix_([0, 2], [0, 2])], u[np.ix_([1, 3], [0, 2])]
 
 
 def test_angles_projective():

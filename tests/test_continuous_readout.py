@@ -347,6 +347,37 @@ def test_jsonl_is_json_dumps():
     assert trajectories_to_jsonl(batch[:0]) == "\n"
 
 
+def test_jsonl_formats_repeated_rows_that_are_not_adjacent():
+    # A hand-built batch: rows repeat out of order, and two rows differ only in
+    # the sign of a zero, so they are distinct records with distinct lines.
+    import json
+
+    a = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    b = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    c = np.array([[1.0, -0.0], [-0.0, 0.0]], dtype=complex)
+    order = [0, 1, 0, 2, 1, 0, 3, 2]
+    rows = [(0, 0.25, 1.5, a, 0.9), (1, 1e-300, -2.0, b, 1.0), (1, 1e-300, -2.0, c, 1.0),
+            (0, 0.25, 1.5, a, 0.75)]
+    picked = [rows[i] for i in order]
+    batch = TrajectoryBatch(
+        np.array([r[0] for r in picked]), np.array([r[1] for r in picked]),
+        np.array([r[2] for r in picked]), np.stack([r[3] for r in picked]),
+        np.array([r[4] for r in picked]),
+    )
+    expect = "".join(
+        json.dumps({
+            "outcome": r.outcome, "duration": r.duration, "final_R": r.final_R,
+            "final_state": np.stack([r.final_state.real, r.final_state.imag], axis=-1).tolist(),
+            "purity": r.purity,
+        }) + "\n"
+        for r in batch
+    )
+    text = trajectories_to_jsonl(batch)
+    assert text == expect
+    lines = text.splitlines()
+    assert len(set(lines)) == 4 and lines[1] == lines[4] and lines[3] == lines[7] != lines[1]
+
+
 def test_batch_is_struct_of_arrays():
     t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
     batch = simulate_batch(ReadoutConfig(tau_min=1.0, seed=10), t, PLUS, 50)

@@ -6,7 +6,8 @@ table of each backend must give leaf k the probability Tr(M_k rho M_k^dag)
 and the state M_k rho M_k^dag / Tr. The protocols ``reduce`` builds from
 random sets of 2 to 6 outcomes keep their invariants at every order. Every
 fidelity lies in [0, 1] and a report agrees with itself; JSON and angle
-round trips are exact or within 1e-12; updates keep trace 1 and purity.
+round trips are exact or within 1e-12; circuit Kraus pairs agree with the
+Kronecker-product build within 1e-14; updates keep trace 1 and purity.
 Examples are derandomized, so a run is reproducible.
 """
 
@@ -21,7 +22,9 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from genmeas import continuous_readout, decomposition, linalg  # noqa: E402
-from genmeas.ancilla_circuit import angles_from_pq, pq_from_angles  # noqa: E402
+from genmeas.ancilla_circuit import (  # noqa: E402
+    VARIANTS, angles_from_pq, circuit_from_pq, kraus_from_circuit, pq_from_angles,
+)
 from genmeas.channels import KINDS, NoiseSpec, noisy_branch  # noqa: E402
 from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq  # noqa: E402
 from genmeas.decomposition import (  # noqa: E402
@@ -37,6 +40,7 @@ from genmeas.partial_projection import (  # noqa: E402
     ZERO_BRANCH_TOL, PartialProjParams, apply_outcome, dops, validate_state,
 )
 from genmeas.serialize import kraus_set_from_json, kraus_set_to_json  # noqa: E402
+from test_ancilla_circuit import kron_kraus_from_circuit  # noqa: E402
 from test_continuous_readout import reference_exit_table  # noqa: E402
 
 BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz", "continuous")
@@ -324,6 +328,15 @@ near_edges = st.sampled_from([0.0, 1e-16, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 1e-16, 
 def test_angles_round_trip(p, q):
     back = pq_from_angles(*angles_from_pq(PartialProjParams(p, q)))
     assert abs(back.p - p) <= 1e-12 and abs(back.q - q) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.floats(0.0, 1.0), near_edges), st.one_of(st.floats(0.0, 1.0), near_edges),
+       st.sampled_from(VARIANTS))
+def test_circuit_kraus_pairs_match_kron_reference(p, q, variant):
+    c = circuit_from_pq(variant, PartialProjParams(p, q))
+    for k, ref in zip(kraus_from_circuit(c), kron_kraus_from_circuit(c)):
+        assert k.shape == (2, 2) and np.abs(k - ref).max() <= 1e-14
 
 
 def purity(rho) -> float:

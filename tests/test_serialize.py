@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from genmeas.decomposition import random_kraus_set
+from genmeas.linalg import adjoint
 from genmeas.serialize import (
     FORMAT_VERSION,
     check_version,
+    dump,
     kraus_set_from_json,
     kraus_set_to_json,
     matrix_from_json,
@@ -27,6 +29,39 @@ def test_matrix_json_shape():
     rows = matrix_to_json(np.array([[1 + 2j, 0], [0, 3 - 4j]]))
     assert rows[0][0] == [1.0, 2.0]
     assert rows[1][1] == [3.0, -4.0]
+
+
+def elementwise_matrix_to_json(m) -> list:
+    """The element-wise writer ``matrix_to_json`` replaced, kept as its reference."""
+    return [[[c.real, c.imag] for c in row] for row in np.asarray(m, dtype=complex)]
+
+
+def test_matrix_json_matches_elementwise_writer():
+    # Views that are not C-contiguous complex128, and real input.
+    rng = np.random.default_rng(95)
+    stack = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    m = stack[1]
+    cases = [m, m.T, adjoint(m), stack[:, 0, :], stack[::2, 1, ::-1], m.real, m.real.T,
+             np.eye(2, dtype=int), np.array([[-0.0, 1e-300], [2.5, -7]], dtype=np.float32)]
+    for c in cases:
+        rows = matrix_to_json(c)
+        expect = elementwise_matrix_to_json(c)
+        assert rows == expect
+        assert json.dumps(rows) == json.dumps(expect)
+        assert all(type(x) is float for row in rows for pair in row for x in pair)
+
+
+def test_dump_layout():
+    doc = {"format_version": "1.0", "ops": [{"label": "a", "m": [[1.5, -0.0]]}], "n": None}
+    text = dump(doc)
+    assert text.splitlines() == [
+        "{",
+        '  "format_version": "1.0",',
+        '  "ops": [{"label": "a", "m": [[1.5, -0.0]]}],',
+        '  "n": null',
+        "}",
+    ]
+    assert json.loads(text) == doc
 
 
 def test_check_version_accepts_minor():
