@@ -7,6 +7,7 @@ process matrix of the composition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,15 @@ def noise_kraus(spec: NoiseSpec) -> list[np.ndarray]:
     return unitary_jitter_kraus(spec.strength, spec.seed)
 
 
+@functools.lru_cache(maxsize=16)
+def _noise_stack(spec: NoiseSpec) -> np.ndarray:
+    """:func:`noise_kraus` as one read-only (r, 2, 2) stack, cached: the branches
+    of a measurement share one spec."""
+    ops = np.stack(noise_kraus(spec))
+    ops.flags.writeable = False
+    return ops
+
+
 def noisy_branch(
     ideal_kraus: np.ndarray, spec: NoiseSpec, noise_first: bool = False
 ) -> ProcessMatrix:
@@ -91,4 +101,5 @@ def noisy_branch(
     decoherence); set ``noise_first`` to compose the other way.
     """
     m = np.asarray(ideal_kraus, dtype=np.complex128)
-    return chi_from_kraus([m @ k if noise_first else k @ m for k in noise_kraus(spec)], d=2)
+    noise = _noise_stack(spec)
+    return chi_from_kraus(m @ noise if noise_first else noise @ m, d=2)

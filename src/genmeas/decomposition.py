@@ -31,7 +31,7 @@ from .partial_projection import (
     validate_state,
 )
 from .serialize import (
-    FORMAT_VERSION, check_version, dump, matrix_from_json, matrix_to_json, require_distinct,
+    FORMAT_VERSION, check_version, dump, matrices_from_json, matrix_to_json, require_distinct,
     require_key,
 )
 
@@ -77,11 +77,22 @@ class TwoOutcomeStep:
     post_unitary_0: np.ndarray
     post_unitary_1: np.ndarray
 
+    @functools.cached_property
+    def post_unitaries(self) -> np.ndarray:
+        """(U_0, U_1) as one read-only (2, 2, 2) stack."""
+        u = np.stack([self.post_unitary_0, self.post_unitary_1])
+        u.flags.writeable = False
+        return u
+
+    @functools.cached_property
+    def branch_operators(self) -> np.ndarray:
+        """(U_0 D_0 V^dag, U_1 D_1 V^dag) as one read-only (2, 2, 2) stack, built once."""
+        ops = self.post_unitaries @ np.stack(dops(self.params)) @ adjoint(self.pre_unitary)
+        ops.flags.writeable = False
+        return ops
+
     def branch_operator(self, outcome: int) -> np.ndarray:
-        d0, d1 = dops(self.params)
-        if outcome == 0:
-            return self.post_unitary_0 @ d0 @ adjoint(self.pre_unitary)
-        return self.post_unitary_1 @ d1 @ adjoint(self.pre_unitary)
+        return self.branch_operators[0 if outcome == 0 else 1]
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,18 @@ class MeasurementProtocol:
         if len(self.leaf_labels) != len(self.steps) + 1:
             raise ValueError("need one leaf label per step plus the final branch")
         require_distinct(self.leaf_labels)
+
+    @functools.cached_property
+    def branches(self) -> np.ndarray:
+        """Ordered operator product along each leaf's branch, in leaf order, as one
+        read-only (n, 2, 2) stack: one pass over the steps' branch operators."""
+        out = np.empty((len(self.leaf_labels), 2, 2), dtype=np.complex128)
+        chain = np.eye(2, dtype=np.complex128)
+        for k, step in enumerate(self.steps):
+            out[k], chain = step.branch_operators @ chain
+        out[-1] = self.final_unitary @ chain
+        out.flags.writeable = False
+        return out
 
 
 def completeness_deviation(ops) -> float:
@@ -246,19 +269,13 @@ def reduce(
 
 
 def compose_branch(p: MeasurementProtocol, leaf: str) -> np.ndarray:
-    """Ordered operator product along the branch ending at ``leaf``."""
+    """Ordered operator product along the branch ending at ``leaf``, read-only
+    (a row of :attr:`MeasurementProtocol.branches`)."""
     try:
         k = p.leaf_labels.index(leaf)
     except ValueError:
         raise ValueError(f"no leaf labeled {leaf!r}") from None
-    op = np.eye(2, dtype=np.complex128)
-    for j in range(min(k, len(p.steps))):
-        op = p.steps[j].branch_operator(1) @ op
-    if k < len(p.steps):
-        op = p.steps[k].branch_operator(0) @ op
-    else:
-        op = p.final_unitary @ op
-    return op
+    return p.branches[k]
 
 
 def branch_deviation(p: MeasurementProtocol, leaf: str, target: np.ndarray) -> float:
@@ -280,13 +297,13 @@ def branch_deviations(p: MeasurementProtocol, s: KrausSet) -> dict[str, float]:
 
 
 @functools.lru_cache(maxsize=64)
-def _ancilla_kraus(variant: str, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Circuit Kraus pair of one step, cached: sampling loops revisit a few (p, q)."""
+def _ancilla_kraus(variant: str, p: float, q: float) -> np.ndarray:
+    """Circuit Kraus pair of one step as a read-only (2, 2, 2) stack, cached:
+    sampling loops revisit a few (p, q)."""
     from .ancilla_circuit import circuit_from_pq, kraus_from_circuit
 
-    pair = kraus_from_circuit(circuit_from_pq(variant, PartialProjParams(p, q)))
-    for k in pair:
-        k.flags.writeable = False
+    pair = np.stack(kraus_from_circuit(circuit_from_pq(variant, PartialProjParams(p, q))))
+    pair.flags.writeable = False
     return pair
 
 
@@ -295,8 +312,9 @@ def _leaf_table(
 ) -> tuple[list[float], list[np.ndarray | None]]:
     """Halting probability of each step on the surviving branch, and the leaf states.
 
-    A step is its backend's Kraus pair, outcome b's coherence scaled by kappa_b
-    (below 1 only on the continuous backend at efficiency < 1). A shot halts at
+    A step is its backend's Kraus pair K_b, outcome b's coherence scaled by kappa_b
+    (below 1 only on the continuous backend at efficiency < 1), both outcomes as one
+    (2, 2, 2) stack: A = K V^dag, A rho A^dag, then U_b out_b U_b^dag. A shot halts at
     the first step k whose uniform draw is below ``halt[k]``, else it reaches leaf
     ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has state None,
     and a surviving branch below it ends the walk.
@@ -308,23 +326,28 @@ def _leaf_table(
     variant = backend.split("-", 1)[1] if "-" in backend else "direct"
     halt, states = [], []
     for step in p.steps:
-        pq, kappa = step.params, (1.0, 1.0)
+        pq = step.params
         if backend == "exact":
-            k0, k1 = dops(pq)
+            k = np.stack(dops(pq))
         elif backend == "continuous":
             cfg = readout_config
-            (k0, k1), kappa = _readout_instrument(pq, cfg.alpha, cfg.efficiency, *_grid(cfg))
+            pair, kappa = _readout_instrument(pq, cfg.alpha, cfg.efficiency, *_grid(cfg))
+            k = np.stack(pair)
         else:
-            k0, k1 = _ancilla_kraus(variant, pq.p, pq.q)
-        rho = adjoint(step.pre_unitary) @ rho @ step.pre_unitary
-        out0, out1 = (k @ rho @ adjoint(k) * [[1, c], [c, 1]] for k, c in zip((k0, k1), kappa))
-        h, survive = float(np.trace(out0).real), np.trace(out1).real
+            k = _ancilla_kraus(variant, pq.p, pq.q)
+        a = k @ adjoint(step.pre_unitary)
+        out = a @ rho @ adjoint(a)
+        if backend == "continuous":
+            out[:, 0, 1] *= kappa
+            out[:, 1, 0] *= kappa
+        h, survive = np.trace(out, axis1=1, axis2=2).real.tolist()
+        u = step.post_unitaries
+        out = u @ out @ adjoint(u)
         halt.append(h)
-        u0, u1 = step.post_unitary_0, step.post_unitary_1
-        states.append(u0 @ (out0 / h) @ adjoint(u0) if h >= ZERO_BRANCH_TOL else None)
+        states.append(out[0] / h if h >= ZERO_BRANCH_TOL else None)
         if survive < ZERO_BRANCH_TOL:
             return halt, states + [None]
-        rho = u1 @ (out1 / survive) @ adjoint(u1)
+        rho = out[1] / survive
     return halt, states + [p.final_unitary @ rho @ adjoint(p.final_unitary)]
 
 
@@ -453,24 +476,22 @@ def protocol_from_json(text: str) -> MeasurementProtocol:
     within ``COMPLETENESS_TOL`` (a one-operator complete set)."""
     data = json.loads(text)
     check_version(data, "protocol")
-    steps = tuple(
-        TwoOutcomeStep(
-            pre_unitary=matrix_from_json(require_key(s, "pre_unitary"), 2),
-            params=PartialProjParams(require_key(s, "p", float), require_key(s, "q", float)),
-            post_unitary_0=matrix_from_json(require_key(s, "post_unitary_0"), 2),
-            post_unitary_1=matrix_from_json(require_key(s, "post_unitary_1"), 2),
-        )
-        for s in require_key(data, "steps", list)
-    )
-    final_unitary = matrix_from_json(require_key(data, "final_unitary"), 2)
-    unitaries = [final_unitary]
-    for s in steps:
-        unitaries += [s.pre_unitary, s.post_unitary_0, s.post_unitary_1]
-    if not is_unitary(np.stack(unitaries), tol=COMPLETENESS_TOL):
+    rows, params = [], []  # each step's three unitaries in turn, then the final one
+    for s in require_key(data, "steps", list):
+        rows.append(require_key(s, "pre_unitary"))
+        params.append(PartialProjParams(require_key(s, "p", float), require_key(s, "q", float)))
+        rows += [require_key(s, "post_unitary_0"), require_key(s, "post_unitary_1")]
+    rows.append(require_key(data, "final_unitary"))
+    unitaries = matrices_from_json(rows, 2)
+    if not is_unitary(unitaries, tol=COMPLETENESS_TOL):
         raise ValueError("a protocol unitary is not unitary")
     labels = require_key(data, "leaf_labels", list)
     if not all(isinstance(label, str) for label in labels):
         raise ValueError("expected 'leaf_labels' to be a list of strings")
+    steps = tuple(
+        TwoOutcomeStep(unitaries[3 * k], pq, unitaries[3 * k + 1], unitaries[3 * k + 2])
+        for k, pq in enumerate(params)
+    )
     return MeasurementProtocol(
-        steps=steps, final_unitary=final_unitary, leaf_labels=tuple(labels)
+        steps=steps, final_unitary=unitaries[-1], leaf_labels=tuple(labels)
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Mismatch
-from .linalg import adjoint, pauli_basis, pauli_expand, psd_sqrt
+from .linalg import adjoint, pauli_basis, pauli_transfer, psd_sqrt
 from .partial_projection import validate_state
 from .serialize import (
     FORMAT_VERSION, check_version, dump, matrix_from_json, matrix_to_json, require_distinct,
@@ -37,12 +37,15 @@ PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """d^2 x d^2 process matrix in the Pauli basis."""
+    """d^2 x d^2 process matrix in the Pauli basis; d = 2^k for k >= 1 qubits."""
 
     dim: int
     chi: np.ndarray
 
     def __post_init__(self):
+        d = self.dim
+        if not (isinstance(d, (int, np.integer)) and d >= 2 and not d & (d - 1)):
+            raise ValueError(f"process matrix dim {self.dim} is not 2^k with k >= 1")
         d2 = self.dim * self.dim
         if self.chi.shape != (d2, d2):
             raise ValueError(
@@ -64,6 +67,9 @@ class ProcessSet:
         if not self.outcomes:
             raise ValueError("a process set needs at least one outcome")
         require_distinct(self.labels)
+        dims = sorted({chi.dim for _, chi in self.outcomes})
+        if len(dims) != 1:
+            raise ValueError(f"a process set's outcomes must share one dim, got {dims}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -77,26 +83,35 @@ class ProcessSet:
     def dim(self) -> int:
         return self.outcomes[0][1].dim
 
+    def chis(self) -> np.ndarray:
+        """The outcomes' chi as one (n, d^2, d^2) stack."""
+        return np.stack([chi.chi for _, chi in self.outcomes])
+
+
+def _expand(ops, d: int) -> np.ndarray:
+    """Pauli coefficients (r, d^2) of a stack or list of r d x d operators, one matmul."""
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"dimension {d} is not 2^k with k >= 1")
+    ops = np.asarray(ops, dtype=np.complex128)
+    if ops.ndim != 3 or ops.shape[1:] != (d, d):
+        raise ValueError(f"operator shape {ops.shape[1:]}, expected ({d}, {d})")
+    return ops.reshape(len(ops), d * d) @ pauli_transfer(d.bit_length() - 1)[0]
+
 
 def chi_from_kraus(ops, d: int) -> ProcessMatrix:
-    """Process matrix of the channel rho -> sum_m K_m rho K_m^dag."""
-    n_qubits = round(math.log2(d))
-    if 2**n_qubits != d:
-        raise ValueError(f"dimension {d} is not a power of 2")
-    ops = [np.asarray(m, dtype=np.complex128) for m in ops]
-    for m in ops:
-        if m.shape != (d, d):
-            raise ValueError(f"operator shape {m.shape}, expected ({d}, {d})")
-    alpha = pauli_expand(np.stack(ops), pauli_basis(n_qubits))
+    """Process matrix of the channel rho -> sum_m K_m rho K_m^dag; ``ops`` is a
+    list or (r, d, d) stack of Kraus operators."""
+    alpha = _expand(ops, d)
     return ProcessMatrix(dim=d, chi=alpha.T @ alpha.conj())
 
 
 def process_set_from_kraus(ops, labels, d: int = 2) -> ProcessSet:
-    """Per-outcome single-Kraus process set (a purity-preserving measurement)."""
+    """Per-outcome single-Kraus process set (a purity-preserving measurement):
+    chi^(k) = alpha_k alpha_k^dag from one expansion of all the operators."""
+    alpha = _expand(ops, d)
+    chis = alpha[:, :, None] * alpha.conj()[:, None, :]
     return ProcessSet(
-        outcomes=tuple(
-            (label, chi_from_kraus([m], d)) for label, m in zip(labels, ops)
-        )
+        outcomes=tuple((label, ProcessMatrix(dim=d, chi=c)) for label, c in zip(labels, chis))
     )
 
 
@@ -105,14 +120,22 @@ def apply_process(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (chi.dim, chi.dim):
         raise ValueError(f"state shape {rho.shape}, expected dim {chi.dim}")
-    e = pauli_basis(round(math.log2(chi.dim)))
+    e = pauli_basis(chi.dim.bit_length() - 1)
     return np.einsum("ij,iab,bc,jdc->ad", chi.chi, e, rho, e.conj())
+
+
+def _povms(chis: np.ndarray) -> np.ndarray:
+    """POVM elements (..., d, d) of a stack of process matrices (..., d^2, d^2), one
+    matmul against the transfer map G."""
+    d2 = chis.shape[-1]
+    d = math.isqrt(d2)
+    g = pauli_transfer(d.bit_length() - 1)[1]
+    return (chis.reshape(chis.shape[:-2] + (d2 * d2,)) @ g).reshape(chis.shape[:-2] + (d, d))
 
 
 def povm_from_process(chi: ProcessMatrix) -> np.ndarray:
     """POVM element P = sum_ij chi_ij E_j^dag E_i; Tr P = d * Tr chi."""
-    e = pauli_basis(round(math.log2(chi.dim)))
-    return np.einsum("ij,jba,ibc->ac", chi.chi, e.conj(), e)
+    return _povms(chi.chi)
 
 
 def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
@@ -143,14 +166,18 @@ def _uhlmann_trace(rho: np.ndarray, sigma: np.ndarray):
     return np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum(axis=-1)
 
 
+def _require_hermitian(m: np.ndarray, tol: float, what: str) -> None:
+    dev = np.abs(m - adjoint(m)).max()
+    if not dev <= tol:
+        raise ValueError(f"{what} deviates from Hermitian by {dev:.3e}")
+
+
 def _require_psd(m: np.ndarray, tol: float, what: str = "process matrix") -> None:
     """Raise ``ValueError`` unless ``m``, or each matrix of a stack (..., d, d),
     is Hermitian within ``tol`` with no eigenvalue below -``tol``."""
     m = np.asarray(m)
-    dev = np.abs(m - adjoint(m)).max()
-    if not dev <= tol:
-        raise ValueError(f"{what} deviates from Hermitian by {dev:.3e}")
-    w = np.linalg.eigvalsh((m + adjoint(m)) / 2)[..., 0].min()
+    _require_hermitian(m, tol, what)
+    w = np.linalg.eigvalsh(_hermitian_part(m))[..., 0].min()
     if w < -tol:
         raise ValueError(f"{what} has eigenvalue {w:.3e}")
 
@@ -179,16 +206,34 @@ def state_fidelity(rho, sigma, variant: str = "uhlmann") -> float:
     raise ValueError(f"unknown state fidelity variant {variant!r}")
 
 
-def _is_trace_preserving(chi: ProcessMatrix, tol: float = 1e-8) -> bool:
-    dev = povm_from_process(chi) - np.eye(chi.dim)
-    return bool(np.abs(dev).max() <= tol)
+def _traces(m: np.ndarray) -> np.ndarray:
+    """Real traces of a stack of matrices (..., d, d)."""
+    return np.trace(m, axis1=-2, axis2=-1).real
 
 
-def _is_rank1(chi: ProcessMatrix, tol: float = 1e-12) -> bool:
-    """Whether every other eigenvalue is within ``tol`` of 0 relative to the largest:
-    F9's trace formula is off by about twice their sum over the largest."""
-    w = np.linalg.eigvalsh((chi.chi + adjoint(chi.chi)) / 2)
-    return bool(np.all(np.abs(w[:-1]) <= tol * w[-1]))
+def _rank1(w: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Per row of ascending eigenvalues (..., d^2): whether every other eigenvalue is
+    within ``tol`` of 0 relative to the largest. F9's trace formula is off by about
+    twice their sum over the largest."""
+    return np.all(np.abs(w[..., :-1]) <= tol * w[..., -1:], axis=-1)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + adjoint(m)) / 2
+
+
+def _f9(chi: np.ndarray, chi_ideal: np.ndarray, t: np.ndarray, ti: np.ndarray):
+    """F9 of each pair of stacks (n, d^2, d^2) with positive traces t, ti (n,), and
+    whether each ideal is rank-1. A rank-1 ideal takes the trace formula (F8),
+    Tr(chi chi~) / (t t~), exact without the Uhlmann route's square-root round-off;
+    the other rows take one stacked Uhlmann call."""
+    rank1 = _rank1(np.linalg.eigvalsh(_hermitian_part(chi_ideal)))
+    overlap = np.sum(chi * chi_ideal.swapaxes(-1, -2), axis=(-2, -1)).real
+    F = np.maximum(overlap, 0.0)
+    if not rank1.all():
+        u = _uhlmann_trace(chi[~rank1], chi_ideal[~rank1])
+        F[~rank1] = u * u
+    return F / (t * ti), rank1
 
 
 def process_fidelity(
@@ -214,14 +259,10 @@ def process_fidelity(
         raise ValueError(f"unknown process fidelity variant {variant!r}")
     if t <= 0.0 or ti <= 0.0:
         raise ValueError("process fidelity undefined for zero-trace chi")
-    rank1 = _is_rank1(chi_ideal)
-    if variant == "F8" and not rank1:
+    F, rank1 = _f9(chi.chi[None], chi_ideal.chi[None], np.array([t]), np.array([ti]))
+    if variant == "F8" and not rank1[0]:
         raise ValueError("F8 requires a rank-1 (purity-preserving) ideal")
-    if rank1:
-        # F9 reduces exactly to the trace formula (F8) for a rank-1 ideal,
-        # without the Uhlmann route's square-root round-off.
-        return max(float(np.trace(chi.chi @ chi_ideal.chi).real), 0.0) / (t * ti)
-    return float(_uhlmann_trace(chi.chi, chi_ideal.chi)) ** 2 / (t * ti)
+    return float(F[0])
 
 
 def partial_fidelity(chi_k: ProcessMatrix, chi_k_ideal: ProcessMatrix) -> float:
@@ -240,16 +281,21 @@ def _family(w: np.ndarray, F: np.ndarray, alpha: float) -> float:
 
 
 def _partials(actual: ProcessSet, ideal: ProcessSet):
-    """Weights sqrt(p_k p~_k), partial fidelities F_k (F9) and both sides' probabilities;
-    F_k is 0 for a failed outcome (p_k = 0 < p~_k) and NaN where p~_k = 0."""
+    """Weights sqrt(p_k p~_k), partial fidelities F_k (F9) and both sides' probabilities,
+    and both sides' chi stacks; F_k is 0 for a failed outcome (p_k = 0 < p~_k) and NaN
+    where p~_k = 0. One stacked F9 pass over the outcomes scored."""
     if actual.labels != ideal.labels:
         raise Mismatch(f"outcome labels differ: {actual.labels} vs {ideal.labels}")
-    p, p_ideal = np.array(actual.probabilities), np.array(ideal.probabilities)
-    F = np.array([
-        np.nan if ti <= 0.0 else 0.0 if t <= 0.0 else partial_fidelity(a, i)
-        for (_, a), (_, i), t, ti in zip(actual.outcomes, ideal.outcomes, p, p_ideal)
-    ])
-    return np.sqrt(np.clip(p, 0.0, None) * np.clip(p_ideal, 0.0, None)), F, p, p_ideal
+    if actual.dim != ideal.dim:
+        raise ValueError("process matrices have different dimensions")
+    chi, chi_ideal = actual.chis(), ideal.chis()
+    p, p_ideal = _traces(chi), _traces(chi_ideal)
+    F = np.where(p_ideal > 0.0, 0.0, np.nan)
+    scored = (p > 0.0) & (p_ideal > 0.0)
+    if scored.any():
+        F[scored] = _f9(chi[scored], chi_ideal[scored], p[scored], p_ideal[scored])[0]
+    w = np.sqrt(np.clip(p, 0.0, None) * np.clip(p_ideal, 0.0, None))
+    return w, F, p, p_ideal, chi, chi_ideal
 
 
 _TOTAL_ALPHA = {"sum": 1.0, "sqrt_squared": 0.5}
@@ -284,7 +330,7 @@ def total_fidelity(
 def _povm_terms(actual: np.ndarray, ideal: np.ndarray):
     """Weights sqrt(Tr P_k Tr Pi_k)/d and terms u_k^2/(Tr P_k Tr Pi_k) of the POVM
     fidelities for stacks (n, d, d) of elements, from one Uhlmann call."""
-    tr = np.einsum("kii->k", actual).real * np.einsum("kii->k", ideal).real
+    tr = _traces(actual) * _traces(ideal)
     u = _uhlmann_trace(actual, ideal)
     F = np.divide(u * u, tr, out=np.zeros_like(u), where=tr > 0.0)
     return np.sqrt(np.clip(tr, 0.0, None)) / actual.shape[-1], F
@@ -348,11 +394,19 @@ def average_state_fidelity(
     if chi.dim != chi_ideal_unitary.dim:
         raise ValueError("process matrices have different dimensions")
     d = chi.dim
-    if not (_is_rank1(chi_ideal_unitary) and _is_trace_preserving(chi_ideal_unitary)):
+    both = np.stack([chi_ideal_unitary.chi, chi.chi])
+    tp = np.abs(_povms(both) - np.eye(d)).max(axis=(-2, -1)) <= 1e-8
+    if not tp[0]:
         raise ValueError("average state fidelity requires a unitary ideal")
-    if not _is_trace_preserving(chi):
+    # A chi that is not trace-preserving may hold NaN, which eigvalsh refuses.
+    w = np.linalg.eigvalsh(_hermitian_part(both if tp[1] else both[:1]))
+    if not _rank1(w[0]):
+        raise ValueError("average state fidelity requires a unitary ideal")
+    if not tp[1]:
         raise ValueError("process is not trace-preserving")
-    _require_psd(chi.chi, PSD_TOL)
+    _require_hermitian(chi.chi, PSD_TOL, "process matrix")
+    if w[1, 0] < -PSD_TOL:
+        raise ValueError(f"process matrix has eigenvalue {w[1, 0]:.3e}")
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
     return (d * f6 + 1.0) / (d + 1.0)
 
@@ -384,18 +438,15 @@ def process_set_from_json(text: str) -> ProcessSet:
             for o in require_key(data, "outcomes", list)
         )
     )
-    _require_psd(np.stack([chi.chi for _, chi in ps.outcomes]), PSD_TOL)
+    _require_psd(ps.chis(), PSD_TOL)
     return ps
 
 
 def fidelity_report(actual: ProcessSet, ideal: ProcessSet) -> dict:
     """All fidelity variants between two process sets, keyed by name: the partials
     and the POVM terms are computed once and the family is evaluated on them."""
-    w, F, p, p_ideal = _partials(actual, ideal)
-    povm_w, povm_F = _povm_terms(
-        np.stack([povm_from_process(chi) for _, chi in actual.outcomes]),
-        np.stack([povm_from_process(chi) for _, chi in ideal.outcomes]),
-    )
+    w, F, p, p_ideal, chi, chi_ideal = _partials(actual, ideal)
+    povm_w, povm_F = _povm_terms(_povms(chi), _povms(chi_ideal))
     return {
         "partial": {
             label: {"F": None if np.isnan(f) else float(f), "failed": bool(t <= 0.0 < ti)}

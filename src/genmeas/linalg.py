@@ -68,12 +68,14 @@ def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def pauli_basis(n_qubits: int = 1) -> np.ndarray:
-    """Ordered Pauli operator basis for ``n_qubits``, stacked as (d^2, d, d).
+    """Ordered Pauli operator basis for ``n_qubits`` >= 1, stacked as (d^2, d, d).
 
     For one qubit the order is (I, X, Y, Z); for more, all tensor products
     in lexicographic order. Normalization: Tr(E_j^dag E_i) = d * delta_ij.
     The array is cached per ``n_qubits`` and read-only.
     """
+    if n_qubits < 1:
+        raise ValueError(f"a Pauli basis needs n_qubits >= 1, got {n_qubits}")
     single = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
     basis = single
     for _ in range(n_qubits - 1):
@@ -87,14 +89,33 @@ def pauli_expand(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Expansion coefficients of ``m`` in a Pauli basis.
 
     ``alpha_i = Tr(E_i^dag m) / d`` so that ``sum_i alpha_i E_i = m``. A
-    stack of matrices (..., d, d) gives coefficients of shape (..., d^2).
+    stack of matrices (..., d, d) gives coefficients of shape (..., d^2),
+    from one matmul of the row-major vec m against the conjugated basis.
     """
     m = np.asarray(m, dtype=np.complex128)
     basis = np.asarray(basis)
     d = basis.shape[-1]
     if m.shape[-2:] != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match basis dim {d}")
-    return np.einsum("iab,...ab->...i", basis.conj(), m) / d
+    return m.reshape(m.shape[:-2] + (d * d,)) @ (basis.reshape(-1, d * d).conj().T / d)
+
+
+@functools.lru_cache(maxsize=8)
+def pauli_transfer(n_qubits: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli transfer pair (B, G) for ``n_qubits``, cached and read-only.
+
+    With row-major vec: alpha = vec M @ B (d^2 x d^2) expands M in
+    :func:`pauli_basis` as :func:`pauli_expand` does, and vec P = vec chi @ G
+    (d^4 x d^2) is the POVM element P = sum_ij chi_ij E_j^dag E_i of a process
+    matrix chi. Both act on stacks of vecs, one matmul each.
+    """
+    e = pauli_basis(n_qubits)
+    d = e.shape[-1]
+    b = pauli_expand(np.eye(d * d).reshape(d * d, d, d), e)
+    g = (adjoint(e)[None, :] @ e[:, None]).reshape(d**4, d * d)
+    for a in (b, g):
+        a.flags.writeable = False
+    return b, g
 
 
 def phase_align(a: np.ndarray, b: np.ndarray) -> np.ndarray:

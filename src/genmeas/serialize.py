@@ -52,6 +52,24 @@ def matrix_from_json(rows: list, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def matrices_from_json(docs: list, dim: int) -> np.ndarray:
+    """(n, dim, dim) complex stack of the [re, im] row matrices in ``docs``.
+
+    All of them are read as one float array viewed as complex. Anything but n
+    finite dim x dim matrices of numbers goes through :func:`matrix_from_json`
+    one matrix at a time, which names the first bad matrix.
+    """
+    try:
+        a = np.array(docs)
+    except ValueError:
+        a = None
+    if (a is None or a.dtype.kind not in "biuf" or a.shape != (len(docs), dim, dim, 2)
+            or not np.isfinite(a).all()):
+        mats = [matrix_from_json(rows, dim) for rows in docs]
+        return np.array(mats, dtype=np.complex128).reshape(len(docs), dim, dim)
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+
+
 _KINDS = {list: "a list", str: "a string", int: "an integer", float: "a number"}
 
 
@@ -107,6 +125,6 @@ def kraus_set_from_json(text: str) -> KrausSet:
     check_version(data, "kraus set")
     ops = require_key(data, "ops", list)
     return kraus_set(
-        [matrix_from_json(require_key(o, "matrix"), 2) for o in ops],
+        matrices_from_json([require_key(o, "matrix") for o in ops], 2),
         [require_key(o, "label", str) for o in ops],
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from genmeas import channels
 from genmeas.channels import (
     NoiseSpec,
     amplitude_damping_kraus,
@@ -110,3 +111,13 @@ def test_noise_order_flag_matters():
     after = noisy_branch(d0, spec)
     before = noisy_branch(d0, spec, noise_first=True)
     assert np.linalg.norm(after.chi - before.chi) > 1e-3
+
+
+def test_noise_stack_is_shared_read_only():
+    # noisy_branch reads one cached stack per spec; no caller can change it.
+    spec = NoiseSpec("unitary_jitter", 0.3, seed=5)
+    stack = channels._noise_stack(spec)
+    assert channels._noise_stack(spec) is stack and not stack.flags.writeable
+    assert np.array_equal(stack, np.stack(noise_kraus(spec)))
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0.0

@@ -300,6 +300,20 @@ def test_fidelity_povm_mixed_shapes_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and text in err
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fidelity_process_dim_not_a_qubit_power_exits_2(tmp_path, capsys, dim):
+    # A 1x1 chi once scored povm_Fp 4.0 against itself; a 9x9 one failed inside numpy.
+    chi = np.zeros((dim * dim, dim * dim))
+    chi[0, 0] = 1.0
+    doc = tmp_path / "set.json"
+    doc.write_text(json.dumps({"format_version": "1.0", "dim": dim, "outcomes": [
+        {"label": "0", "p": 1.0, "chi": matrix_to_json(chi)}]}))
+    assert main(["fidelity", str(doc), str(doc), "--mode", "process"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"dim {dim} is not 2^k with k >= 1" in err
+
+
 def test_circuit_out_of_range_exits_2(capsys):
     assert main(["circuit", "--p", "1.5", "--q", "0.6"]) == 2
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from genmeas.channels import (
     NoiseSpec,
     amplitude_damping_kraus,
     depolarizing_kraus,
+    noise_kraus,
     noisy_branch,
     unitary_jitter_kraus,
 )
@@ -32,7 +33,7 @@ from genmeas.fidelity import (
     state_fidelity,
     total_fidelity,
 )
-from genmeas.linalg import PAULI_X, adjoint, pauli_basis
+from genmeas.linalg import PAULI_X, adjoint, pauli_basis, pauli_transfer
 from genmeas.partial_projection import PartialProjParams, dops, pure_state
 
 
@@ -561,7 +562,8 @@ def test_fidelity_report_keys():
 
 def test_fidelity_report_makes_one_uhlmann_call(monkeypatch):
     # One 4-outcome report: the POVM traces are one stacked Uhlmann call (one
-    # eigh, one SVD) and each partial fidelity one rank-1 eigvalsh.
+    # eigh, one SVD), the rank-1 test of all four ideals one stacked eigvalsh,
+    # and the chi -> POVM maps matmuls, with no einsum.
     s = random_kraus_set(4, np.random.default_rng(78))
     actual = ProcessSet(outcomes=tuple(
         (label, noisy_branch(m, NoiseSpec("depolarizing", 0.1))) for label, m in zip(s.labels, s.ops)
@@ -569,12 +571,12 @@ def test_fidelity_report_makes_one_uhlmann_call(monkeypatch):
     ideal = process_set_from_kraus(s.ops, s.labels)
     calls = collections.Counter()
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
-                         (fidelity, "_uhlmann_trace")):
+                         (np, "einsum"), (fidelity, "_uhlmann_trace")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
     fidelity_report(actual, ideal)
-    assert calls == {"_uhlmann_trace": 1, "eigh": 1, "svd": 1, "eigvalsh": 4}
+    assert calls == {"_uhlmann_trace": 1, "eigh": 1, "svd": 1, "eigvalsh": 1}
 
 
 def test_mixed_measurement_scores_one_against_itself():
@@ -626,3 +628,165 @@ def test_process_set_rejects_repeated_labels():
     doc = process_set_to_json(ps).replace('"label": "1"', '"label": "0"')
     with pytest.raises(ValueError, match="labels must be distinct"):
         process_set_from_json(doc)
+
+
+def test_process_matrix_dim_must_be_a_qubit_power():
+    for dim in (0, 1, 3, 6, -2):
+        with pytest.raises(ValueError, match=f"dim {dim} is not 2"):
+            ProcessMatrix(dim, np.zeros((dim * dim, dim * dim)))
+    with pytest.raises(ValueError, match="n_qubits >= 1"):
+        pauli_basis(0)
+    with pytest.raises(ValueError, match="share one dim"):
+        ProcessSet((("a", chi_from_kraus([np.eye(2)], 2)), ("b", chi_from_kraus([np.eye(4)], 4))))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_pauli_transfer_pair_is_cached_and_read_only(n_qubits):
+    b, g = pauli_transfer(n_qubits)
+    d = 2**n_qubits
+    assert pauli_transfer(n_qubits)[0] is b
+    assert b.shape == (d * d, d * d) and g.shape == (d**4, d * d)
+    assert not b.flags.writeable and not g.flags.writeable
+
+
+# Per-outcome reference: the einsum and loop code the stacked passes replaced.
+
+def reference_expand(ops, d):
+    """alpha_i = Tr(E_i^dag M) / d by einsum over the Pauli basis."""
+    basis = pauli_basis(round(math.log2(d)))
+    return np.einsum("iab,...ab->...i", basis.conj(), np.asarray(ops, dtype=complex)) / d
+
+
+def reference_chi_from_kraus(ops, d):
+    alpha = reference_expand(np.stack([np.asarray(m, dtype=complex) for m in ops]), d)
+    return ProcessMatrix(dim=d, chi=alpha.T @ alpha.conj())
+
+
+def reference_process_set_from_kraus(ops, labels, d=2):
+    return ProcessSet(tuple((label, reference_chi_from_kraus([m], d)) for label, m in zip(labels, ops)))
+
+
+def reference_povm_from_process(chi):
+    e = pauli_basis(round(math.log2(chi.dim)))
+    return np.einsum("ij,jba,ibc->ac", chi.chi, e.conj(), e)
+
+
+def reference_noisy_branch(m, spec):
+    return reference_chi_from_kraus([k @ m for k in noise_kraus(spec)], 2)
+
+
+def reference_is_rank1(chi, tol=1e-12):
+    w = np.linalg.eigvalsh((chi.chi + adjoint(chi.chi)) / 2)
+    return bool(np.all(np.abs(w[:-1]) <= tol * w[-1]))
+
+
+def reference_process_fidelity(chi, chi_ideal, variant):
+    """F6-F9 of one pair: the trace formula where the ideal is rank-1, else Uhlmann."""
+    t, ti = chi.trace, chi_ideal.trace
+    if variant in ("F6", "F7"):
+        if variant == "F6":
+            return float(np.trace(chi.chi @ chi_ideal.chi).real)
+        return float(fidelity._uhlmann_trace(chi.chi, chi_ideal.chi)) ** 2
+    rank1 = reference_is_rank1(chi_ideal)
+    if variant == "F8" and not rank1:
+        raise ValueError("F8 requires a rank-1 (purity-preserving) ideal")
+    if rank1:
+        return max(float(np.trace(chi.chi @ chi_ideal.chi).real), 0.0) / (t * ti)
+    return float(fidelity._uhlmann_trace(chi.chi, chi_ideal.chi)) ** 2 / (t * ti)
+
+
+def reference_partials(actual, ideal):
+    """One F9 per outcome in a Python loop: 0 for a failed outcome, NaN where p~_k = 0."""
+    p, p_ideal = np.array(actual.probabilities), np.array(ideal.probabilities)
+    F = np.array([
+        np.nan if ti <= 0.0 else 0.0 if t <= 0.0 else reference_process_fidelity(a, i, "F9")
+        for (_, a), (_, i), t, ti in zip(actual.outcomes, ideal.outcomes, p, p_ideal)
+    ])
+    return np.sqrt(np.clip(p, 0.0, None) * np.clip(p_ideal, 0.0, None)), F, p, p_ideal
+
+
+def reference_povm_terms(actual, ideal):
+    tr = np.einsum("kii->k", actual).real * np.einsum("kii->k", ideal).real
+    u = fidelity._uhlmann_trace(actual, ideal)
+    F = np.divide(u * u, tr, out=np.zeros_like(u), where=tr > 0.0)
+    return np.sqrt(np.clip(tr, 0.0, None)) / actual.shape[-1], F
+
+
+def reference_fidelity_report(actual, ideal):
+    w, F, p, p_ideal = reference_partials(actual, ideal)
+    povm_w, povm_F = reference_povm_terms(
+        np.stack([reference_povm_from_process(chi) for _, chi in actual.outcomes]),
+        np.stack([reference_povm_from_process(chi) for _, chi in ideal.outcomes]),
+    )
+    family = fidelity._family
+    return {
+        "partial": {
+            label: {"F": None if np.isnan(f) else float(f), "failed": bool(t <= 0.0 < ti)}
+            for label, f, t, ti in zip(actual.labels, F, p, p_ideal)
+        },
+        "total_sum": family(w, F, 1.0),
+        "total_sqrt_squared": family(w, F, 0.5),
+        "povm_Fp": family(povm_w, povm_F, 1.0),
+        "povm_FpTilde": family(povm_w, povm_F, 0.5),
+        "p_actual": p.tolist(),
+        "p_ideal": p_ideal.tolist(),
+        "labels": list(actual.labels),
+    }
+
+
+def reference_average_state_fidelity(chi, chi_ideal):
+    d = chi.dim
+    tp = [np.abs(reference_povm_from_process(c) - np.eye(d)).max() <= 1e-8 for c in (chi, chi_ideal)]
+    if not (reference_is_rank1(chi_ideal) and tp[1]):
+        raise ValueError("average state fidelity requires a unitary ideal")
+    if not tp[0]:
+        raise ValueError("process is not trace-preserving")
+    fidelity._require_psd(chi.chi, fidelity.PSD_TOL)
+    return (d * float(np.trace(chi.chi @ chi_ideal.chi).real) + 1.0) / (d + 1.0)
+
+
+def assert_reports_agree(got, expect, tol=1e-12):
+    assert got.keys() == expect.keys()
+    assert got["labels"] == expect["labels"]
+    for label in got["labels"]:
+        a, b = got["partial"][label], expect["partial"][label]
+        assert a["failed"] == b["failed"] and (a["F"] is None) == (b["F"] is None), label
+        if a["F"] is not None:
+            assert abs(a["F"] - b["F"]) <= tol, (label, a["F"], b["F"])
+    for key in ("p_actual", "p_ideal"):
+        assert np.max(np.abs(np.subtract(got[key], expect[key]))) <= tol, key
+    for key in ("total_sum", "total_sqrt_squared", "povm_Fp", "povm_FpTilde"):
+        assert abs(got[key] - expect[key]) <= tol, (key, got[key], expect[key])
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_transfer_maps_match_einsum_reference(d):
+    rng = np.random.default_rng(80 + d)
+    for _ in range(50):
+        ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        chi = chi_from_kraus(ops, d)
+        assert np.abs(chi.chi - reference_chi_from_kraus(list(ops), d).chi).max() <= 1e-12
+        assert np.abs(povm_from_process(chi) - reference_povm_from_process(chi)).max() <= 1e-12
+        got = process_set_from_kraus(ops, "abc", d)
+        for (_, a), (_, b) in zip(got.outcomes, reference_process_set_from_kraus(ops, "abc", d).outcomes):
+            assert np.abs(a.chi - b.chi).max() <= 1e-12
+
+
+def test_average_state_fidelity_checks_in_reference_order():
+    # Each bad input raises what the per-check reference raises, a NaN chi included.
+    u = random_unitary(np.random.default_rng(81))
+    ideal = chi_from_kraus([u], 2)
+    cases = [
+        (depolarizing_chi(0.2), depolarizing_chi(0.1)),
+        (chi_from_kraus([0.9 * np.eye(2)], 2), depolarizing_chi(0.1)),
+        (chi_from_kraus([0.9 * np.eye(2)], 2), ideal),
+        (ProcessMatrix(2, np.full((4, 4), np.nan)), ideal),
+        (ProcessMatrix(2, np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal),
+        (ProcessMatrix(2, np.diag([1.0, 0, 0, 0]) + np.triu(np.full((4, 4), 1e-6), 1)), ideal),
+    ]
+    for chi, chi_ideal in cases:
+        with pytest.raises(ValueError) as expect:
+            reference_average_state_fidelity(chi, chi_ideal)
+        with pytest.raises(ValueError) as got:
+            average_state_fidelity(chi, chi_ideal)
+        assert str(got.value) == str(expect.value)

@@ -13,6 +13,8 @@ Examples are derandomized, so a run is reproducible.
 
 import collections
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -31,9 +33,11 @@ from genmeas.decomposition import (  # noqa: E402
     compose_branch, kraus_set, protocol_from_json, protocol_to_json, random_kraus_set, reduce,
 )
 from genmeas.errors import Infeasible, SingularRemainder  # noqa: E402
+from genmeas import fidelity  # noqa: E402
 from genmeas.fidelity import (  # noqa: E402
-    ProcessSet, fidelity_report, process_set_from_json, process_set_from_kraus, process_set_to_json,
-    state_fidelity, total_fidelity,
+    ProcessMatrix, ProcessSet, average_state_fidelity, chi_from_kraus, fidelity_report,
+    povm_fidelity, povm_from_process, process_fidelity, process_set_from_json,
+    process_set_from_kraus, process_set_to_json, state_fidelity, total_fidelity,
 )
 from genmeas.linalg import adjoint, herm_eig, is_unitary, phase_distance  # noqa: E402
 from genmeas.partial_projection import (  # noqa: E402
@@ -42,6 +46,15 @@ from genmeas.partial_projection import (  # noqa: E402
 from genmeas.serialize import kraus_set_from_json, kraus_set_to_json  # noqa: E402
 from test_ancilla_circuit import kron_kraus_from_circuit  # noqa: E402
 from test_continuous_readout import reference_exit_table  # noqa: E402
+from test_serialize import (  # noqa: E402
+    MALFORMED, assert_same_kraus_sets, assert_same_protocols, read_both,
+    reference_kraus_set_from_json, reference_protocol_from_json,
+)
+from test_fidelity import (  # noqa: E402
+    assert_reports_agree, reference_average_state_fidelity, reference_chi_from_kraus,
+    reference_fidelity_report, reference_noisy_branch, reference_partials, reference_povm_terms,
+    reference_process_fidelity, reference_process_set_from_kraus,
+)
 
 BACKENDS = ("exact", "ancilla-direct", "ancilla-cphase", "ancilla-fixed_cz", "continuous")
 PAULIS = (
@@ -320,6 +333,34 @@ def test_json_round_trips_are_exact(s, sets):
         assert all(np.array_equal(a.chi, b.chi) for (_, a), (_, b) in zip(again.outcomes, ps.outcomes))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kraus_sets(), st.one_of(st.none(), st.sampled_from(sorted(MALFORMED))), st.integers(0, 99))
+def test_one_array_readers_match_per_matrix_readers(s, bad, where):
+    # Same bits as the per-matrix readers on generated documents, and with one
+    # malformed matrix, the same error message.
+    kraus_doc = json.loads(kraus_set_to_json(s))
+    docs = [(kraus_set_from_json, reference_kraus_set_from_json, assert_same_kraus_sets, kraus_doc,
+             [(o, "matrix") for o in kraus_doc["ops"]])]
+    try:
+        proto_doc = json.loads(protocol_to_json(reduce(s)))
+    except SingularRemainder:
+        proto_doc = None
+    if proto_doc is not None:
+        slots = [(step, key) for step in proto_doc["steps"]
+                 for key in ("pre_unitary", "post_unitary_0", "post_unitary_1")]
+        docs.append((protocol_from_json, reference_protocol_from_json, assert_same_protocols,
+                     proto_doc, slots + [(proto_doc, "final_unitary")]))
+    for reader, reference, same, doc, slots in docs:
+        if bad is not None:
+            node, key = slots[where % len(slots)]
+            node[key] = MALFORMED[bad](node[key])
+        result, message = read_both(reader, reference, json.dumps(doc))
+        if bad is None:
+            same(*result)
+        else:
+            assert message is not None
+
+
 near_edges = st.sampled_from([0.0, 1e-16, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 1e-16, 1.0])
 
 
@@ -473,3 +514,107 @@ def test_simulate_batch_keeps_trace_and_purity(p, frac, alpha, eta, rho, seed):
     assert np.all(np.abs(batch.purity - tr_sq) <= 1e-12)
     if eta == 1.0 and abs(purity(rho) - 1.0) <= 1e-12:
         assert np.all(np.abs(tr_sq - 1.0) <= 1e-10)
+
+
+# The stacked process algebra against the per-outcome einsum and loop reference
+# (tests/test_fidelity.py), within REFERENCE_TOL, fixed before the stacked code.
+REFERENCE_TOL = 1e-12
+
+
+@st.composite
+def scored_sets_with_failures(draw):
+    """A pair of ``scored_sets`` with some outcomes zeroed: chi = 0 on the actual
+    side is a failed outcome, on the ideal side an outcome with p~_k = 0 (F is None)."""
+    actual, ideal = draw(scored_sets())
+    n = len(actual.labels)
+
+    def zeroed(ps):
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return ProcessSet(tuple(
+            (label, ProcessMatrix(chi.dim, np.zeros_like(chi.chi)) if z else chi)
+            for (label, chi), z in zip(ps.outcomes, mask)
+        ))
+
+    return zeroed(actual), zeroed(ideal)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(scored_sets(), scored_sets_with_failures()), st.floats(0.1, 1.0))
+def test_stacked_report_matches_per_outcome_reference(sets, alpha):
+    # Every report field, the parametric total, and F8/F9 of each scored pair.
+    actual, ideal = sets
+    report = fidelity_report(actual, ideal)
+    assert_reports_agree(report, reference_fidelity_report(actual, ideal), REFERENCE_TOL)
+    family = fidelity._family(*reference_partials(actual, ideal)[:2], alpha)
+    assert abs(total_fidelity(actual, ideal, "parametric", alpha=alpha) - family) <= REFERENCE_TOL
+    for (_, a), (_, i) in zip(actual.outcomes, ideal.outcomes):
+        if a.trace <= 0.0 or i.trace <= 0.0:
+            continue
+        for variant in ("F8", "F9"):
+            try:
+                expect = reference_process_fidelity(a, i, variant)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    process_fidelity(a, i, variant)
+                continue
+            assert abs(process_fidelity(a, i, variant) - expect) <= REFERENCE_TOL, variant
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scored_sets())
+def test_stacked_povm_fidelity_matches_reference(sets):
+    # Both sides of a scored pair are complete, so their POVMs sum to I.
+    actual, ideal = ([povm_from_process(chi) for _, chi in ps.outcomes] for ps in sets)
+    terms = reference_povm_terms(np.stack(actual), np.stack(ideal))
+    for variant, alpha in (("Fp", 1.0), ("FpTilde", 0.5)):
+        expect = fidelity._family(*terms, alpha)
+        assert abs(povm_fidelity(actual, ideal, variant) - expect) <= REFERENCE_TOL, variant
+
+
+@st.composite
+def noisy_unitaries(draw):
+    """A noisy unitary channel and a unitary ideal: d = 2 under one of the four noise
+    kinds, or d = 4 from a random isometry of 1 to 3 Kraus operators."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([2, 4]))
+    u = decomposition.random_unitary(rng, d)
+    ideal = chi_from_kraus([decomposition.random_unitary(rng, d) if draw(st.booleans()) else u], d)
+    if d == 2:
+        spec = NoiseSpec(draw(st.sampled_from(KINDS)), draw(st.floats(0.0, 1.0)), draw(st.integers(0, 99)))
+        return noisy_branch(u, spec), reference_noisy_branch(u, spec), ideal
+    r = draw(st.integers(1, 3))
+    w = decomposition.random_unitary(rng, d * r)[:, :d]
+    ops = w.reshape(r, d, d) @ u
+    return chi_from_kraus(ops, d), reference_chi_from_kraus(list(ops), d), ideal
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(noisy_unitaries())
+def test_stacked_channel_algebra_matches_reference(case):
+    # chi_from_kraus and noisy_branch against the einsum expansion; F6, F7 and the
+    # average state fidelity against the per-check reference.
+    chi, ref_chi, ideal = case
+    assert np.abs(chi.chi - ref_chi.chi).max() <= REFERENCE_TOL
+    for variant in ("F6", "F7"):
+        expect = reference_process_fidelity(chi, ideal, variant)
+        assert abs(process_fidelity(chi, ideal, variant) - expect) <= REFERENCE_TOL, variant
+    expect = reference_average_state_fidelity(chi, ideal)
+    assert abs(average_state_fidelity(chi, ideal) - expect) <= REFERENCE_TOL
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
+def test_stacked_process_sets_match_reference(n, seed, d):
+    # One expansion of all n operators against one einsum per operator.
+    rng = np.random.default_rng(seed)
+    if d == 2:
+        ops = random_kraus_set(n, rng).ops
+    else:
+        ops = decomposition.random_unitary(rng, d * n)[:, :d].reshape(n, d, d)
+    labels = [str(k) for k in range(n)]
+    got = process_set_from_kraus(ops, labels, d)
+    expect = reference_process_set_from_kraus(ops, labels, d)
+    assert got.labels == expect.labels
+    for (_, a), (_, b) in zip(got.outcomes, expect.outcomes):
+        assert np.abs(a.chi - b.chi).max() <= REFERENCE_TOL
+    assert np.abs(chi_from_kraus(ops, d).chi - reference_chi_from_kraus(ops, d).chi).max() <= REFERENCE_TOL
