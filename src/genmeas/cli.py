@@ -29,28 +29,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .ancilla_circuit import circuit_from_pq, circuit_to_json
-from .continuous_readout import (
-    ReadoutConfig,
-    Thresholds,
-    pq_from_thresholds,
-    simulate_batch,
-    thresholds_from_pq,
-    trajectories_to_jsonl,
-)
-from .decomposition import (
-    branch_deviations,
-    protocol_from_json,
-    protocol_to_json,
-    reduce as reduce_kraus,
-    sample_protocol,
-)
 from .errors import GenmeasError, Infeasible, Mismatch
-from .fidelity import fidelity_report, povm_fidelity, process_set_from_json
 from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import (
     check_version, dump, kraus_set_from_json, matrix_from_json, matrix_to_json, require_key,
 )
+
+# Each cmd_* imports the modules it runs in its body: a one-shot process compiles
+# only what its command needs (tests/test_imports.py pins the sets).
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,27 +61,26 @@ def _parse_state(spec: str) -> np.ndarray:
 def _emit(payload: dict, args) -> None:
     if not args.no_timestamp:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = dump(payload)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _write(dump(payload), args.output)
 
 
 def _write(text: str, output: str | None) -> None:
+    """Write ``text`` ending in exactly one newline; empty text writes nothing."""
+    text = text.rstrip("\n") + "\n" if text else ""
     if output:
         with open(output, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+            f.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def cmd_synth(args) -> int:
+    from .decomposition import branch_deviations, protocol_to_json, reduce
+
     with open(args.kraus) as f:
         ks = kraus_set_from_json(f.read())
     order = tuple(int(x) for x in args.order.split(",")) if args.order else None
-    proto = reduce_kraus(ks, order=order, cancel_u1=args.cancel_u1)
+    proto = reduce(ks, order=order, cancel_u1=args.cancel_u1)
     # Without --output stdout carries the protocol JSON, so the deviations go to stderr.
     for label, dev in branch_deviations(proto, ks).items():
         print(f"leaf {label}: composition deviation {dev:.3e}",
@@ -104,7 +89,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _readout_config(args) -> ReadoutConfig:
+def _readout_config(args):
+    from .continuous_readout import ReadoutConfig
+
     return ReadoutConfig(
         tau_min=args.tau,
         seed=args.seed,
@@ -115,14 +102,12 @@ def _readout_config(args) -> ReadoutConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .decomposition import protocol_from_json, sample_protocol
+
     with open(args.protocol) as f:
         proto = protocol_from_json(f.read())
     state = _parse_state(args.state)
     readout = _readout_config(args) if args.backend == "continuous" else None
-    if args.shots == 0:
-        _emit({"format_version": "1.0", "histogram": {}, "shots": 0,
-               "seed": args.seed, "backend": args.backend}, args)
-        return EXIT_OK
     counts, means = sample_protocol(
         proto, state, args.shots, args.seed, args.backend, readout
     )
@@ -141,6 +126,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    from .continuous_readout import (
+        Thresholds, pq_from_thresholds, simulate_batch, thresholds_from_pq, trajectories_to_jsonl,
+    )
+
     state = _parse_state(args.state)
     if args.p is not None and args.q is not None:
         t = thresholds_from_pq(PartialProjParams(args.p, args.q))
@@ -160,12 +149,16 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_circuit(args) -> int:
+    from .ancilla_circuit import circuit_from_pq, circuit_to_json
+
     circuit = circuit_from_pq(args.variant, PartialProjParams(args.p, args.q))
     _write(circuit_to_json(circuit), args.output)
     return EXIT_OK
 
 
 def cmd_fidelity(args) -> int:
+    from .fidelity import fidelity_report, povm_fidelity, process_set_from_json
+
     texts = []
     for path in (args.actual, args.ideal):
         with open(path) as f:

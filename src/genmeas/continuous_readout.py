@@ -83,6 +83,11 @@ class ReadoutConfig:
     def duration_cap(self) -> float:
         return self.max_duration if self.max_duration is not None else 1e6 * self.dt
 
+    def instrument(self, params: PartialProjParams):
+        """Run-averaged Kraus pair and coherence factors of a (p, q) step read out
+        with this configuration; see :func:`_readout_instrument`."""
+        return _readout_instrument(params, self.alpha, self.efficiency, *_grid(self))
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -494,11 +499,12 @@ def simulate_batch(
 
 
 _JSONL = ('{"outcome": %r, "duration": %r, "final_R": %r, "final_state": '
-          '[[[%r, %r], [%r, %r]], [[%r, %r], [%r, %r]]], "purity": %r}')
+          '[[[%r, %r], [%r, %r]], [[%r, %r], [%r, %r]]], "purity": %r}\n')
 
 
 def trajectories_to_jsonl(batch: TrajectoryBatch) -> str:
-    """Serialize a batch as JSON lines, one record per trajectory.
+    """Serialize a batch as JSON lines, one newline-terminated record per
+    trajectory; an empty batch gives "".
 
     Each line is what ``json.dumps`` writes for the record's dict, filled into one
     template: ``repr`` of a finite float is its JSON text. A batch repeats few
@@ -513,4 +519,4 @@ def trajectories_to_jsonl(batch: TrajectoryBatch) -> str:
     )
     columns = (batch.outcome[first].tolist(), *rows[first, 1:].T.tolist())
     lines = list(map(_JSONL.__mod__, zip(*columns)))
-    return "\n".join(map(lines.__getitem__, inverse.tolist())) + "\n"
+    return "".join(map(lines.__getitem__, inverse.tolist()))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous_readout import _grid, _readout_instrument
 from .errors import InaccurateBranch, Infeasible, NotComplete, SingularRemainder
 from .linalg import adjoint, is_unitary, phase_distance, psd_sqrt
 from .partial_projection import (
@@ -330,8 +329,7 @@ def _leaf_table(
         if backend == "exact":
             k = np.stack(dops(pq))
         elif backend == "continuous":
-            cfg = readout_config
-            pair, kappa = _readout_instrument(pq, cfg.alpha, cfg.efficiency, *_grid(cfg))
+            pair, kappa = readout_config.instrument(pq)
             k = np.stack(pair)
         else:
             k = _ancilla_kraus(variant, pq.p, pq.q)

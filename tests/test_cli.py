@@ -98,20 +98,24 @@ def test_simulate_zero_shots(trine_protocol, tmp_path):
          "--no-timestamp"]
     )
     assert code == 0
-    assert json.loads(open(out).read())["histogram"] == {}
+    data = json.loads(open(out).read())
+    assert data["histogram"] == {"a": 0, "b": 0, "c": 0}
+    assert data["mean_final_states"] == {}
 
 
 def test_simulate_projective_continuous_exits_4(tmp_path, capsys):
+    # The leaf table is built even for zero shots, so 0 shots fails as 10 do.
     path = tmp_path / "proj.json"
     path.write_text(
         kraus_set_to_json(kraus_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
     )
     proto = str(tmp_path / "proto.json")
     assert main(["synth", str(path), "--output", proto]) == 0
-    code = main(
-        ["simulate", proto, "--backend", "continuous", "--shots", "10"]
-    )
-    assert code == 4
+    for shots in ("10", "0"):
+        code = main(
+            ["simulate", proto, "--backend", "continuous", "--shots", shots]
+        )
+        assert code == 4
 
 
 def test_simulate_reproducible(trine_protocol, tmp_path):
@@ -136,6 +140,20 @@ def test_trajectory_pq(tmp_path, capsys):
     row = json.loads(lines[0])
     assert row["outcome"] in (0, 1)
     assert "frequency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots", [0, 3])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_trajectory_jsonl_has_no_blank_lines(shots, to_file, tmp_path, capsys):
+    out = tmp_path / "traj.jsonl"
+    argv = ["trajectory", "--p", "0.8", "--q", "0.6", "--shots", str(shots)]
+    assert main(argv + (["--output", str(out)] if to_file else [])) == 0
+    text = out.read_text() if to_file else capsys.readouterr().out
+    assert text.endswith("\n") if shots else text == ""
+    lines = text.splitlines()
+    assert len(lines) == shots
+    for line in lines:
+        assert json.loads(line)["outcome"] in (0, 1)
 
 
 def test_trajectory_requires_parameters(capsys):

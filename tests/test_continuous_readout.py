@@ -344,7 +344,7 @@ def test_jsonl_is_json_dumps():
             for r in batch
         )
         assert trajectories_to_jsonl(batch) == expect
-    assert trajectories_to_jsonl(batch[:0]) == "\n"
+    assert trajectories_to_jsonl(batch[:0]) == ""
 
 
 def test_jsonl_formats_repeated_rows_that_are_not_adjacent():
