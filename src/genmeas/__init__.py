@@ -24,12 +24,12 @@ _EXPORTS = {
     "continuous_readout": (
         "ReadoutConfig", "Thresholds", "TrajectoryBatch", "TrajectoryRecord",
         "measurement_operator", "normalization_constants", "pq_from_thresholds",
-        "simulate_batch", "simulate_trajectory", "thresholds_from_pq",
+        "simulate_batch", "thresholds_from_pq",
     ),
     "decomposition": (
         "KrausSet", "MeasurementProtocol", "TwoOutcomeStep", "compose_branch",
-        "execute_protocol", "kraus_set", "random_kraus_set", "reduce", "remainder",
-        "sample_protocol", "svd_decompose_pair", "validate_kraus_set",
+        "execute_protocol", "kraus_set", "random_kraus_set", "reduce", "sample_protocol",
+        "svd_decompose_pair", "validate_kraus_set",
     ),
     "fidelity": (
         "ProcessMatrix", "ProcessSet", "apply_process", "average_state_fidelity",

@@ -22,8 +22,7 @@ drift leaving an interval (Cox & Miller 1965; Borodin & Salminen 2002).
 Given its side, a run's exit time has the same law under both labels, so
 ``simulate_batch`` draws each run's side by the Born rule and its step
 count from that series, with no walk, and the ``continuous`` backend
-averages over it in closed form. ``simulate_trajectory`` walks the grid
-step by step to record a readout path. Because increments compose exactly
+averages over it in closed form. Because increments compose exactly
 through the diagonal exponentials, the final state follows in closed form
 from (final_R, duration): a batch from one state has one final state per
 threshold, whose coherence each run scales by its duration at eta < 1.
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -43,6 +42,8 @@ from .partial_projection import PartialProjParams, validate_state
 
 _CAP = "no threshold reached within the duration cap of {} steps"
 _NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
+# An exit table's first chunk holds 64 bins of up to this many series terms (32 MB).
+_MAX_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,19 @@ class ReadoutConfig:
     max_duration: float | None = None
 
     def __post_init__(self):
-        if self.tau_min <= 0:
-            raise ValueError("tau_min must be positive")
+        if not 0.0 < self.tau_min < math.inf:
+            raise ValueError(f"tau_min must be positive and finite, got {self.tau_min}")
         if not abs(self.alpha) < math.pi / 2:
             raise ValueError("|alpha| must be strictly below pi/2")
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError("efficiency must be in (0, 1]")
         if self.dt is None:
             object.__setattr__(self, "dt", self.tau_min / 100.0)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.duration_cap / self.dt) and self.dt / self.tau > 0.0):
+            raise ValueError(f"dt = {self.dt:g} must be a finite fraction of the duration cap "
+                             f"{self.duration_cap:g} and a nonzero one of tau = {self.tau:g}")
 
     @property
     def tau(self) -> float:
@@ -120,7 +124,6 @@ class TrajectoryRecord:
     final_R: float
     final_state: np.ndarray
     purity: float
-    r_path: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,11 +258,18 @@ def _exit_series(t: Thresholds, m: float, j_cap: int):
     Returns (lam, c): S_b(s) = sum_n c[b, n] e^{-lam_n s} is P(side b, T > s) at drift
     +1 and e^{-2 R_b} S_b(s) at drift -1, s in units of tau (Cox & Miller 1965).
     ``Infeasible`` if a run is still going after step j_cap w.p. > 1e-12 under either
-    drift.
+    drift, or if the series needs more than ``_MAX_TERMS`` terms (dt too fine for the gap).
     """
     big_l, x = t.R0 - t.R1, -t.R1
-    # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m.
-    n = np.arange(1, int(big_l / math.pi * math.sqrt(92.0 / m)) + 3)
+    # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m. A gap too
+    # small for the first (lambda_1 m > 46) stops every run at its first step.
+    terms = big_l / math.pi * math.sqrt(92.0 / m)
+    if terms < 1.0:
+        return np.empty(0), np.empty((2, 0))
+    if not terms <= _MAX_TERMS:
+        raise Infeasible(f"dt / tau = {m:.3g} is too fine a grid for thresholds {big_l:.3g} apart: "
+                         f"the exit-time series needs {terms:.3g} terms, above {_MAX_TERMS}")
+    n = np.arange(1, int(terms) + 3)
     k = n * math.pi / big_l
     lam = 0.5 * (1.0 + k * k)
     a = math.pi / big_l**2 * np.where(n % 2, n, -n) / lam
@@ -400,80 +410,6 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.nd
             side = outcome == b
             steps[side] = 1 + np.searchsorted(tail[b], key[side], side="right")
     return _final_batch(rho, outcome, steps, t, config)
-
-
-def readout_walk(
-    config: ReadoutConfig,
-    t: Thresholds,
-    rho: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    path: list[float] | None = None,
-) -> TrajectoryBatch:
-    """Grid walk of ``n`` readout runs that all start from the density matrix ``rho``.
-
-    Each run draws its hidden label (0 w.p. rho00), then the active runs advance
-    together one step of dt at a time. A step that ends beyond a threshold stops
-    there; one that stays inside stops with the Brownian-bridge excursion probability
-    exp(-2 g g' tau / dt), g and g' its ends' distances to the threshold. The rule
-    takes one threshold per step, biased when they are close: ``ValueError`` if both
-    are nonzero and R0 - R1 < 2 sqrt(dt / tau). ``Infeasible`` if a run outlasts the cap. It
-    records :func:`simulate_trajectory`'s path (R after each step into ``path``,
-    one run only) and is the reference for the law :func:`simulate_batch` samples.
-    ``rho`` is taken as valid; the runs end in its two final states, one per side
-    (:func:`_final_batch`).
-    """
-    if path is not None and n != 1:
-        raise ValueError(f"a readout path needs a single run, got {n}")
-    _realizable(t)
-    if t.R0 == 0.0 or t.R1 == 0.0:
-        return _sample_exit(config, t, rho, rng.random((n, 2)))
-    m, j_cap = _grid(config)
-    if t.R0 - t.R1 < 2.0 * math.sqrt(m):
-        raise ValueError(f"thresholds {t.R0 - t.R1:.4g} apart bias the grid walk at dt = "
-                         f"{config.dt:g}; it needs dt <= tau (R0 - R1)^2 / 4")
-    r0, r1, c = t.R0, t.R1, 2.0 / m
-    outcome, steps = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    idx, R = np.arange(n), np.zeros(n)
-    drift = np.where(rng.random(n) < rho[0, 0].real, m, -m)
-    j = 0
-    # Endpoints far beyond a threshold overflow the bridge exponent to inf,
-    # which still reads as certain absorption.
-    with np.errstate(over="ignore"):
-        while len(idx):
-            if j == j_cap:
-                raise Infeasible(_CAP.format(j_cap))
-            j += 1
-            end = R + drift + math.sqrt(m) * rng.standard_normal(len(idx))
-            u = rng.random(len(idx))
-            q0 = np.exp(c * (R - r0) * (r0 - end))
-            stop = u < q0 + np.exp(c * (R - r1) * (r1 - end))
-            if path is not None:
-                path.append(float(end[0]))
-            R = end
-            if stop.any():
-                # An endpoint beyond R1 stops at R1 even if the bridge touched R0.
-                outcome[idx[(u < q0) & (end > r1)]] = 0
-                steps[idx[stop]] = j
-                idx, R, drift = idx[~stop], end[~stop], drift[~stop]
-    batch = _final_batch(rho, outcome, steps, t, config)
-    if path is not None:
-        path[-1] = float(batch.final_R[0])
-    return batch
-
-
-def simulate_trajectory(config: ReadoutConfig, t: Thresholds, initial: np.ndarray) -> TrajectoryRecord:
-    """One :func:`readout_walk` run from ``initial``, driven by ``default_rng(config.seed)``.
-
-    The record carries the readout path ``r_path``: R after each step, from 0 to
-    the threshold reached. It equals ``simulate_batch(config, t, initial, 1)[0]``
-    in law, not bit for bit.
-    """
-    path = [0.0]
-    rho = validate_state(initial)
-    rec = readout_walk(config, t, rho, 1, np.random.default_rng(config.seed), path)[0]
-    rec.r_path = path
-    return rec
 
 
 def simulate_batch(

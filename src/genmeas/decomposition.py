@@ -193,17 +193,6 @@ def _left_unitary(n: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return u
 
 
-def remainder(n0: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """PSD completion sqrt(I - N0^dag N0) of a contraction N0."""
-    n0 = np.asarray(n0, dtype=np.complex128)
-    g = adjoint(n0) @ n0
-    w = np.linalg.eigvalsh((g + adjoint(g)) / 2)
-    if not w[-1] <= 1.0 + tol:
-        raise ValueError(f"|N0|^2 has eigenvalue {w[-1]} > 1")
-    eye = np.eye(n0.shape[0], dtype=np.complex128)
-    return psd_sqrt(eye - g, tol=tol)
-
-
 def _aligning_unitary(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Unitary W with W c = g, given |c| = |g|: W = U_g U_c^dag from one SVD c = U_c S V^dag."""
     uc, sv, vh = np.linalg.svd(c)
@@ -277,18 +266,13 @@ def compose_branch(p: MeasurementProtocol, leaf: str) -> np.ndarray:
     return p.branches[k]
 
 
-def branch_deviation(p: MeasurementProtocol, leaf: str, target: np.ndarray) -> float:
-    """Frobenius deviation of a branch composition from its target, phase-aligned."""
-    return phase_distance(target, compose_branch(p, leaf))
-
-
 def branch_deviations(p: MeasurementProtocol, s: KrausSet) -> dict[str, float]:
-    """:func:`branch_deviation` of each leaf of ``s`` from its Kraus operator, in order.
+    """Phase-aligned Frobenius deviation of each leaf's branch from its Kraus operator.
 
     ``InaccurateBranch`` (exit 3) for the first one above ``BRANCH_TOL`` (1e-9), which
     ``UNIT_SNAP`` can leave near projective steps (1.0e-6, see :func:`reduce`).
     """
-    devs = {label: branch_deviation(p, label, m) for label, m in zip(s.labels, s.ops)}
+    devs = {lab: phase_distance(m, compose_branch(p, lab)) for lab, m in zip(s.labels, s.ops)}
     for label, dev in devs.items():
         if not dev <= BRANCH_TOL:
             raise InaccurateBranch(label, dev, BRANCH_TOL)

@@ -199,10 +199,11 @@ def state_fidelity(rho, sigma, variant: str = "uhlmann") -> float:
         f3 = math.sqrt(max(np.trace(rho @ sigma).real, 0.0))
     else:
         f3 = _uhlmann_trace(rho, sigma)
+    f3 = min(f3, 1.0)  # round-off of states the validator accepts can exceed 1
     if variant == "uhlmann":
-        return min(f3, 1.0 + 1e-9)
+        return f3
     if variant == "uhlmann_squared":
-        return min(f3 * f3, 1.0 + 1e-9)
+        return f3 * f3
     raise ValueError(f"unknown state fidelity variant {variant!r}")
 
 
@@ -226,14 +227,14 @@ def _f9(chi: np.ndarray, chi_ideal: np.ndarray, t: np.ndarray, ti: np.ndarray):
     """F9 of each pair of stacks (n, d^2, d^2) with positive traces t, ti (n,), and
     whether each ideal is rank-1. A rank-1 ideal takes the trace formula (F8),
     Tr(chi chi~) / (t t~), exact without the Uhlmann route's square-root round-off;
-    the other rows take one stacked Uhlmann call."""
+    the other rows take one stacked Uhlmann call. Round-off above 1 is clipped."""
     rank1 = _rank1(np.linalg.eigvalsh(_hermitian_part(chi_ideal)))
     overlap = np.sum(chi * chi_ideal.swapaxes(-1, -2), axis=(-2, -1)).real
     F = np.maximum(overlap, 0.0)
     if not rank1.all():
         u = _uhlmann_trace(chi[~rank1], chi_ideal[~rank1])
         F[~rank1] = u * u
-    return F / (t * ti), rank1
+    return np.minimum(F / (t * ti), 1.0), rank1
 
 
 def process_fidelity(
@@ -275,9 +276,9 @@ def partial_fidelity(chi_k: ProcessMatrix, chi_k_ideal: ProcessMatrix) -> float:
 
 
 def _family(w: np.ndarray, F: np.ndarray, alpha: float) -> float:
-    """[sum_{w_k > 0} w_k max(F_k, 0)^alpha]^(1/alpha): every total and POVM fidelity."""
+    """[sum_{w_k > 0} w_k max(F_k, 0)^alpha]^(1/alpha) up to 1: every total and POVM fidelity."""
     keep = w > 0.0
-    return float(np.sum(w[keep] * np.maximum(F[keep], 0.0) ** alpha) ** (1.0 / alpha))
+    return min(float(np.sum(w[keep] * np.maximum(F[keep], 0.0) ** alpha) ** (1.0 / alpha)), 1.0)
 
 
 def _partials(actual: ProcessSet, ideal: ProcessSet):

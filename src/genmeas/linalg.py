@@ -118,20 +118,13 @@ def pauli_transfer(n_qubits: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return b, g
 
 
-def phase_align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``exp(i theta) * b`` with theta chosen to minimize |a - e^{i theta} b|_F.
-
-    Closed form: theta = arg Tr(b^dag a).
-    """
-    t = np.trace(adjoint(b) @ a)
-    if abs(t) < 1e-300:
-        return np.asarray(b, dtype=np.complex128)
-    return (t / abs(t)) * b
-
-
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance between ``a`` and ``b`` minimized over a global phase."""
-    return float(np.linalg.norm(a - phase_align(a, b)))
+    """Frobenius distance between ``a`` and ``b`` minimized over a global phase:
+    |a - e^{i theta} b|_F at theta = arg Tr(b^dag a)."""
+    t = np.trace(adjoint(b) @ a)
+    if abs(t) >= 1e-300:
+        b = (t / abs(t)) * b
+    return float(np.linalg.norm(a - b))
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:

@@ -8,11 +8,19 @@ marked "never valid" fit no node of a Kraus set, protocol or state
 document, so those mutations must fail; the process-set document carries a
 redundant ``p`` per outcome and a POVM element may be any PSD matrix, so
 there the mutations need only fail cleanly.
+
+The numeric readout flags of ``trajectory`` and ``simulate --backend
+continuous`` are swept the same way, one flag at a time: besides the exit
+code and the single ``error:`` line, nothing may warn, and a run that
+succeeds may print no nan or inf.
 """
 
 import copy
+import itertools
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +30,7 @@ from genmeas.decomposition import kraus_set, protocol_to_json, reduce
 from genmeas.fidelity import process_set_from_kraus, process_set_to_json
 from genmeas.serialize import kraus_set_to_json, matrix_to_json
 
-from test_cli import trine_ops
+from test_cli import HADAMARD_OPS, trine_ops
 
 LABELS = ("a", "b", "c")
 DELETE = object()
@@ -32,6 +40,11 @@ BAD_VALUES = (
     ("x", False), (True, False),
 )
 EXIT_CODES = {0, 2, 3, 4, 5}
+READOUT_FLAGS = {
+    "trajectory": ("--tau", "--dt", "--alpha", "--efficiency", "--r0", "--r1"),
+    "simulate": ("--tau", "--dt", "--alpha", "--efficiency"),
+}
+READOUT_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300")
 
 
 def _paths(node, path=()):
@@ -123,3 +136,28 @@ def test_every_mutation_exits_cleanly(name, tmp_path, capsys):
             assert code != 0, what
         count += 1
     assert count > 100
+
+
+@pytest.mark.parametrize("command", ["trajectory", "simulate"])
+def test_every_readout_flag_value_exits_cleanly(command, tmp_path, capsys):
+    proto = tmp_path / "weak.json"
+    proto.write_text(protocol_to_json(reduce(kraus_set(HADAMARD_OPS))))
+    base = {
+        "trajectory": ["trajectory", "--r0", "0.4", "--r1=-0.5"],
+        "simulate": ["simulate", str(proto), "--backend", "continuous"],
+    }[command]
+    codes = set()
+    for flag, value in itertools.product(READOUT_FLAGS[command], READOUT_VALUES):
+        what = f"{command} {flag}={value}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*base, f"{flag}={value}", "--shots", "20", "--no-timestamp"])
+        out, err = capsys.readouterr()
+        assert code in EXIT_CODES, what
+        assert not caught, (what, [str(w.message) for w in caught])
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, what
+        else:
+            assert out and not re.search("nan|inf", out + err, re.IGNORECASE), what
+        codes.add(code)
+    assert codes == {0, 2, 4}

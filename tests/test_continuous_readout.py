@@ -15,9 +15,7 @@ from genmeas.continuous_readout import (
     measurement_operator,
     normalization_constants,
     pq_from_thresholds,
-    readout_walk,
     simulate_batch,
-    simulate_trajectory,
     thresholds_from_pq,
     trajectories_to_jsonl,
 )
@@ -130,8 +128,6 @@ def test_thresholds_projective_in_double_are_refused():
     for t in (Thresholds(20.0, -1.0), Thresholds(1.0, -40.0), Thresholds(400.0, -1.0)):
         with pytest.raises(Infeasible, match="not finite"):
             simulate_batch(cfg, t, KET0, 10)
-        with pytest.raises(Infeasible, match="not finite"):
-            simulate_trajectory(cfg, t, KET0)
     # A zero threshold still stops the readout at once.
     for t, side in ((Thresholds(0.0, -40.0), 0), (Thresholds(400.0, 0.0), 1)):
         batch = simulate_batch(cfg, t, PLUS, 10)
@@ -202,13 +198,6 @@ def test_normalization_reproduces_dops():
         m1 = math.sqrt(c1) * measurement_operator(t.R1, 0.0)
         assert np.linalg.norm(m0 - d0) < 1e-12
         assert np.linalg.norm(m1 - d1) < 1e-12
-
-
-def test_simulate_refuses_infinite_thresholds():
-    cfg = ReadoutConfig(tau_min=1.0, seed=1)
-    t = thresholds_from_pq(PartialProjParams(1.0, 1.0))
-    with pytest.raises(Infeasible, match="not finite"):
-        simulate_trajectory(cfg, t, KET0)
 
 
 def test_simulate_immediate_termination():
@@ -284,19 +273,6 @@ def test_inefficiency_dephasing():
         assert r.purity < 1.0 - 1e-12
         ideal = apply_outcome(params, r.outcome, PLUS)
         assert abs(r.final_state[0, 1]) < abs(ideal[0, 1])
-
-
-def test_determinism():
-    params = PartialProjParams(0.8, 0.6)
-    t = thresholds_from_pq(params)
-    cfg = ReadoutConfig(tau_min=1.0, seed=7)
-    a = simulate_trajectory(cfg, t, PLUS)
-    b = simulate_trajectory(cfg, t, PLUS)
-    assert a.outcome == b.outcome
-    assert a.duration == b.duration
-    assert a.final_R == b.final_R
-    assert np.array_equal(a.final_state, b.final_state)
-    assert a.r_path == b.r_path
 
 
 def test_batch_order_independence():
@@ -415,11 +391,6 @@ def test_seeding_contract():
         side = surv[a.outcome[k]]
         j = round(a.duration[k] / cfg.dt)
         assert side[j] / side[0] < 1.0 - u[k, 1] <= side[j - 1] / side[0]
-    # simulate_trajectory is the grid walk: equal to a batch of one in law
-    # (test_exit_table_matches_the_walk), not bit for bit.
-    rec = simulate_trajectory(cfg, t, PLUS)
-    assert rec.r_path[0] == 0.0 and rec.r_path[-1] == rec.final_R
-    assert len(rec.r_path) == round(rec.duration / cfg.dt) + 1
 
 
 def test_batches_are_prefix_consistent():
@@ -449,48 +420,6 @@ def test_batch_duration_cap():
     cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=1e-6)
     with pytest.raises(Infeasible, match="duration cap"):
         simulate_batch(cfg, t, PLUS, 100)
-
-
-def test_duration_cap_is_exact_on_the_grid():
-    # The walk draws one step at a time; a cap of 255.5 dt makes step 256
-    # the first past the cap, so a capped run draws exactly what the
-    # uncapped run draws. It must raise if and only if the uncapped run is
-    # still going after step 256.
-    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
-    outcomes = set()
-    for seed in range(60):
-        free = simulate_trajectory(ReadoutConfig(tau_min=1.0, seed=seed), t, PLUS)
-        capped = ReadoutConfig(tau_min=1.0, seed=seed, max_duration=255.5e-2)
-        if round(free.duration / capped.dt) > 256:
-            outcomes.add("raised")
-            with pytest.raises(Infeasible, match="duration cap"):
-                simulate_trajectory(capped, t, PLUS)
-        else:
-            outcomes.add("kept")
-            rec = simulate_trajectory(capped, t, PLUS)
-            assert rec.duration == free.duration and rec.r_path == free.r_path
-    assert outcomes == {"raised", "kept"}
-
-
-def test_single_run_path_across_blocks():
-    # dt = tau/1000 makes a run at (0.99, 0.98) thousands of steps long, so
-    # its path records thousands of steps of the walk.
-    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
-    cfg = ReadoutConfig(tau_min=1.0, seed=16, dt=1e-3)
-    rec = simulate_trajectory(cfg, t, KET0)
-    path = np.array(rec.r_path)
-    assert len(path) == round(rec.duration / cfg.dt) + 1 > 1000
-    assert path[0] == 0.0 and path[-1] == rec.final_R
-    assert np.all((path[1:-1] > t.R1) & (path[1:-1] < t.R0))
-    steps = np.diff(path[:-1])
-    assert abs(steps.std() / math.sqrt(cfg.dt / cfg.tau) - 1.0) < 0.1
-
-
-def test_readout_path_needs_a_single_run():
-    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
-    cfg = ReadoutConfig(tau_min=1.0, seed=17)
-    with pytest.raises(ValueError):
-        readout_walk(cfg, t, PLUS, 2, np.random.default_rng(0), [0.0])
 
 
 def test_walk_law_closed_forms():
@@ -557,12 +486,13 @@ def test_batch_is_unbiased_for_close_thresholds():
     assert abs(f0 - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
-def test_walk_refuses_close_thresholds():
-    t = thresholds_from_pq(PartialProjParams(0.55, 0.5))
-    with pytest.raises(ValueError, match="dt"):
-        simulate_trajectory(ReadoutConfig(tau_min=1.0, seed=20), t, KET0)
-    rec = simulate_trajectory(ReadoutConfig(tau_min=1.0, seed=20, dt=1e-3), t, KET0)
-    assert rec.final_R in (t.R0, t.R1)
+def test_thresholds_too_close_for_the_series_stop_at_the_first_step():
+    # Below R0 - R1 = pi sqrt(dt / (92 tau)) no series term survives one step: every
+    # run stops after it, down to gaps whose square underflows, with no warning.
+    cfg = ReadoutConfig(tau_min=1.0, seed=27, efficiency=0.7)
+    for gap in (1e-5, 1e-160, 1e-300):
+        batch = simulate_batch(cfg, Thresholds(gap, -gap), PLUS, 100)
+        assert np.all(batch.duration == cfg.dt) and np.all(np.isfinite(batch.final_state)), gap
 
 
 def _chi2_z(counts, expect, min_expect: float = 20.0) -> float:
@@ -581,6 +511,38 @@ def _chi2_z(counts, expect, min_expect: float = 20.0) -> float:
     return float((((c - e) ** 2 / e).sum() - dof) / math.sqrt(2 * dof))
 
 
+def reference_walk(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, n: int,
+                   rng: np.random.Generator) -> TrajectoryBatch:
+    """Grid walk of ``n`` readout runs from ``rho``, the reference for the exit law that
+    simulate_batch samples; both thresholds nonzero, at least 2 sqrt(dt / tau) apart.
+
+    Each run draws its hidden label (0 w.p. rho00), then the active runs advance
+    together one step of dt at a time. A step that ends beyond a threshold stops
+    there; one that stays inside stops with the Brownian-bridge excursion probability
+    exp(-2 g g' tau / dt), g and g' its ends' distances to the threshold.
+    """
+    m = continuous_readout._grid(config)[0]
+    r0, r1, c = t.R0, t.R1, 2.0 / m
+    outcome, steps = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    idx, R = np.arange(n), np.zeros(n)
+    drift = np.where(rng.random(n) < rho[0, 0].real, m, -m)
+    j = 0
+    # Endpoints far beyond a threshold overflow the bridge exponent to inf,
+    # which still reads as certain absorption.
+    with np.errstate(over="ignore"):
+        while len(idx):
+            j += 1
+            end = R + drift + math.sqrt(m) * rng.standard_normal(len(idx))
+            u = rng.random(len(idx))
+            q0 = np.exp(c * (R - r0) * (r0 - end))
+            stop = u < q0 + np.exp(c * (R - r1) * (r1 - end))
+            # An endpoint beyond R1 stops at R1 even if the bridge touched R0.
+            outcome[idx[(u < q0) & (end > r1)]] = 0
+            steps[idx[stop]] = j
+            idx, R, drift = idx[~stop], end[~stop], drift[~stop]
+    return continuous_readout._final_batch(rho, outcome, steps, t, config)
+
+
 @pytest.mark.parametrize(
     "p, q, n, seed", [(0.6, 0.5, 200_000, 21), (0.8, 0.6, 200_000, 22), (0.99, 0.98, 50_000, 23)]
 )
@@ -590,7 +552,7 @@ def test_exit_table_matches_the_walk(p, q, n, seed):
     # S_b(j)), w_b = rho00 + rho11 e^{-2 R_b}, by chi^2 over (side, J) bins.
     t = thresholds_from_pq(PartialProjParams(p, q))
     cfg = ReadoutConfig(tau_min=1.0, seed=seed)
-    walk = readout_walk(cfg, t, PLUS, n, np.random.default_rng(seed))
+    walk = reference_walk(cfg, t, PLUS, n, np.random.default_rng(seed))
     surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
     pmf = -np.diff(surv, axis=1)
     steps = np.rint(walk.duration / cfg.dt).astype(int)
@@ -705,7 +667,7 @@ def test_batch_matches_the_per_run_reference(thresholds, alpha, eta):
 def test_walk_final_states_match_the_per_run_reference(alpha, eta):
     t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
     cfg = ReadoutConfig(tau_min=1.0, seed=3, alpha=alpha, efficiency=eta)
-    walk = readout_walk(cfg, t, PLUS, 500, np.random.default_rng(3))
+    walk = reference_walk(cfg, t, PLUS, 500, np.random.default_rng(3))
     assert np.array_equal(walk.final_R, np.where(walk.outcome == 0, t.R0, t.R1))
     stack = np.broadcast_to(PLUS, (500, 2, 2))
     final_state, purity = reference_final(stack, walk.final_R, walk.duration, cfg)
@@ -768,13 +730,16 @@ def test_cached_exit_law_is_read_only():
 
 
 def test_duration_cap_raises_on_every_call():
-    # Exceptions are not cached: a cap the readout outlasts raises each time.
+    # Exceptions are not cached: a cap the readout outlasts raises each time. A cap
+    # of 255.5 dt is exact on the grid: step 256 is the first past it.
     params = PartialProjParams(0.99, 0.98)
     t = thresholds_from_pq(params)
-    cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=0.05)
-    grid = continuous_readout._grid(cfg)
-    for _ in range(3):
-        with pytest.raises(Infeasible, match="duration cap of 6 steps"):
-            simulate_batch(cfg, t, PLUS, 10)
-        with pytest.raises(Infeasible, match="duration cap of 6 steps"):
-            continuous_readout._readout_instrument(params, 0.0, 1.0, *grid)
+    for cap, j_cap in ((0.05, 6), (255.5e-2, 256)):
+        cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=cap)
+        grid = continuous_readout._grid(cfg)
+        assert grid[1] == j_cap
+        for _ in range(3):
+            with pytest.raises(Infeasible, match=f"duration cap of {j_cap} steps"):
+                simulate_batch(cfg, t, PLUS, 10)
+            with pytest.raises(Infeasible, match=f"duration cap of {j_cap} steps"):
+                continuous_readout._readout_instrument(params, 0.0, 1.0, *grid)

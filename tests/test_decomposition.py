@@ -21,13 +21,12 @@ from genmeas.decomposition import (
     random_kraus_set,
     random_unitary,
     reduce,
-    remainder,
     sample_protocol,
     svd_decompose_pair,
     validate_kraus_set,
 )
 from genmeas.errors import InaccurateBranch, Infeasible, NotComplete
-from genmeas.linalg import adjoint, is_unitary, phase_distance
+from genmeas.linalg import adjoint, is_unitary, phase_distance, psd_sqrt
 from genmeas.partial_projection import (
     PartialProjParams,
     apply_outcome,
@@ -93,25 +92,13 @@ def test_svd_decompose_random_pairs():
         n0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         w = np.linalg.eigvalsh(adjoint(n0) @ n0)
         n0 = n0 / math.sqrt(w[-1] / rng.uniform(0.3, 0.999))
-        n1 = random_unitary(rng) @ remainder(n0)
+        n1 = random_unitary(rng) @ psd_sqrt(np.eye(2) - adjoint(n0) @ n0)
         step = svd_decompose_pair(n0, n1)
         assert step.params.p + step.params.q >= 1.0 - 1e-12
         assert np.linalg.norm(step.branch_operator(0) - n0) < 1e-10
         assert np.linalg.norm(step.branch_operator(1) - n1) < 1e-10
         for u in (step.pre_unitary, step.post_unitary_0, step.post_unitary_1):
             assert is_unitary(u)
-
-
-def test_remainder_cases():
-    assert np.allclose(remainder(np.zeros((2, 2))), np.eye(2))
-    d0, d1 = dops(PartialProjParams(0.8, 0.6))
-    assert np.linalg.norm(remainder(d0) - d1) < 1e-12
-    assert np.linalg.norm(remainder(HADAMARD)) < 1e-7
-
-
-def test_remainder_rejects_expansion():
-    with pytest.raises(ValueError, match=r"\|N0\|\^2 has eigenvalue"):
-        remainder(1.1 * np.eye(2))
 
 
 def test_reduce_projective():

@@ -266,8 +266,8 @@ def test_reduce_makes_one_svd_per_outcome(monkeypatch):
         raise AssertionError("reduce must not call this")
 
     sets = {n: random_kraus_set(n, np.random.default_rng(n)) for n in range(2, 7)}
-    for module, name in ((decomposition, "remainder"), (decomposition, "svd_decompose_pair"),
-                         (decomposition, "psd_sqrt"), (linalg, "herm_eig"), (linalg, "psd_sqrt")):
+    for module, name in ((decomposition, "svd_decompose_pair"), (decomposition, "psd_sqrt"),
+                         (linalg, "herm_eig"), (linalg, "psd_sqrt")):
         monkeypatch.setattr(module, name, forbidden)
     for n, s in sets.items():
         calls.clear()
@@ -290,8 +290,12 @@ def test_every_fidelity_lies_in_the_unit_interval(sets, alpha, rho, sigma):
     values = [f for f in partial if f is not None] + [report[key] for key in TOTALS]
     values += report["p_actual"] + report["p_ideal"]
     values.append(total_fidelity(actual, ideal, "parametric", alpha=alpha))
-    values += [state_fidelity(rho, sigma, variant) for variant in ("uhlmann", "uhlmann_squared")]
-    assert all(0.0 <= v <= 1.0 + 1e-9 for v in values), values
+    # Two states within the validator's tolerance whose overlap with themselves
+    # rounds to 1 + 1e-9.
+    states = [(rho, sigma), *((r, r) for r in (np.diag([1 + 5e-9, 0.0]), np.diag([0.5 + 4e-9, 0.5])))]
+    values += [state_fidelity(a, b, variant) for a, b in states
+               for variant in ("uhlmann", "uhlmann_squared")]
+    assert all(0.0 <= v <= 1.0 for v in values), values
     w = np.sqrt(np.multiply(report["p_actual"], report["p_ideal"]))
     f = np.array(partial, dtype=float)
     assert abs(report["total_sum"] - w @ f) <= 1e-12
