@@ -729,17 +729,32 @@ def test_cached_exit_law_is_read_only():
             a[0] = 0.0
 
 
+def test_duration_cap_is_exact_on_the_grid():
+    # A cap of 255.5 dt makes step 256 the first past it, at either side of
+    # a half step. A batch whose runs outlast the cap raises naming that
+    # step; one that clears its cap draws exactly what the uncapped batch
+    # draws.
+    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
+    for cap, j_cap in ((255.5e-2, 256), (255.49e-2, 256), (255.51e-2, 256),
+                       (6000.5e-2, 6001)):
+        assert continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0, max_duration=cap))[1] == j_cap
+    with pytest.raises(Infeasible, match="duration cap of 256 steps"):
+        simulate_batch(ReadoutConfig(tau_min=1.0, seed=3, max_duration=255.5e-2), t, PLUS, 200)
+    free = simulate_batch(ReadoutConfig(tau_min=1.0, seed=3), t, PLUS, 200)
+    capped = simulate_batch(ReadoutConfig(tau_min=1.0, seed=3, max_duration=6000.5e-2), t, PLUS, 200)
+    assert np.array_equal(capped.outcome, free.outcome)
+    assert np.array_equal(capped.duration, free.duration)
+    assert np.array_equal(capped.final_state, free.final_state)
+
+
 def test_duration_cap_raises_on_every_call():
-    # Exceptions are not cached: a cap the readout outlasts raises each time. A cap
-    # of 255.5 dt is exact on the grid: step 256 is the first past it.
+    # Exceptions are not cached: a cap the readout outlasts raises each time.
     params = PartialProjParams(0.99, 0.98)
     t = thresholds_from_pq(params)
-    for cap, j_cap in ((0.05, 6), (255.5e-2, 256)):
-        cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=cap)
-        grid = continuous_readout._grid(cfg)
-        assert grid[1] == j_cap
-        for _ in range(3):
-            with pytest.raises(Infeasible, match=f"duration cap of {j_cap} steps"):
-                simulate_batch(cfg, t, PLUS, 10)
-            with pytest.raises(Infeasible, match=f"duration cap of {j_cap} steps"):
-                continuous_readout._readout_instrument(params, 0.0, 1.0, *grid)
+    cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=0.05)
+    grid = continuous_readout._grid(cfg)
+    for _ in range(3):
+        with pytest.raises(Infeasible, match="duration cap of 6 steps"):
+            simulate_batch(cfg, t, PLUS, 10)
+        with pytest.raises(Infeasible, match="duration cap of 6 steps"):
+            continuous_readout._readout_instrument(params, 0.0, 1.0, *grid)
