@@ -34,7 +34,7 @@ _EXPORTS = {
     "fidelity": (
         "ProcessMatrix", "ProcessSet", "apply_process", "average_state_fidelity",
         "chi_from_kraus", "classical_fidelity", "fidelity_report", "partial_fidelity",
-        "povm_fidelity", "povm_from_process", "process_fidelity", "process_set_from_kraus",
+        "povm_fidelity", "process_fidelity", "process_set_from_kraus",
         "state_fidelity", "total_fidelity",
     ),
     "partial_projection": (

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partial_projection import PartialProjParams
-from .serialize import dump
+from .serialize import FORMAT_VERSION, dump
 
 VARIANTS = ("direct", "cphase", "fixed_cz")
 
@@ -193,7 +193,7 @@ def circuit_to_json(c: TwoQubitCircuit) -> str:
     """Serialize the ordered gate list; angles are radians as doubles."""
     return dump(
         {
-            "format_version": "1.0",
+            "format_version": FORMAT_VERSION,
             "tensor_ordering": "main_x_ancilla",
             "variant": c.variant,
             "phi": c.phi,

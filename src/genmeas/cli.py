@@ -32,7 +32,8 @@ from . import __version__
 from .errors import GenmeasError, Infeasible, Mismatch
 from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import (
-    check_version, dump, kraus_set_from_json, matrix_from_json, matrix_to_json, require_key,
+    FORMAT_VERSION, check_version, dump, kraus_set_from_json, matrix_from_json, matrix_to_json,
+    require_key,
 )
 
 # Each cmd_* imports the modules it runs in its body: a one-shot process compiles
@@ -113,7 +114,7 @@ def cmd_simulate(args) -> int:
     )
     _emit(
         {
-            "format_version": "1.0",
+            "format_version": FORMAT_VERSION,
             "histogram": counts,
             "mean_final_states": {k: matrix_to_json(v) for k, v in means.items()},
             "shots": args.shots,
@@ -179,7 +180,7 @@ def cmd_fidelity(args) -> int:
             "povm_FpTilde": povm_fidelity(pa, pi, variant="FpTilde"),
             "labels": [e["label"] for e in a],
         }
-    report["format_version"] = "1.0"
+    report["format_version"] = FORMAT_VERSION
     _emit(report, args)
     return EXIT_OK
 

@@ -255,15 +255,16 @@ def _grid(config: ReadoutConfig) -> tuple[float, int]:
 def _exit_series(t: Thresholds, m: float, j_cap: int):
     """Exit-time series of the readout between finite, nonzero thresholds.
 
-    Returns (lam, c): S_b(s) = sum_n c[b, n] e^{-lam_n s} is P(side b, T > s) at drift
-    +1 and e^{-2 R_b} S_b(s) at drift -1, s in units of tau (Cox & Miller 1965).
+    Returns (lm, c): S_b(j) = sum_n c[b, n] e^{-lm_n j} is P(side b, T > j dt) at drift
+    +1 and e^{-2 R_b} S_b(j) at drift -1 (Cox & Miller 1965), with lm_n = lambda_n m the
+    decay rate per grid step: lambda_n itself overflows on a gap near sqrt(m).
     ``Infeasible`` if a run is still going after step j_cap w.p. > 1e-12 under either
     drift, or if the series needs more than ``_MAX_TERMS`` terms (dt too fine for the gap).
     """
     big_l, x = t.R0 - t.R1, -t.R1
     # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m. A gap too
     # small for the first (lambda_1 m > 46) stops every run at its first step.
-    terms = big_l / math.pi * math.sqrt(92.0 / m)
+    terms = big_l / (math.pi * math.sqrt(m / 92.0))
     if terms < 1.0:
         return np.empty(0), np.empty((2, 0))
     if not terms <= _MAX_TERMS:
@@ -271,13 +272,13 @@ def _exit_series(t: Thresholds, m: float, j_cap: int):
                          f"the exit-time series needs {terms:.3g} terms, above {_MAX_TERMS}")
     n = np.arange(1, int(terms) + 3)
     k = n * math.pi / big_l
-    lam = 0.5 * (1.0 + k * k)
-    a = math.pi / big_l**2 * np.where(n % 2, n, -n) / lam
+    lm = 0.5 * (m + (k * math.sqrt(m)) ** 2)
+    a = math.pi / big_l * (m / big_l) * np.where(n % 2, n, -n) / lm
     c = np.stack([math.exp(big_l - x) * np.sin(k * x), math.exp(-x) * np.sin(k * (big_l - x))]) * a
-    survive = c @ np.exp(-lam * (j_cap * m))
+    survive = c @ np.exp(-lm * j_cap)
     if max(survive.sum(), survive @ np.exp(-2.0 * np.array([t.R0, t.R1]))) > 1e-12:
         raise Infeasible(_CAP.format(j_cap))
-    return lam, c
+    return lm, c
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,10 +300,10 @@ def _readout_instrument(params: PartialProjParams, alpha: float, eta: float, m: 
     if t.R0 == 0.0 or t.R1 == 0.0:
         kappa = np.ones(2)  # the readout stops before its first step
     else:
-        lam, c = _exit_series(t, m, j_cap)
-        # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j m), h_b = P(side b) at drift +1.
+        lm, c = _exit_series(t, m, j_cap)
+        # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j), h_b = P(side b) at drift +1.
         log_z = -(1.0 - eta) * m / (2.0 * eta)
-        h, w = np.array([params.p, 1.0 - params.p]), log_z - lam * m
+        h, w = np.array([params.p, 1.0 - params.p]), log_z - lm
         kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
         kappa = np.divide(kappa, h, out=np.ones(2), where=h > 0)
     for a in (*pair, kappa):
@@ -316,23 +317,23 @@ def _exit_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
     J = ceil(T / dt) is a run's step count on the grid and S[:, 0] = h = (p, 1 - p).
     K is j_cap or the first j where both sides' tails are below 1e-17 of h. Each
     chunk of bins is as long as the table built before it (64 bins at least), so
-    K bins take about log2(K / 64) + 1 numpy passes; a chunk starting at s keeps only
-    the terms lam_n s <= 60.
+    K bins take about log2(K / 64) + 1 numpy passes; a chunk starting at step i keeps
+    only the terms lm_n i <= 60.
     """
-    lam, c = _exit_series(t, m, j_cap)
+    lm, c = _exit_series(t, m, j_cap)
     pq = pq_from_thresholds(t)
     h = np.array([pq.p, pq.q * math.exp(2.0 * t.R1)])  # (p, 1 - p) without cancellation
     chunks, j = [h[:, None]], 1
     while j <= j_cap:
-        s = np.arange(j, min(j + max(j, 64), j_cap + 1)) * m
-        terms = np.searchsorted(lam, 60.0 / s[0], side="right")
-        chunk = c[:, :terms] @ np.exp(-np.outer(lam[:terms], s))
+        steps = np.arange(j, min(j + max(j, 64), j_cap + 1))
+        terms = np.searchsorted(lm, 60.0 / j, side="right")
+        chunk = c[:, :terms] @ np.exp(-np.outer(lm[:terms], steps))
         done = np.all(chunk < 1e-17 * h[:, None], axis=0)
         if done.any():
             chunks.append(chunk[:, : done.argmax() + 1])
             break
         chunks.append(chunk)
-        j += len(s)
+        j += len(steps)
     return np.concatenate(chunks, axis=1)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InaccurateBranch, Infeasible, NotComplete, SingularRemainder
-from .linalg import adjoint, is_unitary, phase_distance, psd_sqrt
+from .linalg import adjoint, identity_deviation, is_unitary, phase_distance, psd_sqrt
 from .partial_projection import (
     ZERO_BRANCH_TOL,
     PartialProjParams,
@@ -126,9 +126,8 @@ class MeasurementProtocol:
 
 
 def completeness_deviation(ops) -> float:
-    d = ops[0].shape[0]
-    total = sum(adjoint(m) @ m for m in ops)
-    return float(np.linalg.norm(total - np.eye(d)))
+    """|sum_k M_k^dag M_k - I|_F of a list or stack of operators."""
+    return float(identity_deviation(sum(adjoint(m) @ m for m in ops)))
 
 
 def validate_kraus_set(s: KrausSet, tol: float = COMPLETENESS_TOL) -> None:
@@ -304,9 +303,13 @@ def _leaf_table(
     """
     if backend == "continuous" and readout_config is None:
         raise ValueError("continuous backend requires a ReadoutConfig")
-    if backend not in ("exact", "continuous") and not backend.startswith("ancilla"):
-        raise ValueError(f"unknown backend {backend!r}")
-    variant = backend.split("-", 1)[1] if "-" in backend else "direct"
+    if backend not in ("exact", "continuous"):
+        from .ancilla_circuit import VARIANTS
+
+        prefix, _, variant = backend.partition("-")
+        if prefix != "ancilla" or variant not in VARIANTS:
+            raise ValueError(f"unknown backend {backend!r}: expected exact, continuous or "
+                             f"ancilla-<variant> with a variant in {VARIANTS}")
     halt, states = [], []
     for step in p.steps:
         pq = step.params

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Mismatch
-from .linalg import adjoint, pauli_basis, pauli_transfer, psd_sqrt
+from .linalg import (
+    hermitian_part, identity_deviation, pauli_basis, pauli_transfer, psd_sqrt, require_psd,
+)
 from .partial_projection import validate_state
 from .serialize import (
-    FORMAT_VERSION, check_version, dump, matrix_from_json, matrix_to_json, require_distinct,
+    FORMAT_VERSION, check_version, dump, matrices_from_json, matrix_to_json, require_distinct,
     require_key,
 )
 
@@ -125,17 +127,12 @@ def apply_process(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
 
 
 def _povms(chis: np.ndarray) -> np.ndarray:
-    """POVM elements (..., d, d) of a stack of process matrices (..., d^2, d^2), one
-    matmul against the transfer map G."""
+    """POVM elements P = sum_ij chi_ij E_j^dag E_i (..., d, d) of a stack of process
+    matrices (..., d^2, d^2), one matmul against the transfer map G; Tr P = d Tr chi."""
     d2 = chis.shape[-1]
     d = math.isqrt(d2)
     g = pauli_transfer(d.bit_length() - 1)[1]
     return (chis.reshape(chis.shape[:-2] + (d2 * d2,)) @ g).reshape(chis.shape[:-2] + (d, d))
-
-
-def povm_from_process(chi: ProcessMatrix) -> np.ndarray:
-    """POVM element P = sum_ij chi_ij E_j^dag E_i; Tr P = d * Tr chi."""
-    return _povms(chi.chi)
 
 
 def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
@@ -164,22 +161,6 @@ def _uhlmann_trace(rho: np.ndarray, sigma: np.ndarray):
     states, where eigenvalues of sqrt(sigma) rho sqrt(sigma) would keep half the digits."""
     roots = psd_sqrt(np.stack([rho, sigma]), tol=PSD_TOL)
     return np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum(axis=-1)
-
-
-def _require_hermitian(m: np.ndarray, tol: float, what: str) -> None:
-    dev = np.abs(m - adjoint(m)).max()
-    if not dev <= tol:
-        raise ValueError(f"{what} deviates from Hermitian by {dev:.3e}")
-
-
-def _require_psd(m: np.ndarray, tol: float, what: str = "process matrix") -> None:
-    """Raise ``ValueError`` unless ``m``, or each matrix of a stack (..., d, d),
-    is Hermitian within ``tol`` with no eigenvalue below -``tol``."""
-    m = np.asarray(m)
-    _require_hermitian(m, tol, what)
-    w = np.linalg.eigvalsh(_hermitian_part(m))[..., 0].min()
-    if w < -tol:
-        raise ValueError(f"{what} has eigenvalue {w:.3e}")
 
 
 def _is_pure(rho: np.ndarray, tol: float = 1e-12) -> bool:
@@ -219,16 +200,12 @@ def _rank1(w: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.all(np.abs(w[..., :-1]) <= tol * w[..., -1:], axis=-1)
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + adjoint(m)) / 2
-
-
 def _f9(chi: np.ndarray, chi_ideal: np.ndarray, t: np.ndarray, ti: np.ndarray):
     """F9 of each pair of stacks (n, d^2, d^2) with positive traces t, ti (n,), and
     whether each ideal is rank-1. A rank-1 ideal takes the trace formula (F8),
     Tr(chi chi~) / (t t~), exact without the Uhlmann route's square-root round-off;
     the other rows take one stacked Uhlmann call. Round-off above 1 is clipped."""
-    rank1 = _rank1(np.linalg.eigvalsh(_hermitian_part(chi_ideal)))
+    rank1 = _rank1(np.linalg.eigvalsh(hermitian_part(chi_ideal)))
     overlap = np.sum(chi * chi_ideal.swapaxes(-1, -2), axis=(-2, -1)).real
     F = np.maximum(overlap, 0.0)
     if not rank1.all():
@@ -365,10 +342,10 @@ def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
         raise ValueError(f"actual POVM elements are {a}, ideal POVM elements {b}")
     actual, ideal = (np.asarray(e, dtype=np.complex128) for e in (actual, ideal))
     for name, elems in (("actual", actual), ("ideal", ideal)):
-        dev = np.linalg.norm(elems.sum(axis=0) - np.eye(actual.shape[-1]))
+        dev = identity_deviation(elems.sum(axis=0))
         if not dev <= 1e-9:
             raise Mismatch(f"{name} POVM sums to I only within {dev:.3e}")
-    _require_psd(np.concatenate([actual, ideal]), UHLMANN_CLAMP, "POVM element")
+    require_psd(np.concatenate([actual, ideal]), UHLMANN_CLAMP, "POVM element")
     return _family(*_povm_terms(actual, ideal), _POVM_ALPHA[variant])
 
 
@@ -395,19 +372,13 @@ def average_state_fidelity(
     if chi.dim != chi_ideal_unitary.dim:
         raise ValueError("process matrices have different dimensions")
     d = chi.dim
-    both = np.stack([chi_ideal_unitary.chi, chi.chi])
-    tp = np.abs(_povms(both) - np.eye(d)).max(axis=(-2, -1)) <= 1e-8
-    if not tp[0]:
-        raise ValueError("average state fidelity requires a unitary ideal")
-    # A chi that is not trace-preserving may hold NaN, which eigvalsh refuses.
-    w = np.linalg.eigvalsh(_hermitian_part(both if tp[1] else both[:1]))
-    if not _rank1(w[0]):
+    tp = identity_deviation(_povms(np.stack([chi_ideal_unitary.chi, chi.chi]))) <= 1e-8
+    # eigvalsh refuses NaN, so each chi is decomposed only once it passed its trace test.
+    if not (tp[0] and _rank1(np.linalg.eigvalsh(hermitian_part(chi_ideal_unitary.chi)))):
         raise ValueError("average state fidelity requires a unitary ideal")
     if not tp[1]:
         raise ValueError("process is not trace-preserving")
-    _require_hermitian(chi.chi, PSD_TOL, "process matrix")
-    if w[1, 0] < -PSD_TOL:
-        raise ValueError(f"process matrix has eigenvalue {w[1, 0]:.3e}")
+    require_psd(chi.chi, PSD_TOL, "process matrix")
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
     return (d * f6 + 1.0) / (d + 1.0)
 
@@ -426,20 +397,18 @@ def process_set_to_json(ps: ProcessSet) -> str:
 
 
 def process_set_from_json(text: str) -> ProcessSet:
-    """Read a process set; each chi must be Hermitian PSD within 1e-8."""
+    """Read a process set; each chi must be Hermitian PSD within 1e-8
+    (:func:`~genmeas.linalg.require_psd`)."""
     data = json.loads(text)
     check_version(data, "process set")
     d = require_key(data, "dim", int)
+    outcomes = require_key(data, "outcomes", list)
+    labels = [require_key(o, "label", str) for o in outcomes]
+    chis = matrices_from_json([require_key(o, "chi") for o in outcomes], d * d)
     ps = ProcessSet(
-        outcomes=tuple(
-            (
-                require_key(o, "label", str),
-                ProcessMatrix(dim=d, chi=matrix_from_json(require_key(o, "chi"), d * d)),
-            )
-            for o in require_key(data, "outcomes", list)
-        )
+        outcomes=tuple((label, ProcessMatrix(dim=d, chi=c)) for label, c in zip(labels, chis))
     )
-    _require_psd(ps.chis(), PSD_TOL)
+    require_psd(chis, PSD_TOL, "process matrix")
     return ps
 
 

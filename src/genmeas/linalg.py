@@ -2,9 +2,10 @@
 
 Everything in this package runs on plain ``numpy.ndarray`` matrices with
 ``complex128`` entries; the helpers here cover the handful of factorizations
-the rest of the library needs (Hermitian eigendecomposition, PSD square
-root, Pauli-basis expansion) together with tolerance-aware comparisons,
-including equality up to a global phase.
+the rest of the library needs (PSD square root, Pauli-basis expansion)
+together with the two checks every input rests on, each written once:
+Hermitian positive semidefinite (:func:`require_psd`) and distance from the
+identity (:func:`identity_deviation`), plus the distance up to a global phase.
 """
 
 from __future__ import annotations
@@ -27,41 +28,53 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
+def identity_deviation(m: np.ndarray) -> np.ndarray:
+    """Frobenius distance |m - I|_F of a matrix, or of each matrix of a stack (..., d, d)."""
+    m = np.asarray(m)
+    return np.linalg.norm(m - np.eye(m.shape[-1]), axis=(-2, -1))
+
+
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     """Whether ``m``, or every matrix of a stack (..., d, d), is unitary within ``tol``."""
-    m = np.asarray(m)
-    dev = np.linalg.norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
-    return bool(np.all(dev <= tol))
+    return bool(np.all(identity_deviation(adjoint(m) @ m) <= tol))
 
 
-def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack (..., d, d).
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of a matrix, or of each matrix of a stack (..., d, d)."""
+    return (m + adjoint(m)) / 2
 
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
-    such that ``m = v @ diag(w) @ v.conj().T``.
 
-    Raises
-    ------
-    ValueError
-        If ``|m - m^dag|_F > tol`` for any matrix.
-    """
+# The PSD rule, shared by require_psd and psd_sqrt: every matrix is Hermitian within
+# ``tol`` in the Frobenius norm and has no eigenvalue below -``tol``; NaN fails.
+def _checked_hermitian_part(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     dev = np.linalg.norm(m - adjoint(m), axis=(-2, -1)).max()
     if not dev <= tol:
-        raise ValueError(f"deviation from Hermiticity {dev:.3e} > tol {tol:.1e}")
-    w, v = np.linalg.eigh((m + adjoint(m)) / 2)
-    return w, v
+        raise ValueError(f"{what} deviates from Hermitian by {dev:.3e} > {tol:.1e}")
+    return hermitian_part(m)
+
+
+def _check_eigenvalues(w: np.ndarray, tol: float, what: str) -> None:
+    low = w[..., 0].min()
+    if low < -tol:
+        raise ValueError(f"{what} has eigenvalue {low:.3e} below -{tol:.1e}")
+
+
+def require_psd(m: np.ndarray, tol: float, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``m``, or each matrix of a stack
+    (..., d, d), is Hermitian within ``tol`` in the Frobenius norm with no eigenvalue
+    below -``tol``. A NaN entry fails."""
+    _check_eigenvalues(np.linalg.eigvalsh(_checked_hermitian_part(m, tol, what)), tol, what)
 
 
 def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
     """Positive-semidefinite square root of a matrix, or of each matrix of a stack (..., d, d).
 
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below
-    ``-tol`` raises ``ValueError``.
+    ``m`` must pass the rule of :func:`require_psd` at ``tol``, else ``ValueError``;
+    eigenvalues in ``[-tol, 0)`` are clamped to zero.
     """
-    w, v = herm_eig(m, tol=max(tol, 1e-9))
-    if w[..., 0].min() < -tol:
-        raise ValueError(f"eigenvalue {w[..., 0].min():.3e} below -{tol:.1e}")
+    w, v = np.linalg.eigh(_checked_hermitian_part(m, tol, "matrix"))
+    _check_eigenvalues(w, tol, "matrix")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
 
@@ -125,7 +138,3 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     if abs(t) >= 1e-300:
         b = (t / abs(t)) * b
     return float(np.linalg.norm(a - b))
-
-
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    return phase_distance(a, b) < tol

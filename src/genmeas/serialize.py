@@ -37,16 +37,23 @@ def dump(doc: dict) -> str:
 
 
 def matrix_from_json(rows: list, dim: int | None = None) -> np.ndarray:
-    """Square complex matrix from [re, im] rows, ``dim`` x ``dim`` if given."""
+    """Square complex matrix from [re, im] rows, ``dim`` x ``dim`` if given, else as
+    many as it has rows: :func:`matrices_from_json` of one matrix."""
+    if dim is None:
+        dim = len(rows) if isinstance(rows, list) else 0
+    return matrices_from_json([rows], dim)[0]
+
+
+def _read_matrix(rows: list, dim: int) -> np.ndarray:
+    """One matrix, one ``complex()`` per entry; ``ValueError`` saying what is wrong."""
     try:
         m = np.array(
             [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
         )
     except (TypeError, ValueError):
         raise ValueError("expected a matrix of [re, im] pairs") from None
-    n = len(m) if dim is None else dim
-    if m.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    if m.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -56,8 +63,9 @@ def matrices_from_json(docs: list, dim: int) -> np.ndarray:
     """(n, dim, dim) complex stack of the [re, im] row matrices in ``docs``.
 
     All of them are read as one float array viewed as complex. Anything but n
-    finite dim x dim matrices of numbers goes through :func:`matrix_from_json`
-    one matrix at a time, which names the first bad matrix.
+    finite dim x dim matrices of numbers is read one matrix at a time, which
+    names what is wrong with the first bad matrix, or reads numbers the one
+    array cannot hold, such as integers beyond int64.
     """
     try:
         a = np.array(docs)
@@ -65,7 +73,7 @@ def matrices_from_json(docs: list, dim: int) -> np.ndarray:
         a = None
     if (a is None or a.dtype.kind not in "biuf" or a.shape != (len(docs), dim, dim, 2)
             or not np.isfinite(a).all()):
-        mats = [matrix_from_json(rows, dim) for rows in docs]
+        mats = [_read_matrix(rows, dim) for rows in docs]
         return np.array(mats, dtype=np.complex128).reshape(len(docs), dim, dim)
     return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
 

@@ -26,11 +26,11 @@ from genmeas.decomposition import (
 from genmeas.fidelity import (
     ProcessMatrix,
     ProcessSet,
+    _povms,
     average_state_fidelity,
     chi_from_kraus,
     classical_fidelity,
     partial_fidelity,
-    povm_from_process,
     process_fidelity,
     process_set_from_kraus,
     state_fidelity,
@@ -255,7 +255,7 @@ def test_criterion_6_fidelity_identities():
 
     total_p = np.zeros((2, 2), dtype=complex)
     for _, chi_k in ideal.outcomes:
-        pk = povm_from_process(chi_k)
+        pk = _povms(chi_k.chi)
         ok &= abs(np.trace(pk).real - 2 * chi_k.trace) <= 1e-9
         total_p += pk
     ok &= np.linalg.norm(total_p - np.eye(2)) <= 1e-9

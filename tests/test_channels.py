@@ -11,7 +11,7 @@ from genmeas.channels import (
     noisy_branch,
     unitary_jitter_kraus,
 )
-from genmeas.fidelity import chi_from_kraus, povm_from_process
+from genmeas.fidelity import _povms, chi_from_kraus
 from genmeas.linalg import adjoint, is_unitary
 from genmeas.partial_projection import PartialProjParams, dops
 
@@ -100,7 +100,7 @@ def test_noisy_branch_set_stays_trace_preserving():
     d0, d1 = dops(PartialProjParams(0.8, 0.6))
     spec = NoiseSpec("amplitude_damping", 0.25)
     total = sum(
-        povm_from_process(noisy_branch(m, spec, noise_first=True)) for m in (d0, d1)
+        _povms(noisy_branch(m, spec, noise_first=True).chi) for m in (d0, d1)
     )
     assert np.linalg.norm(total - np.eye(2)) < 1e-9
 

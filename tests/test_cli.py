@@ -318,6 +318,44 @@ def test_fidelity_povm_mixed_shapes_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and text in err
 
 
+def _process_doc(path, shift):
+    """The (0.8, 0.6) partial projection's process set, ``shift`` added to chi^(0)."""
+    ps = process_set_from_kraus(list(dops(PartialProjParams(0.8, 0.6))), ("0", "1"))
+    doc = json.loads(process_set_to_json(ps))
+    doc["outcomes"][0]["chi"] = matrix_to_json(ps.outcomes[0][1].chi + shift)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _povm_doc(path, *mats):
+    elements = [{"label": str(k), "matrix": matrix_to_json(m)} for k, m in enumerate(mats)]
+    path.write_text(json.dumps({"format_version": "1.0", "elements": elements}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["non-hermitian chi", "negative element", "sum"])
+def test_fidelity_psd_and_identity_checks_name_the_object(case, tmp_path, capsys):
+    # One PSD rule (Frobenius Hermiticity, eigenvalue floor) and one identity check, as
+    # test_fidelity_rejects_non_psd_process_matrix for a negative chi eigenvalue: a chi
+    # 9e-9 from Hermitian entrywise is 1.27e-8 from it in the Frobenius norm.
+    skew = np.zeros((4, 4))
+    skew[0, 1] = 9e-9
+    ideal = _process_doc(tmp_path / "ideal.json", 0.0)
+    proj = _povm_doc(tmp_path / "proj.json", np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    argv, code, text = {
+        "non-hermitian chi": ([_process_doc(tmp_path / "herm.json", skew), ideal],
+                              2, "process matrix deviates from Hermitian by 1.273e-08"),
+        "negative element": ([_povm_doc(tmp_path / "neg.json", np.diag([1.0 + 1e-6, 0.0]),
+                                        np.diag([-1e-6, 1.0])), proj, "--mode", "povm"],
+                             2, "POVM element has eigenvalue -1.000e-06"),
+        "sum": ([_povm_doc(tmp_path / "sum.json", np.diag([1.0, 0.0]), np.diag([0.0, 1.0 - 1e-6])),
+                 proj, "--mode", "povm"], 5, "actual POVM sums to I only within 1.000e-06"),
+    }[case]
+    assert main(["fidelity", *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err, err
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_fidelity_process_dim_not_a_qubit_power_exits_2(tmp_path, capsys, dim):
     # A 1x1 chi once scored povm_Fp 4.0 against itself; a 9x9 one failed inside numpy.

@@ -21,7 +21,7 @@ from genmeas.continuous_readout import (
 )
 from genmeas.decomposition import kraus_set, reduce, sample_protocol
 from genmeas.errors import Infeasible
-from genmeas.linalg import equal_up_to_phase
+from genmeas.linalg import phase_distance
 from genmeas.partial_projection import (
     PartialProjParams,
     apply_outcome,
@@ -156,7 +156,7 @@ def test_measurement_operator_matches_d0():
     m = measurement_operator(t.R0, 0.0)
     assert np.allclose(np.diag(m).real, [1.18921, 0.84090], atol=5e-6)
     d0, _ = dops(PartialProjParams(0.8, 0.6))
-    assert equal_up_to_phase(m / np.linalg.norm(m), d0 / np.linalg.norm(d0))
+    assert phase_distance(m / np.linalg.norm(m), d0 / np.linalg.norm(d0)) < 1e-10
 
 
 def test_measurement_operator_quadrature_phase():
@@ -495,6 +495,25 @@ def test_thresholds_too_close_for_the_series_stop_at_the_first_step():
         assert np.all(batch.duration == cfg.dt) and np.all(np.isfinite(batch.final_state)), gap
 
 
+@pytest.mark.parametrize("factor", [1.01, 2.0, 3.0])
+def test_exit_series_at_a_tiny_grid_step_does_not_overflow(factor):
+    # At dt / tau = 6e-307 a gap of a few pi sqrt(dt / 92) keeps series terms whose
+    # lambda_n = (1 + k_n^2) / 2 overflows, k_n near 1e154; their decay per grid step
+    # lambda_n dt / tau does not. The law depends on the gap in units of sqrt(dt / tau)
+    # up to the drift's share, so it matches the same readout at dt / tau = 1e-20.
+    tables = []
+    for dt in (6e-307, 1e-20):
+        gap = factor * math.pi * math.sqrt(dt / 92)
+        cfg = ReadoutConfig(tau_min=1.0, seed=1, dt=dt, max_duration=dt * 1e6 / 0.6)
+        t = Thresholds(gap / 2, -gap / 2)
+        batch = simulate_batch(cfg, t, np.eye(2) / 2, 5)
+        assert np.all(batch.duration >= dt) and np.all(np.isfinite(batch.final_state))
+        surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
+        tables.append(surv / surv[:, :1])
+    assert tables[0].shape == tables[1].shape
+    assert np.abs(tables[0] - tables[1]).max() < 1e-9
+
+
 def _chi2_z(counts, expect, min_expect: float = 20.0) -> float:
     """(chi^2 - dof) / sqrt(2 dof) over consecutive bins merged up to ``min_expect``."""
     c_out, e_out, c_acc, e_acc = [], [], 0.0, 0.0
@@ -564,16 +583,17 @@ def test_exit_table_matches_the_walk(p, q, n, seed):
 
 
 def reference_exit_table(t: Thresholds, cfg: ReadoutConfig) -> np.ndarray:
-    """The exit table built 64 bins at a time, each chunk with the terms lam_n s <= 60."""
+    """The exit table built 64 bins at a time, each chunk from step j with the terms
+    lm_n j <= 60, lm_n = lambda_n dt / tau."""
     m, j_cap = continuous_readout._grid(cfg)
-    lam, c = continuous_readout._exit_series(t, m, j_cap)
+    lm, c = continuous_readout._exit_series(t, m, j_cap)
     e0, e1 = math.expm1(-2.0 * t.R0), math.expm1(-2.0 * t.R1)
     h = np.array([e1, -e0]) / (e1 - e0)
     chunks = [h[:, None]]
     for j in range(1, j_cap + 1, 64):
-        s = np.arange(j, min(j + 64, j_cap + 1)) * m
-        terms = np.searchsorted(lam, 60.0 / s[0], side="right")
-        chunk = c[:, :terms] @ np.exp(-np.outer(lam[:terms], s))
+        steps = np.arange(j, min(j + 64, j_cap + 1))
+        terms = np.searchsorted(lm, 60.0 / j, side="right")
+        chunk = c[:, :terms] @ np.exp(-np.outer(lm[:terms], steps))
         done = np.all(chunk < 1e-17 * h[:, None], axis=0)
         if done.any():
             chunks.append(chunk[:, : done.argmax() + 1])

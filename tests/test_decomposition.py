@@ -306,6 +306,23 @@ def test_backend_agreement():
             assert abs(pa - pb) < 6 * sigma + 1e-2
 
 
+@pytest.mark.parametrize(
+    "backend", ["ancilla", "ancillary", "ancilla_fixed_cz", "ancilla-", "ancilla-bogus",
+                "ancilla-direct-x", "Exact", "exact-direct", ""],
+)
+def test_unknown_backend_names_are_refused(backend):
+    # Only exact, continuous and ancilla-<variant> name a backend; a near miss used to
+    # run the direct circuit.
+    d0, d1 = dops(PartialProjParams(0.8, 0.6))
+    proto = reduce(kraus_set([d0, d1]))
+    mixed = np.eye(2, dtype=complex) / 2
+    cfg = ReadoutConfig(tau_min=1.0, seed=0)
+    with pytest.raises(ValueError, match="unknown backend"):
+        sample_protocol(proto, mixed, 10, seed=3, backend=backend, readout_config=cfg)
+    with pytest.raises(ValueError, match="unknown backend"):
+        execute_protocol(proto, mixed, 3, backend=backend, readout_config=cfg)
+
+
 def test_continuous_backend_runs():
     # The continuous backend needs finite thresholds, so every step must
     # have p, q < 1; a weak two-outcome measurement qualifies.

@@ -18,6 +18,7 @@ from genmeas.errors import Mismatch
 from genmeas.fidelity import (
     ProcessMatrix,
     ProcessSet,
+    _povms,
     apply_process,
     average_state_fidelity,
     chi_from_kraus,
@@ -25,7 +26,6 @@ from genmeas.fidelity import (
     fidelity_report,
     partial_fidelity,
     povm_fidelity,
-    povm_from_process,
     process_fidelity,
     process_set_from_json,
     process_set_from_kraus,
@@ -33,7 +33,7 @@ from genmeas.fidelity import (
     state_fidelity,
     total_fidelity,
 )
-from genmeas.linalg import PAULI_X, adjoint, pauli_basis, pauli_transfer
+from genmeas.linalg import PAULI_X, adjoint, pauli_basis, pauli_transfer, require_psd
 from genmeas.partial_projection import PartialProjParams, dops, pure_state
 
 
@@ -120,15 +120,15 @@ def test_process_algebra_matches_double_loop(d):
         chi = ProcessMatrix(d, chi / np.trace(chi).real)
         rho = random_density(rng, d)
         assert np.abs(apply_process(chi, rho) - loop_apply_process(chi, rho)).max() < 1e-12
-        assert np.abs(povm_from_process(chi) - loop_povm_from_process(chi)).max() < 1e-12
+        assert np.abs(_povms(chi.chi) - loop_povm_from_process(chi)).max() < 1e-12
 
 
 def test_povm_from_process():
-    assert np.allclose(povm_from_process(chi_from_kraus([np.eye(2)], 2)), np.eye(2))
+    assert np.allclose(_povms(chi_from_kraus([np.eye(2)], 2).chi), np.eye(2))
     d0, d1 = dops(PartialProjParams(0.8, 0.6))
-    p0 = povm_from_process(chi_from_kraus([d0], 2))
+    p0 = _povms(chi_from_kraus([d0], 2).chi)
     assert np.allclose(p0, np.diag([0.8, 0.4]), atol=1e-12)
-    total = p0 + povm_from_process(chi_from_kraus([d1], 2))
+    total = p0 + _povms(chi_from_kraus([d1], 2).chi)
     assert np.linalg.norm(total - np.eye(2)) < 1e-9
 
 
@@ -138,7 +138,7 @@ def test_povm_trace_relation():
         s = random_kraus_set(3, rng)
         for m in s.ops:
             chi = chi_from_kraus([m], d=2)
-            p = povm_from_process(chi)
+            p = _povms(chi.chi)
             assert abs(np.trace(p).real - 2 * chi.trace) < 1e-10
 
 
@@ -736,12 +736,12 @@ def reference_fidelity_report(actual, ideal):
 
 def reference_average_state_fidelity(chi, chi_ideal):
     d = chi.dim
-    tp = [np.abs(reference_povm_from_process(c) - np.eye(d)).max() <= 1e-8 for c in (chi, chi_ideal)]
+    tp = [np.linalg.norm(reference_povm_from_process(c) - np.eye(d)) <= 1e-8 for c in (chi, chi_ideal)]
     if not (reference_is_rank1(chi_ideal) and tp[1]):
         raise ValueError("average state fidelity requires a unitary ideal")
     if not tp[0]:
         raise ValueError("process is not trace-preserving")
-    fidelity._require_psd(chi.chi, fidelity.PSD_TOL)
+    require_psd(chi.chi, fidelity.PSD_TOL, "process matrix")
     return (d * float(np.trace(chi.chi @ chi_ideal.chi).real) + 1.0) / (d + 1.0)
 
 
@@ -766,7 +766,7 @@ def test_transfer_maps_match_einsum_reference(d):
         ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
         chi = chi_from_kraus(ops, d)
         assert np.abs(chi.chi - reference_chi_from_kraus(list(ops), d).chi).max() <= 1e-12
-        assert np.abs(povm_from_process(chi) - reference_povm_from_process(chi)).max() <= 1e-12
+        assert np.abs(_povms(chi.chi) - reference_povm_from_process(chi)).max() <= 1e-12
         got = process_set_from_kraus(ops, "abc", d)
         for (_, a), (_, b) in zip(got.outcomes, reference_process_set_from_kraus(ops, "abc", d).outcomes):
             assert np.abs(a.chi - b.chi).max() <= 1e-12

@@ -6,13 +6,13 @@ from genmeas.linalg import (
     PAULI_Y,
     PAULI_Z,
     adjoint,
-    equal_up_to_phase,
-    herm_eig,
+    identity_deviation,
     is_unitary,
     pauli_basis,
     pauli_expand,
     phase_distance,
     psd_sqrt,
+    require_psd,
 )
 
 
@@ -34,26 +34,38 @@ def test_adjoint_phase_conjugation():
     assert np.allclose(adjoint(m), np.diag([np.exp(-1j * theta), 1.0]))
 
 
-def test_herm_eig_diagonal():
-    w, v = herm_eig(np.diag([3.0, 1.0]).astype(complex))
-    assert np.allclose(w, [1.0, 3.0])
-    assert is_unitary(v, tol=1e-12)
+def test_require_psd_diagonal():
+    # The eigenvalue floor is -tol, inclusive.
+    require_psd(np.diag([3.0, 1.0]), 1e-10, "state")
+    require_psd(np.diag([1.0, -1e-10]), 1e-10, "state")
+    with pytest.raises(ValueError, match=r"^state has eigenvalue -2\.000e-10 below -1\.0e-10$"):
+        require_psd(np.diag([1.0, -2e-10]), 1e-10, "state")
 
 
-def test_herm_eig_sigma_x():
-    w, v = herm_eig(PAULI_X)
-    assert np.allclose(w, [-1.0, 1.0])
-    assert np.allclose(v @ np.diag(w) @ adjoint(v), PAULI_X)
+def test_require_psd_sigma_x():
+    # Hermitian with eigenvalues -1 and 1: the message names the object.
+    with pytest.raises(ValueError, match="^POVM element has eigenvalue -1"):
+        require_psd(PAULI_X, 1e-10, "POVM element")
 
 
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="deviation from Hermiticity"):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+def test_require_psd_rejects_non_hermitian():
+    # |m - m^dag|_F is sqrt(2) times the max-abs deviation here; the Frobenius norm rules.
+    m = np.diag([0.5, 0.5]) + np.array([[0.0, 8e-9], [0.0, 0.0]])
+    require_psd(m, 1.2e-8, "chi")
+    with pytest.raises(ValueError, match="^chi deviates from Hermitian by 1.131e-08"):
+        require_psd(m, 1e-8, "chi")
 
 
-def test_herm_eig_rejects_nan():
-    with pytest.raises(ValueError, match="deviation from Hermiticity nan"):
-        herm_eig(np.full((2, 2), np.nan, dtype=complex))
+def test_require_psd_rejects_nan():
+    with pytest.raises(ValueError, match="^chi deviates from Hermitian by nan"):
+        require_psd(np.full((2, 2), np.nan), 1e-8, "chi")
+
+
+def test_identity_deviation_is_frobenius_per_matrix():
+    stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1.5]), np.eye(3) + 0.1]).astype(complex)
+    assert np.allclose(identity_deviation(stack), [0.0, 0.5, 0.3])
+    assert identity_deviation(np.eye(2)) == 0.0
+    assert np.isnan(identity_deviation(np.full((2, 2), np.nan)))
 
 
 def test_is_unitary_on_a_stack():
@@ -64,15 +76,18 @@ def test_is_unitary_on_a_stack():
     assert not is_unitary(np.full((2, 2), np.nan))
 
 
-def test_herm_eig_reconstruction_random():
+def test_require_psd_random():
+    # Random Hermitian 4 x 4 matrices shifted so their smallest eigenvalue is -2 tol or
+    # -tol / 2: only the first are refused, alone or anywhere in a stack.
     rng = np.random.default_rng(11)
+    tol = 1e-8
     for _ in range(1000):
         a = random_complex(rng, 4)
         m = (a + adjoint(a)) / 2
-        w, v = herm_eig(m)
-        assert np.all(np.diff(w) >= -1e-12)
-        assert np.linalg.norm(v @ np.diag(w) @ adjoint(v) - m) < 1e-10
-        assert is_unitary(v, tol=1e-12)
+        m -= np.eye(4) * np.linalg.eigvalsh(m)[0]
+        require_psd(m - tol / 2 * np.eye(4), tol, "m")
+        with pytest.raises(ValueError, match="^m has eigenvalue"):
+            require_psd(np.stack([m, m - 2 * tol * np.eye(4)]), tol, "m")
 
 
 def test_psd_sqrt_diagonal():
@@ -99,23 +114,23 @@ def test_psd_sqrt_squares_and_commutes():
 
 
 def test_stack_helpers_match_single_matrices():
-    # adjoint, herm_eig and psd_sqrt on a (3, 4, 2, 2) stack equal the
+    # adjoint, identity_deviation and psd_sqrt on a (3, 4, 2, 2) stack equal the
     # single-matrix results; one bad matrix fails the whole stack.
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
     m = adjoint(a) @ a
-    w, _ = herm_eig(m)
+    dev = identity_deviation(m)
     r = psd_sqrt(m)
     for i in np.ndindex(3, 4):
         assert np.array_equal(adjoint(a)[i], adjoint(a[i]))
-        assert np.allclose(w[i], herm_eig(m[i])[0], atol=1e-12)
+        assert dev[i] == identity_deviation(m[i])
         assert np.allclose(r[i], psd_sqrt(m[i]), atol=1e-12)
     m[1, 2] = np.diag([1.0, -0.5])
     with pytest.raises(ValueError, match="below -"):
         psd_sqrt(m)
     m[1, 2] = a[1, 2]
-    with pytest.raises(ValueError, match="Hermiticity"):
-        herm_eig(m)
+    with pytest.raises(ValueError, match="Hermitian"):
+        psd_sqrt(m)
 
 
 def test_pauli_basis_normalization():
@@ -173,5 +188,4 @@ def test_phase_alignment():
         m = random_complex(rng, 2)
         theta = rng.uniform(0, 2 * np.pi)
         assert phase_distance(m, np.exp(1j * theta) * m) < 1e-10
-        assert equal_up_to_phase(m, np.exp(1j * theta) * m)
-    assert not equal_up_to_phase(PAULI_X, PAULI_Z)
+    assert phase_distance(PAULI_X, PAULI_Z) > 1.0

@@ -36,10 +36,10 @@ from genmeas.errors import Infeasible, SingularRemainder  # noqa: E402
 from genmeas import fidelity  # noqa: E402
 from genmeas.fidelity import (  # noqa: E402
     ProcessMatrix, ProcessSet, average_state_fidelity, chi_from_kraus, fidelity_report,
-    povm_fidelity, povm_from_process, process_fidelity, process_set_from_json,
+    povm_fidelity, process_fidelity, process_set_from_json,
     process_set_from_kraus, process_set_to_json, state_fidelity, total_fidelity,
 )
-from genmeas.linalg import adjoint, herm_eig, is_unitary, phase_distance  # noqa: E402
+from genmeas.linalg import adjoint, hermitian_part, is_unitary, phase_distance  # noqa: E402
 from genmeas.partial_projection import (  # noqa: E402
     ZERO_BRANCH_TOL, PartialProjParams, apply_outcome, dops, validate_state,
 )
@@ -95,7 +95,7 @@ def kraus_sets(draw):
     generic = [k for k in range(n) if not scaled[k]]
     if generic:
         g = sum(adjoint(ops[k]) @ ops[k] for k in generic)
-        vals, vecs = herm_eig(g)
+        vals, vecs = np.linalg.eigh(hermitian_part(g))
         g_inv_sqrt = vecs @ np.diag(vals**-0.5) @ adjoint(vecs)
         for k in generic:
             ops[k] = ops[k] @ g_inv_sqrt * np.sqrt(w[generic].sum())
@@ -267,7 +267,7 @@ def test_reduce_makes_one_svd_per_outcome(monkeypatch):
 
     sets = {n: random_kraus_set(n, np.random.default_rng(n)) for n in range(2, 7)}
     for module, name in ((decomposition, "svd_decompose_pair"), (decomposition, "psd_sqrt"),
-                         (linalg, "herm_eig"), (linalg, "psd_sqrt")):
+                         (linalg, "require_psd"), (linalg, "psd_sqrt")):
         monkeypatch.setattr(module, name, forbidden)
     for n, s in sets.items():
         calls.clear()
@@ -503,6 +503,37 @@ def test_validate_state_matches_the_eigvalsh_routine(case):
         assert abs(w_new - w_ref) <= 1.001e-3 * abs(w_ref)
 
 
+def test_validate_state_is_the_2x2_case_of_the_psd_rule():
+    # Seeded trace-1 matrices (at least 1,000 kept) whose non-Hermitian part (Frobenius) and smallest
+    # eigenvalue are each at least a factor 2 from tol, inside or out, and 20 with a
+    # NaN entry: validate_state and linalg.require_psd give the same verdict.
+    rng = np.random.default_rng(17)
+    verdicts = collections.Counter()
+    for i in range(2020):
+        tol = 10.0 ** rng.uniform(-10, -8)
+        z = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-3, 3)  # smallest eigenvalue / tol
+        y = 10.0 ** rng.uniform(-3, 2)  # |rho - rho^dag|_F / tol
+        if -2 < z < -0.5 or 0.5 < y < 2:
+            continue
+        u = decomposition.random_unitary(rng)
+        lam = z * tol
+        rho = (u * [lam, 1.0 - lam]) @ adjoint(u)
+        e = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        k = e - adjoint(e)
+        rho += y * tol / (2 * np.linalg.norm(k)) * k
+        if i >= 2000:
+            rho[divmod(i % 4, 2)] = np.nan
+        got = _check(validate_state, rho, tol) is None
+        try:
+            linalg.require_psd(rho, tol, "state")
+        except ValueError:
+            assert not got, (rho, tol)
+        else:
+            assert got, (rho, tol)
+        verdicts[got] += 1
+    assert sum(verdicts.values()) >= 1000 and min(verdicts.values()) > 200, verdicts
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.floats(0.05, 0.995), st.floats(0.0, 1.0), st.floats(-1.2, 1.2),
        st.one_of(st.just(1.0), st.floats(0.3, 1.0)), density_matrices(), st.integers(0, 2**32 - 1))
@@ -568,7 +599,7 @@ def test_stacked_report_matches_per_outcome_reference(sets, alpha):
 @given(scored_sets())
 def test_stacked_povm_fidelity_matches_reference(sets):
     # Both sides of a scored pair are complete, so their POVMs sum to I.
-    actual, ideal = ([povm_from_process(chi) for _, chi in ps.outcomes] for ps in sets)
+    actual, ideal = (list(fidelity._povms(ps.chis())) for ps in sets)
     terms = reference_povm_terms(np.stack(actual), np.stack(ideal))
     for variant, alpha in (("Fp", 1.0), ("FpTilde", 0.5)):
         expect = fidelity._family(*terms, alpha)

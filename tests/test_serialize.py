@@ -11,6 +11,7 @@ from genmeas.linalg import adjoint, is_unitary
 from genmeas.partial_projection import PartialProjParams
 from genmeas.serialize import (
     FORMAT_VERSION,
+    _read_matrix,
     check_version,
     dump,
     kraus_set_from_json,
@@ -134,7 +135,7 @@ def reference_kraus_set_from_json(text):
     check_version(data, "kraus set")
     ops = require_key(data, "ops", list)
     return kraus_set(
-        [matrix_from_json(require_key(o, "matrix"), 2) for o in ops],
+        [_read_matrix(require_key(o, "matrix"), 2) for o in ops],
         [require_key(o, "label", str) for o in ops],
     )
 
@@ -144,14 +145,14 @@ def reference_protocol_from_json(text):
     check_version(data, "protocol")
     steps = tuple(
         TwoOutcomeStep(
-            pre_unitary=matrix_from_json(require_key(s, "pre_unitary"), 2),
+            pre_unitary=_read_matrix(require_key(s, "pre_unitary"), 2),
             params=PartialProjParams(require_key(s, "p", float), require_key(s, "q", float)),
-            post_unitary_0=matrix_from_json(require_key(s, "post_unitary_0"), 2),
-            post_unitary_1=matrix_from_json(require_key(s, "post_unitary_1"), 2),
+            post_unitary_0=_read_matrix(require_key(s, "post_unitary_0"), 2),
+            post_unitary_1=_read_matrix(require_key(s, "post_unitary_1"), 2),
         )
         for s in require_key(data, "steps", list)
     )
-    final_unitary = matrix_from_json(require_key(data, "final_unitary"), 2)
+    final_unitary = _read_matrix(require_key(data, "final_unitary"), 2)
     unitaries = [final_unitary]
     for s in steps:
         unitaries += [s.pre_unitary, s.post_unitary_0, s.post_unitary_1]
@@ -230,6 +231,10 @@ def test_one_array_readers_keep_per_matrix_messages(kind):
         result, message = read_both(protocol_from_json, reference_protocol_from_json, json.dumps(doc))
         assert result is None and message, kind
         node[key] = good
+    rows = json.dumps(MALFORMED[kind](matrix_to_json(np.eye(2))))
+    result, message = read_both(lambda t: matrix_from_json(json.loads(t), 2),
+                                lambda t: _read_matrix(json.loads(t), 2), rows)
+    assert result is None and message, kind
 
 
 def test_one_array_readers_read_any_json_numbers():
