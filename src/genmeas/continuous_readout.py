@@ -338,21 +338,26 @@ def _exit_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _search_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
-    """-S_b(j) / h_b for j = 1 .. K (:func:`_exit_table`), read-only, last bin 0.
+def _search_table(t: Thresholds, m: float, j_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, guide), read-only: tail[b] = -S_b(j) / h_b for j = 1 .. K (:func:`_exit_table`),
+    last bin 0, and guide[b, g] its right search of g / cells - 1, cells = 2^min(ceil(log2 K), 16).
 
-    J - 1 counts the j >= 1 with S_b(j m) / h_b >= 1 - u: a right search of u - 1.
-    Cached on (t, m, j_cap), never on the seed. A table holds at most 2 j_cap
-    floats, which the slowest readouts reach (alpha near pi/2, strong thresholds):
-    16 MB at the default cap of 1e6 dt, so the 8 entries hold at most 128 MB; a
-    longer ``max_duration`` raises both in proportion.
+    J - 1 counts the j >= 1 with S_b(j m) / h_b >= 1 - u: a right search of u - 1, which lies
+    in [guide[b, g], guide[b, g + 1]] for u in [g, g + 1) / cells, exact dyadic edges (indexed
+    search; Chen & Asau 1974). Cached on (t, m, j_cap), never on the seed. A tail holds at most
+    2 j_cap floats, which the slowest readouts reach (alpha near pi/2, strong thresholds): 16 MB
+    at the default cap of 1e6 dt, plus 0.5 MB of int32 guide, so the 8 entries hold at most
+    132 MB; a longer ``max_duration`` raises the tails in proportion.
     """
     surv = _exit_table(t, m, j_cap)
     tail = surv[:, 1:]
     tail /= -surv[:, :1]
     tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
-    tail.flags.writeable = False
-    return tail
+    cells = 1 << min((tail.shape[1] - 1).bit_length(), 16)
+    edges = np.arange(cells + 1) / cells - 1.0
+    guide = np.array([np.searchsorted(side, edges, side="right") for side in tail], np.int32)
+    tail.flags.writeable = guide.flags.writeable = False
+    return tail, guide
 
 
 def _final_batch(
@@ -365,29 +370,30 @@ def _final_batch(
     """Runs from ``rho`` ending on side ``outcome`` after ``steps`` steps of dt.
 
     The two final states M_R rho M_R^dag / Tr, R = R0 or R1, and their purities are
-    built once and gathered by outcome; at eta < 1 each run's off-diagonals are then
-    scaled by exp(-(1 - eta)/(2 eta) T/tau), T its duration.
+    built once on scalars and gathered by outcome; at eta < 1 each run's off-diagonals
+    are then scaled by exp(-(1 - eta)/(2 eta) T/tau), T its duration.
     """
-    r = np.array([t.R0, t.R1])
-    e = np.exp(r)
-    r00 = e * rho[0, 0].real
-    r11 = rho[1, 1].real / e
-    norm = r00 + r11
-    r01 = rho[0, 1] * np.exp(-1j * math.tan(config.alpha) * r) / norm
-    r00 /= norm
-    r11 /= norm
-    states = np.stack([r00, r01, r01.conj(), r11], axis=1).reshape(2, 2, 2)
-    diag = r00**2 + r11**2
-    out = states.take(outcome, axis=0)
+    (a, b), (_, d) = rho.tolist()
+    states, diag, purity = [], [], []
+    for r in (t.R0, t.R1):
+        e = math.exp(r)
+        norm = e * a.real + d.real / e
+        r00, r11 = e * a.real / norm, d.real / e / norm
+        x = math.tan(config.alpha) * r
+        r01 = b * complex(math.cos(x), -math.sin(x)) / norm
+        states.append(((r00, r01), (r01.conjugate(), r11)))
+        diag.append(r00 * r00 + r11 * r11)
+        purity.append(diag[-1] + 2.0 * abs(r01) ** 2)
+    out = np.array(states).take(outcome, axis=0)
     duration = steps * config.dt
     eta = config.efficiency
     if eta < 1.0:
         out[:, 0, 1] *= np.exp(-(1.0 - eta) / (2.0 * eta) * duration / config.tau)
         out[:, 1, 0] = out[:, 0, 1].conj()
-        purity = diag[outcome] + 2.0 * np.abs(out[:, 0, 1]) ** 2
+        purity = np.take(diag, outcome) + 2.0 * np.abs(out[:, 0, 1]) ** 2
     else:
-        purity = (diag + 2.0 * np.abs(r01) ** 2)[outcome]
-    return TrajectoryBatch(outcome, duration, r[outcome], out, purity)
+        purity = np.take(purity, outcome)
+    return TrajectoryBatch(outcome, duration, np.take((t.R0, t.R1), outcome), out, purity)
 
 
 def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.ndarray) -> TrajectoryBatch:
@@ -396,20 +402,23 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.nd
     The first uniform picks the side by the Born rule, one weight for the batch:
     P(side 0) = p rho00 + (1 - q) rho11, (p, q) = ``_realizable(t)`` and 1 - q = p e^{-2 R0}.
     The second picks the step count J from that side's conditional table
-    (:func:`_search_table`), whose law is the same under both hidden labels: each
-    run's second uniform is searched in its own side's table only. A zero threshold
-    stops the readout at J = 0.
+    (:func:`_search_table`), whose law is the same under both hidden labels: the guide
+    gives J - 1 where a run's exact cell floor(u cells) holds no tail value, and only
+    the other runs search their side's tail. A zero threshold stops the readout at J = 0.
     """
     p = _realizable(t).p
     born0 = p * (rho[0, 0].real + math.exp(-2.0 * t.R0) * rho[1, 1].real)
     outcome = (u[:, 0] >= born0).astype(np.int64)
     steps = np.zeros(len(u), dtype=np.int64)
     if t.R0 != 0.0 and t.R1 != 0.0:
-        tail = _search_table(t, *_grid(config))
-        key = u[:, 1] - 1.0
+        tail, guide = _search_table(t, *_grid(config))
+        key = u[:, 1]
+        cell = (key * (guide.shape[1] - 1)).astype(np.int64) + outcome * guide.shape[1]
+        lo, hi = guide.take(cell), guide.take(cell + 1)
+        steps, wide = 1 + lo, np.flatnonzero(lo != hi)
         for b in (0, 1):
-            side = outcome == b
-            steps[side] = 1 + np.searchsorted(tail[b], key[side], side="right")
+            i = wide[outcome[wide] == b]
+            steps[i] = 1 + np.searchsorted(tail[b], key[i] - 1.0, side="right")
     return _final_batch(rho, outcome, steps, t, config)
 
 

@@ -230,9 +230,9 @@ def process_fidelity(
     if variant in ("F6", "F7"):
         if not (abs(t - 1.0) <= 1e-9 and abs(ti - 1.0) <= 1e-9):
             raise ValueError(f"traces ({t}, {ti}) must both be 1 for {variant}")
-        if variant == "F6":
-            return float(np.trace(chi.chi @ chi_ideal.chi).real)
-        return float(_uhlmann_trace(chi.chi, chi_ideal.chi)) ** 2
+        pair = chi.chi, chi_ideal.chi
+        f = np.trace(pair[0] @ pair[1]).real if variant == "F6" else _uhlmann_trace(*pair) ** 2
+        return min(max(float(f), 0.0), 1.0)  # round-off within the trace checks
     if variant not in ("F8", "F9"):
         raise ValueError(f"unknown process fidelity variant {variant!r}")
     if t <= 0.0 or ti <= 0.0:
@@ -380,7 +380,7 @@ def average_state_fidelity(
         raise ValueError("process is not trace-preserving")
     require_psd(chi.chi, PSD_TOL, "process matrix")
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
-    return (d * f6 + 1.0) / (d + 1.0)
+    return min(max((d * f6 + 1.0) / (d + 1.0), 0.0), 1.0)
 
 
 def process_set_to_json(ps: ProcessSet) -> str:

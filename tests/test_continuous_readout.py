@@ -651,7 +651,7 @@ def reference_batch(config, t, rho, n):
     outcome = (u[:, 0] >= born0).astype(np.int64)
     steps = np.zeros(n, dtype=np.int64)
     if t.R0 != 0.0 and t.R1 != 0.0:
-        tail = continuous_readout._search_table(t, *continuous_readout._grid(config))
+        tail, _ = continuous_readout._search_table(t, *continuous_readout._grid(config))
         for b in (0, 1):
             side = outcome == b
             steps[side] = 1 + np.searchsorted(tail[b], u[side, 1] - 1.0, side="right")
@@ -716,7 +716,14 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
     surv = continuous_readout._exit_table(t, *grid)
     fresh = surv[:, 1:] / -surv[:, :1]
     fresh[:, -1] = 0.0
-    assert np.array_equal(continuous_readout._search_table(t, *grid), fresh)
+    cells = 2 ** min(math.ceil(math.log2(fresh.shape[1])), 16)
+    edges = np.arange(cells + 1) / cells - 1.0
+    # One scalar right search per edge: the first bins wobble about -1 by round-off,
+    # out of order, so there J - 1 is what the binary search gives, not a count.
+    fresh_guide = [[np.searchsorted(side, edge, side="right") for edge in edges] for side in fresh]
+    tail, guide = continuous_readout._search_table(t, *grid)
+    assert np.array_equal(tail, fresh)
+    assert guide.dtype == np.int32 and np.array_equal(guide, fresh_guide)
     cached = continuous_readout._readout_instrument(params, alpha, eta, *grid)
     rebuilt = continuous_readout._readout_instrument.__wrapped__(params, alpha, eta, *grid)
     assert pickle.dumps(cached) == pickle.dumps(rebuilt)
@@ -739,7 +746,7 @@ def test_cached_exit_law_is_read_only():
     cfg = ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7)
     grid = continuous_readout._grid(cfg)
     t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
-    arrays = [continuous_readout._search_table(t, *grid)]
+    arrays = list(continuous_readout._search_table(t, *grid))
     for pq in ((0.8, 0.6), (0.7, 0.3)):  # the second stops before its first step
         params = PartialProjParams(*pq)
         pair, kappa = continuous_readout._readout_instrument(params, 0.0, 0.7, *grid)
@@ -747,6 +754,19 @@ def test_cached_exit_law_is_read_only():
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def test_guide_table_has_at_most_2_16_cells_a_side():
+    # The (0.99, 0.98) readout takes 5,163 bins at alpha = 0 and 178,696 at 1.4:
+    # the guide has the least power of two of cells at or above the bin count, up
+    # to 2^16, so an entry grows by at most 2 (2^16 + 1) int32 values (512 KB).
+    t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
+    for alpha, cells in ((0.0, 2**13), (1.4, 2**16)):
+        grid = continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha))
+        tail, guide = continuous_readout._search_table(t, *grid)
+        assert guide.dtype == np.int32 and guide.shape == (2, cells + 1)
+        assert cells // 2 < tail.shape[1] <= cells or tail.shape[1] > cells == 2**16
+        assert guide.nbytes <= 2 * (2**16 + 1) * 4
 
 
 def test_duration_cap_is_exact_on_the_grid():

@@ -14,13 +14,14 @@ Examples are derandomized, so a run is reproducible.
 import collections
 import itertools
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from genmeas import continuous_readout, decomposition, linalg  # noqa: E402
@@ -28,7 +29,9 @@ from genmeas.ancilla_circuit import (  # noqa: E402
     VARIANTS, angles_from_pq, circuit_from_pq, kraus_from_circuit, pq_from_angles,
 )
 from genmeas.channels import KINDS, NoiseSpec, noisy_branch  # noqa: E402
-from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq  # noqa: E402
+from genmeas.continuous_readout import (  # noqa: E402
+    ReadoutConfig, pq_from_thresholds, simulate_batch, thresholds_from_pq,
+)
 from genmeas.decomposition import (  # noqa: E402
     compose_branch, kraus_set, protocol_from_json, protocol_to_json, random_kraus_set, reduce,
 )
@@ -224,6 +227,41 @@ def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
     assert np.all(np.abs(surv - ref) <= 1e-15 * ref[:, :1] + 16 * np.finfo(float).eps * absum[:, k])
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.5, 0.998), st.floats(0.0, 1.0), st.floats(-1.2, 1.2), st.floats(0.3, 1.0),
+       st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(0.5, 1.0, 0.0, 1.0, None)  # (0.55, 0.5), near-symmetric
+@example(0.998, 0.0, 0.0, 1.0, None)  # (0.999, 0.998), strong
+@example(0.998, 0.0, 1.2, 0.5, 0.5)
+def test_guided_exit_steps_are_the_binary_search(q, frac, alpha, eta, cap):
+    # The guide table's step counts against a right binary search of u - 1 in the
+    # side's tail, bit for bit, for keys at each cell edge g / cells, one ulp below
+    # it, 0 and one ulp below 1, on both sides, uncapped or with a cap between the
+    # shortest one the cap check allows and the uncapped length.
+    t = thresholds_from_pq(PartialProjParams(min(q + 0.001 + 0.049 * frac, 0.999), q))
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, efficiency=eta)
+    if cap is not None:
+        free = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
+        outlast = np.maximum(free.sum(axis=0), np.exp(-2.0 * np.array([t.R0, t.R1])) @ free)
+        j_lo = int(np.argmax(outlast < 5e-13))
+        j_cap = j_lo + int(cap * max(free.shape[1] - 2 - j_lo, 0))
+        cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, efficiency=eta,
+                            max_duration=(j_cap - 0.5) * cfg.dt)
+    tail, guide = continuous_readout._search_table(t, *continuous_readout._grid(cfg))
+    cells = 2 ** min(math.ceil(math.log2(tail.shape[1])), 16)
+    assert guide.shape == (2, cells + 1)
+    edges = np.arange(cells + 1) / cells
+    keys = np.concatenate([edges[:-1], np.nextafter(edges[1:], 0.0)])  # 0 and 1 - ulp among them
+    plus = np.full((2, 2), 0.5)
+    born0 = pq_from_thresholds(t).p * (0.5 + 0.5 * math.exp(-2.0 * t.R0))
+    for b, u0 in enumerate((0.0, np.nextafter(1.0, 0.0))):
+        assert (u0 >= born0) == b
+        u = np.column_stack([np.full(len(keys), u0), keys])
+        batch = continuous_readout._sample_exit(cfg, t, plus, u)
+        steps = 1 + np.searchsorted(tail[b], keys - 1.0, side="right")
+        assert np.array_equal(batch.duration, steps * cfg.dt)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_reduce_keeps_its_invariants(n, seed):
@@ -295,6 +333,9 @@ def test_every_fidelity_lies_in_the_unit_interval(sets, alpha, rho, sigma):
     states = [(rho, sigma), *((r, r) for r in (np.diag([1 + 5e-9, 0.0]), np.diag([0.5 + 4e-9, 0.5])))]
     values += [state_fidelity(a, b, variant) for a, b in states
                for variant in ("uhlmann", "uhlmann_squared")]
+    # A process within the trace checks' 1e-9 whose F6 and F7 round to 1 + 1e-9.
+    chi = ProcessMatrix(2, np.diag([1.0 + 5e-10, 0.0, 0.0, 0.0]).astype(complex))
+    values += [process_fidelity(chi, chi, v) for v in ("F6", "F7")] + [average_state_fidelity(chi, chi)]
     assert all(0.0 <= v <= 1.0 for v in values), values
     w = np.sqrt(np.multiply(report["p_actual"], report["p_ideal"]))
     f = np.array(partial, dtype=float)
