@@ -21,7 +21,6 @@ single ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -32,8 +31,8 @@ from . import __version__
 from .errors import GenmeasError, Infeasible, Mismatch
 from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import (
-    FORMAT_VERSION, check_version, dump, kraus_set_from_json, matrix_from_json, matrix_to_json,
-    require_key,
+    FORMAT_VERSION, check_version, dump, kraus_set_from_json, loads, matrix_from_json,
+    matrix_to_json, require_key,
 )
 
 # Each cmd_* imports the modules it runs in its body: a one-shot process compiles
@@ -56,7 +55,7 @@ def _parse_state(spec: str) -> np.ndarray:
     if spec in _NAMED_STATES:
         return pure_state(_NAMED_STATES[spec])
     with open(spec) as f:
-        return validate_state(matrix_from_json(json.load(f), 2))
+        return validate_state(matrix_from_json(loads(f.read()), 2))
 
 
 def _emit(payload: dict, args) -> None:
@@ -167,7 +166,7 @@ def cmd_fidelity(args) -> int:
     if args.mode == "process":
         report = fidelity_report(*(process_set_from_json(text) for text in texts))
     else:
-        docs = [json.loads(text) for text in texts]
+        docs = [loads(text) for text in texts]
         for doc in docs:
             check_version(doc, "POVM")
         a, b = (require_key(doc, "elements", list) for doc in docs)

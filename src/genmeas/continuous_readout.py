@@ -340,7 +340,8 @@ def _exit_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _search_table(t: Thresholds, m: float, j_cap: int) -> tuple[np.ndarray, np.ndarray]:
     """(tail, guide), read-only: tail[b] = -S_b(j) / h_b for j = 1 .. K (:func:`_exit_table`),
-    last bin 0, and guide[b, g] its right search of g / cells - 1, cells = 2^min(ceil(log2 K), 16).
+    last bin 0, clipped to [-1, 0] and non-decreasing, and guide[b, g] its right search of
+    g / cells - 1, cells = 2^min(ceil(log2 K), 16).
 
     J - 1 counts the j >= 1 with S_b(j m) / h_b >= 1 - u: a right search of u - 1, which lies
     in [guide[b, g], guide[b, g + 1]] for u in [g, g + 1) / cells, exact dyadic edges (indexed
@@ -353,6 +354,9 @@ def _search_table(t: Thresholds, m: float, j_cap: int) -> tuple[np.ndarray, np.n
     tail = surv[:, 1:]
     tail /= -surv[:, :1]
     tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
+    # The first bins sum the series to h_b only up to round-off, a few ulps about -1 and
+    # out of order: clipped and made monotone, every search of the table is a count.
+    np.maximum.accumulate(np.clip(tail, -1.0, 0.0, out=tail), axis=1, out=tail)
     cells = 1 << min((tail.shape[1] - 1).bit_length(), 16)
     edges = np.arange(cells + 1) / cells - 1.0
     guide = np.array([np.searchsorted(side, edges, side="right") for side in tail], np.int32)

@@ -16,7 +16,7 @@ unitary aligns the last branch with M_{n-1}.
 from __future__ import annotations
 
 import functools
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +30,8 @@ from .partial_projection import (
     validate_state,
 )
 from .serialize import (
-    FORMAT_VERSION, check_version, dump, matrices_from_json, matrix_to_json, require_distinct,
-    require_key,
+    FORMAT_VERSION, check_version, dump, loads, matrices_from_json, matrix_to_json,
+    require_distinct, require_key,
 )
 
 COMPLETENESS_TOL = 1e-9
@@ -77,21 +77,12 @@ class TwoOutcomeStep:
     post_unitary_1: np.ndarray
 
     @functools.cached_property
-    def post_unitaries(self) -> np.ndarray:
-        """(U_0, U_1) as one read-only (2, 2, 2) stack."""
-        u = np.stack([self.post_unitary_0, self.post_unitary_1])
-        u.flags.writeable = False
-        return u
-
-    @functools.cached_property
     def branch_operators(self) -> np.ndarray:
         """(U_0 D_0 V^dag, U_1 D_1 V^dag) as one read-only (2, 2, 2) stack, built once."""
-        ops = self.post_unitaries @ np.stack(dops(self.params)) @ adjoint(self.pre_unitary)
+        u = np.stack([self.post_unitary_0, self.post_unitary_1])
+        ops = u @ np.stack(dops(self.params)) @ adjoint(self.pre_unitary)
         ops.flags.writeable = False
         return ops
-
-    def branch_operator(self, outcome: int) -> np.ndarray:
-        return self.branch_operators[0 if outcome == 0 else 1]
 
 
 @dataclass(frozen=True)
@@ -289,17 +280,39 @@ def _ancilla_kraus(variant: str, p: float, q: float) -> np.ndarray:
     return pair
 
 
+def _sandwich(m, r):
+    """m r m^dag of two 2x2 matrices given as nested pairs of Python numbers."""
+    (a, b), (c, d) = m
+    (r00, r01), (r10, r11) = r
+    x00, x01, x10, x11 = a * r00 + b * r10, a * r01 + b * r11, c * r00 + d * r10, c * r01 + d * r11
+    a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    return (x00 * a + x01 * b, x00 * c + x01 * d), (x10 * a + x11 * b, x10 * c + x11 * d)
+
+
+def _branch(k, kappa: float, u: np.ndarray, sigma):
+    """(h, U out U^dag / h) of one outcome, out = K sigma K^dag with its coherence
+    scaled by kappa and h = Tr out; the state is None if h is below ZERO_BRANCH_TOL."""
+    (o00, o01), (o10, o11) = _sandwich(k, sigma)
+    h = o00.real + o11.real
+    if h < ZERO_BRANCH_TOL:
+        return h, None
+    (r00, r01), (r10, r11) = _sandwich(u.tolist(), ((o00, kappa * o01), (kappa * o10, o11)))
+    return h, ((r00 / h, r01 / h), (r10 / h, r11 / h))
+
+
 def _leaf_table(
     p: MeasurementProtocol, rho: np.ndarray, backend: str, readout_config=None
 ) -> tuple[list[float], list[np.ndarray | None]]:
     """Halting probability of each step on the surviving branch, and the leaf states.
 
     A step is its backend's Kraus pair K_b, outcome b's coherence scaled by kappa_b
-    (below 1 only on the continuous backend at efficiency < 1), both outcomes as one
-    (2, 2, 2) stack: A = K V^dag, A rho A^dag, then U_b out_b U_b^dag. A shot halts at
-    the first step k whose uniform draw is below ``halt[k]``, else it reaches leaf
-    ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has state None,
-    and a surviving branch below it ends the walk.
+    (below 1 only on the continuous backend at efficiency < 1): sigma = V^dag rho V,
+    out_b = K_b sigma K_b^dag, h_b = Tr out_b, then U_b out_b U_b^dag / h_b. Every
+    product is one :func:`_sandwich` on Python complex scalars (``tolist`` of the
+    cached matrices); a leaf state becomes a complex128 array only when returned.
+    A shot halts at the first step k whose uniform draw is below ``halt[k]``, else it
+    reaches leaf ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has
+    state None, and a surviving branch below it ends the walk.
     """
     if backend == "continuous" and readout_config is None:
         raise ValueError("continuous backend requires a ReadoutConfig")
@@ -310,30 +323,28 @@ def _leaf_table(
         if prefix != "ancilla" or variant not in VARIANTS:
             raise ValueError(f"unknown backend {backend!r}: expected exact, continuous or "
                              f"ancilla-<variant> with a variant in {VARIANTS}")
+    rho, kappa = rho.tolist(), (1.0, 1.0)
     halt, states = [], []
     for step in p.steps:
         pq = step.params
         if backend == "exact":
-            k = np.stack(dops(pq))
+            kraus = (((math.sqrt(pq.p), 0.0), (0.0, math.sqrt(1.0 - pq.q))),
+                     ((math.sqrt(1.0 - pq.p), 0.0), (0.0, math.sqrt(pq.q))))
         elif backend == "continuous":
             pair, kappa = readout_config.instrument(pq)
-            k = np.stack(pair)
+            kraus, kappa = [k.tolist() for k in pair], kappa.tolist()
         else:
-            k = _ancilla_kraus(variant, pq.p, pq.q)
-        a = k @ adjoint(step.pre_unitary)
-        out = a @ rho @ adjoint(a)
-        if backend == "continuous":
-            out[:, 0, 1] *= kappa
-            out[:, 1, 0] *= kappa
-        h, survive = np.trace(out, axis1=1, axis2=2).real.tolist()
-        u = step.post_unitaries
-        out = u @ out @ adjoint(u)
+            kraus = _ancilla_kraus(variant, pq.p, pq.q).tolist()
+        (a, b), (c, d) = step.pre_unitary.tolist()
+        sigma = _sandwich(((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())), rho)
+        h, leaf = _branch(kraus[0], kappa[0], step.post_unitary_0, sigma)
+        _, rho = _branch(kraus[1], kappa[1], step.post_unitary_1, sigma)
         halt.append(h)
-        states.append(out[0] / h if h >= ZERO_BRANCH_TOL else None)
-        if survive < ZERO_BRANCH_TOL:
-            return halt, states + [None]
-        rho = out[1] / survive
-    return halt, states + [p.final_unitary @ rho @ adjoint(p.final_unitary)]
+        states.append(leaf)
+        if rho is None:
+            break
+    states.append(None if rho is None else _sandwich(p.final_unitary.tolist(), rho))
+    return halt, [None if s is None else np.array(s, dtype=np.complex128) for s in states]
 
 
 def _leaf_state(p: MeasurementProtocol, states: list, k: int) -> np.ndarray:
@@ -378,12 +389,13 @@ def sample_protocol(
 ) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Histogram and per-leaf mean final states over ``shots`` runs.
 
-    Seeding contract: the leaf table is built once per call, also at shots=0,
-    and shot i is only its draws, one uniform per step: from a generator seeded
-    from (seed, i) on the exact and ancilla backends, row i of
-    ``default_rng(seed).random((shots, steps))`` on the continuous one. Shot i
-    of n is shot i of m, and a leaf's mean is its state. A shot that reaches a
-    leaf of probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
+    The leaf table (:func:`_leaf_table`, on Python scalars) is built once per call,
+    also at shots=0, and every shot reads it. Seeding contract: shot i is only its
+    draws, one uniform per step: from a generator seeded from (seed, i) on the
+    exact and ancilla backends, row i of ``default_rng(seed).random((shots,
+    steps))`` on the continuous one. Shot i of n is shot i of m, and a leaf's mean
+    is its state. A shot that reaches a leaf of probability below
+    ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
     """
     if shots < 0:
         raise ValueError(f"shot count must be >= 0, got {shots}")
@@ -459,7 +471,7 @@ def protocol_to_json(p: MeasurementProtocol) -> str:
 def protocol_from_json(text: str) -> MeasurementProtocol:
     """Read a protocol document; ``ValueError`` if a unitary in it is not unitary
     within ``COMPLETENESS_TOL`` (a one-operator complete set)."""
-    data = json.loads(text)
+    data = loads(text)
     check_version(data, "protocol")
     rows, params = [], []  # each step's three unitaries in turn, then the final one
     for s in require_key(data, "steps", list):

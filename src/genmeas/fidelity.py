@@ -15,7 +15,6 @@ one-parameter interpolating family, and POVM-only fidelities.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,8 +26,8 @@ from .linalg import (
 )
 from .partial_projection import validate_state
 from .serialize import (
-    FORMAT_VERSION, check_version, dump, matrices_from_json, matrix_to_json, require_distinct,
-    require_key,
+    FORMAT_VERSION, check_version, dump, loads, matrices_from_json, matrix_to_json,
+    require_distinct, require_key,
 )
 
 # Eigenvalues down to -UHLMANN_CLAMP pass the POVM check, and down to -PSD_TOL
@@ -399,7 +398,7 @@ def process_set_to_json(ps: ProcessSet) -> str:
 def process_set_from_json(text: str) -> ProcessSet:
     """Read a process set; each chi must be Hermitian PSD within 1e-8
     (:func:`~genmeas.linalg.require_psd`)."""
-    data = json.loads(text)
+    data = loads(text)
     check_version(data, "process set")
     d = require_key(data, "dim", int)
     outcomes = require_key(data, "outcomes", list)

@@ -3,9 +3,10 @@
 Complex numbers are [re, im] pairs, matrices row-major nested lists, angles
 radians as doubles. Every document carries a "format_version"; readers
 reject unknown major versions. Writers lay a document out with :func:`dump`:
-one top-level key per line, each value compact on its line. A document of
-the wrong schema raises ``ValueError`` naming the missing or wrong-typed key
-or the wrong matrix shape; a matrix entry must be finite.
+one top-level key per line, each value compact on its line; readers decode
+one with :func:`loads`. A document of the wrong schema raises ``ValueError``
+naming the missing or wrong-typed key or the wrong matrix shape; a matrix
+entry must be finite.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ if TYPE_CHECKING:
 FORMAT_VERSION = "1.0"
 
 
+def loads(text: str):
+    """``json.loads`` of a document; one nested too deeply for the decoder's recursion
+    limit is a ``ValueError`` like any other unreadable document."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     """Nested [re, im] rows of ``m``: one ``tolist`` of its (rows, cols, 2) float view."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
@@ -31,7 +41,7 @@ def dump(doc: dict) -> str:
     """JSON text of ``doc`` with one ``"key": value`` line per top-level key.
 
     Each value is encoded compactly by ``json.dumps``, which runs CPython's C
-    encoder only when there is no ``indent``; ``json.loads`` reads the result.
+    encoder only when there is no ``indent``; :func:`loads` reads the result.
     """
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}"
 
@@ -129,7 +139,7 @@ def kraus_set_to_json(s: KrausSet) -> str:
 def kraus_set_from_json(text: str) -> KrausSet:
     from .decomposition import kraus_set
 
-    data = json.loads(text)
+    data = loads(text)
     check_version(data, "kraus set")
     ops = require_key(data, "ops", list)
     return kraus_set(

@@ -573,3 +573,31 @@ def test_simulate_non_density_state_exits_2(rho, message, trine_protocol, tmp_pa
         assert main(["simulate", trine_protocol, "--state", str(state), "--shots", shots]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("case", ["synth", "simulate", "state", "process", "povm"])
+def test_deeply_nested_json_exits_2(case, trine_protocol, tmp_path, capsys):
+    # A document nested past the decoder's recursion limit is invalid input, at
+    # each of the five places a command decodes JSON: one error line, no traceback.
+    docs = {
+        "synth": '{"format_version": "1.0", "ops": %s}',
+        "simulate": '{"format_version": "1.0", "steps": %s}',
+        "state": "%s",
+        "process": '{"format_version": "1.0", "dim": 2, "outcomes": %s}',
+        "povm": '{"format_version": "1.0", "elements": %s}',
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(docs[case] % DEEP)
+    args = {
+        "synth": ["synth", str(path)],
+        "simulate": ["simulate", str(path)],
+        "state": ["simulate", trine_protocol, "--state", str(path)],
+        "process": ["fidelity", str(path), str(path)],
+        "povm": ["fidelity", str(path), str(path), "--mode", "povm"],
+    }[case]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: JSON document is nested too deeply\n"

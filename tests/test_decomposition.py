@@ -28,6 +28,7 @@ from genmeas.decomposition import (
 from genmeas.errors import InaccurateBranch, Infeasible, NotComplete
 from genmeas.linalg import adjoint, is_unitary, phase_distance, psd_sqrt
 from genmeas.partial_projection import (
+    ZERO_BRANCH_TOL,
     PartialProjParams,
     apply_outcome,
     dops,
@@ -82,8 +83,8 @@ def test_svd_decompose_standard_form():
 def test_svd_decompose_rotated_pair():
     d0, d1 = dops(PartialProjParams(0.8, 0.6))
     step = svd_decompose_pair(HADAMARD @ d0, HADAMARD @ d1)
-    assert np.linalg.norm(step.branch_operator(0) - HADAMARD @ d0) < 1e-10
-    assert np.linalg.norm(step.branch_operator(1) - HADAMARD @ d1) < 1e-10
+    assert np.linalg.norm(step.branch_operators[0] - HADAMARD @ d0) < 1e-10
+    assert np.linalg.norm(step.branch_operators[1] - HADAMARD @ d1) < 1e-10
 
 
 def test_svd_decompose_random_pairs():
@@ -95,8 +96,8 @@ def test_svd_decompose_random_pairs():
         n1 = random_unitary(rng) @ psd_sqrt(np.eye(2) - adjoint(n0) @ n0)
         step = svd_decompose_pair(n0, n1)
         assert step.params.p + step.params.q >= 1.0 - 1e-12
-        assert np.linalg.norm(step.branch_operator(0) - n0) < 1e-10
-        assert np.linalg.norm(step.branch_operator(1) - n1) < 1e-10
+        assert np.linalg.norm(step.branch_operators[0] - n0) < 1e-10
+        assert np.linalg.norm(step.branch_operators[1] - n1) < 1e-10
         for u in (step.pre_unitary, step.post_unitary_0, step.post_unitary_1):
             assert is_unitary(u)
 
@@ -462,7 +463,7 @@ def test_continuous_backend_averages_the_walk_below_unit_efficiency():
             # Diagonals are fixed by the side, so their spread is zero.
             err = part(side).std(axis=0) / math.sqrt(len(side))
             assert np.all(np.abs(part(mean) - part(side).mean(axis=0)) <= 4 * err + 1e-12)
-        expect = np.trace(step.branch_operator(b) @ rho @ adjoint(step.branch_operator(b))).real
+        expect = np.trace(step.branch_operators[b] @ rho @ adjoint(step.branch_operators[b])).real
         assert abs(len(side) / n - expect) < 4 * math.sqrt(expect * (1 - expect) / n)
     # The coherence factors do not depend on the hidden label: walks from
     # |0> and from |1> estimate the same kappa_b.
@@ -544,6 +545,38 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
         # A leaf's mean is its state; the summed reference differs by rounding.
         assert np.array_equal(mean, leaf_state[lab])
         assert np.max(np.abs(mean - sums[lab] / counts[lab])) < 1e-13
+
+
+def reference_leaf_table(p, rho, backend, readout_config=None):
+    """The leaf table on numpy stacks, both outcomes of a step as one (2, 2, 2) array:
+    A = K V^dag, A rho A^dag, coherences scaled by kappa, then U_b out_b U_b^dag / h_b.
+
+    The stacked build that the scalar one replaced, kept as its reference.
+    """
+    halt, states = [], []
+    for step in p.steps:
+        pq = step.params
+        kappa = np.ones(2)
+        if backend == "exact":
+            k = np.stack(dops(pq))
+        elif backend == "continuous":
+            pair, kappa = readout_config.instrument(pq)
+            k = np.stack(pair)
+        else:
+            k = decomposition._ancilla_kraus(backend.split("-", 1)[1], pq.p, pq.q)
+        a = k @ adjoint(step.pre_unitary)
+        out = a @ rho @ adjoint(a)
+        out[:, 0, 1] *= kappa
+        out[:, 1, 0] *= kappa
+        h, survive = np.trace(out, axis1=1, axis2=2).real.tolist()
+        u = np.stack([step.post_unitary_0, step.post_unitary_1])
+        out = u @ out @ adjoint(u)
+        halt.append(h)
+        states.append(out[0] / h if h >= ZERO_BRANCH_TOL else None)
+        if survive < ZERO_BRANCH_TOL:
+            return halt, states + [None]
+        rho = out[1] / survive
+    return halt, states + [p.final_unitary @ rho @ adjoint(p.final_unitary)]
 
 
 def reference_walk(p, rho, rng, backend):

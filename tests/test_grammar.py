@@ -1,7 +1,7 @@
 """Every source file parses under the Python 3.10 grammar.
 
 The package supports Python 3.10 (``requires-python``), so neither the
-package nor its tests may use newer syntax such as ``except*``.
+package, its tests nor its demos may use newer syntax such as ``except*``.
 ``ast.parse`` with ``feature_version=(3, 10)`` checks that on any newer
 interpreter, without a 3.10 one.
 """
@@ -15,6 +15,7 @@ import genmeas
 
 SRC = Path(genmeas.__file__).parent
 TESTS = Path(__file__).parent
+DEMOS = TESTS.parent / "demos"
 
 
 def parses_as_3_10(source: str) -> bool:
@@ -26,7 +27,9 @@ def parses_as_3_10(source: str) -> bool:
 
 
 def test_sources_parse_as_python_3_10():
-    sources = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    demos = sorted(DEMOS.glob("*.py"))
+    assert len(demos) >= 3
+    sources = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + demos
     assert len(sources) > 20
     rejected = [path.name for path in sources if not parses_as_3_10(path.read_text())]
     assert rejected == [], f"syntax newer than Python 3.10 in {rejected}"

@@ -3,9 +3,10 @@
 For Kraus sets of 2 to 4 outcomes, some of them scaled unitaries sqrt(w) U
 (whose reduction steps have p + q = 1, no measurement at all), the leaf
 table of each backend must give leaf k the probability Tr(M_k rho M_k^dag)
-and the state M_k rho M_k^dag / Tr. The protocols ``reduce`` builds from
-random sets of 2 to 6 outcomes keep their invariants at every order. Every
-fidelity lies in [0, 1] and a report agrees with itself; JSON and angle
+and the state M_k rho M_k^dag / Tr, and agree with the stacked numpy build
+within round-off. The protocols ``reduce`` builds from random sets of 2 to
+6 outcomes keep their invariants at every order. Every fidelity lies in
+[0, 1] and a report agrees with itself; JSON and angle
 round trips are exact or within 1e-12; circuit Kraus pairs agree with the
 Kronecker-product build within 1e-14; updates keep trace 1 and purity.
 Examples are derandomized, so a run is reproducible.
@@ -49,6 +50,7 @@ from genmeas.partial_projection import (  # noqa: E402
 from genmeas.serialize import kraus_set_from_json, kraus_set_to_json  # noqa: E402
 from test_ancilla_circuit import kron_kraus_from_circuit  # noqa: E402
 from test_continuous_readout import reference_exit_table  # noqa: E402
+from test_decomposition import reference_leaf_table  # noqa: E402
 from test_serialize import (  # noqa: E402
     MALFORMED, assert_same_kraus_sets, assert_same_protocols, read_both,
     reference_kraus_set_from_json, reference_protocol_from_json,
@@ -162,6 +164,33 @@ def test_leaf_tables_follow_the_born_rule(s, rho):
             assert np.max(np.abs(leaf_states[k] - out / expect)) < 1e-8, (backend, label)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kraus_sets(), states(), st.floats(0.3, 1.0))
+def test_scalar_leaf_table_is_the_stacked_one(s, rho, eta):
+    # The scalar build against the stacked numpy one on every backend: halting
+    # probabilities within 1e-15, leaf states within 1e-14 max(1, 1 / P(leaf)),
+    # and the same leaves None. eta < 1 scales the continuous coherences.
+    try:
+        proto = reduce(s)
+    except SingularRemainder:
+        assume(False)
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=0.3, efficiency=eta)
+    for backend in BACKENDS:
+        halt, leaf_states = decomposition._leaf_table(proto, rho, backend, cfg)
+        ref_halt, ref_states = reference_leaf_table(proto, np.asarray(rho, complex), backend, cfg)
+        assert len(halt) == len(ref_halt) and len(leaf_states) == len(ref_states)
+        assert all(isinstance(h, float) for h in halt)
+        assert np.all(np.abs(np.subtract(halt, ref_halt)) <= 1e-15), backend
+        survive = 1.0
+        for k, (got, ref) in enumerate(zip(leaf_states, ref_states)):
+            leaf_p = survive * (ref_halt[k] if k < len(ref_halt) else 1.0)
+            survive *= 1.0 - ref_halt[k] if k < len(ref_halt) else 0.0
+            assert (got is None) == (ref is None), (backend, k)
+            if ref is not None:
+                assert got.dtype == np.complex128 and got.shape == (2, 2)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, 1.0 / leaf_p), (backend, k)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.floats(0.05, 0.995), st.floats(0.0, 1.0), st.sampled_from([1e-2, 1e-3]), st.floats(0.3, 1.0))
 def test_exit_table_is_the_exit_law(p, frac, m, eta):
@@ -248,6 +277,8 @@ def test_guided_exit_steps_are_the_binary_search(q, frac, alpha, eta, cap):
         cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, efficiency=eta,
                             max_duration=(j_cap - 0.5) * cfg.dt)
     tail, guide = continuous_readout._search_table(t, *continuous_readout._grid(cfg))
+    # Every cached tail is non-decreasing within [-1, 0], so a search is a count.
+    assert np.all(np.diff(tail) >= 0.0) and tail.min() >= -1.0 and tail.max() <= 0.0
     cells = 2 ** min(math.ceil(math.log2(tail.shape[1])), 16)
     assert guide.shape == (2, cells + 1)
     edges = np.arange(cells + 1) / cells
@@ -280,7 +311,7 @@ def test_reduce_keeps_its_invariants(n, seed):
                                         step.post_unitary_1]), tol=1e-12)
             assert step.params.p + step.params.q >= 1.0
             if not cancel_u1:
-                b1 = step.branch_operator(1)
+                b1 = step.branch_operators[1]
                 assert np.linalg.norm(b1 - adjoint(b1)) <= 1e-12
                 assert np.linalg.eigvalsh((b1 + adjoint(b1)) / 2)[0] >= -1e-12
                 assert np.array_equal(step.post_unitary_1, step.pre_unitary)
