@@ -130,16 +130,18 @@ def cmd_trajectory(args) -> int:
         Thresholds, pq_from_thresholds, simulate_batch, thresholds_from_pq, trajectories_to_jsonl,
     )
 
+    given = [flag for flag, v in (("--p", args.p), ("--q", args.q), ("--r0", args.r0), ("--r1", args.r1))
+             if v is not None]
+    if given not in (["--p", "--q"], ["--r0", "--r1"]):
+        raise ValueError(f"provide either --p/--q or --r0/--r1, got {' '.join(given) or 'neither'}")
     state = _parse_state(args.state)
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         t = thresholds_from_pq(PartialProjParams(args.p, args.q))
         if t.finite and abs(pq_from_thresholds(t).p - args.p) > 1e-9:
             raise Infeasible(f"thresholds ({t.R0:.3g}, {t.R1:.3g}) cannot carry p = {args.p}: at "
                              "p + q = 1 the readout stops at once; use `simulate --backend continuous`")
-    elif args.r0 is not None and args.r1 is not None:
-        t = Thresholds(R0=args.r0, R1=args.r1)
     else:
-        raise ValueError("provide either --p/--q or --r0/--r1")
+        t = Thresholds(R0=args.r0, R1=args.r1)
     batch = simulate_batch(_readout_config(args), t, state, args.shots)
     _write(trajectories_to_jsonl(batch), args.output)
     n = max(len(batch), 1)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,14 @@ _CAP = "no threshold reached within the duration cap of {} steps"
 _NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
 # An exit table's first chunk holds 64 bins of up to this many series terms (32 MB).
 _MAX_TERMS = 1 << 16
+# The series keeps the terms with lambda_n m <= 46: the rest are below e^-46 at any s >= m.
+_SERIES_CUT = 46.0
+# A chunk of the exit table starting at step j keeps only the terms with lambda_n m j <= 60.
+_CHUNK_CUT = 60.0
+# A readout whose runs outlast the duration cap with a larger probability is Infeasible.
+_CAP_PROB = 1e-12
+# The exit table ends at the first step where both sides' tails are below this share of h.
+_TAIL_FLOOR = 1e-17
 
 
 @dataclass(frozen=True)
@@ -262,9 +270,9 @@ def _exit_series(t: Thresholds, m: float, j_cap: int):
     drift, or if the series needs more than ``_MAX_TERMS`` terms (dt too fine for the gap).
     """
     big_l, x = t.R0 - t.R1, -t.R1
-    # Terms up to lambda_n m = 46: the rest are below e^-46 at any s >= m. A gap too
-    # small for the first (lambda_1 m > 46) stops every run at its first step.
-    terms = big_l / (math.pi * math.sqrt(m / 92.0))
+    # Terms up to lambda_n m = _SERIES_CUT, lambda_n m ~ (n pi / big_l)^2 m / 2. A gap too
+    # small for the first stops every run at its first step.
+    terms = big_l / (math.pi * math.sqrt(m / (2.0 * _SERIES_CUT)))
     if terms < 1.0:
         return np.empty(0), np.empty((2, 0))
     if not terms <= _MAX_TERMS:
@@ -276,7 +284,7 @@ def _exit_series(t: Thresholds, m: float, j_cap: int):
     a = math.pi / big_l * (m / big_l) * np.where(n % 2, n, -n) / lm
     c = np.stack([math.exp(big_l - x) * np.sin(k * x), math.exp(-x) * np.sin(k * (big_l - x))]) * a
     survive = c @ np.exp(-lm * j_cap)
-    if max(survive.sum(), survive @ np.exp(-2.0 * np.array([t.R0, t.R1]))) > 1e-12:
+    if max(survive.sum(), survive @ np.exp(-2.0 * np.array([t.R0, t.R1]))) > _CAP_PROB:
         raise Infeasible(_CAP.format(j_cap))
     return lm, c
 
@@ -326,9 +334,9 @@ def _exit_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
     chunks, j = [h[:, None]], 1
     while j <= j_cap:
         steps = np.arange(j, min(j + max(j, 64), j_cap + 1))
-        terms = np.searchsorted(lm, 60.0 / j, side="right")
+        terms = np.searchsorted(lm, _CHUNK_CUT / j, side="right")
         chunk = c[:, :terms] @ np.exp(-np.outer(lm[:terms], steps))
-        done = np.all(chunk < 1e-17 * h[:, None], axis=0)
+        done = np.all(chunk < _TAIL_FLOOR * h[:, None], axis=0)
         if done.any():
             chunks.append(chunk[:, : done.argmax() + 1])
             break
@@ -337,31 +345,62 @@ def _exit_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:
     return np.concatenate(chunks, axis=1)
 
 
-@functools.lru_cache(maxsize=8)
-def _search_table(t: Thresholds, m: float, j_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tail, guide), read-only: tail[b] = -S_b(j) / h_b for j = 1 .. K (:func:`_exit_table`),
-    last bin 0, clipped to [-1, 0] and non-decreasing, and guide[b, g] its right search of
-    g / cells - 1, cells = 2^min(ceil(log2 K), 16).
+class _Plan(NamedTuple):
+    """What a batch of one readout reads that depends on the readout alone (:func:`_search_table`).
 
-    J - 1 counts the j >= 1 with S_b(j m) / h_b >= 1 - u: a right search of u - 1, which lies
-    in [guide[b, g], guide[b, g + 1]] for u in [g, g + 1) / cells, exact dyadic edges (indexed
-    search; Chen & Asau 1974). Cached on (t, m, j_cap), never on the seed. A tail holds at most
-    2 j_cap floats, which the slowest readouts reach (alpha near pi/2, strong thresholds): 16 MB
-    at the default cap of 1e6 dt, plus 0.5 MB of int32 guide, so the 8 entries hold at most
-    132 MB; a longer ``max_duration`` raises the tails in proportion.
+    ``born`` is (p, e^{-2 R0}): P(side 0) = p (rho00 + e^{-2 R0} rho11). For 2^s cells a side,
+    flat cell b 2^s + g holds the uniforms u in [g, g + 1) / 2^s of side b: ``steps`` (int32)
+    is the step count J of a run there if ``wide`` (int8) is 0, and ``wide`` is -1 (side 0)
+    or +1 (side 1) where the run must search ``tail``, both sides in one ascending array.
     """
-    surv = _exit_table(t, m, j_cap)
-    tail = surv[:, 1:]
-    tail /= -surv[:, :1]
-    tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
-    # The first bins sum the series to h_b only up to round-off, a few ulps about -1 and
-    # out of order: clipped and made monotone, every search of the table is a count.
-    np.maximum.accumulate(np.clip(tail, -1.0, 0.0, out=tail), axis=1, out=tail)
-    cells = 1 << min((tail.shape[1] - 1).bit_length(), 16)
-    edges = np.arange(cells + 1) / cells - 1.0
-    guide = np.array([np.searchsorted(side, edges, side="right") for side in tail], np.int32)
-    tail.flags.writeable = guide.flags.writeable = False
-    return tail, guide
+
+    born: tuple[float, float]
+    shift: int
+    steps: np.ndarray
+    wide: np.ndarray
+    tail: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _search_table(t: Thresholds, m: float, j_cap: int) -> _Plan:
+    """The readout's sampling plan, read-only; cached on (t, m, j_cap), never on the seed.
+
+    tail_b = -S_b(j) / h_b for j = 1 .. K (:func:`_exit_table`), last bin 0, is clipped to
+    [-1, 0] and made non-decreasing: the first bins sum the series to h_b only up to
+    round-off. A run with uniform u on side b takes J = 1 + #{j : tail_b[j] <= u - 1}. With
+    guide[b, g] = #{tail_b <= g / cells - 1}, cells = 2^min(ceil(log2 K), 16), J - 1 lies in
+    [guide[b, g], guide[b, g + 1]] for u in [g, g + 1) / cells, exact dyadic edges (indexed
+    search; Chen & Asau 1974): ``steps`` is 1 + guide[b, g], and only the cells where the two
+    differ are ``wide``. ``tail`` is tail_0, then nextup(-tail_1) reversed: a right search of
+    u - 1 counts side 0's bins, one of 1 - u = -(u - 1) (exact in floating point) counts K plus
+    side 1's bins above u - 1. A zero threshold stops the readout at J = 0: one cell a side.
+
+    ``Infeasible`` as :func:`_realizable` and :func:`_exit_series`, on every call: exceptions
+    are not cached. A tail holds 2 K <= 2 j_cap floats, which the slowest readouts reach (alpha
+    near pi/2, strong thresholds): 16 MB at the default cap of 1e6 dt, plus 2 cells int32 steps
+    and int8 flags, at most 0.625 MB, so the 8 entries hold at most 133 MB; a longer
+    ``max_duration`` raises the tails in proportion.
+    """
+    pq = _realizable(t)
+    born = (pq.p, math.exp(-2.0 * t.R0))
+    if t.R0 == 0.0 or t.R1 == 0.0:
+        plan = _Plan(born, 0, np.zeros(2, np.int32), np.zeros(2, np.int8), np.empty(0))
+    else:
+        surv = _exit_table(t, m, j_cap)
+        tail = surv[:, 1:]
+        tail /= -surv[:, :1]
+        tail[:, -1] = 0.0  # a capped table's last bin takes the tail past the cap
+        np.maximum.accumulate(np.clip(tail, -1.0, 0.0, out=tail), axis=1, out=tail)
+        shift = min((tail.shape[1] - 1).bit_length(), 16)
+        edges = np.arange((1 << shift) + 1) / (1 << shift) - 1.0
+        guide = np.array([np.searchsorted(side, edges, side="right") for side in tail], np.int32)
+        wide = (guide[:, 1:] != guide[:, :-1]).astype(np.int8)
+        wide[0] *= -1
+        tail = np.concatenate([tail[0], np.nextafter(-tail[1, ::-1], np.inf)])
+        plan = _Plan(born, shift, (1 + guide[:, :-1]).ravel(), wide.ravel(), tail)
+    for a in (plan.steps, plan.wide, plan.tail):
+        a.flags.writeable = False
+    return plan
 
 
 def _final_batch(
@@ -373,56 +412,62 @@ def _final_batch(
 ) -> TrajectoryBatch:
     """Runs from ``rho`` ending on side ``outcome`` after ``steps`` steps of dt.
 
-    The two final states M_R rho M_R^dag / Tr, R = R0 or R1, and their purities are
-    built once on scalars and gathered by outcome; at eta < 1 each run's off-diagonals
-    are then scaled by exp(-(1 - eta)/(2 eta) T/tau), T its duration.
+    The two final states M_R rho M_R^dag / Tr, R = R0 or R1, are built once on scalars
+    and gathered by outcome, with their purities d_b + c_b, d_b = r00^2 + r11^2 and
+    c_b = 2 |r01|^2. At eta < 1 a run's off-diagonals are scaled in place by
+    f = exp(-(1 - eta)/(2 eta) T/tau), T = J dt its duration, one exp over the steps,
+    and its purity is d_b + c_b f^2.
     """
     (a, b), (_, d) = rho.tolist()
-    states, diag, purity = [], [], []
+    states, diag, coh = [], [], []
     for r in (t.R0, t.R1):
         e = math.exp(r)
         norm = e * a.real + d.real / e
         r00, r11 = e * a.real / norm, d.real / e / norm
         x = math.tan(config.alpha) * r
         r01 = b * complex(math.cos(x), -math.sin(x)) / norm
-        states.append(((r00, r01), (r01.conjugate(), r11)))
+        states += (r00, r01, r01.conjugate(), r11)
         diag.append(r00 * r00 + r11 * r11)
-        purity.append(diag[-1] + 2.0 * abs(r01) ** 2)
-    out = np.array(states).take(outcome, axis=0)
-    duration = steps * config.dt
+        coh.append(2.0 * abs(r01) ** 2)
+    out = np.array(states).reshape(2, 4).take(outcome, axis=0).reshape(-1, 2, 2)
+    final_r, diag, coh = np.array([(t.R0, t.R1), diag, coh])
+    steps = steps.astype(np.float64)
     eta = config.efficiency
     if eta < 1.0:
-        out[:, 0, 1] *= np.exp(-(1.0 - eta) / (2.0 * eta) * duration / config.tau)
-        out[:, 1, 0] = out[:, 0, 1].conj()
-        purity = np.take(diag, outcome) + 2.0 * np.abs(out[:, 0, 1]) ** 2
+        f = np.exp(steps * (-(1.0 - eta) / (2.0 * eta) * config.dt / config.tau))
+        out[:, 0, 1] *= f
+        np.conjugate(out[:, 0, 1], out=out[:, 1, 0])
+        f *= f
+        f *= coh.take(outcome)
+        purity = np.add(f, diag.take(outcome), out=f)
     else:
-        purity = np.take(purity, outcome)
-    return TrajectoryBatch(outcome, duration, np.take((t.R0, t.R1), outcome), out, purity)
+        purity = (diag + coh).take(outcome)
+    return TrajectoryBatch(outcome, steps * config.dt, final_r.take(outcome), out, purity)
 
 
 def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.ndarray) -> TrajectoryBatch:
     """Runs from ``rho`` drawn from the exact exit law, run i from the uniform pair ``u[i]``.
 
     The first uniform picks the side by the Born rule, one weight for the batch:
-    P(side 0) = p rho00 + (1 - q) rho11, (p, q) = ``_realizable(t)`` and 1 - q = p e^{-2 R0}.
-    The second picks the step count J from that side's conditional table
-    (:func:`_search_table`), whose law is the same under both hidden labels: the guide
-    gives J - 1 where a run's exact cell floor(u cells) holds no tail value, and only
-    the other runs search their side's tail. A zero threshold stops the readout at J = 0.
+    P(side 0) = p (rho00 + e^{-2 R0} rho11) = p rho00 + (1 - q) rho11, (p, q) = ``_realizable(t)``.
+    The second, u, picks the step count J from that side's conditional law, the same under
+    both hidden labels, through the readout's plan (:func:`_search_table`): one cell index,
+    one take of the steps and one of the flags. The runs in wide cells, 8-9% on the strong
+    readouts, are searched together: x = s (1 - u), s their flag, and a right search r of
+    x in the plan's tail gives J = K + 1 - |r - K|, K bins a side.
     """
-    p = _realizable(t).p
-    born0 = p * (rho[0, 0].real + math.exp(-2.0 * t.R0) * rho[1, 1].real)
-    outcome = (u[:, 0] >= born0).astype(np.int64)
-    steps = np.zeros(len(u), dtype=np.int64)
-    if t.R0 != 0.0 and t.R1 != 0.0:
-        tail, guide = _search_table(t, *_grid(config))
-        key = u[:, 1]
-        cell = (key * (guide.shape[1] - 1)).astype(np.int64) + outcome * guide.shape[1]
-        lo, hi = guide.take(cell), guide.take(cell + 1)
-        steps, wide = 1 + lo, np.flatnonzero(lo != hi)
-        for b in (0, 1):
-            i = wide[outcome[wide] == b]
-            steps[i] = 1 + np.searchsorted(tail[b], key[i] - 1.0, side="right")
+    plan = _search_table(t, *_grid(config))
+    born0 = plan.born[0] * (rho[0, 0].real + plan.born[1] * rho[1, 1].real)
+    side_u, key = u.T.copy()  # contiguous columns
+    outcome = (side_u >= born0).astype(np.int64)
+    cell = outcome << plan.shift
+    cell += (key * (1 << plan.shift)).astype(np.intp)
+    steps = plan.steps.take(cell)
+    flag = plan.wide.take(cell)
+    wide = flag.nonzero()[0]
+    r = plan.tail.searchsorted(np.copysign(1.0 - key.take(wide), flag.take(wide)), side="right")
+    half = len(plan.tail) // 2
+    steps[wide] = half + 1 - np.abs(r - half)
     return _final_batch(rho, outcome, steps, t, config)
 
 

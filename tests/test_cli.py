@@ -160,6 +160,25 @@ def test_trajectory_requires_parameters(capsys):
     assert main(["trajectory", "--p", "0.8"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--p", "0.8", "--q", "0.6", "--r0", "5", "--r1", "-5"],
+    ["--p", "0.8", "--r0", "0.5", "--r1", "-0.5"],
+    ["--p", "0.8", "--q", "0.6", "--r1", "-0.5"],
+    ["--q", "0.6", "--r0", "0.5"],
+    ["--r0", "0.5"],
+    [],
+])
+def test_trajectory_rejects_mixed_or_partial_flag_pairs(flags, tmp_path, capsys):
+    # A readout is given by exactly one whole pair, --p/--q or --r0/--r1: a
+    # mix of the two or a partial pair exits 2 with one error line, writing
+    # nothing, rather than silently dropping flags.
+    out = tmp_path / "traj.jsonl"
+    assert main(["trajectory", *flags, "--shots", "10", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_trajectory_rejects_swapped_roles(capsys):
     assert main(["trajectory", "--p", "0.2", "--q", "0.3"]) == 2
 

@@ -602,6 +602,16 @@ def reference_exit_table(t: Thresholds, cfg: ReadoutConfig) -> np.ndarray:
     return np.concatenate(chunks, axis=1)
 
 
+def plan_tables(plan):
+    """A sampling plan's tables side by side: (tail, guide, wide) with tail[b] side b's
+    tail, guide[b, g] its right search of g / cells - 1 (cells + 1 edges) and wide[b] the
+    flags of its cells, read back from the plan's flat layout."""
+    half, cells = len(plan.tail) // 2, 1 << plan.shift
+    tail = np.stack([plan.tail[:half], -np.nextafter(plan.tail[half:][::-1], -np.inf)])
+    guide = np.column_stack([plan.steps.reshape(2, cells) - 1, [half, half]])
+    return tail, guide, plan.wide.reshape(2, cells)
+
+
 @pytest.mark.parametrize("pq", [(0.8, 0.6), (0.99, 0.98)])
 @pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7)])
 def test_batch_draws_from_the_reference_table(pq, alpha, eta):
@@ -651,7 +661,7 @@ def reference_batch(config, t, rho, n):
     outcome = (u[:, 0] >= born0).astype(np.int64)
     steps = np.zeros(n, dtype=np.int64)
     if t.R0 != 0.0 and t.R1 != 0.0:
-        tail, _ = continuous_readout._search_table(t, *continuous_readout._grid(config))
+        tail = plan_tables(continuous_readout._search_table(t, *continuous_readout._grid(config)))[0]
         for b in (0, 1):
             side = outcome == b
             steps[side] = 1 + np.searchsorted(tail[b], u[side, 1] - 1.0, side="right")
@@ -698,9 +708,9 @@ def test_walk_final_states_match_the_per_run_reference(alpha, eta):
 @pytest.mark.parametrize("pq", [(0.8, 0.6), (0.99, 0.98)])
 @pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7)])
 def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
-    # A cold call builds the readout's search table and instrument, a warm one
+    # A cold call builds the readout's sampling plan and instrument, a warm one
     # reads them: the same batch and samples bit for bit, and cached entries equal
-    # to fresh builds, the table from _exit_table's survival table.
+    # to fresh builds, the plan's tables from _exit_table's survival table.
     params = PartialProjParams(*pq)
     t = thresholds_from_pq(params)
     proto = reduce(kraus_set(dops(params)))
@@ -721,11 +731,19 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
     fresh = np.maximum.accumulate(np.clip(fresh, -1.0, 0.0), axis=1)
     cells = 2 ** min(math.ceil(math.log2(fresh.shape[1])), 16)
     edges = np.arange(cells + 1) / cells - 1.0
-    tail, guide = continuous_readout._search_table(t, *grid)
+    plan = continuous_readout._search_table(t, *grid)
+    tail, guide, wide = plan_tables(plan)
     assert np.array_equal(tail, fresh)
     assert np.all(np.diff(tail) >= 0.0) and tail.min() >= -1.0 and tail.max() <= 0.0
+    # One ascending array: side 0's tail, then side 1's negated, reversed and one ulp up.
+    assert np.array_equal(plan.tail, np.concatenate([fresh[0], np.nextafter(-fresh[1, ::-1], np.inf)]))
+    assert np.all(np.diff(plan.tail) >= 0.0)
     fresh_guide = [[(side <= edge).sum() for edge in edges] for side in tail]
-    assert guide.dtype == np.int32 and np.array_equal(guide, fresh_guide)
+    assert plan.steps.dtype == np.int32 and np.array_equal(guide, fresh_guide)
+    # A cell is wide where the guide differs at its two edges, flagged -1 on side 0, +1 on side 1.
+    assert wide.dtype == np.int8
+    assert np.array_equal(wide, (np.diff(fresh_guide, axis=1) != 0) * np.array([[-1], [1]]))
+    assert plan.born == (pq_from_thresholds(t).p, math.exp(-2.0 * t.R0))
     cached = continuous_readout._readout_instrument(params, alpha, eta, *grid)
     rebuilt = continuous_readout._readout_instrument.__wrapped__(params, alpha, eta, *grid)
     assert pickle.dumps(cached) == pickle.dumps(rebuilt)
@@ -747,12 +765,12 @@ def test_exit_law_cache_ignores_seed_state_and_efficiency():
 def test_cached_exit_law_is_read_only():
     cfg = ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7)
     grid = continuous_readout._grid(cfg)
-    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
-    arrays = list(continuous_readout._search_table(t, *grid))
+    arrays = []
     for pq in ((0.8, 0.6), (0.7, 0.3)):  # the second stops before its first step
         params = PartialProjParams(*pq)
+        plan = continuous_readout._search_table(thresholds_from_pq(params), *grid)
         pair, kappa = continuous_readout._readout_instrument(params, 0.0, 0.7, *grid)
-        arrays += [*pair, kappa]
+        arrays += [plan.steps, plan.wide, plan.tail, *pair, kappa]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -760,15 +778,52 @@ def test_cached_exit_law_is_read_only():
 
 def test_guide_table_has_at_most_2_16_cells_a_side():
     # The (0.99, 0.98) readout takes 5,163 bins at alpha = 0 and 178,696 at 1.4:
-    # the guide has the least power of two of cells at or above the bin count, up
-    # to 2^16, so an entry grows by at most 2 (2^16 + 1) int32 values (512 KB).
+    # the plan has the least power of two of cells at or above the bin count, up
+    # to 2^16, so an entry grows by at most 2^17 int32 steps and int8 flags (640 KB).
     t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
     for alpha, cells in ((0.0, 2**13), (1.4, 2**16)):
         grid = continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha))
-        tail, guide = continuous_readout._search_table(t, *grid)
-        assert guide.dtype == np.int32 and guide.shape == (2, cells + 1)
+        plan = continuous_readout._search_table(t, *grid)
+        tail, guide, wide = plan_tables(plan)
+        assert plan.steps.dtype == np.int32 and guide.shape == (2, cells + 1)
+        assert plan.wide.dtype == np.int8 and wide.shape == (2, cells)
         assert cells // 2 < tail.shape[1] <= cells or tail.shape[1] > cells == 2**16
-        assert guide.nbytes <= 2 * (2**16 + 1) * 4
+        assert plan.steps.nbytes + plan.wide.nbytes <= 2 * 2**16 * (4 + 1)
+
+
+def owned_bytes(a: np.ndarray) -> int:
+    """Bytes of the array that owns ``a``'s memory: a view keeps all of it alive."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize("pq, alpha", [
+    ((0.8, 0.6), 0.0), ((0.8, 0.6), math.pi / 4), ((0.99, 0.98), 0.0), ((0.99, 0.98), math.pi / 4),
+    ((0.99, 0.98), 1.4),
+])
+def test_plan_entry_bytes_are_pinned(pq, alpha):
+    # The four readouts the benchmark's walk draws from and a slow one (alpha near
+    # pi/2): a cached plan holds at most 16 K + 8 (cells + 1) + 2 cells bytes, K bins
+    # a side, the two float64 tails and int32 guide it replaces plus a byte of flags
+    # a cell, so the plan cache cannot quietly grow a run's peak memory.
+    t = thresholds_from_pq(PartialProjParams(*pq))
+    plan = continuous_readout._search_table(t, *continuous_readout._grid(
+        ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha)))
+    k, cells = len(plan.tail) // 2, 1 << plan.shift
+    cached = sum(owned_bytes(a) for a in (plan.steps, plan.wide, plan.tail))
+    assert cached <= 16 * k + 8 * (cells + 1) + 2 * cells
+
+
+def test_generator_doubles_are_multiples_of_2_to_the_minus_53():
+    # The plan's searches key a run at u - 1 (side 0) or 1 - u (side 1). numpy's
+    # uniforms are multiples of 2^-53 in [0, 1), so both are exact: a run's step
+    # count is the table's count at its own uniform. 1 - u = -(u - 1) holds for
+    # any double, since rounding to nearest is symmetric in sign.
+    u = np.random.default_rng(123).random((100_000, 2))
+    scaled = u * 2.0**53
+    assert np.all(scaled == np.floor(scaled)) and u.min() >= 0.0 and u.max() < 1.0
+    assert np.all((u - 1.0) + 1.0 == u) and np.all(1.0 - u == -(u - 1.0))
 
 
 def test_duration_cap_is_exact_on_the_grid():

@@ -49,7 +49,7 @@ from genmeas.partial_projection import (  # noqa: E402
 )
 from genmeas.serialize import kraus_set_from_json, kraus_set_to_json  # noqa: E402
 from test_ancilla_circuit import kron_kraus_from_circuit  # noqa: E402
-from test_continuous_readout import reference_exit_table  # noqa: E402
+from test_continuous_readout import plan_tables, reference_exit_table  # noqa: E402
 from test_decomposition import reference_leaf_table  # noqa: E402
 from test_serialize import (  # noqa: E402
     MALFORMED, assert_same_kraus_sets, assert_same_protocols, read_both,
@@ -276,7 +276,7 @@ def test_guided_exit_steps_are_the_binary_search(q, frac, alpha, eta, cap):
         j_cap = j_lo + int(cap * max(free.shape[1] - 2 - j_lo, 0))
         cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, efficiency=eta,
                             max_duration=(j_cap - 0.5) * cfg.dt)
-    tail, guide = continuous_readout._search_table(t, *continuous_readout._grid(cfg))
+    tail, guide, _ = plan_tables(continuous_readout._search_table(t, *continuous_readout._grid(cfg)))
     # Every cached tail is non-decreasing within [-1, 0], so a search is a count.
     assert np.all(np.diff(tail) >= 0.0) and tail.min() >= -1.0 and tail.max() <= 0.0
     cells = 2 ** min(math.ceil(math.log2(tail.shape[1])), 16)
