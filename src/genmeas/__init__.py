@@ -29,7 +29,7 @@ _EXPORTS = {
     "decomposition": (
         "KrausSet", "MeasurementProtocol", "TwoOutcomeStep", "compose_branch",
         "execute_protocol", "kraus_set", "random_kraus_set", "reduce", "sample_protocol",
-        "svd_decompose_pair", "validate_kraus_set",
+        "validate_kraus_set",
     ),
     "fidelity": (
         "ProcessMatrix", "ProcessSet", "apply_process", "average_state_fidelity",

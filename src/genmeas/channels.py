@@ -102,4 +102,4 @@ def noisy_branch(
     """
     m = np.asarray(ideal_kraus, dtype=np.complex128)
     noise = _noise_stack(spec)
-    return chi_from_kraus(m @ noise if noise_first else noise @ m, d=2)
+    return chi_from_kraus(m @ noise if noise_first else noise @ m)

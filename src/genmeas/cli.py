@@ -9,7 +9,8 @@ circuit     emit the ancilla-circuit gate list for a (p, q)
 fidelity    score an actual measurement against an ideal one
 
 Exit codes: 0 ok; 2 invalid input (``ValueError``, including out-of-range
-parameters, a wrong-schema JSON document and a missing or unreadable file);
+parameters, a readout flag on a ``simulate`` backend that does not read it,
+a wrong-schema JSON document and a missing or unreadable file);
 3 a reduction that fails numerically: a singular remainder, or a leaf that
 composes its Kraus operator only to a deviation above ``BRANCH_TOL`` (1e-9);
 4 a backend that cannot realize a step; 5 measurements that cannot be
@@ -31,8 +32,8 @@ from . import __version__
 from .errors import GenmeasError, Infeasible, Mismatch
 from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import (
-    FORMAT_VERSION, check_version, dump, kraus_set_from_json, loads, matrix_from_json,
-    matrix_to_json, require_key,
+    FORMAT_VERSION, check_version, dump, kraus_set_from_json, loads, matrices_from_json,
+    matrix_from_json, matrix_to_json, require_key,
 )
 
 # Each cmd_* imports the modules it runs in its body: a one-shot process compiles
@@ -55,7 +56,7 @@ def _parse_state(spec: str) -> np.ndarray:
     if spec in _NAMED_STATES:
         return pure_state(_NAMED_STATES[spec])
     with open(spec) as f:
-        return validate_state(matrix_from_json(loads(f.read()), 2))
+        return validate_state(matrix_from_json(loads(f.read())))
 
 
 def _emit(payload: dict, args) -> None:
@@ -89,16 +90,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+_READOUT_FLAGS = ("tau", "alpha", "dt", "efficiency")
+
+
 def _readout_config(args):
+    """The readout of ``trajectory`` and ``simulate --backend continuous``: a flag
+    left out takes ``ReadoutConfig``'s default, and ``--tau`` defaults to 1."""
     from .continuous_readout import ReadoutConfig
 
-    return ReadoutConfig(
-        tau_min=args.tau,
-        seed=args.seed,
-        alpha=args.alpha,
-        dt=args.dt,
-        efficiency=args.efficiency,
-    )
+    given = {k: getattr(args, k) for k in ("alpha", "dt", "efficiency") if getattr(args, k) is not None}
+    return ReadoutConfig(tau_min=1.0 if args.tau is None else args.tau, seed=args.seed, **given)
 
 
 def cmd_simulate(args) -> int:
@@ -107,7 +108,14 @@ def cmd_simulate(args) -> int:
     with open(args.protocol) as f:
         proto = protocol_from_json(f.read())
     state = _parse_state(args.state)
-    readout = _readout_config(args) if args.backend == "continuous" else None
+    if args.backend == "continuous":
+        readout = _readout_config(args)
+    else:
+        given = [f"--{k}" for k in _READOUT_FLAGS if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: readout flags apply only to "
+                             f"--backend continuous, not {args.backend}")
+        readout = None
     counts, means = sample_protocol(
         proto, state, args.shots, args.seed, args.backend, readout
     )
@@ -174,8 +182,7 @@ def cmd_fidelity(args) -> int:
         a, b = (require_key(doc, "elements", list) for doc in docs)
         if [require_key(e, "label", str) for e in a] != [require_key(e, "label", str) for e in b]:
             raise Mismatch("POVM labels differ")
-        pa = [matrix_from_json(require_key(e, "matrix")) for e in a]
-        pi = [matrix_from_json(require_key(e, "matrix")) for e in b]
+        pa, pi = (matrices_from_json([require_key(e, "matrix") for e in elems], 2) for elems in (a, b))
         report = {
             "povm_Fp": povm_fidelity(pa, pi, variant="Fp"),
             "povm_FpTilde": povm_fidelity(pa, pi, variant="FpTilde"),
@@ -186,17 +193,18 @@ def cmd_fidelity(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=12345)
+def _add_output(p: argparse.ArgumentParser, timestamp: bool = False) -> None:
+    """``--output``, and ``--no-timestamp`` for the commands whose report is stamped."""
     p.add_argument("--output", default=None)
-    p.add_argument("--no-timestamp", action="store_true")
+    if timestamp:
+        p.add_argument("--no-timestamp", action="store_true")
 
 
-def _add_readout(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--efficiency", type=float, default=1.0)
+def _add_sampling(p: argparse.ArgumentParser) -> None:
+    """``--seed`` and the readout flags of the two sampling commands."""
+    p.add_argument("--seed", type=int, default=12345)
+    for flag in _READOUT_FLAGS:
+        p.add_argument(f"--{flag}", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kraus")
     p.add_argument("--order", default=None, help="comma-separated permutation")
     p.add_argument("--cancel-u1", action="store_true", dest="cancel_u1")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="sample a protocol on a backend")
@@ -223,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--state", default="mixed")
     p.add_argument("--shots", type=int, default=10_000)
-    _add_common(p)
-    _add_readout(p)
+    _add_output(p, timestamp=True)
+    _add_sampling(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("trajectory", help="run thresholded-readout trajectories")
@@ -234,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, default=None)
     p.add_argument("--state", default="plus")
     p.add_argument("--shots", type=int, default=1000)
-    _add_common(p)
-    _add_readout(p)
+    _add_output(p)
+    _add_sampling(p)
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("circuit", help="emit an ancilla-circuit gate list")
@@ -243,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--variant", default="direct",
                    choices=["direct", "cphase", "fixed_cz"])
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("fidelity", help="score actual vs ideal measurement")
     p.add_argument("actual")
     p.add_argument("ideal")
     p.add_argument("--mode", default="process", choices=["process", "povm"])
-    _add_common(p)
+    _add_output(p, timestamp=True)
     p.set_defaults(func=cmd_fidelity)
 
     return parser

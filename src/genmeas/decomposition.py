@@ -144,23 +144,6 @@ def _factor(n0: np.ndarray) -> tuple[np.ndarray, PartialProjParams, np.ndarray]:
     return u0, PartialProjParams(p=float(w[0]), q=float(1.0 - w[1])), adjoint(vh)
 
 
-def svd_decompose_pair(n0: np.ndarray, n1: np.ndarray) -> TwoOutcomeStep:
-    """Factor a complete two-outcome pair as N_k = U_k D_k V^dag.
-
-    One SVD of N0 gives U0, V and (p, q) with p + q >= 1 (:func:`_factor`),
-    which keeps the continuous-readout thresholds on the right sides of
-    zero; the shared V also diagonalizes |N1|, so U1 follows from N1 V.
-    """
-    n0 = np.asarray(n0, dtype=np.complex128)
-    n1 = np.asarray(n1, dtype=np.complex128)
-    dev = completeness_deviation([n0, n1])
-    if not dev <= COMPLETENESS_TOL:
-        raise NotComplete(dev)
-    u0, params, v = _factor(n0)
-    u1 = _left_unitary(n1, v, np.sqrt([1.0 - params.p, params.q]))
-    return TwoOutcomeStep(v, params, u0, u1)
-
-
 def _left_unitary(n: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Unitary U with N = U diag V^dag, completing columns at zero singular values.
 
@@ -439,9 +422,9 @@ def random_kraus_set(
     return kraus_set(ops, labels)
 
 
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unitary via QR with phase-fixed diagonal."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2 x 2 unitary via QR with phase-fixed diagonal."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))

@@ -1,7 +1,7 @@
 """Fidelity measures for generalized multiple-outcome measurements.
 
-A quantum operation is represented by its d^2 x d^2 process matrix chi in
-the Pauli basis, rho -> sum_ij chi_ij E_i rho E_j^dag. For a measurement,
+A qubit operation is represented by its 4 x 4 process matrix chi in the
+Pauli basis, rho -> sum_ij chi_ij E_i rho E_j^dag. For a measurement,
 each outcome k carries its own (non-trace-preserving) chi^(k), with
 p_k = Tr chi^(k) the outcome probability averaged over pure inputs.
 
@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import Mismatch
 from .linalg import (
-    hermitian_part, identity_deviation, pauli_basis, pauli_transfer, psd_sqrt, require_psd,
+    CHI_TO_POVM, PAULI_BASIS, hermitian_part, identity_deviation, pauli_expand, psd_sqrt,
+    require_psd,
 )
 from .partial_projection import validate_state
 from .serialize import (
@@ -38,20 +39,13 @@ PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """d^2 x d^2 process matrix in the Pauli basis; d = 2^k for k >= 1 qubits."""
+    """4 x 4 process matrix of a qubit operation in the Pauli basis."""
 
-    dim: int
     chi: np.ndarray
 
     def __post_init__(self):
-        d = self.dim
-        if not (isinstance(d, (int, np.integer)) and d >= 2 and not d & (d - 1)):
-            raise ValueError(f"process matrix dim {self.dim} is not 2^k with k >= 1")
-        d2 = self.dim * self.dim
-        if self.chi.shape != (d2, d2):
-            raise ValueError(
-                f"chi shape {self.chi.shape} does not match dim {self.dim}"
-            )
+        if self.chi.shape != (4, 4):
+            raise ValueError(f"chi shape {self.chi.shape} is not (4, 4)")
 
     @functools.cached_property
     def trace(self) -> float:
@@ -68,9 +62,6 @@ class ProcessSet:
         if not self.outcomes:
             raise ValueError("a process set needs at least one outcome")
         require_distinct(self.labels)
-        dims = sorted({chi.dim for _, chi in self.outcomes})
-        if len(dims) != 1:
-            raise ValueError(f"a process set's outcomes must share one dim, got {dims}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -80,58 +71,40 @@ class ProcessSet:
     def probabilities(self) -> tuple[float, ...]:
         return tuple(chi.trace for _, chi in self.outcomes)
 
-    @property
-    def dim(self) -> int:
-        return self.outcomes[0][1].dim
-
     def chis(self) -> np.ndarray:
-        """The outcomes' chi as one (n, d^2, d^2) stack."""
+        """The outcomes' chi as one (n, 4, 4) stack."""
         return np.stack([chi.chi for _, chi in self.outcomes])
 
 
-def _expand(ops, d: int) -> np.ndarray:
-    """Pauli coefficients (r, d^2) of a stack or list of r d x d operators, one matmul."""
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"dimension {d} is not 2^k with k >= 1")
-    ops = np.asarray(ops, dtype=np.complex128)
-    if ops.ndim != 3 or ops.shape[1:] != (d, d):
-        raise ValueError(f"operator shape {ops.shape[1:]}, expected ({d}, {d})")
-    return ops.reshape(len(ops), d * d) @ pauli_transfer(d.bit_length() - 1)[0]
-
-
-def chi_from_kraus(ops, d: int) -> ProcessMatrix:
+def chi_from_kraus(ops, d: int = 2) -> ProcessMatrix:
     """Process matrix of the channel rho -> sum_m K_m rho K_m^dag; ``ops`` is a
-    list or (r, d, d) stack of Kraus operators."""
-    alpha = _expand(ops, d)
-    return ProcessMatrix(dim=d, chi=alpha.T @ alpha.conj())
+    list or (r, 2, 2) stack of Kraus operators. ``d`` must be 2."""
+    if d != 2:
+        raise ValueError(f"process matrices are of qubit operations, d = 2, got d = {d}")
+    alpha = pauli_expand(ops)
+    return ProcessMatrix(chi=alpha.T @ alpha.conj())
 
 
-def process_set_from_kraus(ops, labels, d: int = 2) -> ProcessSet:
+def process_set_from_kraus(ops, labels) -> ProcessSet:
     """Per-outcome single-Kraus process set (a purity-preserving measurement):
     chi^(k) = alpha_k alpha_k^dag from one expansion of all the operators."""
-    alpha = _expand(ops, d)
-    chis = alpha[:, :, None] * alpha.conj()[:, None, :]
-    return ProcessSet(
-        outcomes=tuple((label, ProcessMatrix(dim=d, chi=c)) for label, c in zip(labels, chis))
-    )
+    alpha = pauli_expand(ops)
+    chis = alpha[..., :, None] * alpha.conj()[..., None, :]
+    return ProcessSet(outcomes=tuple((label, ProcessMatrix(chi=c)) for label, c in zip(labels, chis)))
 
 
 def apply_process(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     """Evaluate rho -> sum_ij chi_ij E_i rho E_j^dag."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (chi.dim, chi.dim):
-        raise ValueError(f"state shape {rho.shape}, expected dim {chi.dim}")
-    e = pauli_basis(chi.dim.bit_length() - 1)
-    return np.einsum("ij,iab,bc,jdc->ad", chi.chi, e, rho, e.conj())
+    if rho.shape != (2, 2):
+        raise ValueError(f"state shape {rho.shape}, expected (2, 2)")
+    return np.einsum("ij,iab,bc,jdc->ad", chi.chi, PAULI_BASIS, rho, PAULI_BASIS.conj())
 
 
 def _povms(chis: np.ndarray) -> np.ndarray:
-    """POVM elements P = sum_ij chi_ij E_j^dag E_i (..., d, d) of a stack of process
-    matrices (..., d^2, d^2), one matmul against the transfer map G; Tr P = d Tr chi."""
-    d2 = chis.shape[-1]
-    d = math.isqrt(d2)
-    g = pauli_transfer(d.bit_length() - 1)[1]
-    return (chis.reshape(chis.shape[:-2] + (d2 * d2,)) @ g).reshape(chis.shape[:-2] + (d, d))
+    """POVM elements P = sum_ij chi_ij E_j^dag E_i (..., 2, 2) of a stack of process
+    matrices (..., 4, 4), one matmul against CHI_TO_POVM; Tr P = 2 Tr chi."""
+    return (chis.reshape(chis.shape[:-2] + (16,)) @ CHI_TO_POVM).reshape(chis.shape[:-2] + (2, 2))
 
 
 def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
@@ -193,14 +166,14 @@ def _traces(m: np.ndarray) -> np.ndarray:
 
 
 def _rank1(w: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Per row of ascending eigenvalues (..., d^2): whether every other eigenvalue is
+    """Per row of ascending eigenvalues (..., 4): whether every other eigenvalue is
     within ``tol`` of 0 relative to the largest. F9's trace formula is off by about
     twice their sum over the largest."""
     return np.all(np.abs(w[..., :-1]) <= tol * w[..., -1:], axis=-1)
 
 
 def _f9(chi: np.ndarray, chi_ideal: np.ndarray, t: np.ndarray, ti: np.ndarray):
-    """F9 of each pair of stacks (n, d^2, d^2) with positive traces t, ti (n,), and
+    """F9 of each pair of stacks (n, 4, 4) with positive traces t, ti (n,), and
     whether each ideal is rank-1. A rank-1 ideal takes the trace formula (F8),
     Tr(chi chi~) / (t t~), exact without the Uhlmann route's square-root round-off;
     the other rows take one stacked Uhlmann call. Round-off above 1 is clipped."""
@@ -223,8 +196,6 @@ def process_fidelity(
     non-trace-preserving processes. F8 requires a rank-1 (purity-preserving)
     ideal; F9 is fully general and reduces to F8 for rank-1 ideals.
     """
-    if chi.dim != chi_ideal.dim:
-        raise ValueError("process matrices have different dimensions")
     t, ti = chi.trace, chi_ideal.trace
     if variant in ("F6", "F7"):
         if not (abs(t - 1.0) <= 1e-9 and abs(ti - 1.0) <= 1e-9):
@@ -263,8 +234,6 @@ def _partials(actual: ProcessSet, ideal: ProcessSet):
     where p~_k = 0. One stacked F9 pass over the outcomes scored."""
     if actual.labels != ideal.labels:
         raise Mismatch(f"outcome labels differ: {actual.labels} vs {ideal.labels}")
-    if actual.dim != ideal.dim:
-        raise ValueError("process matrices have different dimensions")
     chi, chi_ideal = actual.chis(), ideal.chis()
     p, p_ideal = _traces(chi), _traces(chi_ideal)
     F = np.where(p_ideal > 0.0, 0.0, np.nan)
@@ -305,26 +274,25 @@ def total_fidelity(
 
 
 def _povm_terms(actual: np.ndarray, ideal: np.ndarray):
-    """Weights sqrt(Tr P_k Tr Pi_k)/d and terms u_k^2/(Tr P_k Tr Pi_k) of the POVM
-    fidelities for stacks (n, d, d) of elements, from one Uhlmann call."""
+    """Weights sqrt(Tr P_k Tr Pi_k)/2 and terms u_k^2/(Tr P_k Tr Pi_k) of the POVM
+    fidelities for stacks (n, 2, 2) of elements, from one Uhlmann call."""
     tr = _traces(actual) * _traces(ideal)
     u = _uhlmann_trace(actual, ideal)
     F = np.divide(u * u, tr, out=np.zeros_like(u), where=tr > 0.0)
-    return np.sqrt(np.clip(tr, 0.0, None)) / actual.shape[-1], F
+    return np.sqrt(np.clip(tr, 0.0, None)) / 2, F
 
 
 def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
     """POVM-only ("probability-only") fidelities of Uhlmann form.
 
-    ``actual`` and ``ideal`` are matching-length lists of PSD d x d elements P_k
+    ``actual`` and ``ideal`` are matching-length lists of PSD 2 x 2 elements P_k
     and Pi_k, each set summing to the identity. Both variants are the family
-    [sum_k w_k F_k^alpha]^(1/alpha) with w_k = sqrt(Tr P_k Tr Pi_k)/d and
+    [sum_k w_k F_k^alpha]^(1/alpha) with w_k = sqrt(Tr P_k Tr Pi_k)/2 and
     F_k = u_k^2/(Tr P_k Tr Pi_k), u_k = Tr sqrt(sqrt(Pi_k) P_k sqrt(Pi_k)):
-    "Fp" (alpha = 1) is (1/d) sum_k u_k^2 / sqrt(Tr P_k Tr Pi_k) and "FpTilde"
-    (alpha = 1/2) is [(1/d) sum_k u_k]^2. ``Mismatch`` if the lengths differ or
-    a set does not sum to I; ``ValueError`` naming the set if its elements do not
-    share one d x d shape, or if the two sets' shapes differ, or if an element is
-    not Hermitian PSD.
+    "Fp" (alpha = 1) is (1/2) sum_k u_k^2 / sqrt(Tr P_k Tr Pi_k) and "FpTilde"
+    (alpha = 1/2) is [(1/2) sum_k u_k]^2. ``Mismatch`` if the lengths differ or
+    a set does not sum to I; ``ValueError`` naming the set if an element is not
+    2 x 2, or not Hermitian PSD.
     """
     if variant not in _POVM_ALPHA:
         raise ValueError(f"unknown POVM fidelity variant {variant!r}")
@@ -332,13 +300,10 @@ def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
         raise Mismatch(f"{len(actual)} vs {len(ideal)} POVM elements")
     if not len(actual):
         raise ValueError("a POVM needs at least one element")
-    shapes = [sorted({np.shape(e) for e in elems}) for elems in (actual, ideal)]
-    for name, s in zip(("actual", "ideal"), shapes):
-        if len(s) != 1 or len(s[0]) != 2 or s[0][0] != s[0][1]:
-            raise ValueError(f"{name} POVM elements must share one d x d shape, got {s}")
-    if shapes[0] != shapes[1]:
-        a, b = (s[0] for s in shapes)
-        raise ValueError(f"actual POVM elements are {a}, ideal POVM elements {b}")
+    for name, elems in (("actual", actual), ("ideal", ideal)):
+        shapes = sorted({np.shape(e) for e in elems} - {(2, 2)})
+        if shapes:
+            raise ValueError(f"{name} POVM elements must be 2 x 2, got {shapes}")
     actual, ideal = (np.asarray(e, dtype=np.complex128) for e in (actual, ideal))
     for name, elems in (("actual", actual), ("ideal", ideal)):
         dev = identity_deviation(elems.sum(axis=0))
@@ -357,10 +322,9 @@ def average_state_fidelity(
     """Haar average of the squared state fidelity against a unitary ideal.
 
     The squared fidelity of a pure input is quadratic in that input, so its
-    Haar average is exact in closed form (Nielsen, quant-ph/0205035):
-    Fbar = (d F6 + 1) / (d + 1) with F6 = Tr(chi chi_ideal), equivalently
-    1 - F6 = (1 - Fbar)(1 + 1/d). ``samples`` and ``seed`` are accepted for
-    compatibility and ignored.
+    Haar average is exact in closed form (Nielsen, quant-ph/0205035): for a
+    qubit, Fbar = (2 F6 + 1) / 3 with F6 = Tr(chi chi_ideal). ``samples`` and
+    ``seed`` are accepted for compatibility and ignored.
 
     Raises
     ------
@@ -368,9 +332,6 @@ def average_state_fidelity(
         If the ideal is not unitary (rank-1 and trace-preserving), or if
         ``chi`` is not trace-preserving or not positive semidefinite.
     """
-    if chi.dim != chi_ideal_unitary.dim:
-        raise ValueError("process matrices have different dimensions")
-    d = chi.dim
     tp = identity_deviation(_povms(np.stack([chi_ideal_unitary.chi, chi.chi]))) <= 1e-8
     # eigvalsh refuses NaN, so each chi is decomposed only once it passed its trace test.
     if not (tp[0] and _rank1(np.linalg.eigvalsh(hermitian_part(chi_ideal_unitary.chi)))):
@@ -379,14 +340,14 @@ def average_state_fidelity(
         raise ValueError("process is not trace-preserving")
     require_psd(chi.chi, PSD_TOL, "process matrix")
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
-    return min(max((d * f6 + 1.0) / (d + 1.0), 0.0), 1.0)
+    return min(max((2.0 * f6 + 1.0) / 3.0, 0.0), 1.0)
 
 
 def process_set_to_json(ps: ProcessSet) -> str:
     return dump(
         {
             "format_version": FORMAT_VERSION,
-            "dim": ps.dim,
+            "dim": 2,
             "outcomes": [
                 {"label": label, "p": chi.trace, "chi": matrix_to_json(chi.chi)}
                 for label, chi in ps.outcomes
@@ -396,17 +357,17 @@ def process_set_to_json(ps: ProcessSet) -> str:
 
 
 def process_set_from_json(text: str) -> ProcessSet:
-    """Read a process set; each chi must be Hermitian PSD within 1e-8
-    (:func:`~genmeas.linalg.require_psd`)."""
+    """Read a process set of a qubit measurement: its ``"dim"`` must be 2 and each
+    chi Hermitian PSD within 1e-8 (:func:`~genmeas.linalg.require_psd`)."""
     data = loads(text)
     check_version(data, "process set")
     d = require_key(data, "dim", int)
+    if d != 2:
+        raise ValueError(f"process set dim {d} is not 2: only qubit measurements are scored")
     outcomes = require_key(data, "outcomes", list)
     labels = [require_key(o, "label", str) for o in outcomes]
-    chis = matrices_from_json([require_key(o, "chi") for o in outcomes], d * d)
-    ps = ProcessSet(
-        outcomes=tuple((label, ProcessMatrix(dim=d, chi=c)) for label, c in zip(labels, chis))
-    )
+    chis = matrices_from_json([require_key(o, "chi") for o in outcomes], 4)
+    ps = ProcessSet(outcomes=tuple((label, ProcessMatrix(chi=c)) for label, c in zip(labels, chis)))
     require_psd(chis, PSD_TOL, "process matrix")
     return ps
 

@@ -2,15 +2,13 @@
 
 Everything in this package runs on plain ``numpy.ndarray`` matrices with
 ``complex128`` entries; the helpers here cover the handful of factorizations
-the rest of the library needs (PSD square root, Pauli-basis expansion)
+the rest of the library needs (PSD square root, qubit Pauli-basis expansion)
 together with the two checks every input rests on, each written once:
 Hermitian positive semidefinite (:func:`require_psd`) and distance from the
 identity (:func:`identity_deviation`), plus the distance up to a global phase.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -26,6 +24,18 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix of a stack (..., d, d)."""
     return np.asarray(m).conj().swapaxes(-1, -2)
+
+
+# The Pauli basis E = (I, X, Y, Z) as one (4, 2, 2) stack, Tr(E_j^dag E_i) = 2 delta_ij,
+# and its transfer pair for row-major vec: alpha = vec M @ VEC_TO_PAULI (4 x 4) expands M
+# in E, and vec P = vec chi @ CHI_TO_POVM (16 x 4) is the POVM element
+# P = sum_ij chi_ij E_j^dag E_i of a process matrix chi. All three are read-only.
+PAULI_BASIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+VEC_TO_PAULI = PAULI_BASIS.reshape(4, 4).conj().T / 2
+CHI_TO_POVM = (adjoint(PAULI_BASIS)[None, :] @ PAULI_BASIS[:, None]).reshape(16, 4)
+for _a in (PAULI_BASIS, VEC_TO_PAULI, CHI_TO_POVM):
+    _a.flags.writeable = False
+del _a
 
 
 def identity_deviation(m: np.ndarray) -> np.ndarray:
@@ -79,56 +89,14 @@ def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 
-@functools.lru_cache(maxsize=8)
-def pauli_basis(n_qubits: int = 1) -> np.ndarray:
-    """Ordered Pauli operator basis for ``n_qubits`` >= 1, stacked as (d^2, d, d).
-
-    For one qubit the order is (I, X, Y, Z); for more, all tensor products
-    in lexicographic order. Normalization: Tr(E_j^dag E_i) = d * delta_ij.
-    The array is cached per ``n_qubits`` and read-only.
-    """
-    if n_qubits < 1:
-        raise ValueError(f"a Pauli basis needs n_qubits >= 1, got {n_qubits}")
-    single = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
-    basis = single
-    for _ in range(n_qubits - 1):
-        basis = [np.kron(a, b) for a in basis for b in single]
-    basis = np.stack(basis)
-    basis.flags.writeable = False
-    return basis
-
-
-def pauli_expand(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Expansion coefficients of ``m`` in a Pauli basis.
-
-    ``alpha_i = Tr(E_i^dag m) / d`` so that ``sum_i alpha_i E_i = m``. A
-    stack of matrices (..., d, d) gives coefficients of shape (..., d^2),
-    from one matmul of the row-major vec m against the conjugated basis.
-    """
+def pauli_expand(m: np.ndarray) -> np.ndarray:
+    """Pauli coefficients alpha_i = Tr(E_i^dag m) / 2 of a 2 x 2 matrix, so that
+    sum_i alpha_i E_i = m over :data:`PAULI_BASIS`; a stack (..., 2, 2) gives (..., 4)
+    from one matmul of the row-major vec m against :data:`VEC_TO_PAULI`."""
     m = np.asarray(m, dtype=np.complex128)
-    basis = np.asarray(basis)
-    d = basis.shape[-1]
-    if m.shape[-2:] != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match basis dim {d}")
-    return m.reshape(m.shape[:-2] + (d * d,)) @ (basis.reshape(-1, d * d).conj().T / d)
-
-
-@functools.lru_cache(maxsize=8)
-def pauli_transfer(n_qubits: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli transfer pair (B, G) for ``n_qubits``, cached and read-only.
-
-    With row-major vec: alpha = vec M @ B (d^2 x d^2) expands M in
-    :func:`pauli_basis` as :func:`pauli_expand` does, and vec P = vec chi @ G
-    (d^4 x d^2) is the POVM element P = sum_ij chi_ij E_j^dag E_i of a process
-    matrix chi. Both act on stacks of vecs, one matmul each.
-    """
-    e = pauli_basis(n_qubits)
-    d = e.shape[-1]
-    b = pauli_expand(np.eye(d * d).reshape(d * d, d, d), e)
-    g = (adjoint(e)[None, :] @ e[:, None]).reshape(d**4, d * d)
-    for a in (b, g):
-        a.flags.writeable = False
-    return b, g
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"matrix shape {m.shape}, expected 2 x 2 or a stack of them")
+    return m.reshape(m.shape[:-2] + (4,)) @ VEC_TO_PAULI
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:

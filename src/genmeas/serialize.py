@@ -46,11 +46,9 @@ def dump(doc: dict) -> str:
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}"
 
 
-def matrix_from_json(rows: list, dim: int | None = None) -> np.ndarray:
-    """Square complex matrix from [re, im] rows, ``dim`` x ``dim`` if given, else as
-    many as it has rows: :func:`matrices_from_json` of one matrix."""
-    if dim is None:
-        dim = len(rows) if isinstance(rows, list) else 0
+def matrix_from_json(rows: list, dim: int = 2) -> np.ndarray:
+    """``dim`` x ``dim`` complex matrix from [re, im] rows: :func:`matrices_from_json`
+    of one matrix."""
     return matrices_from_json([rows], dim)[0]
 
 

@@ -215,7 +215,7 @@ def test_criterion_6_fidelity_identities():
     d0, _ = dops(PartialProjParams(0.8, 0.6))
     chi = chi_from_kraus([d0], 2)
     noisy = noisy_branch(d0, NoiseSpec("depolarizing", 0.1))
-    scaled = ProcessMatrix(dim=2, chi=2.5 * noisy.chi)
+    scaled = ProcessMatrix(chi=2.5 * noisy.chi)
     ok &= abs(
         process_fidelity(noisy, chi, "F8") - process_fidelity(scaled, chi, "F8")
     ) <= 1e-10
@@ -269,7 +269,7 @@ def test_criterion_6_fidelity_identities():
     chi0[2, 2] += 1e-3
     chi0 *= old.trace / np.trace(chi0).real
     perturbed = ProcessSet(
-        outcomes=((ideal.outcomes[0][0], ProcessMatrix(2, chi0)),)
+        outcomes=((ideal.outcomes[0][0], ProcessMatrix(chi0)),)
         + ideal.outcomes[1:]
     )
     for variant in ("sum", "sqrt_squared"):

@@ -10,6 +10,7 @@ from genmeas.decomposition import (
     compose_branch,
     kraus_set,
     protocol_from_json,
+    protocol_to_json,
     random_unitary,
     reduce,
 )
@@ -210,6 +211,25 @@ def test_simulate_continuous_rejects_bad_settings(bad, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("backend, flags", [
+    ("exact", ["--efficiency", "0", "--tau", "-5", "--dt", "-1"]),
+    ("ancilla-direct", ["--alpha", "9"]),
+    ("exact", ["--efficiency", "1"]),
+])
+def test_simulate_refuses_readout_flags_off_continuous(backend, flags, tmp_path, capsys):
+    # The readout flags are read only by the continuous backend; any other refuses
+    # them, valid values included, with one error line naming each flag given.
+    path = tmp_path / "weak.json"
+    path.write_text(protocol_to_json(reduce(kraus_set(HADAMARD_OPS))))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", str(path), "--backend", backend, "--shots", "10",
+                 "--output", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+    given = flags[::2]
+    assert all(flag in err for flag in given) and f"not {backend}" in err, err
+
+
 def test_circuit_command(tmp_path):
     out = str(tmp_path / "circuit.json")
     code = main(
@@ -329,9 +349,11 @@ def test_fidelity_povm_mixed_shapes_exit_2(tmp_path, capsys):
     q3.write_text(doc(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])))
     mixed = tmp_path / "mixed.json"
     mixed.write_text(doc(np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 1.0])))
-    for pair, text in (((q2, q3), "actual POVM elements are (2, 2), ideal POVM elements (3, 3)"),
-                       ((q2, mixed), "ideal POVM elements must share one d x d shape"),
-                       ((mixed, q2), "actual POVM elements must share one d x d shape")):
+    # The reader takes 2 x 2 elements only, on either side.
+    for pair, text in (((q2, q3), "expected a 2x2 matrix, got shape (3, 3)"),
+                       ((q3, q2), "expected a 2x2 matrix, got shape (3, 3)"),
+                       ((q2, mixed), "expected a 2x2 matrix, got shape (3, 3)"),
+                       ((mixed, q2), "expected a 2x2 matrix, got shape (3, 3)")):
         assert main(["fidelity", *map(str, pair), "--mode", "povm"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and text in err
@@ -375,9 +397,10 @@ def test_fidelity_psd_and_identity_checks_name_the_object(case, tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1 and text in err, err
 
 
-@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("dim", [1, 3, 4])
 def test_fidelity_process_dim_not_a_qubit_power_exits_2(tmp_path, capsys, dim):
-    # A 1x1 chi once scored povm_Fp 4.0 against itself; a 9x9 one failed inside numpy.
+    # A 1x1 chi once scored povm_Fp 4.0 against itself and a 9x9 one failed inside
+    # numpy; only qubit processes are scored, so a two-qubit (16x16) one exits 2 too.
     chi = np.zeros((dim * dim, dim * dim))
     chi[0, 0] = 1.0
     doc = tmp_path / "set.json"
@@ -386,7 +409,7 @@ def test_fidelity_process_dim_not_a_qubit_power_exits_2(tmp_path, capsys, dim):
     assert main(["fidelity", str(doc), str(doc), "--mode", "process"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"dim {dim} is not 2^k with k >= 1" in err
+    assert f"process set dim {dim} is not 2" in err
 
 
 def test_circuit_out_of_range_exits_2(capsys):
@@ -455,15 +478,19 @@ def test_tol_option_is_gone(capsys):
 def test_inaccurate_branch_exits_3(tmp_path, capsys):
     # A near-projective pair, 1 - p = 1e-12, whose reduction snaps p to 1 and
     # drops the leak amplitude: a leaf deviates by about 1e-6 > BRANCH_TOL.
+    # At seed 7 the search takes 2 draws; it gives up after MAX_DRAWS.
+    MAX_DRAWS = 1000
     rng = np.random.default_rng(7)
     d0, d1 = dops(PartialProjParams(1.0 - 1e-12, 1.0 - 2e-13))
-    while True:
+    for _ in range(MAX_DRAWS):
         u0, u1, v = (random_unitary(rng) for _ in range(3))
         s = kraus_set([u0 @ d0 @ v, u1 @ d1 @ v])
         proto = reduce(s)
         devs = [phase_distance(m, compose_branch(proto, lab)) for lab, m in zip(s.labels, s.ops)]
         if max(devs) > 1e-9:
             break
+    else:
+        pytest.fail(f"no pair among {MAX_DRAWS} draws deviates by more than 1e-9")
     path = tmp_path / "near_projective.json"
     path.write_text(kraus_set_to_json(s))
     out = tmp_path / "proto.json"

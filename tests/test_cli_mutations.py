@@ -13,20 +13,27 @@ The numeric readout flags of ``trajectory`` and ``simulate --backend
 continuous`` are swept the same way, one flag at a time: besides the exit
 code and the single ``error:`` line, nothing may warn, and a run that
 succeeds may print no nan or inf.
+
+Every option of every command is swept too: each must change the output
+for some value or make the command exit 2, so no flag is accepted and
+then ignored.
 """
 
+import argparse
 import copy
 import itertools
 import json
 import math
 import re
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
 
-from genmeas.cli import main
-from genmeas.decomposition import kraus_set, protocol_to_json, reduce
+from genmeas import cli
+from genmeas.cli import build_parser, main
+from genmeas.decomposition import kraus_set, protocol_to_json, random_kraus_set, reduce
 from genmeas.fidelity import process_set_from_kraus, process_set_to_json
 from genmeas.serialize import kraus_set_to_json, matrix_to_json
 
@@ -144,14 +151,14 @@ def test_every_readout_flag_value_exits_cleanly(command, tmp_path, capsys):
     proto.write_text(protocol_to_json(reduce(kraus_set(HADAMARD_OPS))))
     base = {
         "trajectory": ["trajectory", "--r0", "0.4", "--r1=-0.5"],
-        "simulate": ["simulate", str(proto), "--backend", "continuous"],
+        "simulate": ["simulate", str(proto), "--backend", "continuous", "--no-timestamp"],
     }[command]
     codes = set()
     for flag, value in itertools.product(READOUT_FLAGS[command], READOUT_VALUES):
         what = f"{command} {flag}={value}"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([*base, f"{flag}={value}", "--shots", "20", "--no-timestamp"])
+            code = main([*base, f"{flag}={value}", "--shots", "20"])
         out, err = capsys.readouterr()
         assert code in EXIT_CODES, what
         assert not caught, (what, [str(w.message) for w in caught])
@@ -161,3 +168,65 @@ def test_every_readout_flag_value_exits_cleanly(command, tmp_path, capsys):
             assert out and not re.search("nan|inf", out + err, re.IGNORECASE), what
         codes.add(code)
     assert codes == {0, 2, 4}
+
+
+# Values tried for an option that takes one; argparse refusing a value (its own
+# exit 2, before the command runs) does not count as the command reading it.
+OPTION_VALUES = ("0", "1", "0.5", "-1", "plus", "1,0,2")
+
+
+class _FixedDatetime:
+    """``genmeas.cli.datetime`` with one fixed ``now``: a stamped report repeats."""
+
+    @staticmethod
+    def now(tz=None):
+        return datetime(2000, 1, 1, tzinfo=tz)
+
+
+def _options():
+    """(command, option) for every option of every subcommand but ``--help``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield command, action
+
+
+def test_every_option_is_read_or_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "datetime", _FixedDatetime)
+    ks = random_kraus_set(3, np.random.default_rng(5), labels=LABELS)
+    (tmp_path / "kraus.json").write_text(kraus_set_to_json(ks))
+    (tmp_path / "proto.json").write_text(protocol_to_json(reduce(kraus_set(HADAMARD_OPS))))
+    (tmp_path / "process.json").write_text(process_set_to_json(process_set_from_kraus(ks.ops, LABELS)))
+    base = {
+        "synth": ["synth", "kraus.json"],
+        "simulate": ["simulate", "proto.json", "--shots", "20"],
+        "trajectory": ["trajectory", "--p", "0.8", "--q", "0.6", "--shots", "20"],
+        "circuit": ["circuit", "--p", "0.8", "--q", "0.6"],
+        "fidelity": ["fidelity", "process.json", "process.json"],
+    }
+
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    reference = {command: run(argv) for command, argv in base.items()}
+    assert all(r[0] == 0 for r in reference.values()), reference
+    ignored, count = [], 0
+    for command, action in _options():
+        flag = action.option_strings[-1]
+        values = [[]] if action.nargs == 0 else [[v] for v in action.choices or OPTION_VALUES]
+        for value in values:
+            try:
+                got = run([*base[command], flag, *value])
+            except SystemExit:
+                capsys.readouterr()
+                continue
+            if got[0] == 2 or got != reference[command]:
+                break
+        else:
+            ignored.append(f"{command} {flag}")
+        count += 1
+    assert not ignored, ignored
+    assert count >= 30

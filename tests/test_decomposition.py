@@ -22,7 +22,6 @@ from genmeas.decomposition import (
     random_unitary,
     reduce,
     sample_protocol,
-    svd_decompose_pair,
     validate_kraus_set,
 )
 from genmeas.errors import InaccurateBranch, Infeasible, NotComplete
@@ -70,9 +69,13 @@ def test_trine_is_complete():
     assert completeness_deviation(trine_set().ops) < 1e-15
 
 
+# A two-outcome pair reduces to one step, N_k = U_k D_k V^dag, and a final unitary.
+
 def test_svd_decompose_standard_form():
     params = PartialProjParams(0.8, 0.6)
-    step = svd_decompose_pair(*dops(params))
+    proto = reduce(kraus_set(list(dops(params))))
+    (step,) = proto.steps
+    assert np.allclose(proto.final_unitary, np.eye(2), atol=1e-12)
     assert np.allclose(step.pre_unitary, np.eye(2), atol=1e-12)
     assert np.allclose(step.post_unitary_0, np.eye(2), atol=1e-12)
     assert np.allclose(step.post_unitary_1, np.eye(2), atol=1e-12)
@@ -82,9 +85,9 @@ def test_svd_decompose_standard_form():
 
 def test_svd_decompose_rotated_pair():
     d0, d1 = dops(PartialProjParams(0.8, 0.6))
-    step = svd_decompose_pair(HADAMARD @ d0, HADAMARD @ d1)
-    assert np.linalg.norm(step.branch_operators[0] - HADAMARD @ d0) < 1e-10
-    assert np.linalg.norm(step.branch_operators[1] - HADAMARD @ d1) < 1e-10
+    proto = reduce(kraus_set([HADAMARD @ d0, HADAMARD @ d1]))
+    assert np.linalg.norm(compose_branch(proto, "0") - HADAMARD @ d0) < 1e-10
+    assert np.linalg.norm(compose_branch(proto, "1") - HADAMARD @ d1) < 1e-10
 
 
 def test_svd_decompose_random_pairs():
@@ -94,11 +97,12 @@ def test_svd_decompose_random_pairs():
         w = np.linalg.eigvalsh(adjoint(n0) @ n0)
         n0 = n0 / math.sqrt(w[-1] / rng.uniform(0.3, 0.999))
         n1 = random_unitary(rng) @ psd_sqrt(np.eye(2) - adjoint(n0) @ n0)
-        step = svd_decompose_pair(n0, n1)
+        proto = reduce(kraus_set([n0, n1]))
+        (step,) = proto.steps
         assert step.params.p + step.params.q >= 1.0 - 1e-12
-        assert np.linalg.norm(step.branch_operators[0] - n0) < 1e-10
-        assert np.linalg.norm(step.branch_operators[1] - n1) < 1e-10
-        for u in (step.pre_unitary, step.post_unitary_0, step.post_unitary_1):
+        assert np.linalg.norm(compose_branch(proto, "0") - n0) < 1e-10
+        assert np.linalg.norm(compose_branch(proto, "1") - n1) < 1e-10
+        for u in (step.pre_unitary, step.post_unitary_0, step.post_unitary_1, proto.final_unitary):
             assert is_unitary(u)
 
 

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from genmeas.fidelity import (
     state_fidelity,
     total_fidelity,
 )
-from genmeas.linalg import PAULI_X, adjoint, pauli_basis, pauli_transfer, require_psd
+from genmeas.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, adjoint, require_psd
 from genmeas.partial_projection import PartialProjParams, dops, pure_state
 
 
@@ -47,8 +48,12 @@ def depolarizing_chi(lam):
     return chi_from_kraus(ops, d=2)
 
 
-def random_density(rng, d=2):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+# The reference code builds its own basis rather than read linalg.PAULI_BASIS.
+BASIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+
+
+def random_density(rng):
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     m = a @ adjoint(a)
     return m / np.trace(m).real
 
@@ -94,31 +99,28 @@ def test_apply_process_cases():
 
 def loop_apply_process(chi, rho):
     """Reference: the explicit double sum over Pauli pairs."""
-    basis = pauli_basis(round(math.log2(chi.dim)))
-    out = np.zeros((chi.dim, chi.dim), dtype=complex)
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
+    out = np.zeros((2, 2), dtype=complex)
+    for i, ei in enumerate(BASIS):
+        for j, ej in enumerate(BASIS):
             out += chi.chi[i, j] * (ei @ rho @ adjoint(ej))
     return out
 
 
 def loop_povm_from_process(chi):
-    basis = pauli_basis(round(math.log2(chi.dim)))
-    out = np.zeros((chi.dim, chi.dim), dtype=complex)
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
+    out = np.zeros((2, 2), dtype=complex)
+    for i, ei in enumerate(BASIS):
+        for j, ej in enumerate(BASIS):
             out += chi.chi[i, j] * (adjoint(ej) @ ei)
     return out
 
 
-@pytest.mark.parametrize("d", [2, 4])
-def test_process_algebra_matches_double_loop(d):
-    rng = np.random.default_rng(63 + d)
+def test_process_algebra_matches_double_loop():
+    rng = np.random.default_rng(65)
     for _ in range(50):
-        a = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         chi = a @ adjoint(a)
-        chi = ProcessMatrix(d, chi / np.trace(chi).real)
-        rho = random_density(rng, d)
+        chi = ProcessMatrix(chi / np.trace(chi).real)
+        rho = random_density(rng)
         assert np.abs(apply_process(chi, rho) - loop_apply_process(chi, rho)).max() < 1e-12
         assert np.abs(_povms(chi.chi) - loop_povm_from_process(chi)).max() < 1e-12
 
@@ -230,10 +232,10 @@ def test_partial_fidelity_scale_invariance():
     d0, _ = dops(PartialProjParams(0.8, 0.6))
     chi = chi_from_kraus([d0], 2)
     assert partial_fidelity(chi, chi) == pytest.approx(1.0)
-    scaled = ProcessMatrix(dim=2, chi=3.0 * chi.chi)
+    scaled = ProcessMatrix(chi=3.0 * chi.chi)
     assert partial_fidelity(scaled, chi) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="zero-trace chi"):
-        partial_fidelity(ProcessMatrix(dim=2, chi=np.zeros((4, 4))), chi)
+        partial_fidelity(ProcessMatrix(chi=np.zeros((4, 4))), chi)
 
 
 def test_partial_fidelity_noisy_branch_reproducible():
@@ -261,7 +263,7 @@ def test_total_fidelity_equals_one_iff_equal():
     chi0[1, 1] += 1e-3
     chi0 *= old.trace / np.trace(chi0).real
     perturbed = ProcessSet(
-        outcomes=((ps.outcomes[0][0], ProcessMatrix(2, chi0)),) + ps.outcomes[1:]
+        outcomes=((ps.outcomes[0][0], ProcessMatrix(chi0)),) + ps.outcomes[1:]
     )
     for variant in ("sum", "sqrt_squared"):
         assert total_fidelity(perturbed, ps, variant) < 1.0 - 1e-9
@@ -406,18 +408,17 @@ def test_povm_fidelity_rejects_non_psd_elements():
 
 
 def test_povm_fidelity_rejects_mixed_shapes():
-    # A 2 x 2 POVM against a 3 x 3 one, and a set mixing both sizes, name the
+    # Elements are 2 x 2: a 3 x 3 POVM, or a set mixing both sizes, names the
     # set at fault instead of failing inside numpy.
     q2 = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     q3 = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 1.0]).astype(complex)]
-    with pytest.raises(ValueError, match=r"actual POVM elements are \(2, 2\), ideal .* \(3, 3\)"):
+    with pytest.raises(ValueError, match=r"ideal POVM elements must be 2 x 2, got \[\(3, 3\)\]"):
         povm_fidelity(q2, q3)
-    with pytest.raises(ValueError, match=r"actual POVM elements are \(3, 3\), ideal .* \(2, 2\)"):
+    with pytest.raises(ValueError, match=r"actual POVM elements must be 2 x 2, got \[\(3, 3\)\]"):
         povm_fidelity(q3, q2)
-    mixed = r"actual POVM .* one d x d shape, got \[\(2, 2\), \(3, 3\)\]"
-    with pytest.raises(ValueError, match=mixed):
+    with pytest.raises(ValueError, match=r"actual POVM elements must be 2 x 2, got \[\(3, 3\)\]"):
         povm_fidelity([q2[0], q3[1]], q2)
-    with pytest.raises(ValueError, match=r"ideal POVM .* one d x d shape"):
+    with pytest.raises(ValueError, match=r"ideal POVM elements must be 2 x 2"):
         povm_fidelity(q2, [q2[0], q3[1]])
 
 
@@ -496,20 +497,14 @@ def haar_kets(rng, d, samples):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping", "unitary_jitter", "two_qubit"])
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping", "unitary_jitter"])
 def test_average_state_fidelity_matches_haar_monte_carlo(kind):
     rng = np.random.default_rng(81)
-    if kind == "two_qubit":
-        d = 4
-        u = random_unitary(rng, dim=4)
-        ops = [np.kron(k, np.eye(2)) @ u for k in amplitude_damping_kraus(0.4)]
-    else:
-        d = 2
-        u = random_unitary(rng)
-        ops = noisy_unitary_kraus(kind, u)
-    f = squared_fidelities(ops, u, haar_kets(rng, d, 20_000))
+    u = random_unitary(rng)
+    ops = noisy_unitary_kraus(kind, u)
+    f = squared_fidelities(ops, u, haar_kets(rng, 2, 20_000))
     sigma = f.std(ddof=1) / math.sqrt(len(f))
-    fbar = average_state_fidelity(chi_from_kraus(ops, d), chi_from_kraus([u], d))
+    fbar = average_state_fidelity(chi_from_kraus(ops, 2), chi_from_kraus([u], 2))
     assert abs(fbar - f.mean()) <= 4 * sigma + 1e-12
 
 
@@ -532,7 +527,7 @@ def test_average_state_fidelity_rejects_bad_inputs():
         average_state_fidelity(chi_from_kraus([0.9 * np.eye(2)], 2), ideal)
     # Trace-preserving (diagonal sums to 1) but not completely positive.
     with pytest.raises(ValueError, match="process matrix has eigenvalue"):
-        average_state_fidelity(ProcessMatrix(2, np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal)
+        average_state_fidelity(ProcessMatrix(np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal)
 
 
 def test_process_set_json_round_trip():
@@ -630,49 +625,39 @@ def test_process_set_rejects_repeated_labels():
         process_set_from_json(doc)
 
 
-def test_process_matrix_dim_must_be_a_qubit_power():
-    for dim in (0, 1, 3, 6, -2):
-        with pytest.raises(ValueError, match=f"dim {dim} is not 2"):
-            ProcessMatrix(dim, np.zeros((dim * dim, dim * dim)))
-    with pytest.raises(ValueError, match="n_qubits >= 1"):
-        pauli_basis(0)
-    with pytest.raises(ValueError, match="share one dim"):
-        ProcessSet((("a", chi_from_kraus([np.eye(2)], 2)), ("b", chi_from_kraus([np.eye(4)], 4))))
-
-
-@pytest.mark.parametrize("n_qubits", [1, 2])
-def test_pauli_transfer_pair_is_cached_and_read_only(n_qubits):
-    b, g = pauli_transfer(n_qubits)
-    d = 2**n_qubits
-    assert pauli_transfer(n_qubits)[0] is b
-    assert b.shape == (d * d, d * d) and g.shape == (d**4, d * d)
-    assert not b.flags.writeable and not g.flags.writeable
+def test_process_matrix_chi_must_be_4x4():
+    for shape in ((1, 1), (9, 9), (16, 16), (4,), (4, 4, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"chi shape {shape} is not (4, 4)")):
+            ProcessMatrix(np.zeros(shape))
+    for d in (1, 3, 4):
+        with pytest.raises(ValueError, match=f"d = 2, got d = {d}"):
+            chi_from_kraus([np.eye(d)], d)
+    with pytest.raises(ValueError, match="expected 2 x 2"):
+        chi_from_kraus([np.eye(4)])
 
 
 # Per-outcome reference: the einsum and loop code the stacked passes replaced.
 
-def reference_expand(ops, d):
-    """alpha_i = Tr(E_i^dag M) / d by einsum over the Pauli basis."""
-    basis = pauli_basis(round(math.log2(d)))
-    return np.einsum("iab,...ab->...i", basis.conj(), np.asarray(ops, dtype=complex)) / d
+def reference_expand(ops):
+    """alpha_i = Tr(E_i^dag M) / 2 by einsum over the Pauli basis."""
+    return np.einsum("iab,...ab->...i", BASIS.conj(), np.asarray(ops, dtype=complex)) / 2
 
 
-def reference_chi_from_kraus(ops, d):
-    alpha = reference_expand(np.stack([np.asarray(m, dtype=complex) for m in ops]), d)
-    return ProcessMatrix(dim=d, chi=alpha.T @ alpha.conj())
+def reference_chi_from_kraus(ops):
+    alpha = reference_expand(np.stack([np.asarray(m, dtype=complex) for m in ops]))
+    return ProcessMatrix(chi=alpha.T @ alpha.conj())
 
 
-def reference_process_set_from_kraus(ops, labels, d=2):
-    return ProcessSet(tuple((label, reference_chi_from_kraus([m], d)) for label, m in zip(labels, ops)))
+def reference_process_set_from_kraus(ops, labels):
+    return ProcessSet(tuple((label, reference_chi_from_kraus([m])) for label, m in zip(labels, ops)))
 
 
 def reference_povm_from_process(chi):
-    e = pauli_basis(round(math.log2(chi.dim)))
-    return np.einsum("ij,jba,ibc->ac", chi.chi, e.conj(), e)
+    return np.einsum("ij,jba,ibc->ac", chi.chi, BASIS.conj(), BASIS)
 
 
 def reference_noisy_branch(m, spec):
-    return reference_chi_from_kraus([k @ m for k in noise_kraus(spec)], 2)
+    return reference_chi_from_kraus([k @ m for k in noise_kraus(spec)])
 
 
 def reference_is_rank1(chi, tol=1e-12):
@@ -735,14 +720,13 @@ def reference_fidelity_report(actual, ideal):
 
 
 def reference_average_state_fidelity(chi, chi_ideal):
-    d = chi.dim
-    tp = [np.linalg.norm(reference_povm_from_process(c) - np.eye(d)) <= 1e-8 for c in (chi, chi_ideal)]
+    tp = [np.linalg.norm(reference_povm_from_process(c) - np.eye(2)) <= 1e-8 for c in (chi, chi_ideal)]
     if not (reference_is_rank1(chi_ideal) and tp[1]):
         raise ValueError("average state fidelity requires a unitary ideal")
     if not tp[0]:
         raise ValueError("process is not trace-preserving")
     require_psd(chi.chi, fidelity.PSD_TOL, "process matrix")
-    return (d * float(np.trace(chi.chi @ chi_ideal.chi).real) + 1.0) / (d + 1.0)
+    return (2 * float(np.trace(chi.chi @ chi_ideal.chi).real) + 1.0) / 3
 
 
 def assert_reports_agree(got, expect, tol=1e-12):
@@ -759,16 +743,15 @@ def assert_reports_agree(got, expect, tol=1e-12):
         assert abs(got[key] - expect[key]) <= tol, (key, got[key], expect[key])
 
 
-@pytest.mark.parametrize("d", [2, 4])
-def test_transfer_maps_match_einsum_reference(d):
-    rng = np.random.default_rng(80 + d)
+def test_transfer_maps_match_einsum_reference():
+    rng = np.random.default_rng(82)
     for _ in range(50):
-        ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
-        chi = chi_from_kraus(ops, d)
-        assert np.abs(chi.chi - reference_chi_from_kraus(list(ops), d).chi).max() <= 1e-12
+        ops = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        chi = chi_from_kraus(ops)
+        assert np.abs(chi.chi - reference_chi_from_kraus(list(ops)).chi).max() <= 1e-12
         assert np.abs(_povms(chi.chi) - reference_povm_from_process(chi)).max() <= 1e-12
-        got = process_set_from_kraus(ops, "abc", d)
-        for (_, a), (_, b) in zip(got.outcomes, reference_process_set_from_kraus(ops, "abc", d).outcomes):
+        got = process_set_from_kraus(ops, "abc")
+        for (_, a), (_, b) in zip(got.outcomes, reference_process_set_from_kraus(ops, "abc").outcomes):
             assert np.abs(a.chi - b.chi).max() <= 1e-12
 
 
@@ -780,9 +763,9 @@ def test_average_state_fidelity_checks_in_reference_order():
         (depolarizing_chi(0.2), depolarizing_chi(0.1)),
         (chi_from_kraus([0.9 * np.eye(2)], 2), depolarizing_chi(0.1)),
         (chi_from_kraus([0.9 * np.eye(2)], 2), ideal),
-        (ProcessMatrix(2, np.full((4, 4), np.nan)), ideal),
-        (ProcessMatrix(2, np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal),
-        (ProcessMatrix(2, np.diag([1.0, 0, 0, 0]) + np.triu(np.full((4, 4), 1e-6), 1)), ideal),
+        (ProcessMatrix(np.full((4, 4), np.nan)), ideal),
+        (ProcessMatrix(np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal),
+        (ProcessMatrix(np.diag([1.0, 0, 0, 0]) + np.triu(np.full((4, 4), 1e-6), 1)), ideal),
     ]
     for chi, chi_ideal in cases:
         with pytest.raises(ValueError) as expect:

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from genmeas.linalg import (
+    CHI_TO_POVM,
+    PAULI_BASIS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    VEC_TO_PAULI,
     adjoint,
     identity_deviation,
     is_unitary,
-    pauli_basis,
     pauli_expand,
     phase_distance,
     psd_sqrt,
@@ -134,30 +136,31 @@ def test_stack_helpers_match_single_matrices():
 
 
 def test_pauli_basis_normalization():
-    for n in (1, 2):
-        basis = pauli_basis(n)
-        d = 2**n
-        assert len(basis) == d * d
-        for i, ei in enumerate(basis):
-            for j, ej in enumerate(basis):
-                tr = np.trace(adjoint(ej) @ ei)
-                assert abs(tr - (d if i == j else 0.0)) < 1e-12
+    assert PAULI_BASIS.shape == (4, 2, 2)
+    for i, ei in enumerate(PAULI_BASIS):
+        for j, ej in enumerate(PAULI_BASIS):
+            tr = np.trace(adjoint(ej) @ ei)
+            assert abs(tr - (2 if i == j else 0.0)) < 1e-12
+
+
+def test_pauli_constants_are_read_only_with_their_shapes():
+    for a, shape in ((PAULI_BASIS, (4, 2, 2)), (VEC_TO_PAULI, (4, 4)), (CHI_TO_POVM, (16, 4))):
+        assert a.shape == shape and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
 
 
 def test_pauli_expand_identity():
-    basis = pauli_basis(1)
-    assert np.allclose(pauli_expand(np.eye(2, dtype=complex), basis), [1, 0, 0, 0])
+    assert np.allclose(pauli_expand(np.eye(2, dtype=complex)), [1, 0, 0, 0])
 
 
 def test_pauli_expand_sigma_z():
-    basis = pauli_basis(1)
-    assert np.allclose(pauli_expand(PAULI_Z, basis), [0, 0, 0, 1])
+    assert np.allclose(pauli_expand(PAULI_Z), [0, 0, 0, 1])
 
 
 def test_pauli_expand_partial_projection():
-    basis = pauli_basis(1)
     d0 = np.diag([np.sqrt(0.8), np.sqrt(0.4)]).astype(complex)
-    alpha = pauli_expand(d0, basis)
+    alpha = pauli_expand(d0)
     expect = [
         (np.sqrt(0.8) + np.sqrt(0.4)) / 2,
         0.0,
@@ -168,18 +171,19 @@ def test_pauli_expand_partial_projection():
 
 
 def test_pauli_expand_dimension_mismatch():
-    with pytest.raises(ValueError, match="does not match basis dim"):
-        pauli_expand(np.eye(4, dtype=complex), pauli_basis(1))
+    for m in (np.eye(4, dtype=complex), np.ones(2)):
+        with pytest.raises(ValueError, match="expected 2 x 2"):
+            pauli_expand(m)
 
 
 def test_pauli_round_trip_random():
     rng = np.random.default_rng(29)
-    for n in (1, 2):
-        basis = pauli_basis(n)
-        for _ in range(500):
-            m = random_complex(rng, 2**n)
-            back = sum(a * e for a, e in zip(pauli_expand(m, basis), basis))
-            assert np.linalg.norm(back - m) < 1e-12
+    for _ in range(500):
+        m = random_complex(rng, 2)
+        back = sum(a * e for a, e in zip(pauli_expand(m), PAULI_BASIS))
+        assert np.linalg.norm(back - m) < 1e-12
+    stack = np.stack([random_complex(rng, 2) for _ in range(5)])
+    assert np.array_equal(pauli_expand(stack), np.stack([pauli_expand(m) for m in stack]))
 
 
 def test_phase_alignment():

@@ -335,8 +335,7 @@ def test_reduce_makes_one_svd_per_outcome(monkeypatch):
         raise AssertionError("reduce must not call this")
 
     sets = {n: random_kraus_set(n, np.random.default_rng(n)) for n in range(2, 7)}
-    for module, name in ((decomposition, "svd_decompose_pair"), (decomposition, "psd_sqrt"),
-                         (linalg, "require_psd"), (linalg, "psd_sqrt")):
+    for module, name in ((decomposition, "psd_sqrt"), (linalg, "require_psd"), (linalg, "psd_sqrt")):
         monkeypatch.setattr(module, name, forbidden)
     for n, s in sets.items():
         calls.clear()
@@ -365,7 +364,7 @@ def test_every_fidelity_lies_in_the_unit_interval(sets, alpha, rho, sigma):
     values += [state_fidelity(a, b, variant) for a, b in states
                for variant in ("uhlmann", "uhlmann_squared")]
     # A process within the trace checks' 1e-9 whose F6 and F7 round to 1 + 1e-9.
-    chi = ProcessMatrix(2, np.diag([1.0 + 5e-10, 0.0, 0.0, 0.0]).astype(complex))
+    chi = ProcessMatrix(np.diag([1.0 + 5e-10, 0.0, 0.0, 0.0]).astype(complex))
     values += [process_fidelity(chi, chi, v) for v in ("F6", "F7")] + [average_state_fidelity(chi, chi)]
     assert all(0.0 <= v <= 1.0 for v in values), values
     w = np.sqrt(np.multiply(report["p_actual"], report["p_ideal"]))
@@ -638,7 +637,7 @@ def scored_sets_with_failures(draw):
     def zeroed(ps):
         mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         return ProcessSet(tuple(
-            (label, ProcessMatrix(chi.dim, np.zeros_like(chi.chi)) if z else chi)
+            (label, ProcessMatrix(np.zeros_like(chi.chi)) if z else chi)
             for (label, chi), z in zip(ps.outcomes, mask)
         ))
 
@@ -678,21 +677,24 @@ def test_stacked_povm_fidelity_matches_reference(sets):
         assert abs(povm_fidelity(actual, ideal, variant) - expect) <= REFERENCE_TOL, variant
 
 
+def random_isometry_kraus(rng, r):
+    """r 2 x 2 Kraus operators of a random channel: the blocks of a (2r, 2) isometry."""
+    z = rng.standard_normal((2 * r, 2)) + 1j * rng.standard_normal((2 * r, 2))
+    return np.linalg.qr(z)[0].reshape(r, 2, 2)
+
+
 @st.composite
 def noisy_unitaries(draw):
-    """A noisy unitary channel and a unitary ideal: d = 2 under one of the four noise
-    kinds, or d = 4 from a random isometry of 1 to 3 Kraus operators."""
+    """A noisy unitary channel and a unitary ideal: one of the four noise kinds, or
+    a random isometry of 1 to 3 Kraus operators, after a random unitary."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.sampled_from([2, 4]))
-    u = decomposition.random_unitary(rng, d)
-    ideal = chi_from_kraus([decomposition.random_unitary(rng, d) if draw(st.booleans()) else u], d)
-    if d == 2:
+    u = decomposition.random_unitary(rng)
+    ideal = chi_from_kraus([decomposition.random_unitary(rng) if draw(st.booleans()) else u])
+    if draw(st.booleans()):
         spec = NoiseSpec(draw(st.sampled_from(KINDS)), draw(st.floats(0.0, 1.0)), draw(st.integers(0, 99)))
         return noisy_branch(u, spec), reference_noisy_branch(u, spec), ideal
-    r = draw(st.integers(1, 3))
-    w = decomposition.random_unitary(rng, d * r)[:, :d]
-    ops = w.reshape(r, d, d) @ u
-    return chi_from_kraus(ops, d), reference_chi_from_kraus(list(ops), d), ideal
+    ops = random_isometry_kraus(rng, draw(st.integers(1, 3))) @ u
+    return chi_from_kraus(ops), reference_chi_from_kraus(list(ops)), ideal
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -710,18 +712,15 @@ def test_stacked_channel_algebra_matches_reference(case):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
-def test_stacked_process_sets_match_reference(n, seed, d):
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_stacked_process_sets_match_reference(n, seed, isometry):
     # One expansion of all n operators against one einsum per operator.
     rng = np.random.default_rng(seed)
-    if d == 2:
-        ops = random_kraus_set(n, rng).ops
-    else:
-        ops = decomposition.random_unitary(rng, d * n)[:, :d].reshape(n, d, d)
+    ops = random_isometry_kraus(rng, n) if isometry else random_kraus_set(n, rng).ops
     labels = [str(k) for k in range(n)]
-    got = process_set_from_kraus(ops, labels, d)
-    expect = reference_process_set_from_kraus(ops, labels, d)
+    got = process_set_from_kraus(ops, labels)
+    expect = reference_process_set_from_kraus(ops, labels)
     assert got.labels == expect.labels
     for (_, a), (_, b) in zip(got.outcomes, expect.outcomes):
         assert np.abs(a.chi - b.chi).max() <= REFERENCE_TOL
-    assert np.abs(chi_from_kraus(ops, d).chi - reference_chi_from_kraus(ops, d).chi).max() <= REFERENCE_TOL
+    assert np.abs(chi_from_kraus(ops).chi - reference_chi_from_kraus(ops).chi).max() <= REFERENCE_TOL
