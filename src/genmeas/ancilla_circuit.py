@@ -21,6 +21,7 @@ inverted by p = [1 + sin(phi + epsilon)]/2, q = [1 + sin(phi - epsilon)]/2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -91,36 +92,24 @@ def pq_from_angles(phi: float, epsilon: float) -> PartialProjParams:
     return PartialProjParams(min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0))
 
 
-def _rx(phi: float) -> np.ndarray:
+def _rx(phi: float):
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    return (c, -1j * s), (-1j * s, c)
 
 
-def _ry(phi: float) -> np.ndarray:
+def _ry(phi: float):
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return (c, -s), (s, c)
 
 
-def _rz(phi: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * phi / 2.0), np.exp(1j * phi / 2.0)]).astype(
-        np.complex128
-    )
+def _rz(phi: float):
+    return (cmath.exp(-1j * phi / 2.0), 0.0), (0.0, cmath.exp(1j * phi / 2.0))
 
 
-def _ry_given_z(phi: float) -> np.ndarray:
-    """exp(-i phi (sigma_z x sigma_y) / 2): ancilla Ry(+-phi) controlled by main Z."""
-    out = np.zeros((4, 4), dtype=np.complex128)
-    out[:2, :2] = _ry(phi)
-    out[2:, 2:] = _ry(-phi)
-    return out
-
-
-def _cz(theta: float) -> np.ndarray:
-    return np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)]).astype(np.complex128)
-
-
-def gate_matrix(g: Gate) -> np.ndarray:
-    """Matrix of a gate: 2x2 for single-wire gates, 4x4 for two-wire gates."""
+def _scalars(g: Gate):
+    """A gate on Python numbers: its 2x2 matrix on one wire or, for a two-wire gate,
+    the ancilla matrices (m0, m1) it applies when main is |0> and |1>. RyGivenZ is
+    exp(-i phi (sigma_z x sigma_y) / 2), ancilla Ry(+-phi) controlled by main Z."""
     if g.kind == "Rx":
         return _rx(g.angle)
     if g.kind == "Ry":
@@ -128,10 +117,20 @@ def gate_matrix(g: Gate) -> np.ndarray:
     if g.kind == "Rz":
         return _rz(g.angle)
     if g.kind == "RyGivenZ":
-        return _ry_given_z(g.angle)
+        return _ry(g.angle), _ry(-g.angle)
     if g.kind == "CZ":
-        return _cz(g.angle)
+        return ((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, cmath.exp(1j * g.angle)))
     raise ValueError(f"gate kind {g.kind!r} has no matrix")
+
+
+def gate_matrix(g: Gate) -> np.ndarray:
+    """Matrix of a gate: 2x2 for single-wire gates, 4x4 for two-wire gates."""
+    m = _scalars(g)
+    if g.target != BOTH:
+        return np.array(m, dtype=np.complex128)
+    out = np.zeros((4, 4), dtype=np.complex128)
+    out[:2, :2], out[2:, 2:] = m
+    return out
 
 
 def build_circuit(variant: str, phi: float, epsilon: float) -> TwoQubitCircuit:
@@ -170,23 +169,27 @@ def circuit_from_pq(variant: str, params: PartialProjParams) -> TwoQubitCircuit:
 def kraus_from_circuit(c: TwoQubitCircuit) -> tuple[np.ndarray, np.ndarray]:
     """Realized Kraus pair K_a = <a|_ancilla U_total |0>_ancilla on the main qubit.
 
-    Only the two columns with the ancilla in |0> are propagated, as a (main,
-    ancilla, in) tensor: a main-wire gate multiplies axis 0, an ancilla gate
-    axis 1, and a two-wire gate the (4, 2) reshape, whose row is 2 * main + ancilla.
+    Only the two columns with the ancilla in |0> are propagated, on Python complex
+    scalars: ``top`` and ``bottom`` hold the rows (ancilla 0, ancilla 1) with main in
+    |0> and |1>. An ancilla gate multiplies both (a two-wire gate each by its own
+    matrix); a main-wire gate mixes them.
     """
-    psi = np.zeros((2, 2, 2), dtype=np.complex128)
-    psi[0, 0, 0] = psi[1, 0, 1] = 1.0
+    from .linalg import mul2  # on call: the circuit command only writes the gate list
+
+    top, bottom = ((1.0, 0.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 0.0))
     for g in c.gates:
         if g.kind == "MeasureAncillaZ":
             break
-        m = gate_matrix(g)
+        m = _scalars(g)
         if g.target == BOTH:
-            psi = (m @ psi.reshape(4, 2)).reshape(2, 2, 2)
+            top, bottom = mul2(m[0], top), mul2(m[1], bottom)
         elif g.target == MAIN:
-            psi = (m @ psi.reshape(2, 4)).reshape(2, 2, 2)
+            (t0, b0), (t1, b1) = mul2(m, (top[0], bottom[0])), mul2(m, (top[1], bottom[1]))
+            top, bottom = (t0, t1), (b0, b1)
         else:
-            psi = m @ psi
-    return psi[:, 0], psi[:, 1]
+            top, bottom = mul2(m, top), mul2(m, bottom)
+    k = np.array(((top[0], bottom[0]), (top[1], bottom[1])), dtype=np.complex128)
+    return k[0], k[1]
 
 
 def circuit_to_json(c: TwoQubitCircuit) -> str:

@@ -100,6 +100,5 @@ def noisy_branch(
     Default order is noise AFTER the branch (models readout-adjacent
     decoherence); set ``noise_first`` to compose the other way.
     """
-    m = np.asarray(ideal_kraus, dtype=np.complex128)
     noise = _noise_stack(spec)
-    return chi_from_kraus(m @ noise if noise_first else noise @ m)
+    return chi_from_kraus(ideal_kraus @ noise if noise_first else noise @ ideal_kraus)

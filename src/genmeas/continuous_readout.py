@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .partial_projection import PartialProjParams, validate_state
+from .partial_projection import PartialProjParams, validate_seed, validate_state
 
 _CAP = "no threshold reached within the duration cap of {} steps"
 _NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
@@ -61,7 +61,8 @@ class ReadoutConfig:
     ``tau_min`` is the measurement time at quadrature angle alpha = 0; the
     effective timescale is tau_min / cos^2(alpha). ``dt`` defaults to
     tau_min / 100. ``efficiency`` is the quantum efficiency eta in (0, 1];
-    eta < 1 adds dephasing. ``max_duration`` defaults to 1e6 * dt.
+    eta < 1 adds dephasing. ``max_duration`` defaults to 1e6 * dt. ``seed`` must
+    be a non-negative integer.
     """
 
     tau_min: float
@@ -72,6 +73,7 @@ class ReadoutConfig:
     max_duration: float | None = None
 
     def __post_init__(self):
+        validate_seed(self.seed)
         if not 0.0 < self.tau_min < math.inf:
             raise ValueError(f"tau_min must be positive and finite, got {self.tau_min}")
         if not abs(self.alpha) < math.pi / 2:

@@ -22,13 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InaccurateBranch, Infeasible, NotComplete, SingularRemainder
-from .linalg import adjoint, identity_deviation, is_unitary, phase_distance, psd_sqrt
-from .partial_projection import (
-    ZERO_BRANCH_TOL,
-    PartialProjParams,
-    dops,
-    validate_state,
-)
+from .linalg import adjoint, identity_deviation, is_unitary, mul2, phase_distance, psd_sqrt
+from .partial_projection import ZERO_BRANCH_TOL, PartialProjParams, validate_seed, validate_state
 from .serialize import (
     FORMAT_VERSION, check_version, dump, loads, matrices_from_json, matrix_to_json,
     require_distinct, require_key,
@@ -76,14 +71,6 @@ class TwoOutcomeStep:
     post_unitary_0: np.ndarray
     post_unitary_1: np.ndarray
 
-    @functools.cached_property
-    def branch_operators(self) -> np.ndarray:
-        """(U_0 D_0 V^dag, U_1 D_1 V^dag) as one read-only (2, 2, 2) stack, built once."""
-        u = np.stack([self.post_unitary_0, self.post_unitary_1])
-        ops = u @ np.stack(dops(self.params)) @ adjoint(self.pre_unitary)
-        ops.flags.writeable = False
-        return ops
-
 
 @dataclass(frozen=True)
 class MeasurementProtocol:
@@ -106,12 +93,17 @@ class MeasurementProtocol:
     @functools.cached_property
     def branches(self) -> np.ndarray:
         """Ordered operator product along each leaf's branch, in leaf order, as one
-        read-only (n, 2, 2) stack: one pass over the steps' branch operators."""
-        out = np.empty((len(self.leaf_labels), 2, 2), dtype=np.complex128)
-        chain = np.eye(2, dtype=np.complex128)
-        for k, step in enumerate(self.steps):
-            out[k], chain = step.branch_operators @ chain
-        out[-1] = self.final_unitary @ chain
+        read-only (n, 2, 2) stack from one pass on Python complex scalars: step k's leaf
+        is U_0 D_0 V^dag C of the running chain C, which goes on as U_1 D_1 V^dag C."""
+        out, chain = [], ((1.0, 0.0), (0.0, 1.0))
+        for step in self.steps:
+            (x0, x1), (y0, y1) = mul2(adjoint(step.pre_unitary).tolist(), chain)
+            p, q = step.params.p, step.params.q
+            a, b, c, d = math.sqrt(p), math.sqrt(1.0 - q), math.sqrt(1.0 - p), math.sqrt(q)
+            out.append(mul2(step.post_unitary_0.tolist(), ((a * x0, a * x1), (b * y0, b * y1))))
+            chain = mul2(step.post_unitary_1.tolist(), ((c * x0, c * x1), (d * y0, d * y1)))
+        out.append(mul2(self.final_unitary.tolist(), chain))
+        out = np.array(out, dtype=np.complex128)
         out.flags.writeable = False
         return out
 
@@ -258,7 +250,7 @@ def _ancilla_kraus(variant: str, p: float, q: float) -> np.ndarray:
     sampling loops revisit a few (p, q)."""
     from .ancilla_circuit import circuit_from_pq, kraus_from_circuit
 
-    pair = np.stack(kraus_from_circuit(circuit_from_pq(variant, PartialProjParams(p, q))))
+    pair = np.array(kraus_from_circuit(circuit_from_pq(variant, PartialProjParams(p, q))))
     pair.flags.writeable = False
     return pair
 
@@ -318,8 +310,7 @@ def _leaf_table(
             kraus, kappa = [k.tolist() for k in pair], kappa.tolist()
         else:
             kraus = _ancilla_kraus(variant, pq.p, pq.q).tolist()
-        (a, b), (c, d) = step.pre_unitary.tolist()
-        sigma = _sandwich(((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())), rho)
+        sigma = _sandwich(adjoint(step.pre_unitary).tolist(), rho)
         h, leaf = _branch(kraus[0], kappa[0], step.post_unitary_0, sigma)
         _, rho = _branch(kraus[1], kappa[1], step.post_unitary_1, sigma)
         halt.append(h)
@@ -373,25 +364,30 @@ def sample_protocol(
     """Histogram and per-leaf mean final states over ``shots`` runs.
 
     The leaf table (:func:`_leaf_table`, on Python scalars) is built once per call,
-    also at shots=0, and every shot reads it. Seeding contract: shot i is only its
-    draws, one uniform per step: from a generator seeded from (seed, i) on the
-    exact and ancilla backends, row i of ``default_rng(seed).random((shots,
-    steps))`` on the continuous one. Shot i of n is shot i of m, and a leaf's mean
-    is its state. A shot that reaches a leaf of probability below
-    ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
+    also at shots=0, and every shot reads it. Seeding contract: ``seed`` is a
+    non-negative integer, else ``ValueError`` at any shot count; shot i is only its
+    draws, one uniform per step: ``Generator(PCG64([seed, i]))``, the stream of
+    ``default_rng([seed, i])``, on the exact and ancilla backends, row i of
+    ``default_rng(seed).random((shots, steps))`` on the continuous one. Shot i of n is
+    shot i of m, a leaf's mean is its state, and a shot that reaches a leaf of
+    probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
     """
     if shots < 0:
         raise ValueError(f"shot count must be >= 0, got {shots}")
+    validate_seed(seed)
     halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
     if backend == "continuous":
         draws = np.random.default_rng(seed).random((shots, len(halt)))
     else:
         draws = np.empty((shots, len(halt)))
-        for i in range(shots):
-            np.random.default_rng([seed, i]).random(out=draws[i])
+        # Looked up here, not imported at the top: numpy.random loads on first use, so a
+        # command that never samples does not pay for importing it.
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        for i, row in enumerate(draws):
+            generator(pcg64([seed, i])).random(out=row)
     leaf = np.logical_and.accumulate(draws >= halt, axis=1).sum(axis=1)
     counts = np.bincount(leaf, minlength=len(p.leaf_labels)).tolist()
-    means = {p.leaf_labels[k]: _leaf_state(p, states, k) for k in np.flatnonzero(counts)}
+    means = {p.leaf_labels[k]: _leaf_state(p, states, k) for k, c in enumerate(counts) if c}
     return dict(zip(p.leaf_labels, counts)), means
 
 
@@ -431,21 +427,24 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
 
 
 def protocol_to_json(p: MeasurementProtocol) -> str:
-    """Serialize per the protocol schema; matrices row-major [[re, im], ...]."""
+    """Serialize per the protocol schema; matrices row-major [[re, im], ...], all of
+    them from one :func:`~genmeas.serialize.matrix_to_json` of their stack."""
+    mats = matrix_to_json(np.array([m for s in p.steps for m in (
+        s.pre_unitary, s.post_unitary_0, s.post_unitary_1)] + [p.final_unitary]))
     return dump(
         {
             "format_version": FORMAT_VERSION,
             "steps": [
                 {
-                    "pre_unitary": matrix_to_json(s.pre_unitary),
+                    "pre_unitary": mats[3 * k],
                     "p": s.params.p,
                     "q": s.params.q,
-                    "post_unitary_0": matrix_to_json(s.post_unitary_0),
-                    "post_unitary_1": matrix_to_json(s.post_unitary_1),
+                    "post_unitary_0": mats[3 * k + 1],
+                    "post_unitary_1": mats[3 * k + 2],
                 }
-                for s in p.steps
+                for k, s in enumerate(p.steps)
             ],
-            "final_unitary": matrix_to_json(p.final_unitary),
+            "final_unitary": mats[-1],
             "leaf_labels": list(p.leaf_labels),
         }
     )
@@ -453,14 +452,21 @@ def protocol_to_json(p: MeasurementProtocol) -> str:
 
 def protocol_from_json(text: str) -> MeasurementProtocol:
     """Read a protocol document; ``ValueError`` if a unitary in it is not unitary
-    within ``COMPLETENESS_TOL`` (a one-operator complete set)."""
+    within ``COMPLETENESS_TOL`` (a one-operator complete set). Only a step with a missing
+    or wrong-typed key goes through ``require_key``, which names the first such key."""
     data = loads(text)
     check_version(data, "protocol")
     rows, params = [], []  # each step's three unitaries in turn, then the final one
     for s in require_key(data, "steps", list):
-        rows.append(require_key(s, "pre_unitary"))
-        params.append(PartialProjParams(require_key(s, "p", float), require_key(s, "q", float)))
-        rows += [require_key(s, "post_unitary_0"), require_key(s, "post_unitary_1")]
+        try:
+            p, q = s["p"], s["q"]
+            rows += s["pre_unitary"], s["post_unitary_0"], s["post_unitary_1"]
+        except (KeyError, TypeError):
+            p = q = None
+        if type(p) not in (float, int) or type(q) not in (float, int):
+            for key in ("pre_unitary", "p", "q", "post_unitary_0", "post_unitary_1"):
+                require_key(s, key, float if key in ("p", "q") else None)
+        params.append(PartialProjParams(p, q))
     rows.append(require_key(data, "final_unitary"))
     unitaries = matrices_from_json(rows, 2)
     if not is_unitary(unitaries, tol=COMPLETENESS_TOL):

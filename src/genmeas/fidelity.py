@@ -73,7 +73,7 @@ class ProcessSet:
 
     def chis(self) -> np.ndarray:
         """The outcomes' chi as one (n, 4, 4) stack."""
-        return np.stack([chi.chi for _, chi in self.outcomes])
+        return np.array([chi.chi for _, chi in self.outcomes])
 
 
 def chi_from_kraus(ops, d: int = 2) -> ProcessMatrix:
@@ -222,16 +222,17 @@ def partial_fidelity(chi_k: ProcessMatrix, chi_k_ideal: ProcessMatrix) -> float:
     return process_fidelity(chi_k, chi_k_ideal, "F9")
 
 
-def _family(w: np.ndarray, F: np.ndarray, alpha: float) -> float:
-    """[sum_{w_k > 0} w_k max(F_k, 0)^alpha]^(1/alpha) up to 1: every total and POVM fidelity."""
-    keep = w > 0.0
-    return min(float(np.sum(w[keep] * np.maximum(F[keep], 0.0) ** alpha) ** (1.0 / alpha)), 1.0)
+def _family(w, F, alpha: float) -> float:
+    """[sum_{w_k > 0} w_k max(F_k, 0)^alpha]^(1/alpha) up to 1, on Python floats (lists
+    ``w`` and ``F``): every total and POVM fidelity."""
+    total = sum(wk * max(fk, 0.0) ** alpha for wk, fk in zip(w, F) if wk > 0.0)
+    return min(total ** (1.0 / alpha), 1.0)
 
 
 def _partials(actual: ProcessSet, ideal: ProcessSet):
-    """Weights sqrt(p_k p~_k), partial fidelities F_k (F9) and both sides' probabilities,
-    and both sides' chi stacks; F_k is 0 for a failed outcome (p_k = 0 < p~_k) and NaN
-    where p~_k = 0. One stacked F9 pass over the outcomes scored."""
+    """Weights sqrt(p_k p~_k), partial fidelities F_k (F9) and both sides' probabilities
+    as lists of Python floats, and both sides' chi stacks; F_k is 0 for a failed outcome
+    (p_k = 0 < p~_k) and NaN where p~_k = 0. One stacked F9 pass over the outcomes scored."""
     if actual.labels != ideal.labels:
         raise Mismatch(f"outcome labels differ: {actual.labels} vs {ideal.labels}")
     chi, chi_ideal = actual.chis(), ideal.chis()
@@ -241,7 +242,7 @@ def _partials(actual: ProcessSet, ideal: ProcessSet):
     if scored.any():
         F[scored] = _f9(chi[scored], chi_ideal[scored], p[scored], p_ideal[scored])[0]
     w = np.sqrt(np.clip(p, 0.0, None) * np.clip(p_ideal, 0.0, None))
-    return w, F, p, p_ideal, chi, chi_ideal
+    return w.tolist(), F.tolist(), p.tolist(), p_ideal.tolist(), chi, chi_ideal
 
 
 _TOTAL_ALPHA = {"sum": 1.0, "sqrt_squared": 0.5}
@@ -275,11 +276,11 @@ def total_fidelity(
 
 def _povm_terms(actual: np.ndarray, ideal: np.ndarray):
     """Weights sqrt(Tr P_k Tr Pi_k)/2 and terms u_k^2/(Tr P_k Tr Pi_k) of the POVM
-    fidelities for stacks (n, 2, 2) of elements, from one Uhlmann call."""
+    fidelities for stacks (n, 2, 2) of elements, from one Uhlmann call, as lists."""
     tr = _traces(actual) * _traces(ideal)
     u = _uhlmann_trace(actual, ideal)
     F = np.divide(u * u, tr, out=np.zeros_like(u), where=tr > 0.0)
-    return np.sqrt(np.clip(tr, 0.0, None)) / 2, F
+    return (np.sqrt(np.clip(tr, 0.0, None)) / 2).tolist(), F.tolist()
 
 
 def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
@@ -332,13 +333,18 @@ def average_state_fidelity(
         If the ideal is not unitary (rank-1 and trace-preserving), or if
         ``chi`` is not trace-preserving or not positive semidefinite.
     """
-    tp = identity_deviation(_povms(np.stack([chi_ideal_unitary.chi, chi.chi]))) <= 1e-8
-    # eigvalsh refuses NaN, so each chi is decomposed only once it passed its trace test.
-    if not (tp[0] and _rank1(np.linalg.eigvalsh(hermitian_part(chi_ideal_unitary.chi)))):
+    pair = np.stack([chi_ideal_unitary.chi, chi.chi])
+    tp = identity_deviation(_povms(pair)) <= 1e-8
+    if not tp[0]:
+        raise ValueError("average state fidelity requires a unitary ideal")
+    # eigvalsh refuses NaN, so chi joins the ideal's decomposition, which also serves
+    # its PSD test, only once it passed its trace test.
+    w = np.linalg.eigvalsh(hermitian_part(pair if tp[1] else pair[:1]))
+    if not _rank1(w[0]):
         raise ValueError("average state fidelity requires a unitary ideal")
     if not tp[1]:
         raise ValueError("process is not trace-preserving")
-    require_psd(chi.chi, PSD_TOL, "process matrix")
+    require_psd(chi.chi, PSD_TOL, "process matrix", eigenvalues=w[1])
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
     return min(max((2.0 * f6 + 1.0) / 3.0, 0.0), 1.0)
 
@@ -376,17 +382,17 @@ def fidelity_report(actual: ProcessSet, ideal: ProcessSet) -> dict:
     """All fidelity variants between two process sets, keyed by name: the partials
     and the POVM terms are computed once and the family is evaluated on them."""
     w, F, p, p_ideal, chi, chi_ideal = _partials(actual, ideal)
-    povm_w, povm_F = _povm_terms(_povms(chi), _povms(chi_ideal))
+    povm_w, povm_F = _povm_terms(*_povms(np.stack([chi, chi_ideal])))
     return {
         "partial": {
-            label: {"F": None if np.isnan(f) else float(f), "failed": bool(t <= 0.0 < ti)}
+            label: {"F": None if math.isnan(f) else f, "failed": t <= 0.0 < ti}
             for label, f, t, ti in zip(actual.labels, F, p, p_ideal)
         },
         "total_sum": _family(w, F, 1.0),
         "total_sqrt_squared": _family(w, F, 0.5),
         "povm_Fp": _family(povm_w, povm_F, 1.0),
         "povm_FpTilde": _family(povm_w, povm_F, 0.5),
-        "p_actual": p.tolist(),
-        "p_ideal": p_ideal.tolist(),
+        "p_actual": p,
+        "p_ideal": p_ideal,
         "labels": list(actual.labels),
     }

@@ -38,6 +38,13 @@ for _a in (PAULI_BASIS, VEC_TO_PAULI, CHI_TO_POVM):
 del _a
 
 
+def mul2(m, n):
+    """m n of two 2x2 matrices given as nested pairs of Python numbers."""
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
 def identity_deviation(m: np.ndarray) -> np.ndarray:
     """Frobenius distance |m - I|_F of a matrix, or of each matrix of a stack (..., d, d)."""
     m = np.asarray(m)
@@ -70,11 +77,13 @@ def _check_eigenvalues(w: np.ndarray, tol: float, what: str) -> None:
         raise ValueError(f"{what} has eigenvalue {low:.3e} below -{tol:.1e}")
 
 
-def require_psd(m: np.ndarray, tol: float, what: str) -> None:
+def require_psd(m: np.ndarray, tol: float, what: str, eigenvalues=None) -> None:
     """Raise ``ValueError`` naming ``what`` unless ``m``, or each matrix of a stack
     (..., d, d), is Hermitian within ``tol`` in the Frobenius norm with no eigenvalue
-    below -``tol``. A NaN entry fails."""
-    _check_eigenvalues(np.linalg.eigvalsh(_checked_hermitian_part(m, tol, what)), tol, what)
+    below -``tol``. A NaN entry fails. A caller that already has the ascending
+    eigenvalues of ``hermitian_part(m)`` from a stacked call passes them."""
+    h = _checked_hermitian_part(m, tol, what)
+    _check_eigenvalues(np.linalg.eigvalsh(h) if eigenvalues is None else eigenvalues, tol, what)
 
 
 def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:

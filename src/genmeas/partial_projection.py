@@ -13,6 +13,7 @@ which satisfy D0^dag D0 + D1^dag D1 = I exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,16 @@ def validate_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if low < -tol:
         raise ValueError(f"negative eigenvalue {low:.3e}")
     return rho
+
+
+def validate_seed(seed) -> None:
+    """``ValueError`` unless ``seed`` is a non-negative integer (``operator.index``)."""
+    try:
+        ok = operator.index(seed) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def pure_state(psi: np.ndarray) -> np.ndarray:

@@ -32,7 +32,8 @@ def loads(text: str):
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Nested [re, im] rows of ``m``: one ``tolist`` of its (rows, cols, 2) float view."""
+    """Nested [re, im] rows of ``m``, or a list of them for a stack (..., rows, cols):
+    one ``tolist`` of its (..., rows, cols, 2) float view."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
@@ -123,12 +124,13 @@ def check_version(data: dict, what: str) -> None:
 
 
 def kraus_set_to_json(s: KrausSet) -> str:
+    """Labels and matrices, all of these from one :func:`matrix_to_json` of their stack."""
     return dump(
         {
             "format_version": FORMAT_VERSION,
             "ops": [
-                {"label": label, "matrix": matrix_to_json(m)}
-                for label, m in zip(s.labels, s.ops)
+                {"label": label, "matrix": m}
+                for label, m in zip(s.labels, matrix_to_json(np.array(s.ops)))
             ],
         }
     )

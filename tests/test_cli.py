@@ -230,6 +230,21 @@ def test_simulate_refuses_readout_flags_off_continuous(backend, flags, tmp_path,
     assert all(flag in err for flag in given) and f"not {backend}" in err, err
 
 
+@pytest.mark.parametrize("shots", ["0", "5"])
+@pytest.mark.parametrize("backend", ["exact", "ancilla-direct", "ancilla-cphase",
+                                     "ancilla-fixed_cz", "continuous"])
+def test_simulate_negative_seed_exits_2(backend, shots, tmp_path, capsys):
+    # Every backend refuses the seed with one error line naming it, at any shot
+    # count: no generator has to be made for the check to run.
+    path = tmp_path / "weak.json"
+    path.write_text(protocol_to_json(reduce(kraus_set(HADAMARD_OPS))))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", str(path), "--backend", backend, "--shots", shots,
+                 "--seed", "-1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and err.count("\n") == 1 and not out.exists(), err
+
+
 def test_circuit_command(tmp_path):
     out = str(tmp_path / "circuit.json")
     code = main(

@@ -467,7 +467,9 @@ def test_continuous_backend_averages_the_walk_below_unit_efficiency():
             # Diagonals are fixed by the side, so their spread is zero.
             err = part(side).std(axis=0) / math.sqrt(len(side))
             assert np.all(np.abs(part(mean) - part(side).mean(axis=0)) <= 4 * err + 1e-12)
-        expect = np.trace(step.branch_operators[b] @ rho @ adjoint(step.branch_operators[b])).real
+        u = (step.post_unitary_0, step.post_unitary_1)[b]
+        op = u @ dops(step.params)[b] @ adjoint(step.pre_unitary)
+        expect = np.trace(op @ rho @ adjoint(op)).real
         assert abs(len(side) / n - expect) < 4 * math.sqrt(expect * (1 - expect) / n)
     # The coherence factors do not depend on the hidden label: walks from
     # |0> and from |1> estimate the same kappa_b.
@@ -510,6 +512,18 @@ def test_sample_rejects_negative_shots(backend):
         sample_protocol(
             proto, np.eye(2) / 2, -3, seed=21, backend=backend, readout_config=cfg
         )
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # At any shot count and on every backend, before any generator is made.
+    proto, cfg = reduce(weak_trine_set()), ReadoutConfig(tau_min=1.0, seed=21)
+    for backend in ("exact", "ancilla-direct", "continuous"):
+        for shots in (0, 5):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                sample_protocol(proto, np.eye(2) / 2, shots, seed, backend, cfg)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ReadoutConfig(tau_min=1.0, seed=seed)
 
 
 def test_ancilla_kraus_cache_is_bounded():
@@ -681,7 +695,9 @@ def test_zero_probability_branches(backend):
 def test_shot_in_zero_probability_leaf_raises(backend, monkeypatch):
     # No draw lands in a branch below 1e-12, so raise the tolerance until
     # leaf "a" of the trine from the mixed state (probability 1/3) is below it.
-    monkeypatch.setattr(decomposition, "ZERO_BRANCH_TOL", 0.5)
+    # 0.4 stays clear of 1/2, leaves b and c's conditional probability, so the
+    # leaf table's round-off cannot decide which leaf raises.
+    monkeypatch.setattr(decomposition, "ZERO_BRANCH_TOL", 0.4)
     proto = reduce(trine_set())
     mixed = np.eye(2) / 2
     with pytest.raises(Infeasible, match="leaf 'a' has probability"):

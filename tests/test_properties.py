@@ -311,7 +311,7 @@ def test_reduce_keeps_its_invariants(n, seed):
                                         step.post_unitary_1]), tol=1e-12)
             assert step.params.p + step.params.q >= 1.0
             if not cancel_u1:
-                b1 = step.branch_operators[1]
+                b1 = step.post_unitary_1 @ dops(step.params)[1] @ adjoint(step.pre_unitary)
                 assert np.linalg.norm(b1 - adjoint(b1)) <= 1e-12
                 assert np.linalg.eigvalsh((b1 + adjoint(b1)) / 2)[0] >= -1e-12
                 assert np.array_equal(step.post_unitary_1, step.pre_unitary)
@@ -320,6 +320,33 @@ def test_reduce_keeps_its_invariants(n, seed):
         assert np.linalg.norm(sum(adjoint(b) @ b for b in branches) - np.eye(2)) <= 1e-12
         for b, m in zip(branches, s.ops):
             assert phase_distance(m, b) <= 1e-12, (order, cancel_u1)
+
+
+def chain_product_branches(proto):
+    """Every leaf's branch as numpy products: each step's stack (U_0 D_0 V^dag,
+    U_1 D_1 V^dag) times the running chain, then the final unitary. The stacked
+    build that the scalar pass of ``MeasurementProtocol.branches`` replaced."""
+    out, chain = [], np.eye(2, dtype=complex)
+    for step in proto.steps:
+        u = np.stack([step.post_unitary_0, step.post_unitary_1])
+        leaf, chain = u @ np.stack(dops(step.params)) @ adjoint(step.pre_unitary) @ chain
+        out.append(leaf)
+    return np.array(out + [proto.final_unitary @ chain])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_branches_match_chain_product(n, seed, cancel_u1):
+    # The scalar pass and the numpy chain agree to round-off on a reduced
+    # protocol and on the same protocol read back from its JSON.
+    try:
+        proto = reduce(random_kraus_set(n, np.random.default_rng(seed)), cancel_u1=cancel_u1)
+    except SingularRemainder:
+        assume(False)
+    for p in (proto, protocol_from_json(protocol_to_json(proto))):
+        got = p.branches
+        assert got.shape == (n, 2, 2) and got.dtype == np.complex128 and not got.flags.writeable
+        assert np.max(np.linalg.norm(got - chain_product_branches(p), axis=(1, 2))) <= 1e-14
 
 
 def test_reduce_makes_one_svd_per_outcome(monkeypatch):
