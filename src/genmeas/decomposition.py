@@ -16,14 +16,15 @@ unitary aligns the last branch with M_{n-1}.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InaccurateBranch, Infeasible, NotComplete, SingularRemainder
 from .linalg import adjoint, identity_deviation, is_unitary, mul2, phase_distance, psd_sqrt
-from .partial_projection import ZERO_BRANCH_TOL, PartialProjParams, validate_seed, validate_state
+from .partial_projection import (
+    ZERO_BRANCH_TOL, PartialProjParams, dop_diagonals, validate_seed, validate_state,
+)
 from .serialize import (
     FORMAT_VERSION, check_version, dump, loads, matrices_from_json, matrix_to_json,
     require_distinct, require_key,
@@ -98,8 +99,7 @@ class MeasurementProtocol:
         out, chain = [], ((1.0, 0.0), (0.0, 1.0))
         for step in self.steps:
             (x0, x1), (y0, y1) = mul2(adjoint(step.pre_unitary).tolist(), chain)
-            p, q = step.params.p, step.params.q
-            a, b, c, d = math.sqrt(p), math.sqrt(1.0 - q), math.sqrt(1.0 - p), math.sqrt(q)
+            (a, b), (c, d) = dop_diagonals(step.params)
             out.append(mul2(step.post_unitary_0.tolist(), ((a * x0, a * x1), (b * y0, b * y1))))
             chain = mul2(step.post_unitary_1.tolist(), ((c * x0, c * x1), (d * y0, d * y1)))
         out.append(mul2(self.final_unitary.tolist(), chain))
@@ -303,8 +303,8 @@ def _leaf_table(
     for step in p.steps:
         pq = step.params
         if backend == "exact":
-            kraus = (((math.sqrt(pq.p), 0.0), (0.0, math.sqrt(1.0 - pq.q))),
-                     ((math.sqrt(1.0 - pq.p), 0.0), (0.0, math.sqrt(pq.q))))
+            (a, b), (c, d) = dop_diagonals(pq)
+            kraus = ((a, 0.0), (0.0, b)), ((c, 0.0), (0.0, d))
         elif backend == "continuous":
             pair, kappa = readout_config.instrument(pq)
             kraus, kappa = [k.tolist() for k in pair], kappa.tolist()
@@ -452,21 +452,14 @@ def protocol_to_json(p: MeasurementProtocol) -> str:
 
 def protocol_from_json(text: str) -> MeasurementProtocol:
     """Read a protocol document; ``ValueError`` if a unitary in it is not unitary
-    within ``COMPLETENESS_TOL`` (a one-operator complete set). Only a step with a missing
-    or wrong-typed key goes through ``require_key``, which names the first such key."""
+    within ``COMPLETENESS_TOL`` (a one-operator complete set)."""
     data = loads(text)
     check_version(data, "protocol")
     rows, params = [], []  # each step's three unitaries in turn, then the final one
     for s in require_key(data, "steps", list):
-        try:
-            p, q = s["p"], s["q"]
-            rows += s["pre_unitary"], s["post_unitary_0"], s["post_unitary_1"]
-        except (KeyError, TypeError):
-            p = q = None
-        if type(p) not in (float, int) or type(q) not in (float, int):
-            for key in ("pre_unitary", "p", "q", "post_unitary_0", "post_unitary_1"):
-                require_key(s, key, float if key in ("p", "q") else None)
-        params.append(PartialProjParams(p, q))
+        rows.append(require_key(s, "pre_unitary"))
+        params.append(PartialProjParams(require_key(s, "p", float), require_key(s, "q", float)))
+        rows += [require_key(s, "post_unitary_0"), require_key(s, "post_unitary_1")]
     rows.append(require_key(data, "final_unitary"))
     unitaries = matrices_from_json(rows, 2)
     if not is_unitary(unitaries, tol=COMPLETENESS_TOL):

@@ -333,18 +333,13 @@ def average_state_fidelity(
         If the ideal is not unitary (rank-1 and trace-preserving), or if
         ``chi`` is not trace-preserving or not positive semidefinite.
     """
-    pair = np.stack([chi_ideal_unitary.chi, chi.chi])
-    tp = identity_deviation(_povms(pair)) <= 1e-8
-    if not tp[0]:
-        raise ValueError("average state fidelity requires a unitary ideal")
-    # eigvalsh refuses NaN, so chi joins the ideal's decomposition, which also serves
-    # its PSD test, only once it passed its trace test.
-    w = np.linalg.eigvalsh(hermitian_part(pair if tp[1] else pair[:1]))
-    if not _rank1(w[0]):
+    tp = identity_deviation(_povms(np.stack([chi_ideal_unitary.chi, chi.chi]))) <= 1e-8
+    # eigvalsh refuses NaN, so each chi is decomposed only once it passed its trace test.
+    if not (tp[0] and _rank1(np.linalg.eigvalsh(hermitian_part(chi_ideal_unitary.chi)))):
         raise ValueError("average state fidelity requires a unitary ideal")
     if not tp[1]:
         raise ValueError("process is not trace-preserving")
-    require_psd(chi.chi, PSD_TOL, "process matrix", eigenvalues=w[1])
+    require_psd(chi.chi, PSD_TOL, "process matrix")
     f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
     return min(max((2.0 * f6 + 1.0) / 3.0, 0.0), 1.0)
 

@@ -77,13 +77,11 @@ def _check_eigenvalues(w: np.ndarray, tol: float, what: str) -> None:
         raise ValueError(f"{what} has eigenvalue {low:.3e} below -{tol:.1e}")
 
 
-def require_psd(m: np.ndarray, tol: float, what: str, eigenvalues=None) -> None:
+def require_psd(m: np.ndarray, tol: float, what: str) -> None:
     """Raise ``ValueError`` naming ``what`` unless ``m``, or each matrix of a stack
     (..., d, d), is Hermitian within ``tol`` in the Frobenius norm with no eigenvalue
-    below -``tol``. A NaN entry fails. A caller that already has the ascending
-    eigenvalues of ``hermitian_part(m)`` from a stacked call passes them."""
-    h = _checked_hermitian_part(m, tol, what)
-    _check_eigenvalues(np.linalg.eigvalsh(h) if eigenvalues is None else eigenvalues, tol, what)
+    below -``tol``. A NaN entry fails."""
+    _check_eigenvalues(np.linalg.eigvalsh(_checked_hermitian_part(m, tol, what)), tol, what)
 
 
 def psd_sqrt(m: np.ndarray, tol: float = EIG_CLAMP_TOL) -> np.ndarray:

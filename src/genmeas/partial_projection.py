@@ -83,12 +83,15 @@ def pure_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def dop_diagonals(params: PartialProjParams) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Diagonals of (D0, D1) as Python floats: (sqrt(p), sqrt(1 - q)), (sqrt(1 - p), sqrt(q))."""
+    p, q = params.p, params.q
+    return (math.sqrt(p), math.sqrt(1.0 - q)), (math.sqrt(1.0 - p), math.sqrt(q))
+
+
 def dops(params: PartialProjParams) -> tuple[np.ndarray, np.ndarray]:
     """Partial projection operator pair (D0, D1)."""
-    p, q = params.p, params.q
-    d0, d1 = np.zeros((2, 2), dtype=np.complex128), np.zeros((2, 2), dtype=np.complex128)
-    d0[0, 0], d0[1, 1] = math.sqrt(p), math.sqrt(1.0 - q)
-    d1[0, 0], d1[1, 1] = math.sqrt(1.0 - p), math.sqrt(q)
+    d0, d1 = (np.diag(np.array(g, dtype=np.complex128)) for g in dop_diagonals(params))
     return d0, d1
 
 
