@@ -11,8 +11,8 @@ fidelity    score an actual measurement against an ideal one
 Exit codes: 0 ok; 2 invalid input (``ValueError``, including out-of-range
 parameters, a readout flag on a ``simulate`` backend that does not read it,
 a wrong-schema JSON document and a missing or unreadable file);
-3 a reduction that fails numerically: a singular remainder, or a leaf that
-composes its Kraus operator only to a deviation above ``BRANCH_TOL`` (1e-9);
+3 a reduced protocol with a leaf that composes its Kraus operator only to a
+deviation above ``BRANCH_TOL`` (1e-9);
 4 a backend that cannot realize a step; 5 measurements that cannot be
 compared. A ``GenmeasError`` carries its code as ``exit_code``, and ``main``
 is the one place that maps an exception to an exit code and prints it as a

@@ -3,24 +3,26 @@
 Any two-outcome pair {N0, N1} with N0^dag N0 + N1^dag N1 = I shares a
 right singular basis, so both factor as N_k = U_k D_k V^dag with the same
 V and with diagonal factors that form a standardized partial projection
-pair. An n-outcome Kraus set {M_k} then reduces to a chain of at most
-n - 1 such two-outcome steps: step k measures
+pair. An n-outcome Kraus set {M_k} then reduces to a chain of n - 1 such
+two-outcome steps: step k halts on outcome 0 with net effect
 
-    N0^(k) = M_k [N1^(0)]^{-1} ... [N1^(k-1)]^{-1},
-    N1^(k) = sqrt(I - |N0^(k)|^2) = V D1 V^dag,
+    M_k = N0^(k) N1^(k-1) ... N1^(0)
 
-halting on outcome 0 with net effect M_k and otherwise continuing; a final
-unitary aligns the last branch with M_{n-1}.
+and otherwise continues; a final unitary aligns the last branch with
+M_{n-1}. The pairs come from the stacked isometry [M_0; ...; M_{n-1}] by QR
+and CS steps, with no inverse of the chain (:func:`reduce`), so a singular
+remainder, as after a projective outcome, reduces like any other.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InaccurateBranch, Infeasible, NotComplete, SingularRemainder
+from .errors import InaccurateBranch, Infeasible, NotComplete
 from .linalg import adjoint, identity_deviation, is_unitary, mul2, phase_distance, psd_sqrt
 from .partial_projection import (
     ZERO_BRANCH_TOL, PartialProjParams, dop_diagonals, validate_seed, validate_state,
@@ -31,8 +33,6 @@ from .serialize import (
 )
 
 COMPLETENESS_TOL = 1e-9
-SINGULAR_CUTOFF = 1e-8
-UNIT_SNAP = 1e-12
 BRANCH_TOL = 1e-9
 
 
@@ -120,48 +120,48 @@ def validate_kraus_set(s: KrausSet, tol: float = COMPLETENESS_TOL) -> None:
         raise NotComplete(dev)
 
 
-def _factor(n0: np.ndarray) -> tuple[np.ndarray, PartialProjParams, np.ndarray]:
-    """One SVD N0 = U0 D0 V^dag of a contraction: (U0, (p, q), V).
-
-    p = s_hi^2 and q = 1 - s_lo^2, so p + q >= 1. Singular values of N0, not
-    eigenvalues of N0^dag N0, keep a zero one zero instead of sqrt(round-off).
-    An s^2 within UNIT_SNAP of 1 is 1: D1 = sqrt(1 - s^2) would turn the
-    round-off of a rank-deficient remainder into an amplitude of about 1e-8.
-    """
-    u0, sv, vh = np.linalg.svd(n0)
-    w = sv**2
-    if not w[0] <= 1.0 + 1e-9:
-        raise ValueError(f"|N0|^2 has eigenvalue {w[0]} > 1")
-    w[w > 1.0 - UNIT_SNAP] = 1.0
-    return u0, PartialProjParams(p=float(w[0]), q=float(1.0 - w[1])), adjoint(vh)
-
-
-def _left_unitary(n: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Unitary U with N = U diag V^dag, completing columns at zero singular values.
-
-    Column i of the larger singular value is N v_i normalized; the other is
-    its orthogonal complement, phased like N v_j when d_j is nonzero. Taking
-    N v_j / d_j instead leaves U far from unitary when d_j is round-off.
-    """
-    i = 0 if diag[0] >= diag[1] else 1
-    if diag[i] <= 1e-9:
-        return np.eye(2, dtype=np.complex128)
-    nv = n @ v
-    a = nv[:, i] / np.sqrt(np.vdot(nv[:, i], nv[:, i]).real)
-    # Orthogonal complement of (a0, a1) in C^2.
-    b = np.array([-a[1].conj(), a[0].conj()])
-    t = complex(np.vdot(b, nv[:, 1 - i]))
-    if diag[1 - i] > 1e-9 and t:
-        b *= t / abs(t)
-    u = np.empty((2, 2), dtype=np.complex128)
-    u[:, i], u[:, 1 - i] = a, b
-    return u
+def _qr(rows: list) -> tuple[list, tuple]:
+    """Thin QR of an m x 2 matrix, rows of Python complex numbers, by Givens rotations
+    (1/r) [[x*, y*], [-y, x]], which take (x, y) to (r, 0), r = |(x, y)|: Q as m rows,
+    and R = ((r00, r01), (0, r11)) with r00, r11 >= 0. Q is an isometry at any rank."""
+    rows = [list(row) for row in rows]
+    rotations = []
+    for j in (0, 1):
+        for i in range(len(rows) - 1, j, -1):
+            x, y = rows[i - 1][j], rows[i][j]
+            r = math.hypot(x.real, x.imag, y.real, y.imag)
+            if r == 0.0:
+                continue
+            a, b = x / r, y / r
+            ca, cb = a.conjugate(), b.conjugate()
+            u, v = rows[i - 1], rows[i]
+            for c in range(j, 2):
+                u[c], v[c] = ca * u[c] + cb * v[c], a * v[c] - b * u[c]
+            rotations.append((i, a, b, ca, cb))
+    q = [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0] for _ in rows[2:]]
+    for i, a, b, ca, cb in reversed(rotations):
+        u, v = q[i - 1], q[i]
+        for c in (0, 1):
+            u[c], v[c] = a * u[c] - cb * v[c], b * u[c] + ca * v[c]
+    return q, ((rows[0][0], rows[0][1]), (0.0, rows[1][1]))
 
 
-def _aligning_unitary(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Unitary W with W c = g, given |c| = |g|: W = U_g U_c^dag from one SVD c = U_c S V^dag."""
-    uc, sv, vh = np.linalg.svd(c)
-    return _left_unitary(g, adjoint(vh), sv) @ adjoint(uc)
+def _left_unitary_dag(nv, i: int):
+    """U^dag, as nested pairs, of the unitary U = nv diag^-1 of a 2x2 nv with orthogonal
+    columns, completed at zero singular values: U's column i, of the larger singular
+    value, is nv_i normalized; the other is its orthogonal complement, phased like
+    nv_j. Taking nv_j / d_j instead leaves U far from unitary when d_j is round-off."""
+    (x0, y0), (x1, y1) = nv
+    a0, a1 = (x0, x1) if i == 0 else (y0, y1)
+    norm = math.hypot(a0.real, a0.imag, a1.real, a1.imag)
+    if norm == 0.0:
+        return (1.0, 0.0), (0.0, 1.0)
+    a0, a1 = a0 / norm, a1 / norm
+    c0, c1 = (y0, y1) if i == 0 else (x0, x1)
+    t = a0 * c1 - a1 * c0  # nv_j's component along the complement (-a1*, a0*)
+    t = t.conjugate() / abs(t) if t else 1.0
+    rows = (a0.conjugate(), a1.conjugate()), (-a1 * t, a0 * t)
+    return rows if i == 0 else rows[::-1]
 
 
 def reduce(
@@ -171,22 +171,26 @@ def reduce(
 ) -> MeasurementProtocol:
     """Build a measurement protocol realizing the Kraus set.
 
-    ``order`` permutes the outcomes before the reduction; different orders
-    give different (equally valid) protocols, and a near-projective
-    intermediate can make one order fail with ``SingularRemainder`` while
-    another succeeds. With ``cancel_u1`` each step's unitary freedom is
-    used to absorb U_1 into the remainder, leaving post_unitary_1 = I.
+    ``order`` permutes the outcomes first: every order of a complete set reduces,
+    to a different, equally valid protocol. ``cancel_u1`` absorbs each step's U_1
+    into the remainder, leaving post_unitary_1 = I.
 
-    Each step is one SVD, N0 = U0 D0 V^dag (:func:`_factor`); its remainder
-    sqrt(I - |N0|^2) is V D1 V^dag, so U1 = V, and the chain and its inverse
-    take U1 D1 V^dag and V D1^-1 U1^dag. The set is checked once, on entry;
-    n outcomes cost n SVDs, the last one aligning the final branch.
+    Nothing is inverted. Thin QRs from the bottom of the isometry
+    [M_0; ...; M_{n-1}], [M_k; R_{k+1}] = Q_k R_k, give R_k^dag R_k =
+    sum_{j>=k} M_j^dag M_j, so R_0 = I. Before step k the chain is W_k R_k with
+    W_0 = I, and the step is the CS split Q_k W_k^dag = [U0 C; U1cs S] V^dag,
+    V = W_k V0_k, every V0_k from one stacked SVD of the top blocks of the Q_k.
+    Each pair of squares c^2 + s^2 = 1 takes its smaller one from its own block,
+    so 1 - c^2 does not round a leak amplitude away. U1 = V, the chain goes on
+    with W_{k+1} = U1 U1cs^dag, and the final unitary is Q_{n-1} W_{n-1}^dag.
 
-    ``UNIT_SNAP`` drops a real leak amplitude below 1e-6. Worst branch deviation
-    over 200 rotated pairs per column, q = 1 - (1 - p) U(0.1, 1):
+    Worst branch deviation of 200 rotated pairs per column, q = 1 - (1 - p) U(0.1, 1):
 
-        1 - p        1e-4     1e-6     1e-8     1e-10    1e-12
-        deviation    7.8e-14  7.2e-13  8.3e-12  6.7e-11  1.0e-6
+        1 - p        1e-4     1e-8     1e-12    1e-14    1e-16    0
+        deviation    1.5e-15  1.2e-15  1.2e-15  1.4e-15  1.4e-15  1.3e-15
+
+    A leak amplitude sqrt(1 - p) below about 1e-8 is lost, as 1 - p rounds to 0
+    in the stored p (:func:`branch_deviations`).
     """
     validate_kraus_set(s)
     n = s.n
@@ -194,29 +198,31 @@ def reduce(
         order = tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
-    ops = [s.ops[i] for i in order]
+    ops = [s.ops[i].tolist() for i in order]
     labels = [s.labels[i] for i in order]
 
-    eye = np.eye(2, dtype=np.complex128)
-    steps: list[TwoOutcomeStep] = []
-    chain_inv = eye  # [N1^(0)]^{-1} ... [N1^(k-1)]^{-1}
-    chain = eye  # N1^(k-1) ... N1^(0)
-    for k in range(n - 1):
-        u0, params, v = _factor(ops[k] @ chain_inv)
-        u1 = eye if cancel_u1 else v
-        steps.append(TwoOutcomeStep(v, params, u0, u1))
-        d1 = np.sqrt([1.0 - params.p, params.q])
-        chain = (u1 * d1) @ adjoint(v) @ chain
-        if k < n - 2:
-            # The last remainder's inverse is never needed; it may be
-            # singular when M_{n-1} is rank-deficient (e.g. projective).
-            if d1.min() < SINGULAR_CUTOFF:
-                raise SingularRemainder(k, d1.min())
-            chain_inv = chain_inv @ (v / d1) @ adjoint(u1)
-    final_unitary = _aligning_unitary(ops[-1], chain) if n > 1 else ops[0]
+    last, r = _qr(ops[-1])
+    qs = []
+    for m in reversed(ops[:-1]):
+        q, r = _qr(m + list(r))
+        qs.insert(0, q)
+    u0, c, v0h = np.linalg.svd(np.array([q[:2] for q in qs], dtype=np.complex128).reshape(-1, 2, 2))
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    w, steps = eye, []
+    # t and b: the squares C^2 and S^2, as column norms of T V and B V.
+    for qk, u0k, (t0, t1), v0 in zip(qs, u0, (c * c).tolist(), adjoint(v0h).tolist()):
+        (x0, y0), (x1, y1) = bv = mul2(qk[2:], v0)  # U1cs S
+        b0, b1 = abs(x0) ** 2 + abs(x1) ** 2, abs(y0) ** 2 + abs(y1) ** 2
+        p = 1.0 - b0 if b0 < t0 else t0
+        q = 1.0 - t1 if t1 < b1 else b1
+        v = mul2(w, v0)
+        pre = np.array(v, dtype=np.complex128)
+        post_1 = np.array(eye, dtype=np.complex128) if cancel_u1 else pre
+        steps.append(TwoOutcomeStep(pre, PartialProjParams(max(p, 1.0 - q), q), u0k, post_1))
+        w = mul2(eye if cancel_u1 else v, _left_unitary_dag(bv, 0 if b0 >= b1 else 1))
     return MeasurementProtocol(
         steps=tuple(steps),
-        final_unitary=final_unitary,
+        final_unitary=np.array(last, dtype=np.complex128) @ adjoint(np.array(w)),
         leaf_labels=tuple(labels),
     )
 
@@ -234,9 +240,8 @@ def compose_branch(p: MeasurementProtocol, leaf: str) -> np.ndarray:
 def branch_deviations(p: MeasurementProtocol, s: KrausSet) -> dict[str, float]:
     """Phase-aligned Frobenius deviation of each leaf's branch from its Kraus operator.
 
-    ``InaccurateBranch`` (exit 3) for the first one above ``BRANCH_TOL`` (1e-9), which
-    ``UNIT_SNAP`` can leave near projective steps (1.0e-6, see :func:`reduce`).
-    """
+    ``InaccurateBranch`` (exit 3) for the first one above ``BRANCH_TOL`` (1e-9): a leak
+    amplitude sqrt(1 - p) below about 1e-8 rounds away with the stored p."""
     devs = {lab: phase_distance(m, compose_branch(p, lab)) for lab, m in zip(s.labels, s.ops)}
     for label, dev in devs.items():
         if not dev <= BRANCH_TOL:

@@ -20,23 +20,10 @@ class NotComplete(GenmeasError, ValueError):
         super().__init__(f"completeness violated: deviation {deviation:.3e}")
 
 
-class SingularRemainder(GenmeasError):
-    """Reduction hit a (near-)singular intermediate remainder operator."""
-
-    exit_code = 3
-
-    def __init__(self, step: int, sigma_min: float):
-        self.step = step
-        self.sigma_min = float(sigma_min)
-        super().__init__(
-            f"remainder at step {step} is singular (smallest singular value "
-            f"{sigma_min:.3e}); try a different outcome ordering"
-        )
-
-
 class InaccurateBranch(GenmeasError):
     """A reduced protocol composes a leaf's Kraus operator only to a deviation above
-    the bound: near-projective steps lose their leak amplitude to round-off."""
+    the bound: a step stores p and q as doubles, so a leak amplitude sqrt(1 - p)
+    below about 1e-8 rounds away with p."""
 
     exit_code = 3
 

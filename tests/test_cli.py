@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from genmeas import decomposition
 from genmeas.channels import NoiseSpec, noisy_branch
 from genmeas.cli import main
 from genmeas.decomposition import (
@@ -11,7 +13,6 @@ from genmeas.decomposition import (
     kraus_set,
     protocol_from_json,
     protocol_to_json,
-    random_unitary,
     reduce,
 )
 from genmeas.fidelity import process_set_from_kraus, process_set_to_json
@@ -490,46 +491,50 @@ def test_tol_option_is_gone(capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-def test_inaccurate_branch_exits_3(tmp_path, capsys):
-    # A near-projective pair, 1 - p = 1e-12, whose reduction snaps p to 1 and
-    # drops the leak amplitude: a leaf deviates by about 1e-6 > BRANCH_TOL.
-    # At seed 7 the search takes 2 draws; it gives up after MAX_DRAWS.
-    MAX_DRAWS = 1000
-    rng = np.random.default_rng(7)
-    d0, d1 = dops(PartialProjParams(1.0 - 1e-12, 1.0 - 2e-13))
-    for _ in range(MAX_DRAWS):
-        u0, u1, v = (random_unitary(rng) for _ in range(3))
-        s = kraus_set([u0 @ d0 @ v, u1 @ d1 @ v])
-        proto = reduce(s)
-        devs = [phase_distance(m, compose_branch(proto, lab)) for lab, m in zip(s.labels, s.ops)]
-        if max(devs) > 1e-9:
-            break
-    else:
-        pytest.fail(f"no pair among {MAX_DRAWS} draws deviates by more than 1e-9")
-    path = tmp_path / "near_projective.json"
-    path.write_text(kraus_set_to_json(s))
+def test_inaccurate_branch_exits_3(trine_json, tmp_path, capsys, monkeypatch):
+    # A bound below the trine's round-off deviations: synth names the first leaf
+    # above it on one error line, writes no protocol and exits 3.
+    s = kraus_set(trine_ops(), ("a", "b", "c"))
+    proto = reduce(s)
+    devs = {lab: phase_distance(m, compose_branch(proto, lab)) for lab, m in zip(s.labels, s.ops)}
+    tol = max(devs.values()) / 2
+    first = next(lab for lab, dev in devs.items() if dev > tol)
+    monkeypatch.setattr(decomposition, "BRANCH_TOL", tol)
     out = tmp_path / "proto.json"
-    assert main(["synth", str(path), "--output", str(out)]) == 3
+    assert main(["synth", trine_json, "--output", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: leaf ")
-    assert "composition deviation" in captured.err and "exceeds 1e-09" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: leaf {first}: composition deviation {devs[first]:.3e} "
+                                   f"exceeds {tol:.0e}")
 
 
-def test_singular_remainder_exits_3(tmp_path, capsys):
-    # Outcome 0 is projective, so its remainder diag(0, 1) cannot be inverted
-    # for the next step; starting from outcome 1 avoids that.
-    path = tmp_path / "singular.json"
-    ops = [np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, math.sqrt(3) / 2])]
+def test_leak_amplitude_below_the_stored_p_floor_exits_3(tmp_path, capsys):
+    # Outcome 0 leaves the amplitude a = 5e-9 on |0>; step 0's p = 1 - a^2 rounds to 1
+    # as a double, so outcomes 1 and 2 lose their |0> parts, a / sqrt(2) > 1e-9.
+    d = np.diag([5e-9, 1.0]) / math.sqrt(2)
+    ops = [np.diag([1.0, 0.0]), d, np.array([[1, 1], [1, -1]]) / math.sqrt(2) @ d]
+    path = tmp_path / "floor.json"
     path.write_text(kraus_set_to_json(kraus_set(ops)))
     assert main(["synth", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "try a different outcome ordering" in err
+    assert err.count("\n") == 1 and err.startswith("error: leaf 1: composition deviation 3.536e-09")
+
+
+def test_projective_set_synths_in_every_order(tmp_path, capsys):
+    # Outcome 0 is projective, so the remainder after it, diag(0, 1), is singular:
+    # nothing is inverted, and every order reduces exactly.
+    path = tmp_path / "projective.json"
+    ops = [np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, math.sqrt(3) / 2])]
+    path.write_text(kraus_set_to_json(kraus_set(ops)))
     out = str(tmp_path / "proto.json")
-    assert main(["synth", str(path), "--order", "1,2,0", "--output", out]) == 0
-    proto = protocol_from_json(open(out).read())
-    for label, m in zip(("0", "1", "2"), ops):
-        assert phase_distance(m, compose_branch(proto, label)) < 1e-9
+    for order in [None, *itertools.permutations(range(3))]:
+        flags = [] if order is None else ["--order", ",".join(map(str, order))]
+        assert main(["synth", str(path), *flags, "--output", out]) == 0, order
+        proto = protocol_from_json(open(out).read())
+        for label, m in zip(("0", "1", "2"), ops):
+            assert phase_distance(m, compose_branch(proto, label)) <= 1e-12, (order, label)
+    capsys.readouterr()
 
 
 def test_trajectory_zero_p_exits_4(capsys):

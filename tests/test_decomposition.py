@@ -9,9 +9,7 @@ import pytest
 from genmeas import continuous_readout, decomposition
 from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq
 from genmeas.decomposition import (
-    BRANCH_TOL,
     MeasurementProtocol,
-    branch_deviations,
     compose_branch,
     completeness_deviation,
     execute_protocol,
@@ -24,7 +22,7 @@ from genmeas.decomposition import (
     sample_protocol,
     validate_kraus_set,
 )
-from genmeas.errors import InaccurateBranch, Infeasible, NotComplete
+from genmeas.errors import Infeasible, NotComplete
 from genmeas.linalg import adjoint, is_unitary, phase_distance, psd_sqrt
 from genmeas.partial_projection import (
     ZERO_BRANCH_TOL,
@@ -190,36 +188,6 @@ def test_reduce_unitaries_at_rank_deficient_outcomes():
                 assert is_unitary(proto.final_unitary, tol=1e-12)
                 for lab, m in zip(s.labels, s.ops):
                     assert phase_distance(m, compose_branch(proto, lab)) < 1e-12
-
-
-def test_unit_snap_trade_off():
-    # The table in the reduce docstring, each row pinned at twice its measured
-    # worst branch deviation: near-projective rotated pairs with 1 - p = eps and
-    # 1 - q = eps U(0.1, 1). At eps = 1e-12, p snaps to 1 (UNIT_SNAP) and the
-    # leak amplitude sqrt(eps) is dropped. BRANCH_TOL = 1e-9 passes every pair
-    # up to the 1e-10 row and raises, exit code 3, on the 1e-12 row's worst
-    # pairs, naming the first leaf above the bound.
-    rng = np.random.default_rng(2024)
-    for eps, measured in ((1e-4, 7.8e-14), (1e-6, 7.2e-13), (1e-8, 8.3e-12),
-                          (1e-10, 6.7e-11), (1e-12, 1.0e-6)):
-        worst, raised = 0.0, 0
-        for _ in range(200):
-            d0, d1 = dops(PartialProjParams(1.0 - eps, 1.0 - eps * rng.uniform(0.1, 1.0)))
-            v = random_unitary(rng)
-            s = kraus_set([random_unitary(rng) @ d0 @ v, random_unitary(rng) @ d1 @ v])
-            proto = reduce(s)
-            devs = {lab: phase_distance(m, compose_branch(proto, lab)) for lab, m in zip(s.labels, s.ops)}
-            worst = max(worst, *devs.values())
-            over = [lab for lab, dev in devs.items() if dev > BRANCH_TOL]
-            if not over:
-                assert branch_deviations(proto, s) == devs
-                continue
-            with pytest.raises(InaccurateBranch) as e:
-                branch_deviations(proto, s)
-            assert (e.value.leaf, e.value.deviation, e.value.exit_code) == (over[0], devs[over[0]], 3)
-            raised += 1
-        assert worst <= 2 * measured, eps
-        assert (raised > 0) == (eps == 1e-12), eps
 
 
 def test_validate_rejects_nan():
