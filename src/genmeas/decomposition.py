@@ -48,6 +48,8 @@ class KrausSet:
             raise ValueError("a Kraus set needs at least one operator")
         if len(self.labels) != len(self.ops):
             raise ValueError("one label per operator required")
+        if any(np.shape(m) != (2, 2) for m in self.ops):
+            raise ValueError("every operator must be a 2x2 matrix")
         require_distinct(self.labels)
 
     @property
@@ -189,8 +191,8 @@ def reduce(
         1 - p        1e-4     1e-8     1e-12    1e-14    1e-16    0
         deviation    1.5e-15  1.2e-15  1.2e-15  1.4e-15  1.4e-15  1.3e-15
 
-    A leak amplitude sqrt(1 - p) below about 1e-8 is lost, as 1 - p rounds to 0
-    in the stored p (:func:`branch_deviations`).
+    The floor is the stored p, which fixes a leak amplitude a = sqrt(1 - p) only
+    to about 3e-17 / a, and to 0 below about 7e-9 (:func:`branch_deviations`).
     """
     validate_kraus_set(s)
     n = s.n
@@ -209,7 +211,7 @@ def reduce(
     u0, c, v0h = np.linalg.svd(np.array([q[:2] for q in qs], dtype=np.complex128).reshape(-1, 2, 2))
     eye = ((1.0, 0.0), (0.0, 1.0))
     w, steps = eye, []
-    # t and b: the squares C^2 and S^2, as column norms of T V and B V.
+    # t: C^2 from the SVD of the top block; b: S^2, the squared column norms of B V.
     for qk, u0k, (t0, t1), v0 in zip(qs, u0, (c * c).tolist(), adjoint(v0h).tolist()):
         (x0, y0), (x1, y1) = bv = mul2(qk[2:], v0)  # U1cs S
         b0, b1 = abs(x0) ** 2 + abs(x1) ** 2, abs(y0) ** 2 + abs(y1) ** 2
@@ -240,8 +242,9 @@ def compose_branch(p: MeasurementProtocol, leaf: str) -> np.ndarray:
 def branch_deviations(p: MeasurementProtocol, s: KrausSet) -> dict[str, float]:
     """Phase-aligned Frobenius deviation of each leaf's branch from its Kraus operator.
 
-    ``InaccurateBranch`` (exit 3) for the first one above ``BRANCH_TOL`` (1e-9): a leak
-    amplitude sqrt(1 - p) below about 1e-8 rounds away with the stored p."""
+    ``InaccurateBranch`` (exit 3) for the first one above ``BRANCH_TOL`` (1e-9): the
+    stored p fixes a leak amplitude a = sqrt(1 - p) only to about 3e-17 / a, and
+    to 0 below about 7e-9."""
     devs = {lab: phase_distance(m, compose_branch(p, lab)) for lab, m in zip(s.labels, s.ops)}
     for label, dev in devs.items():
         if not dev <= BRANCH_TOL:

@@ -22,8 +22,8 @@ class NotComplete(GenmeasError, ValueError):
 
 class InaccurateBranch(GenmeasError):
     """A reduced protocol composes a leaf's Kraus operator only to a deviation above
-    the bound: a step stores p and q as doubles, so a leak amplitude sqrt(1 - p)
-    below about 1e-8 rounds away with p."""
+    the bound: a step stores p as a double, which fixes a leak amplitude
+    a = sqrt(1 - p) only to about 3e-17 / a and rounds it to 0 below about 7e-9."""
 
     exit_code = 3
 

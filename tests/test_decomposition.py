@@ -195,6 +195,12 @@ def test_validate_rejects_nan():
         validate_kraus_set(kraus_set([np.full((2, 2), np.nan)]))
 
 
+def test_kraus_set_rejects_operators_that_are_not_2x2():
+    for ops in ([np.eye(3)], [np.eye(2), np.zeros((2, 3))], [np.ones(2)]):
+        with pytest.raises(ValueError, match="2x2"):
+            kraus_set(ops)
+
+
 def test_kraus_set_rejects_repeated_labels():
     with pytest.raises(ValueError, match="labels must be distinct"):
         kraus_set(trine_set().ops, labels=("a", "a", "c"))
