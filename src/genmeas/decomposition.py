@@ -125,7 +125,8 @@ def validate_kraus_set(s: KrausSet, tol: float = COMPLETENESS_TOL) -> None:
 def _qr(rows: list) -> tuple[list, tuple]:
     """Thin QR of an m x 2 matrix, rows of Python complex numbers, by Givens rotations
     (1/r) [[x*, y*], [-y, x]], which take (x, y) to (r, 0), r = |(x, y)|: Q as m rows,
-    and R = ((r00, r01), (0, r11)) with r00, r11 >= 0. Q is an isometry at any rank."""
+    and R = ((r00, r01), (0, r11)) with r00, r11 >= 0. Q is an isometry at any rank.
+    No rotation reaches r11 of a 2-row input, so its phase goes into Q's column 1."""
     rows = [list(row) for row in rows]
     rotations = []
     for j in (0, 1):
@@ -140,12 +141,14 @@ def _qr(rows: list) -> tuple[list, tuple]:
             for c in range(j, 2):
                 u[c], v[c] = ca * u[c] + cb * v[c], a * v[c] - b * u[c]
             rotations.append((i, a, b, ca, cb))
-    q = [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0] for _ in rows[2:]]
+    r11 = rows[1][1]
+    t = r11 / abs(r11) if r11 else 1.0
+    q = [[1.0, 0.0], [0.0, t]] + [[0.0, 0.0] for _ in rows[2:]]
     for i, a, b, ca, cb in reversed(rotations):
         u, v = q[i - 1], q[i]
         for c in (0, 1):
             u[c], v[c] = a * u[c] - cb * v[c], b * u[c] + ca * v[c]
-    return q, ((rows[0][0], rows[0][1]), (0.0, rows[1][1]))
+    return q, ((rows[0][0], rows[0][1]), (0.0, abs(r11)))
 
 
 def _left_unitary_dag(nv, i: int):
@@ -189,7 +192,7 @@ def reduce(
     Worst branch deviation of 200 rotated pairs per column, q = 1 - (1 - p) U(0.1, 1):
 
         1 - p        1e-4     1e-8     1e-12    1e-14    1e-16    0
-        deviation    1.5e-15  1.2e-15  1.2e-15  1.4e-15  1.4e-15  1.3e-15
+        deviation    1.6e-15  1.3e-15  1.9e-15  1.3e-15  1.4e-15  1.3e-15
 
     The floor is the stored p, which fixes a leak amplitude a = sqrt(1 - p) only
     to about 3e-17 / a, and to 0 below about 7e-9 (:func:`branch_deviations`).

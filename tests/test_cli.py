@@ -497,7 +497,8 @@ def test_inaccurate_branch_exits_3(trine_json, tmp_path, capsys, monkeypatch):
     s = kraus_set(trine_ops(), ("a", "b", "c"))
     proto = reduce(s)
     devs = {lab: phase_distance(m, compose_branch(proto, lab)) for lab, m in zip(s.labels, s.ops)}
-    tol = max(devs.values()) / 2
+    tol = 1e-18
+    assert max(devs.values()) > tol, "the trine composes without round-off: pick another set"
     first = next(lab for lab, dev in devs.items() if dev > tol)
     monkeypatch.setattr(decomposition, "BRANCH_TOL", tol)
     out = tmp_path / "proto.json"
@@ -534,6 +535,17 @@ def test_projective_set_synths_in_every_order(tmp_path, capsys):
         proto = protocol_from_json(open(out).read())
         for label, m in zip(("0", "1", "2"), ops):
             assert phase_distance(m, compose_branch(proto, label)) <= 1e-12, (order, label)
+    capsys.readouterr()
+
+
+def test_one_unitary_set_synths(tmp_path, capsys):
+    # A one-outcome set is its final unitary, relative phase included.
+    path = tmp_path / "unitary.json"
+    path.write_text(kraus_set_to_json(kraus_set([np.diag([1.0, 1j])])))
+    out = tmp_path / "proto.json"
+    assert main(["synth", str(path), "--output", str(out)]) == 0
+    proto = protocol_from_json(out.read_text())
+    assert proto.steps == () and np.allclose(proto.final_unitary, np.diag([1.0, 1j]), atol=1e-15)
     capsys.readouterr()
 
 

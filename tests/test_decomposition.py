@@ -111,6 +111,18 @@ def test_reduce_projective():
     assert abs(proto.steps[0].params.q - 1.0) < 1e-9
 
 
+def test_reduce_one_operator_is_its_final_unitary():
+    # No step: the QR of a lone unitary M leaves R = I, so the final unitary is M,
+    # relative phases and reflections included.
+    rng = np.random.default_rng(51)
+    ops = [np.diag([1.0, 1j]), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]),
+           np.array([[0.0, 1j], [1.0, 0.0]]), *(random_unitary(rng) for _ in range(50))]
+    for m in ops:
+        proto = reduce(kraus_set([m]))
+        assert proto.steps == ()
+        assert np.linalg.norm(proto.final_unitary - m) <= 1e-14
+
+
 def test_reduce_two_outcomes_matches_pair_decomposition():
     rng = np.random.default_rng(52)
     for _ in range(200):

@@ -288,8 +288,9 @@ def test_guided_exit_steps_are_the_binary_search(q, frac, alpha, eta, cap):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_reduce_keeps_its_invariants(n, seed):
+    # n = 1 is a lone unitary, composed by the final unitary alone.
     # Every order for n <= 4, both cancel_u1 values: unitary protocol matrices,
     # p + q >= 1, a complete set of branches, each its target up to phase, and
     # without cancel_u1 a PSD remainder branch V D1 V^dag.
@@ -326,7 +327,7 @@ def chain_product_branches(proto):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
 def test_branches_match_chain_product(n, seed, cancel_u1):
     # The scalar pass and the numpy chain agree to round-off on a reduced
     # protocol and on the same protocol read back from its JSON.
