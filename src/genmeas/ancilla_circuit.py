@@ -31,6 +31,8 @@ from .partial_projection import PartialProjParams
 from .serialize import FORMAT_VERSION, dump
 
 VARIANTS = ("direct", "cphase", "fixed_cz")
+# pq_from_angles accepts |phi +- epsilon| up to pi/2 + ANGLE_TOL, round-off of angles_from_pq.
+ANGLE_TOL = 1e-12
 
 MAIN = "main"
 ANCILLA = "ancilla"
@@ -83,7 +85,8 @@ def angles_from_pq(params: PartialProjParams) -> tuple[float, float]:
 
 def pq_from_angles(phi: float, epsilon: float) -> PartialProjParams:
     """Inverse of :func:`angles_from_pq`; requires |phi +- epsilon| <= pi/2."""
-    if abs(phi + epsilon) > math.pi / 2 + 1e-12 or abs(phi - epsilon) > math.pi / 2 + 1e-12:
+    bound = math.pi / 2 + ANGLE_TOL
+    if abs(phi + epsilon) > bound or abs(phi - epsilon) > bound:
         raise ValueError(
             f"|phi +- epsilon| must not exceed pi/2, got phi={phi}, epsilon={epsilon}"
         )

@@ -41,6 +41,8 @@ from .serialize import (
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
+# `trajectory --p/--q` refuses thresholds that read p back further from --p than this.
+THRESHOLD_P_TOL = 1e-9
 
 _NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -145,7 +147,7 @@ def cmd_trajectory(args) -> int:
     state = _parse_state(args.state)
     if args.p is not None:
         t = thresholds_from_pq(PartialProjParams(args.p, args.q))
-        if t.finite and abs(pq_from_thresholds(t).p - args.p) > 1e-9:
+        if t.finite and abs(pq_from_thresholds(t).p - args.p) > THRESHOLD_P_TOL:
             raise Infeasible(f"thresholds ({t.R0:.3g}, {t.R1:.3g}) cannot carry p = {args.p}: at "
                              "p + q = 1 the readout stops at once; use `simulate --backend continuous`")
     else:

@@ -30,6 +30,7 @@ threshold, whose coherence each run scales by its duration at eta < 1.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -229,6 +230,13 @@ def _realizable(t: Thresholds) -> PartialProjParams:
     raise Infeasible(_NOT_FINITE.format(t.R0, t.R1))
 
 
+def _back_action(R: float, alpha: float) -> tuple[complex, complex]:
+    """The diagonal (w, 1/w) of M_R at quadrature angle alpha, w = e^{(R - i R tan(alpha))/2}:
+    the one place the alpha phase is written."""
+    w = cmath.exp(complex(R, -R * math.tan(alpha)) / 2.0)
+    return w, 1.0 / w
+
+
 def measurement_operator(R: float, alpha: float = 0.0) -> np.ndarray:
     """Back-action operator for an integrated readout R at quadrature angle alpha.
 
@@ -237,13 +245,7 @@ def measurement_operator(R: float, alpha: float = 0.0) -> np.ndarray:
     """
     if not abs(alpha) < math.pi / 2:
         raise ValueError("|alpha| must be strictly below pi/2")
-    phase = (R / 2.0) * math.tan(alpha)
-    return np.diag(
-        [
-            math.exp(R / 2.0) * np.exp(-1j * phase),
-            math.exp(-R / 2.0) * np.exp(1j * phase),
-        ]
-    ).astype(np.complex128)
+    return np.diag(_back_action(R, alpha))
 
 
 def normalization_constants(params: PartialProjParams) -> tuple[float, float]:
@@ -305,8 +307,7 @@ def _readout_instrument(params: PartialProjParams, alpha: float, eta: float, m: 
     t = thresholds_from_pq(params)
     _realizable(t)
     c0, c1 = normalization_constants(params)
-    pair = (math.sqrt(c0) * measurement_operator(t.R0, alpha),
-            math.sqrt(c1) * measurement_operator(t.R1, alpha))
+    pair = tuple(math.sqrt(c) * np.diag(_back_action(r, alpha)) for c, r in ((c0, t.R0), (c1, t.R1)))
     if t.R0 == 0.0 or t.R1 == 0.0:
         kappa = np.ones(2)  # the readout stops before its first step
     else:
@@ -414,20 +415,20 @@ def _final_batch(
 ) -> TrajectoryBatch:
     """Runs from ``rho`` ending on side ``outcome`` after ``steps`` steps of dt.
 
-    The two final states M_R rho M_R^dag / Tr, R = R0 or R1, are built once on scalars
-    and gathered by outcome, with their purities d_b + c_b, d_b = r00^2 + r11^2 and
-    c_b = 2 |r01|^2. At eta < 1 a run's off-diagonals are scaled in place by
-    f = exp(-(1 - eta)/(2 eta) T/tau), T = J dt its duration, one exp over the steps,
-    and its purity is d_b + c_b f^2.
+    The two final states M_R rho M_R^dag / Tr, R = R0 or R1, M_R = diag(w, 1/w)
+    (:func:`_back_action`), are built once on scalars and gathered by outcome, with their
+    purities d_b + c_b, d_b = r00^2 + r11^2 and c_b = 2 |r01|^2. At eta < 1 a run's
+    off-diagonals are scaled in place by f = exp(-(1 - eta)/(2 eta) T/tau), T = J dt its
+    duration, one exp over the steps, and its purity is d_b + c_b f^2.
     """
     (a, b), (_, d) = rho.tolist()
     states, diag, coh = [], [], []
     for r in (t.R0, t.R1):
-        e = math.exp(r)
-        norm = e * a.real + d.real / e
-        r00, r11 = e * a.real / norm, d.real / e / norm
-        x = math.tan(config.alpha) * r
-        r01 = b * complex(math.cos(x), -math.sin(x)) / norm
+        w0, w1 = _back_action(r, config.alpha)
+        g0, g1 = abs(w0) ** 2 * a.real, abs(w1) ** 2 * d.real
+        norm = g0 + g1
+        r00, r11 = g0 / norm, g1 / norm
+        r01 = w0 * w1.conjugate() * b / norm
         states += (r00, r01, r01.conjugate(), r11)
         diag.append(r00 * r00 + r11 * r11)
         coh.append(2.0 * abs(r01) ** 2)

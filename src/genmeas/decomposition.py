@@ -353,9 +353,11 @@ def execute_protocol(
     "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (run-averaged
     thresholded readout; needs ``readout_config`` and finite thresholds). The
     shot reads the leaf table of ``sample_protocol`` with uniforms from ``rng``,
-    one per step until it halts.
+    one per step until it halts. ``rng`` is a Generator or a seed for
+    ``default_rng``, which must be a non-negative integer (``ValueError`` otherwise).
     """
     if not isinstance(rng, np.random.Generator):
+        validate_seed(rng)
         rng = np.random.default_rng(rng)
     halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
     k = 0

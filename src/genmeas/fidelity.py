@@ -35,6 +35,16 @@ from .serialize import (
 # the state and process-matrix checks; the Uhlmann square roots clamp both to 0.
 UHLMANN_CLAMP = 1e-10
 PSD_TOL = 1e-8
+# F6 and F7 need both traces within UNIT_TRACE_TOL of 1; a POVM must sum to I within
+# POVM_SUM_TOL, and the average state fidelity's process and ideal be trace-preserving
+# within TP_TOL (Frobenius distance of their POVM from I).
+UNIT_TRACE_TOL = 1e-9
+POVM_SUM_TOL = 1e-9
+TP_TOL = 1e-8
+# A state is pure when Tr(rho^2) is within PURITY_TOL of 1, and a process matrix rank-1
+# when its other eigenvalues are within RANK1_TOL of 0 relative to the largest.
+PURITY_TOL = 1e-12
+RANK1_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,13 @@ def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
     raise ValueError(f"unknown classical fidelity variant {variant!r}")
 
 
+def _overlap(chi: np.ndarray, chi_ideal: np.ndarray):
+    """The overlap Tr(chi chi~), real, of a pair of matrices or of each pair of stacks
+    (..., d, d): F6 at unit traces, F8 and F9 times t t~ for a rank-1 ideal, and the
+    squared state fidelity Tr(rho sigma) when a state is pure."""
+    return (chi * chi_ideal.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+
+
 def _uhlmann_trace(rho: np.ndarray, sigma: np.ndarray):
     """Tr sqrt(sqrt(sigma) rho sqrt(sigma)), one per pair for stacks (..., d, d): the
     singular values of sqrt(rho) sqrt(sigma) keep full precision at rank-deficient
@@ -135,8 +152,8 @@ def _uhlmann_trace(rho: np.ndarray, sigma: np.ndarray):
     return np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum(axis=-1)
 
 
-def _is_pure(rho: np.ndarray, tol: float = 1e-12) -> bool:
-    return abs(np.trace(rho @ rho).real - 1.0) <= tol
+def _is_pure(rho: np.ndarray) -> bool:
+    return abs(_overlap(rho, rho) - 1.0) <= PURITY_TOL
 
 
 def state_fidelity(rho, sigma, variant: str = "uhlmann") -> float:
@@ -149,7 +166,7 @@ def state_fidelity(rho, sigma, variant: str = "uhlmann") -> float:
     rho = validate_state(rho, tol=PSD_TOL)
     sigma = validate_state(sigma, tol=PSD_TOL)
     if _is_pure(rho) or _is_pure(sigma):
-        f3 = math.sqrt(max(np.trace(rho @ sigma).real, 0.0))
+        f3 = math.sqrt(max(_overlap(rho, sigma), 0.0))
     else:
         f3 = _uhlmann_trace(rho, sigma)
     f3 = min(f3, 1.0)  # round-off of states the validator accepts can exceed 1
@@ -165,11 +182,11 @@ def _traces(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1).real
 
 
-def _rank1(w: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _rank1(w: np.ndarray) -> np.ndarray:
     """Per row of ascending eigenvalues (..., 4): whether every other eigenvalue is
-    within ``tol`` of 0 relative to the largest. F9's trace formula is off by about
+    within ``RANK1_TOL`` of 0 relative to the largest. F9's trace formula is off by about
     twice their sum over the largest."""
-    return np.all(np.abs(w[..., :-1]) <= tol * w[..., -1:], axis=-1)
+    return np.all(np.abs(w[..., :-1]) <= RANK1_TOL * w[..., -1:], axis=-1)
 
 
 def _f9(chi: np.ndarray, chi_ideal: np.ndarray, t: np.ndarray, ti: np.ndarray):
@@ -178,8 +195,7 @@ def _f9(chi: np.ndarray, chi_ideal: np.ndarray, t: np.ndarray, ti: np.ndarray):
     Tr(chi chi~) / (t t~), exact without the Uhlmann route's square-root round-off;
     the other rows take one stacked Uhlmann call. Round-off above 1 is clipped."""
     rank1 = _rank1(np.linalg.eigvalsh(hermitian_part(chi_ideal)))
-    overlap = np.sum(chi * chi_ideal.swapaxes(-1, -2), axis=(-2, -1)).real
-    F = np.maximum(overlap, 0.0)
+    F = np.maximum(_overlap(chi, chi_ideal), 0.0)
     if not rank1.all():
         u = _uhlmann_trace(chi[~rank1], chi_ideal[~rank1])
         F[~rank1] = u * u
@@ -194,16 +210,17 @@ def process_fidelity(
     F6 = Tr(chi chi_ideal) and F7 (its Uhlmann form) require both traces
     to be 1; F8 and F9 are their selection-normalized counterparts for
     non-trace-preserving processes. F8 requires a rank-1 (purity-preserving)
-    ideal; F9 is fully general and reduces to F8 for rank-1 ideals.
+    ideal; F9 is fully general and reduces to F8 for rank-1 ideals. At unit
+    traces F7 is F9 and is computed as F9: the trace formula for a rank-1
+    ideal, the Uhlmann route otherwise.
     """
     t, ti = chi.trace, chi_ideal.trace
-    if variant in ("F6", "F7"):
-        if not (abs(t - 1.0) <= 1e-9 and abs(ti - 1.0) <= 1e-9):
-            raise ValueError(f"traces ({t}, {ti}) must both be 1 for {variant}")
-        pair = chi.chi, chi_ideal.chi
-        f = np.trace(pair[0] @ pair[1]).real if variant == "F6" else _uhlmann_trace(*pair) ** 2
-        return min(max(float(f), 0.0), 1.0)  # round-off within the trace checks
-    if variant not in ("F8", "F9"):
+    unit = abs(t - 1.0) <= UNIT_TRACE_TOL and abs(ti - 1.0) <= UNIT_TRACE_TOL
+    if variant in ("F6", "F7") and not unit:
+        raise ValueError(f"traces ({t}, {ti}) must both be 1 for {variant}")
+    if variant == "F6":  # clipped: round-off within the trace checks
+        return min(max(float(_overlap(chi.chi, chi_ideal.chi)), 0.0), 1.0)
+    if variant not in ("F7", "F8", "F9"):
         raise ValueError(f"unknown process fidelity variant {variant!r}")
     if t <= 0.0 or ti <= 0.0:
         raise ValueError("process fidelity undefined for zero-trace chi")
@@ -308,7 +325,7 @@ def povm_fidelity(actual, ideal, variant: str = "Fp") -> float:
     actual, ideal = (np.asarray(e, dtype=np.complex128) for e in (actual, ideal))
     for name, elems in (("actual", actual), ("ideal", ideal)):
         dev = identity_deviation(elems.sum(axis=0))
-        if not dev <= 1e-9:
+        if not dev <= POVM_SUM_TOL:
             raise Mismatch(f"{name} POVM sums to I only within {dev:.3e}")
     require_psd(np.concatenate([actual, ideal]), UHLMANN_CLAMP, "POVM element")
     return _family(*_povm_terms(actual, ideal), _POVM_ALPHA[variant])
@@ -333,14 +350,14 @@ def average_state_fidelity(
         If the ideal is not unitary (rank-1 and trace-preserving), or if
         ``chi`` is not trace-preserving or not positive semidefinite.
     """
-    tp = identity_deviation(_povms(np.stack([chi_ideal_unitary.chi, chi.chi]))) <= 1e-8
+    tp = identity_deviation(_povms(np.stack([chi_ideal_unitary.chi, chi.chi]))) <= TP_TOL
     # eigvalsh refuses NaN, so each chi is decomposed only once it passed its trace test.
     if not (tp[0] and _rank1(np.linalg.eigvalsh(hermitian_part(chi_ideal_unitary.chi)))):
         raise ValueError("average state fidelity requires a unitary ideal")
     if not tp[1]:
         raise ValueError("process is not trace-preserving")
     require_psd(chi.chi, PSD_TOL, "process matrix")
-    f6 = float(np.trace(chi.chi @ chi_ideal_unitary.chi).real)
+    f6 = float(_overlap(chi.chi, chi_ideal_unitary.chi))
     return min(max((2.0 * f6 + 1.0) / 3.0, 0.0), 1.0)
 
 

@@ -13,6 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 EIG_CLAMP_TOL = 1e-10
+# is_unitary's default bound on |m^dag m - I|_F.
+UNITARY_TOL = 1e-10
+# phase_distance aligns b's phase only when |Tr(b^dag a)| reaches PHASE_FLOOR.
+PHASE_FLOOR = 1e-300
 
 # Single-qubit Pauli matrices, in the conventional (I, X, Y, Z) order.
 PAULI_I = np.eye(2, dtype=np.complex128)
@@ -51,7 +55,7 @@ def identity_deviation(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m - np.eye(m.shape[-1]), axis=(-2, -1))
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     """Whether ``m``, or every matrix of a stack (..., d, d), is unitary within ``tol``."""
     return bool(np.all(identity_deviation(adjoint(m) @ m) <= tol))
 
@@ -110,6 +114,6 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance between ``a`` and ``b`` minimized over a global phase:
     |a - e^{i theta} b|_F at theta = arg Tr(b^dag a)."""
     t = np.trace(adjoint(b) @ a)
-    if abs(t) >= 1e-300:
+    if abs(t) >= PHASE_FLOOR:
         b = (t / abs(t)) * b
     return float(np.linalg.norm(a - b))

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import Infeasible
 
 ZERO_BRANCH_TOL = 1e-12
+# validate_state's default bound on non-Hermiticity, |Tr - 1| and a negative eigenvalue.
+STATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class PartialProjParams:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
 
 
-def validate_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def validate_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     """Check that ``rho`` is a valid 2x2 density matrix and return it as complex128.
 
     Raises ``ValueError`` otherwise, also for a NaN entry. Closed form on Python
@@ -67,9 +69,10 @@ def validate_state(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def validate_seed(seed) -> None:
-    """``ValueError`` unless ``seed`` is a non-negative integer (``operator.index``)."""
+    """``ValueError`` unless ``seed`` is a non-negative integer (``operator.index``);
+    a boolean is not one."""
     try:
-        ok = operator.index(seed) >= 0
+        ok = not isinstance(seed, bool) and operator.index(seed) >= 0
     except TypeError:
         ok = False
     if not ok:
@@ -108,12 +111,7 @@ def outcome_probabilities(
     return p0, p1
 
 
-def apply_outcome(
-    params: PartialProjParams,
-    outcome: int,
-    rho: np.ndarray,
-    tol: float = ZERO_BRANCH_TOL,
-) -> np.ndarray:
+def apply_outcome(params: PartialProjParams, outcome: int, rho: np.ndarray) -> np.ndarray:
     """Post-measurement state rho' = D_k rho D_k^dag / Tr(D_k rho D_k^dag).
 
     D_k = diag(sqrt(g0), sqrt(g1)) is diagonal, so D_k rho D_k^dag is rho scaled
@@ -124,7 +122,7 @@ def apply_outcome(
     ValueError
         If ``outcome`` is not 0 or 1.
     Infeasible
-        If the renormalization denominator is below ``tol``.
+        If the renormalization denominator is below ``ZERO_BRANCH_TOL``.
     """
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
@@ -134,10 +132,8 @@ def apply_outcome(
     s = math.sqrt(g0 * g1)
     out = rho * np.array([[g0, s], [s, g1]])
     norm = out[0, 0].real + out[1, 1].real
-    if norm < tol:
-        raise Infeasible(
-            f"outcome {outcome} has probability {norm:.3e} < {tol:.1e}"
-        )
+    if norm < ZERO_BRANCH_TOL:
+        raise Infeasible(f"outcome {outcome} has probability {norm:.3e} < {ZERO_BRANCH_TOL:.1e}")
     return out / norm
 
 

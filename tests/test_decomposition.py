@@ -500,14 +500,17 @@ def test_sample_rejects_negative_shots(backend):
         )
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
-    # At any shot count and on every backend, before any generator is made.
+    # At any shot count and on every backend, before any generator is made; also
+    # as execute_protocol's rng when that is not a Generator.
     proto, cfg = reduce(weak_trine_set()), ReadoutConfig(tau_min=1.0, seed=21)
     for backend in ("exact", "ancilla-direct", "continuous"):
         for shots in (0, 5):
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 sample_protocol(proto, np.eye(2) / 2, shots, seed, backend, cfg)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            execute_protocol(proto, np.eye(2) / 2, seed, backend, cfg)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         ReadoutConfig(tau_min=1.0, seed=seed)
 

@@ -228,6 +228,28 @@ def test_process_fidelity_f9_matches_f8_for_rank1():
         assert 0.0 <= f9 <= 1.0 + 1e-12
 
 
+def test_process_fidelity_f7_is_f9_at_unit_traces(monkeypatch):
+    # F7 is F9 on every unit-trace pair: the trace formula against a rank-1 (unitary)
+    # ideal, with no Uhlmann call, and one Uhlmann call against a noisy ideal. Against
+    # a unitary it is |Tr(W^dag U)|^2 / 4, as F6 is.
+    rng = np.random.default_rng(69)
+    calls = collections.Counter()
+    real = fidelity._uhlmann_trace
+    monkeypatch.setattr(fidelity, "_uhlmann_trace", lambda *a: calls.update(["u"]) or real(*a))
+    for k in range(200):
+        u, w = random_unitary(rng), random_unitary(rng)
+        spec = NoiseSpec(("depolarizing", "dephasing", "amplitude_damping")[k % 3], 0.2)
+        noisy, unitary = noisy_branch(u, spec), chi_from_kraus([w])
+        f7 = process_fidelity(noisy, unitary, "F7")
+        assert f7 == process_fidelity(noisy, unitary, "F9")
+        assert calls["u"] == 0
+        assert process_fidelity(chi_from_kraus([u]), unitary, "F7") == pytest.approx(
+            abs(np.trace(adjoint(w) @ u)) ** 2 / 4, abs=1e-14)
+        assert process_fidelity(unitary, noisy, "F7") == process_fidelity(unitary, noisy, "F9")
+        assert calls["u"] == 2
+        calls.clear()
+
+
 def test_partial_fidelity_scale_invariance():
     d0, _ = dops(PartialProjParams(0.8, 0.6))
     chi = chi_from_kraus([d0], 2)
@@ -666,12 +688,11 @@ def reference_is_rank1(chi, tol=1e-12):
 
 
 def reference_process_fidelity(chi, chi_ideal, variant):
-    """F6-F9 of one pair: the trace formula where the ideal is rank-1, else Uhlmann."""
+    """F6-F9 of one pair: the trace formula where the ideal is rank-1, else Uhlmann.
+    F7 is F9 at the unit traces it requires."""
     t, ti = chi.trace, chi_ideal.trace
-    if variant in ("F6", "F7"):
-        if variant == "F6":
-            return float(np.trace(chi.chi @ chi_ideal.chi).real)
-        return float(fidelity._uhlmann_trace(chi.chi, chi_ideal.chi)) ** 2
+    if variant == "F6":
+        return float(np.trace(chi.chi @ chi_ideal.chi).real)
     rank1 = reference_is_rank1(chi_ideal)
     if variant == "F8" and not rank1:
         raise ValueError("F8 requires a rank-1 (purity-preserving) ideal")
