@@ -70,7 +70,7 @@ def test_json_diffs_tells_ints_floats_and_structure_apart():
 
 def test_cli_matches_the_golden_corpus():
     doc = json.loads(golden_cli.GOLDEN.read_text())
-    assert (doc["seed"], doc["runs"]) == (golden_cli.SEED, golden_cli.RUNS)
+    assert (doc["seed"], doc["runs"], doc["shots"]) == (golden_cli.SEED, golden_cli.RUNS, golden_cli.SHOTS)
     got = golden_cli.run_cases()
     assert list(got) == list(doc["cases"])
     diffs = [d for key, want in doc["cases"].items() for d in json_diffs(got[key], want, key)]
