@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .partial_projection import PartialProjParams, validate_seed, validate_state
+from .partial_projection import PartialProjParams, update, validate_seed, validate_state
 
 _CAP = "no threshold reached within the duration cap of {} steps"
 _NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
@@ -293,13 +293,18 @@ def _exit_series(t: Thresholds, m: float, j_cap: int):
     return lm, c
 
 
+def _log_dephasing(eta: float, m: float) -> float:
+    """log z = -(1 - eta) m / (2 eta): a grid step m = dt / tau scales a coherence by z."""
+    return -(1.0 - eta) * m / (2.0 * eta)
+
+
 @functools.lru_cache(maxsize=64)
 def _readout_instrument(params: PartialProjParams, alpha: float, eta: float, m: float, j_cap: int):
     """Run-averaged thresholded readout: Kraus pair and coherence factors, read-only.
 
     Outcome b gives K_b rho K_b^dag, K_b = sqrt(C_b) M_{R_b}(alpha) = D_b with the
-    alpha phase, its off-diagonal scaled by kappa_b = E[z^J | side b]: z = exp(-(1 -
-    eta) m / (2 eta)), J the run's step count, whose law given the side is one
+    alpha phase, its off-diagonal scaled by kappa_b = E[z^J | side b]: z the per-step
+    dephasing (:func:`_log_dephasing`), J the run's step count, whose law given the side is one
     under both hidden labels, so the averaged map is linear (:func:`_exit_series`).
     Cached on what it reads, (p, q), alpha, eta and the grid (:func:`_grid`), never
     on the seed, so calls that share a readout share one build.
@@ -313,7 +318,7 @@ def _readout_instrument(params: PartialProjParams, alpha: float, eta: float, m: 
     else:
         lm, c = _exit_series(t, m, j_cap)
         # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j), h_b = P(side b) at drift +1.
-        log_z = -(1.0 - eta) * m / (2.0 * eta)
+        log_z = _log_dephasing(eta, m)
         h, w = np.array([params.p, 1.0 - params.p]), log_z - lm
         kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
         kappa = np.divide(kappa, h, out=np.ones(2), where=h > 0)
@@ -415,29 +420,25 @@ def _final_batch(
 ) -> TrajectoryBatch:
     """Runs from ``rho`` ending on side ``outcome`` after ``steps`` steps of dt.
 
-    The two final states M_R rho M_R^dag / Tr, R = R0 or R1, M_R = diag(w, 1/w)
-    (:func:`_back_action`), are built once on scalars and gathered by outcome, with their
-    purities d_b + c_b, d_b = r00^2 + r11^2 and c_b = 2 |r01|^2. At eta < 1 a run's
-    off-diagonals are scaled in place by f = exp(-(1 - eta)/(2 eta) T/tau), T = J dt its
-    duration, one exp over the steps, and its purity is d_b + c_b f^2.
+    The two final states, ``update`` of M_R = diag(w, 1/w) (:func:`_back_action`) for R = R0
+    and R1 (weight at least e^{-|R|} / 2, above its floor), are built once and gathered by
+    outcome, with their purities d_b + c_b, d_b = r00^2 + r11^2 and c_b = 2 |r01|^2. At
+    eta < 1 a run's off-diagonals are scaled in place by f = z^J (:func:`_log_dephasing`),
+    J its step count, one exp over the steps, and its purity is d_b + c_b f^2.
     """
-    (a, b), (_, d) = rho.tolist()
-    states, diag, coh = [], [], []
+    rho, states, diag, coh = rho.tolist(), [], [], []
     for r in (t.R0, t.R1):
         w0, w1 = _back_action(r, config.alpha)
-        g0, g1 = abs(w0) ** 2 * a.real, abs(w1) ** 2 * d.real
-        norm = g0 + g1
-        r00, r11 = g0 / norm, g1 / norm
-        r01 = w0 * w1.conjugate() * b / norm
-        states += (r00, r01, r01.conjugate(), r11)
+        states.append(update(((w0, 0.0), (0.0, w1)), rho)[1])
+        (r00, r01), (_, r11) = states[-1]
         diag.append(r00 * r00 + r11 * r11)
         coh.append(2.0 * abs(r01) ** 2)
-    out = np.array(states).reshape(2, 4).take(outcome, axis=0).reshape(-1, 2, 2)
+    out = np.array(states).take(outcome, axis=0)
     final_r, diag, coh = np.array([(t.R0, t.R1), diag, coh])
     steps = steps.astype(np.float64)
     eta = config.efficiency
     if eta < 1.0:
-        f = np.exp(steps * (-(1.0 - eta) / (2.0 * eta) * config.dt / config.tau))
+        f = np.exp(steps * _log_dephasing(eta, config.dt / config.tau))
         out[:, 0, 1] *= f
         np.conjugate(out[:, 0, 1], out=out[:, 1, 0])
         f *= f

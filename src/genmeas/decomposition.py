@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import partial_projection
 from .errors import InaccurateBranch, Infeasible, NotComplete
 from .linalg import adjoint, identity_deviation, is_unitary, mul2, phase_distance, psd_sqrt
 from .partial_projection import (
-    ZERO_BRANCH_TOL, PartialProjParams, dop_diagonals, validate_seed, validate_state,
+    PartialProjParams, dop_diagonals, sandwich, update, validate_seed, validate_state,
 )
 from .serialize import (
     FORMAT_VERSION, check_version, dump, loads, matrices_from_json, matrix_to_json,
@@ -266,26 +267,6 @@ def _ancilla_kraus(variant: str, p: float, q: float) -> np.ndarray:
     return pair
 
 
-def _sandwich(m, r):
-    """m r m^dag of two 2x2 matrices given as nested pairs of Python numbers."""
-    (a, b), (c, d) = m
-    (r00, r01), (r10, r11) = r
-    x00, x01, x10, x11 = a * r00 + b * r10, a * r01 + b * r11, c * r00 + d * r10, c * r01 + d * r11
-    a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    return (x00 * a + x01 * b, x00 * c + x01 * d), (x10 * a + x11 * b, x10 * c + x11 * d)
-
-
-def _branch(k, kappa: float, u: np.ndarray, sigma):
-    """(h, U out U^dag / h) of one outcome, out = K sigma K^dag with its coherence
-    scaled by kappa and h = Tr out; the state is None if h is below ZERO_BRANCH_TOL."""
-    (o00, o01), (o10, o11) = _sandwich(k, sigma)
-    h = o00.real + o11.real
-    if h < ZERO_BRANCH_TOL:
-        return h, None
-    (r00, r01), (r10, r11) = _sandwich(u.tolist(), ((o00, kappa * o01), (kappa * o10, o11)))
-    return h, ((r00 / h, r01 / h), (r10 / h, r11 / h))
-
-
 def _leaf_table(
     p: MeasurementProtocol, rho: np.ndarray, backend: str, readout_config=None
 ) -> tuple[list[float], list[np.ndarray | None]]:
@@ -293,9 +274,9 @@ def _leaf_table(
 
     A step is its backend's Kraus pair K_b, outcome b's coherence scaled by kappa_b
     (below 1 only on the continuous backend at efficiency < 1): sigma = V^dag rho V,
-    out_b = K_b sigma K_b^dag, h_b = Tr out_b, then U_b out_b U_b^dag / h_b. Every
-    product is one :func:`_sandwich` on Python complex scalars (``tolist`` of the
-    cached matrices); a leaf state becomes a complex128 array only when returned.
+    (h_b, state_b) = ``update(K_b, sigma, kappa_b)``, then U_b state_b U_b^dag, all by
+    :mod:`~genmeas.partial_projection`'s two scalar rules on Python complex numbers (``tolist``
+    of the cached matrices); a leaf state becomes a complex128 array only when returned.
     A shot halts at the first step k whose uniform draw is below ``halt[k]``, else it
     reaches leaf ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has
     state None, and a surviving branch below it ends the walk.
@@ -321,21 +302,22 @@ def _leaf_table(
             kraus, kappa = [k.tolist() for k in pair], kappa.tolist()
         else:
             kraus = _ancilla_kraus(variant, pq.p, pq.q).tolist()
-        sigma = _sandwich(adjoint(step.pre_unitary).tolist(), rho)
-        h, leaf = _branch(kraus[0], kappa[0], step.post_unitary_0, sigma)
-        _, rho = _branch(kraus[1], kappa[1], step.post_unitary_1, sigma)
+        sigma = sandwich(adjoint(step.pre_unitary).tolist(), rho)
+        h, leaf = update(kraus[0], sigma, kappa[0])
+        _, rho = update(kraus[1], sigma, kappa[1])
         halt.append(h)
-        states.append(leaf)
+        states.append(None if leaf is None else sandwich(step.post_unitary_0.tolist(), leaf))
         if rho is None:
             break
-    states.append(None if rho is None else _sandwich(p.final_unitary.tolist(), rho))
+        rho = sandwich(step.post_unitary_1.tolist(), rho)
+    states.append(None if rho is None else sandwich(p.final_unitary.tolist(), rho))
     return halt, [None if s is None else np.array(s, dtype=np.complex128) for s in states]
 
 
 def _leaf_state(p: MeasurementProtocol, states: list, k: int) -> np.ndarray:
     if states[k] is None:
         label = p.leaf_labels[k]
-        raise Infeasible(f"leaf {label!r} has probability < {ZERO_BRANCH_TOL}")
+        raise Infeasible(f"leaf {label!r} has probability < {partial_projection.ZERO_BRANCH_TOL}")
     return states[k]
 
 

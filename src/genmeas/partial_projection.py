@@ -111,30 +111,41 @@ def outcome_probabilities(
     return p0, p1
 
 
+def sandwich(m, r):
+    """m r m^dag of a Hermitian 2x2 ``r``, both nested pairs of Python numbers, from r's
+    upper triangle; the result's lower one is its upper one's conjugate, so it is exactly
+    Hermitian with a real diagonal."""
+    (a, b), (c, d) = m
+    (r00, r01), (_, r11) = r
+    r10 = r01.conjugate()
+    x00, x01, x10, x11 = a * r00 + b * r10, a * r01 + b * r11, c * r00 + d * r10, c * r01 + d * r11
+    a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    s01 = x00 * c + x01 * d
+    return ((x00 * a + x01 * b).real, s01), (s01.conjugate(), (x10 * c + x11 * d).real)
+
+
+def update(k, r, kappa: float = 1.0):
+    """(h, K r K^dag / h), h = Tr K r K^dag, with the coherence scaled by ``kappa`` (an
+    inefficient readout's dephasing), for a Hermitian r as in :func:`sandwich`. The state
+    is None if h is below ``ZERO_BRANCH_TOL``, the one place that floor is compared."""
+    (o00, o01), (_, o11) = sandwich(k, r)
+    h = o00 + o11
+    if h < ZERO_BRANCH_TOL:
+        return h, None
+    o01 = kappa * o01 / h
+    return h, ((o00 / h, o01), (o01.conjugate(), o11 / h))
+
+
 def apply_outcome(params: PartialProjParams, outcome: int, rho: np.ndarray) -> np.ndarray:
-    """Post-measurement state rho' = D_k rho D_k^dag / Tr(D_k rho D_k^dag).
-
-    D_k = diag(sqrt(g0), sqrt(g1)) is diagonal, so D_k rho D_k^dag is rho scaled
-    entrywise by [[g0, sqrt(g0 g1)], [sqrt(g0 g1), g1]], with no matrix product.
-
-    Raises
-    ------
-    ValueError
-        If ``outcome`` is not 0 or 1.
-    Infeasible
-        If the renormalization denominator is below ``ZERO_BRANCH_TOL``.
-    """
+    """Post-measurement state rho' = D_k rho D_k^dag / Tr(D_k rho D_k^dag), by :func:`update`:
+    ``ValueError`` unless ``outcome`` is 0 or 1, ``Infeasible`` if Tr is below its floor."""
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    rho = validate_state(rho)
-    p, q = params.p, params.q
-    g0, g1 = (p, 1.0 - q) if outcome == 0 else (1.0 - p, q)
-    s = math.sqrt(g0 * g1)
-    out = rho * np.array([[g0, s], [s, g1]])
-    norm = out[0, 0].real + out[1, 1].real
-    if norm < ZERO_BRANCH_TOL:
-        raise Infeasible(f"outcome {outcome} has probability {norm:.3e} < {ZERO_BRANCH_TOL:.1e}")
-    return out / norm
+    g0, g1 = dop_diagonals(params)[outcome]
+    h, state = update(((g0, 0.0), (0.0, g1)), validate_state(rho).tolist())
+    if state is None:
+        raise Infeasible(f"outcome {outcome} has probability {h:.3e} < {ZERO_BRANCH_TOL:.1e}")
+    return np.array(state, dtype=np.complex128)
 
 
 def strength(params: PartialProjParams) -> float:

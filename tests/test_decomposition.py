@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genmeas import continuous_readout, decomposition
+from genmeas import continuous_readout, decomposition, partial_projection
 from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq
 from genmeas.decomposition import (
     MeasurementProtocol,
@@ -686,7 +686,7 @@ def test_shot_in_zero_probability_leaf_raises(backend, monkeypatch):
     # leaf "a" of the trine from the mixed state (probability 1/3) is below it.
     # 0.4 stays clear of 1/2, leaves b and c's conditional probability, so the
     # leaf table's round-off cannot decide which leaf raises.
-    monkeypatch.setattr(decomposition, "ZERO_BRANCH_TOL", 0.4)
+    monkeypatch.setattr(partial_projection, "ZERO_BRANCH_TOL", 0.4)
     proto = reduce(trine_set())
     mixed = np.eye(2) / 2
     with pytest.raises(Infeasible, match="leaf 'a' has probability"):
