@@ -8,6 +8,7 @@ process matrix of the composition.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind != "unitary_jitter" and not (0.0 <= self.strength <= 1.0):
             raise ValueError(f"strength must be in [0, 1], got {self.strength}")
-        if self.kind == "unitary_jitter" and self.strength < 0.0:
-            raise ValueError("jitter strength must be nonnegative")
+        if self.kind == "unitary_jitter" and not 0.0 <= self.strength < math.inf:
+            raise ValueError(f"jitter strength must be finite and nonnegative, got {self.strength}")
 
 
 def depolarizing_kraus(lam: float) -> list[np.ndarray]:

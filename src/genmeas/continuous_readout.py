@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import Infeasible
-from .partial_projection import PartialProjParams, update, validate_seed, validate_state
+from .partial_projection import PartialProjParams, update, validate_count, validate_state
 
 _CAP = "no threshold reached within the duration cap of {} steps"
 _NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
@@ -74,7 +74,7 @@ class ReadoutConfig:
     max_duration: float | None = None
 
     def __post_init__(self):
-        validate_seed(self.seed)
+        validate_count(self.seed, "seed")
         if not 0.0 < self.tau_min < math.inf:
             raise ValueError(f"tau_min must be positive and finite, got {self.tau_min}")
         if not abs(self.alpha) < math.pi / 2:
@@ -241,10 +241,15 @@ def measurement_operator(R: float, alpha: float = 0.0) -> np.ndarray:
     """Back-action operator for an integrated readout R at quadrature angle alpha.
 
     Unnormalized: the constant proportionality factor cancels on state
-    renormalization.
+    renormalization. ``Infeasible`` for an infinite R (a projective threshold, as
+    :func:`_realizable` reports it), ``ValueError`` for NaN.
     """
     if not abs(alpha) < math.pi / 2:
         raise ValueError("|alpha| must be strictly below pi/2")
+    if math.isnan(R):
+        raise ValueError("R is NaN")
+    if math.isinf(R):
+        raise Infeasible(f"R = {R} is the projective limit: no finite back-action")
     return np.diag(_back_action(R, alpha))
 
 
@@ -490,8 +495,7 @@ def simulate_batch(
     ``Infeasible`` if a run outlasts the duration cap with probability above 1e-12
     under either hidden label, whatever the seed.
     """
-    if n < 0:
-        raise ValueError(f"trajectory count must be >= 0, got {n}")
+    validate_count(n, "trajectory count")
     rho = validate_state(initial)
     u = np.random.default_rng(config.seed).random((n, 2))
     return _sample_exit(config, t, rho, u)

@@ -26,7 +26,7 @@ from . import partial_projection
 from .errors import InaccurateBranch, Infeasible, NotComplete
 from .linalg import adjoint, identity_deviation, is_unitary, mul2, phase_distance, psd_sqrt
 from .partial_projection import (
-    PartialProjParams, dop_diagonals, sandwich, update, validate_seed, validate_state,
+    PartialProjParams, dop_diagonals, sandwich, update, validate_count, validate_state,
 )
 from .serialize import (
     FORMAT_VERSION, check_version, dump, loads, matrices_from_json, matrix_to_json,
@@ -339,7 +339,7 @@ def execute_protocol(
     ``default_rng``, which must be a non-negative integer (``ValueError`` otherwise).
     """
     if not isinstance(rng, np.random.Generator):
-        validate_seed(rng)
+        validate_count(rng, "seed")
         rng = np.random.default_rng(rng)
     halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
     k = 0
@@ -367,9 +367,8 @@ def sample_protocol(
     shot i of m, a leaf's mean is its state, and a shot that reaches a leaf of
     probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
     """
-    if shots < 0:
-        raise ValueError(f"shot count must be >= 0, got {shots}")
-    validate_seed(seed)
+    validate_count(shots, "shot count")
+    validate_count(seed, "seed")
     halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
     if backend == "continuous":
         draws = np.random.default_rng(seed).random((shots, len(halt)))
@@ -394,8 +393,10 @@ def random_kraus_set(
     Draws n - 1 random contractions scaled to keep their squared sum below
     the identity, completes the set with the PSD square root of the identity minus
     their squared sum (:func:`~genmeas.linalg.psd_sqrt`), and rotates each
-    operator by an independent random unitary.
+    operator by an independent random unitary. ``ValueError`` for n < 1.
     """
+    if n < 1:
+        raise ValueError(f"a Kraus set needs n >= 1 outcomes, got {n}")
     raw = [
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         for _ in range(n - 1)

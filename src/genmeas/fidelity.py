@@ -45,6 +45,8 @@ TP_TOL = 1e-8
 # when its other eigenvalues are within RANK1_TOL of 0 relative to the largest.
 PURITY_TOL = 1e-12
 RANK1_TOL = 1e-12
+# A classical fidelity's inputs must each sum to 1 within PROB_SUM_TOL.
+PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,21 @@ def classical_fidelity(a, b, variant: str = "bhattacharyya") -> float:
     """Classical fidelity / distance between two probability distributions.
 
     Variants: "bhattacharyya" (F1 = sum sqrt(a_k b_k)), "squared"
-    (F2 = F1^2), "kolmogorov" (a distance, (1/2) sum |a_k - b_k|).
+    (F2 = F1^2), "kolmogorov" (a distance, (1/2) sum |a_k - b_k|). ``ValueError``
+    unless both are finite, non-negative and sum to 1 within ``PROB_SUM_TOL``; each
+    result is at most 1.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"lengths {a.shape} vs {b.shape}")
+    for x in (a, b):  # NaN and inf fail one of the two comparisons
+        if not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= PROB_SUM_TOL):
+            raise ValueError(f"{x.tolist()} is not a probability distribution: finite, "
+                             f"non-negative entries summing to 1 within {PROB_SUM_TOL:g}")
     if variant == "kolmogorov":
-        return float(0.5 * np.sum(np.abs(a - b)))
-    f1 = float(np.sum(np.sqrt(np.clip(a, 0, None) * np.clip(b, 0, None))))
+        return min(float(0.5 * np.sum(np.abs(a - b))), 1.0)
+    f1 = min(float(np.sum(np.sqrt(a * b))), 1.0)
     if variant == "bhattacharyya":
         return f1
     if variant == "squared":
@@ -275,7 +283,7 @@ def total_fidelity(
     """Total fidelity of a multiple-outcome measurement: the family
     [sum_k sqrt(p_k p~_k) F_k^alpha]^(1/alpha) over the partial fidelities F_k (F9)
     and the outcome probabilities p_k, p~_k of the two sides. "sum" is alpha = 1,
-    "sqrt_squared" alpha = 1/2 and "parametric" the caller's ``alpha`` > 0. For a
+    "sqrt_squared" alpha = 1/2 and "parametric" the caller's finite ``alpha`` > 0. For a
     purity-preserving ideal, "sum" is sum_k Tr(chi~^(k) chi^(k)) / sqrt(p_k p~_k)
     and "sqrt_squared" is [sum_k sqrt(Tr(chi~^(k) chi^(k)))]^2.
 
@@ -286,8 +294,8 @@ def total_fidelity(
         if variant not in _TOTAL_ALPHA:
             raise ValueError(f"unknown total fidelity variant {variant!r}")
         alpha = _TOTAL_ALPHA[variant]
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return _family(*_partials(actual, ideal)[:2], alpha)
 
 

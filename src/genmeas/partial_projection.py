@@ -68,15 +68,15 @@ def validate_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     return rho
 
 
-def validate_seed(seed) -> None:
-    """``ValueError`` unless ``seed`` is a non-negative integer (``operator.index``);
-    a boolean is not one."""
+def validate_count(value, name: str) -> None:
+    """``ValueError``, naming ``name``, unless ``value`` is a non-negative integer
+    (``operator.index``; a boolean is not one): every seed, shot and trajectory count."""
     try:
-        ok = not isinstance(seed, bool) and operator.index(seed) >= 0
+        ok = not isinstance(value, bool) and operator.index(value) >= 0
     except TypeError:
         ok = False
     if not ok:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def pure_state(psi: np.ndarray) -> np.ndarray:

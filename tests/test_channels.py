@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,10 @@ def test_spec_validation():
         NoiseSpec("bogus", 0.1)
     with pytest.raises(ValueError):
         NoiseSpec("depolarizing", 1.5)
-    with pytest.raises(ValueError):
-        NoiseSpec("unitary_jitter", -0.1)
+    # An infinite or NaN angle spread is no rotation: noisy_branch would return a NaN chi.
+    for strength in (-0.1, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="jitter strength must be finite and nonnegative"):
+            NoiseSpec("unitary_jitter", strength)
     NoiseSpec("unitary_jitter", 2.0)  # radians, not a probability
 
 

@@ -177,6 +177,17 @@ def test_measurement_operator_composes():
         assert np.linalg.norm(a - b) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_measurement_operator_refuses_a_non_finite_r(alpha):
+    # An infinite R is the projective limit of a threshold and NaN no readout at all:
+    # neither has a finite back-action, whose formula would give a NaN matrix.
+    for r in (math.inf, -math.inf):
+        with pytest.raises(Infeasible, match="projective"):
+            measurement_operator(r, alpha)
+    with pytest.raises(ValueError, match="R is NaN"):
+        measurement_operator(math.nan, alpha)
+
+
 def test_normalization_constants():
     assert normalization_constants(PartialProjParams(1.0, 1.0)) == (0.0, 0.0)
     c0, c1 = normalization_constants(PartialProjParams(0.8, 0.6))
@@ -407,6 +418,14 @@ def test_batch_rejects_negative_count():
     t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
     with pytest.raises(ValueError):
         simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, -3)
+
+
+@pytest.mark.parametrize("n", [1.5, True, "3", None])
+def test_batch_refuses_a_count_that_is_not_a_non_negative_integer(n):
+    # Checked as seeds are: 1.5 and True are no counts, and numpy would raise TypeError.
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    with pytest.raises(ValueError, match="trajectory count must be a non-negative integer"):
+        simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, n)
 
 
 def test_batch_refuses_infinite_thresholds():

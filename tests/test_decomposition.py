@@ -515,6 +515,22 @@ def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
         ReadoutConfig(tau_min=1.0, seed=seed)
 
 
+@pytest.mark.parametrize("shots", [1.5, True, "3", None])
+def test_sample_refuses_a_shot_count_that_is_not_a_non_negative_integer(shots):
+    # Checked as seeds are: 1.5 and True are no counts, and numpy would raise TypeError.
+    proto, cfg = reduce(weak_trine_set()), ReadoutConfig(tau_min=1.0, seed=21)
+    for backend in ("exact", "ancilla-direct", "continuous"):
+        with pytest.raises(ValueError, match="shot count must be a non-negative integer"):
+            sample_protocol(proto, np.eye(2) / 2, shots, 21, backend, cfg)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_random_kraus_set_needs_an_outcome(n):
+    # The n - 1 drawn operators would be none, and the set would get one outcome.
+    with pytest.raises(ValueError, match="n >= 1"):
+        random_kraus_set(n, np.random.default_rng(0))
+
+
 def test_ancilla_kraus_cache_is_bounded():
     # Every random set brings new (p, q) pairs; the cache must not grow with them.
     rng = np.random.default_rng(57)

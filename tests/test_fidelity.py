@@ -365,6 +365,31 @@ def test_parametric_family_reductions():
         assert abs(total_fidelity(actual, ideal, "parametric", alpha=0.5) - f_sq) < 1e-10
 
 
+@pytest.mark.parametrize("a, b, variant", [
+    ([0.6, 0.6], [0.6, 0.6], "bhattacharyya"),  # sums to 1.2, as F1 would
+    ([2.0, -1.0], [0.0, 1.0], "kolmogorov"),  # a negative entry: the distance would be 2.0
+    ([math.nan, 1.0], [0.5, 0.5], "squared"),
+    ([math.inf, 0.0], [1.0, 0.0], "bhattacharyya"),
+    ([], [], "bhattacharyya"),
+])
+def test_classical_fidelity_refuses_what_is_not_a_distribution(a, b, variant):
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="not a probability distribution"):
+            classical_fidelity(x, y, variant)
+
+
+def test_parametric_total_fidelity_needs_a_finite_alpha():
+    # At alpha = inf the family's exponent 1/alpha is 0, which scores every measurement 1.
+    s = random_kraus_set(3, np.random.default_rng(74))
+    ideal = process_set_from_kraus(s.ops, s.labels)
+    actual = ProcessSet(outcomes=tuple(
+        (lab, noisy_branch(m, NoiseSpec("depolarizing", 0.8))) for lab, m in zip(s.labels, s.ops)))
+    assert total_fidelity(actual, ideal, "sum") < 0.9
+    for alpha in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            total_fidelity(actual, ideal, "parametric", alpha=alpha)
+
+
 def test_total_fidelity_label_mismatch():
     rng = np.random.default_rng(73)
     s = random_kraus_set(2, rng)

@@ -120,6 +120,8 @@ BOUNDARIES = {
     "fidelity.TP_TOL": (  # |P - I|_F of the process's POVM, P = (1 + s) I with s = x / sqrt(2)
         fidelity, 1e-8,
         lambda x: _ok(ValueError, average_state_fidelity, scaled(CHI_I, 1 + x / math.sqrt(2)), CHI_I)),
+    "fidelity.PROB_SUM_TOL": (  # |sum a_k - 1| of a classical fidelity's input
+        fidelity, 1e-9, lambda x: _ok(ValueError, fidelity.classical_fidelity, [0.5 + x, 0.5], [0.5, 0.5])),
     "fidelity.PURITY_TOL": (  # 1 - Tr rho^2: a pure state's fidelity is sqrt(Tr rho sigma), no Uhlmann route
         fidelity, 1e-12, lambda x: state_fidelity(np.diag([1.0 - x / 2, x / 2]), I2 / 2) == math.sqrt(0.5)),
     "fidelity.RANK1_TOL": (  # an ideal's second eigenvalue over its largest: F8 needs rank 1
