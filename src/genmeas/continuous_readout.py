@@ -491,9 +491,9 @@ def simulate_batch(
     Each run's side and step count are drawn from the exact exit law of the walk
     (:func:`_sample_exit`), with no walk. Seeding contract: run i uses row i of
     ``np.random.default_rng(config.seed).random((n, 2))``, so the same call repeats
-    exactly and trajectory i of a batch of n is trajectory i of a batch of m.
-    ``Infeasible`` if a run outlasts the duration cap with probability above 1e-12
-    under either hidden label, whatever the seed.
+    exactly and trajectory i of a batch of n is trajectory i of a batch of m. ``ValueError``
+    unless ``n`` is a non-negative integer; ``Infeasible`` if a run outlasts the duration
+    cap with probability above 1e-12 under either hidden label, whatever the seed.
     """
     validate_count(n, "trajectory count")
     rho = validate_state(initial)

@@ -359,8 +359,8 @@ def sample_protocol(
     """Histogram and per-leaf mean final states over ``shots`` runs.
 
     The leaf table (:func:`_leaf_table`, on Python scalars) is built once per call,
-    also at shots=0, and every shot reads it. Seeding contract: ``seed`` is a
-    non-negative integer, else ``ValueError`` at any shot count; shot i is only its
+    also at shots=0, and every shot reads it. Seeding contract: ``seed`` and
+    ``shots`` are non-negative integers, else ``ValueError`` at any shot count; shot i is only its
     draws, one uniform per step: ``Generator(PCG64([seed, i]))``, the stream of
     ``default_rng([seed, i])``, on the exact and ancilla backends, row i of
     ``default_rng(seed).random((shots, steps))`` on the continuous one. Shot i of n is

@@ -415,17 +415,11 @@ def test_batches_are_prefix_consistent():
 
 
 def test_batch_rejects_negative_count():
+    # Checked as seeds are: 1.5 and True are no counts either, and numpy would raise TypeError.
     t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
-    with pytest.raises(ValueError):
-        simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, -3)
-
-
-@pytest.mark.parametrize("n", [1.5, True, "3", None])
-def test_batch_refuses_a_count_that_is_not_a_non_negative_integer(n):
-    # Checked as seeds are: 1.5 and True are no counts, and numpy would raise TypeError.
-    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
-    with pytest.raises(ValueError, match="trajectory count must be a non-negative integer"):
-        simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, n)
+    for n in (-3, 1.5, True, "3", None):
+        with pytest.raises(ValueError, match="trajectory count must be a non-negative integer"):
+            simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, n)
 
 
 def test_batch_refuses_infinite_thresholds():

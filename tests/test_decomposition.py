@@ -492,12 +492,14 @@ def test_continuous_backend_cap_is_deterministic():
 
 @pytest.mark.parametrize("backend", ["exact", "continuous"])
 def test_sample_rejects_negative_shots(backend):
+    # Checked as seeds are: 1.5 and True are no counts either, and numpy would raise TypeError.
     proto = reduce(weak_trine_set())
     cfg = ReadoutConfig(tau_min=1.0, seed=21)
-    with pytest.raises(ValueError):
-        sample_protocol(
-            proto, np.eye(2) / 2, -3, seed=21, backend=backend, readout_config=cfg
-        )
+    for shots in (-3, 1.5, True, "3", None):
+        with pytest.raises(ValueError, match="shot count must be a non-negative integer"):
+            sample_protocol(
+                proto, np.eye(2) / 2, shots, seed=21, backend=backend, readout_config=cfg
+            )
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
@@ -513,15 +515,6 @@ def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
             execute_protocol(proto, np.eye(2) / 2, seed, backend, cfg)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         ReadoutConfig(tau_min=1.0, seed=seed)
-
-
-@pytest.mark.parametrize("shots", [1.5, True, "3", None])
-def test_sample_refuses_a_shot_count_that_is_not_a_non_negative_integer(shots):
-    # Checked as seeds are: 1.5 and True are no counts, and numpy would raise TypeError.
-    proto, cfg = reduce(weak_trine_set()), ReadoutConfig(tau_min=1.0, seed=21)
-    for backend in ("exact", "ancilla-direct", "continuous"):
-        with pytest.raises(ValueError, match="shot count must be a non-negative integer"):
-            sample_protocol(proto, np.eye(2) / 2, shots, 21, backend, cfg)
 
 
 @pytest.mark.parametrize("n", [0, -2])

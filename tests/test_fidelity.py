@@ -156,6 +156,14 @@ def test_classical_fidelity_cases():
     assert classical_fidelity(a, b, "kolmogorov") == pytest.approx(0.2)
     with pytest.raises(ValueError, match="lengths"):
         classical_fidelity([1.0], [0.5, 0.5])
+    # Inputs that are no distributions: F1 would be 1.2 for the first, the distance
+    # 2.0 for the second.
+    for x, y, variant in (([0.6, 0.6], [0.6, 0.6], "bhattacharyya"), ([2.0, -1.0], [0.0, 1.0], "kolmogorov"),
+                          ([math.nan, 1.0], [0.5, 0.5], "squared"), ([math.inf, 0.0], [1.0, 0.0], "squared"),
+                          ([], [], "bhattacharyya")):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="not a probability distribution"):
+                classical_fidelity(a, b, variant)
 
 
 def test_state_fidelity_cases():
@@ -363,31 +371,6 @@ def test_parametric_family_reductions():
         f_sq = total_fidelity(actual, ideal, "sqrt_squared")
         assert abs(total_fidelity(actual, ideal, "parametric", alpha=1.0) - f_sum) < 1e-10
         assert abs(total_fidelity(actual, ideal, "parametric", alpha=0.5) - f_sq) < 1e-10
-
-
-@pytest.mark.parametrize("a, b, variant", [
-    ([0.6, 0.6], [0.6, 0.6], "bhattacharyya"),  # sums to 1.2, as F1 would
-    ([2.0, -1.0], [0.0, 1.0], "kolmogorov"),  # a negative entry: the distance would be 2.0
-    ([math.nan, 1.0], [0.5, 0.5], "squared"),
-    ([math.inf, 0.0], [1.0, 0.0], "bhattacharyya"),
-    ([], [], "bhattacharyya"),
-])
-def test_classical_fidelity_refuses_what_is_not_a_distribution(a, b, variant):
-    for x, y in ((a, b), (b, a)):
-        with pytest.raises(ValueError, match="not a probability distribution"):
-            classical_fidelity(x, y, variant)
-
-
-def test_parametric_total_fidelity_needs_a_finite_alpha():
-    # At alpha = inf the family's exponent 1/alpha is 0, which scores every measurement 1.
-    s = random_kraus_set(3, np.random.default_rng(74))
-    ideal = process_set_from_kraus(s.ops, s.labels)
-    actual = ProcessSet(outcomes=tuple(
-        (lab, noisy_branch(m, NoiseSpec("depolarizing", 0.8))) for lab, m in zip(s.labels, s.ops)))
-    assert total_fidelity(actual, ideal, "sum") < 0.9
-    for alpha in (math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            total_fidelity(actual, ideal, "parametric", alpha=alpha)
 
 
 def test_total_fidelity_label_mismatch():
@@ -633,8 +616,10 @@ def test_mixed_measurement_scores_one_against_itself():
         assert report[key] == pytest.approx(1.0, abs=1e-12), key
     for alpha in (0.2, 0.5, 1.0):
         assert total_fidelity(ps, ps, "parametric", alpha=alpha) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        total_fidelity(ps, ps, "parametric", alpha=0.0)
+    # At alpha = inf the family's exponent 1/alpha is 0, which would score any measurement 1.
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            total_fidelity(ps, ps, "parametric", alpha=alpha)
 
 
 def test_state_fidelity_accepts_what_validation_accepts():
