@@ -426,7 +426,7 @@ def _final_batch(
     """Runs from ``rho`` ending on side ``outcome`` after ``steps`` steps of dt.
 
     The two final states, ``update`` of M_R = diag(w, 1/w) (:func:`_back_action`) for R = R0
-    and R1 (weight at least e^{-|R|} / 2, above its floor), are built once and gathered by
+    and R1 (weight at least e^{-|R|}, above its floor), are built once and gathered by
     outcome, with their purities d_b + c_b, d_b = r00^2 + r11^2 and c_b = 2 |r01|^2. At
     eta < 1 a run's off-diagonals are scaled in place by f = z^J (:func:`_log_dephasing`),
     J its step count, one exp over the steps, and its purity is d_b + c_b f^2.

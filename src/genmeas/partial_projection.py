@@ -138,7 +138,7 @@ def update(k, r, kappa: float = 1.0):
 
 def apply_outcome(params: PartialProjParams, outcome: int, rho: np.ndarray) -> np.ndarray:
     """Post-measurement state rho' = D_k rho D_k^dag / Tr(D_k rho D_k^dag), by :func:`update`:
-    ``ValueError`` unless ``outcome`` is 0 or 1, ``Infeasible`` if Tr is below its floor."""
+    ``ValueError`` unless ``outcome`` is 0 or 1, ``Infeasible`` if Tr < ``ZERO_BRANCH_TOL``."""
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     g0, g1 = dop_diagonals(params)[outcome]
