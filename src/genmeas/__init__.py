@@ -22,9 +22,9 @@ _EXPORTS = {
     ),
     "channels": ("NoiseSpec", "noise_kraus", "noisy_branch"),
     "continuous_readout": (
-        "ReadoutConfig", "Thresholds", "TrajectoryBatch", "TrajectoryRecord",
-        "measurement_operator", "normalization_constants", "pq_from_thresholds",
-        "simulate_batch", "thresholds_from_pq",
+        "ReadoutConfig", "Thresholds", "TrajectoryBatch", "measurement_operator",
+        "normalization_constants", "pq_from_thresholds", "simulate_batch",
+        "thresholds_from_pq",
     ),
     "decomposition": (
         "KrausSet", "MeasurementProtocol", "TwoOutcomeStep", "compose_branch",

@@ -93,13 +93,7 @@ def _noise_stack(spec: NoiseSpec) -> np.ndarray:
     return ops
 
 
-def noisy_branch(
-    ideal_kraus: np.ndarray, spec: NoiseSpec, noise_first: bool = False
-) -> ProcessMatrix:
-    """Process matrix of noise composed with one ideal branch operator.
-
-    Default order is noise AFTER the branch (models readout-adjacent
-    decoherence); set ``noise_first`` to compose the other way.
-    """
-    noise = _noise_stack(spec)
-    return chi_from_kraus(ideal_kraus @ noise if noise_first else noise @ ideal_kraus)
+def noisy_branch(ideal_kraus: np.ndarray, spec: NoiseSpec) -> ProcessMatrix:
+    """Process matrix of one ideal branch operator followed by noise (readout-adjacent
+    decoherence)."""
+    return chi_from_kraus(_noise_stack(spec) @ ideal_kraus)

@@ -10,7 +10,8 @@ fidelity    score an actual measurement against an ideal one
 
 Exit codes: 0 ok; 2 invalid input (``ValueError``, including out-of-range
 parameters, a readout flag on a ``simulate`` backend that does not read it,
-a wrong-schema JSON document and a missing or unreadable file);
+a wrong-schema JSON document and a missing or unreadable file), also a
+shot or trajectory count whose arrays cannot be allocated (``MemoryError``);
 3 a reduced protocol with a leaf that composes its Kraus operator only to a
 deviation above ``BRANCH_TOL`` (1e-9);
 4 a backend that cannot realize a step; 5 measurements that cannot be
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GenmeasError, ValueError, OSError) as e:
+    except (GenmeasError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", EXIT_VALIDATION)
 

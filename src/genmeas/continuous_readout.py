@@ -34,7 +34,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,25 +126,15 @@ class Thresholds:
         return math.isfinite(self.R0) and math.isfinite(self.R1)
 
 
-@dataclass
-class TrajectoryRecord:
-    """One stochastic readout run terminated at a threshold."""
-
-    outcome: int
-    duration: float
-    final_R: float
-    final_state: np.ndarray
-    purity: float
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
     """Struct-of-arrays result of ``n`` readout runs.
 
     ``outcome``, ``duration``, ``final_R`` and ``purity`` have shape (n,),
-    ``final_state`` has shape (n, 2, 2). The batch has a length; an integer
-    index gives a :class:`TrajectoryRecord`, a slice or index array gives a
-    sub-batch, and iteration yields records.
+    ``final_state`` has shape (n, 2, 2). An index applies to every field, as
+    in numpy: a slice, index array or mask gives a sub-batch, and an integer
+    gives one run's fields as numpy scalars and a 2 x 2 view of its state.
+    Iteration goes through the integers until numpy raises ``IndexError``.
     """
 
     outcome: np.ndarray
@@ -157,21 +147,10 @@ class TrajectoryBatch:
         return len(self.outcome)
 
     def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return TrajectoryRecord(
-                outcome=int(self.outcome[i]),
-                duration=float(self.duration[i]),
-                final_R=float(self.final_R[i]),
-                final_state=self.final_state[i].copy(),
-                purity=float(self.purity[i]),
-            )
         return TrajectoryBatch(
             self.outcome[i], self.duration[i], self.final_R[i],
             self.final_state[i], self.purity[i],
         )
-
-    def __iter__(self) -> Iterator[TrajectoryRecord]:
-        return (self[i] for i in range(len(self)))
 
 
 def thresholds_from_pq(params: PartialProjParams) -> Thresholds:
@@ -241,16 +220,21 @@ def measurement_operator(R: float, alpha: float = 0.0) -> np.ndarray:
     """Back-action operator for an integrated readout R at quadrature angle alpha.
 
     Unnormalized: the constant proportionality factor cancels on state
-    renormalization. ``Infeasible`` for an infinite R (a projective threshold, as
-    :func:`_realizable` reports it), ``ValueError`` for NaN.
+    renormalization. ``Infeasible`` for an R whose diagonal is not finite and nonzero
+    in double precision (|R| above about 1419.5 at alpha = 0), as for an infinite R (a
+    projective threshold, as :func:`_realizable` reports it); ``ValueError`` for NaN.
     """
     if not abs(alpha) < math.pi / 2:
         raise ValueError("|alpha| must be strictly below pi/2")
     if math.isnan(R):
         raise ValueError("R is NaN")
-    if math.isinf(R):
-        raise Infeasible(f"R = {R} is the projective limit: no finite back-action")
-    return np.diag(_back_action(R, alpha))
+    try:
+        diag = _back_action(R, alpha)
+    except (OverflowError, ZeroDivisionError):  # e^{R/2} overflows, or underflows to 0
+        diag = (0.0,)
+    if not (all(diag) and all(map(cmath.isfinite, diag))):
+        raise Infeasible(f"R = {R} is projective in double precision: no finite back-action")
+    return np.diag(diag)
 
 
 def normalization_constants(params: PartialProjParams) -> tuple[float, float]:

@@ -103,18 +103,8 @@ def test_noisy_branch_full_dephasing_identity():
 def test_noisy_branch_set_stays_trace_preserving():
     d0, d1 = dops(PartialProjParams(0.8, 0.6))
     spec = NoiseSpec("amplitude_damping", 0.25)
-    total = sum(
-        _povms(noisy_branch(m, spec, noise_first=True).chi) for m in (d0, d1)
-    )
+    total = sum(_povms(noisy_branch(m, spec).chi) for m in (d0, d1))
     assert np.linalg.norm(total - np.eye(2)) < 1e-9
-
-
-def test_noise_order_flag_matters():
-    d0, _ = dops(PartialProjParams(0.9, 0.7))
-    spec = NoiseSpec("amplitude_damping", 0.4)
-    after = noisy_branch(d0, spec)
-    before = noisy_branch(d0, spec, noise_first=True)
-    assert np.linalg.norm(after.chi - before.chi) > 1e-3
 
 
 def test_noise_stack_is_shared_read_only():

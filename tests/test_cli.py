@@ -447,6 +447,17 @@ def test_trajectory_missing_state_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "trajectory"])
+def test_count_too_large_to_allocate_exits_2(command, trine_protocol, capsys):
+    # 10**12 runs need arrays of about 15 TiB, which the allocator refuses at
+    # once: one error line naming the allocation, not a MemoryError traceback.
+    args = {"simulate": ["simulate", trine_protocol],
+            "trajectory": ["trajectory", "--p", "0.8", "--q", "0.6"]}[command]
+    assert main([*args, "--shots", str(10**12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+
+
 def test_fidelity_missing_input_exits_2(tmp_path, capsys):
     ps = tmp_path / "ps.json"
     ps.write_text(process_set_to_json(process_set_from_kraus(trine_ops(), ("a", "b", "c"))))

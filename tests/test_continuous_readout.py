@@ -11,7 +11,6 @@ from genmeas.continuous_readout import (
     ReadoutConfig,
     Thresholds,
     TrajectoryBatch,
-    TrajectoryRecord,
     measurement_operator,
     normalization_constants,
     pq_from_thresholds,
@@ -188,6 +187,30 @@ def test_measurement_operator_refuses_a_non_finite_r(alpha):
         measurement_operator(math.nan, alpha)
 
 
+def test_measurement_operator_refuses_an_r_past_double_range():
+    # e^{|R|/2} leaves double range past |R| = 1419.56...: there the formula overflows
+    # (R = 1419.57), gives an inf entry (R = -1419.57, -1450) or divides by an
+    # underflowed zero (R = -1500).
+    for r in (1419.56, -1419.56):
+        assert np.all(np.isfinite(measurement_operator(r)))
+    for r in (1419.57, -1419.57, -1450.0, 1500.0, -1500.0):
+        with pytest.raises(Infeasible, match="projective"):
+            measurement_operator(r)
+    # Off alpha = 0 the bounds move by a few hundredths: near them, every matrix
+    # returned has a finite, nonzero diagonal, and every other R is refused.
+    for alpha in (0.5, 1.2):
+        for r in np.linspace(1419.0, 1420.5, 151):
+            for sign in (1.0, -1.0):
+                try:
+                    d = measurement_operator(sign * r, alpha).diagonal()
+                except Infeasible:
+                    continue
+                assert np.all(np.isfinite(d) & (d != 0))
+        for r in (1500.0, -1500.0):
+            with pytest.raises(Infeasible, match="projective"):
+                measurement_operator(r, alpha)
+
+
 def test_normalization_constants():
     assert normalization_constants(PartialProjParams(1.0, 1.0)) == (0.0, 0.0)
     c0, c1 = normalization_constants(PartialProjParams(0.8, 0.6))
@@ -353,7 +376,7 @@ def test_jsonl_formats_repeated_rows_that_are_not_adjacent():
     )
     expect = "".join(
         json.dumps({
-            "outcome": r.outcome, "duration": r.duration, "final_R": r.final_R,
+            "outcome": int(r.outcome), "duration": r.duration, "final_R": r.final_R,
             "final_state": np.stack([r.final_state.real, r.final_state.imag], axis=-1).tolist(),
             "purity": r.purity,
         }) + "\n"
@@ -372,10 +395,12 @@ def test_batch_is_struct_of_arrays():
     assert batch.outcome.shape == batch.duration.shape == (50,)
     assert batch.final_R.shape == batch.purity.shape == (50,)
     assert batch.final_state.shape == (50, 2, 2)
-    rec = batch[-1]
-    assert isinstance(rec, TrajectoryRecord)
-    assert rec.outcome == batch.outcome[49] and rec.duration == batch.duration[49]
-    assert np.array_equal(rec.final_state, batch.final_state[49])
+    # An integer index applies to every field, as a slice does: run 49's fields.
+    row = batch[49]
+    assert isinstance(row, TrajectoryBatch)
+    for name in ("outcome", "duration", "final_R", "final_state", "purity"):
+        assert np.array_equal(getattr(row, name), getattr(batch, name)[49])
+    assert np.shares_memory(batch[-1].final_state, batch.final_state)
     part = batch[10:20]
     assert isinstance(part, TrajectoryBatch) and len(part) == 10
     assert np.array_equal(part.final_R, batch.final_R[10:20])

@@ -518,7 +518,8 @@ def test_apply_outcome_keeps_trace_and_purity(p, q, outcome, rho):
 @given(st.one_of(st.floats(0.0, 1.0), near_edges), st.one_of(st.floats(0.0, 1.0), near_edges),
        st.integers(0, 1), density_matrices())
 def test_apply_outcome_matches_the_matmul_reference(p, q, outcome, rho):
-    # D_k rho D_k^dag / Tr by two matrix products, against the entrywise scaling.
+    # D_k rho D_k^dag / Tr by two numpy matrix products, against apply_outcome, which
+    # computes it on Python scalars with partial_projection.update.
     params = PartialProjParams(p, q)
     dk = dops(params)[outcome]
     ref = dk @ rho @ adjoint(dk)
