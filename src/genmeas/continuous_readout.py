@@ -21,11 +21,15 @@ have a closed-form law, the eigenfunction series of Brownian motion with
 drift leaving an interval (Cox & Miller 1965; Borodin & Salminen 2002).
 Given its side, a run's exit time has the same law under both labels, so
 ``simulate_batch`` draws each run's side by the Born rule and its step
-count from that series, with no walk, and the ``continuous`` backend
-averages over it in closed form. Because increments compose exactly
+count from that series, with no walk. Because increments compose exactly
 through the diagonal exponentials, the final state follows in closed form
 from (final_R, duration): a batch from one state has one final state per
 threshold, whose coherence each run scales by its duration at eta < 1.
+
+A run stopping on R_b applies D_b times the Z rotation e^{-i R_b tan(alpha) sigma_z / 2}
+that its outcome fixes (Korotkov, arXiv:1111.4016). The ``continuous`` backend undoes
+it: its step is D_b, outcome b's coherence scaled by the run average kappa_b of the
+dephasing (:func:`_readout_coherence`). ``simulate_batch`` keeps the raw phase.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ class ReadoutConfig:
     ``tau_min`` is the measurement time at quadrature angle alpha = 0; the
     effective timescale is tau_min / cos^2(alpha). ``dt`` defaults to
     tau_min / 100. ``efficiency`` is the quantum efficiency eta in (0, 1];
-    eta < 1 adds dephasing. ``max_duration`` defaults to 1e6 * dt. ``seed`` must
-    be a non-negative integer.
+    eta < 1 adds dephasing. ``max_duration`` must be positive and defaults to 1e6 * dt.
+    ``seed`` must be a non-negative integer.
     """
 
     tau_min: float
@@ -85,6 +89,8 @@ class ReadoutConfig:
             object.__setattr__(self, "dt", self.tau_min / 100.0)
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.max_duration is not None and not self.max_duration > 0.0:
+            raise ValueError(f"max_duration must be positive, got {self.max_duration}")
         if not (math.isfinite(self.duration_cap / self.dt) and self.dt / self.tau > 0.0):
             raise ValueError(f"dt = {self.dt:g} must be a finite fraction of the duration cap "
                              f"{self.duration_cap:g} and a nonzero one of tau = {self.tau:g}")
@@ -98,10 +104,10 @@ class ReadoutConfig:
     def duration_cap(self) -> float:
         return self.max_duration if self.max_duration is not None else 1e6 * self.dt
 
-    def instrument(self, params: PartialProjParams):
-        """Run-averaged Kraus pair and coherence factors of a (p, q) step read out
-        with this configuration; see :func:`_readout_instrument`."""
-        return _readout_instrument(params, self.alpha, self.efficiency, *_grid(self))
+    def coherence(self, params: PartialProjParams) -> tuple[float, float]:
+        """Coherence factors (kappa_0, kappa_1) of a (p, q) step read out with this
+        configuration; see :func:`_readout_coherence`."""
+        return _readout_coherence(params, self.efficiency, *_grid(self))
 
 
 @dataclass(frozen=True)
@@ -237,12 +243,6 @@ def measurement_operator(R: float, alpha: float = 0.0) -> np.ndarray:
     return np.diag(diag)
 
 
-def normalization_constants(params: PartialProjParams) -> tuple[float, float]:
-    """Constants (C0, C1) with sqrt(C_k) e^{+-R_k/2} matching the D_k diagonals."""
-    p, q = params.p, params.q
-    return math.sqrt(p * (1.0 - q)), math.sqrt(q * (1.0 - p))
-
-
 def _grid(config: ReadoutConfig) -> tuple[float, int]:
     """(m, j_cap): the grid step m = dt / tau and the first step after which a run
     still active exceeds the duration cap. With the thresholds they fix the exit law."""
@@ -288,32 +288,25 @@ def _log_dephasing(eta: float, m: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _readout_instrument(params: PartialProjParams, alpha: float, eta: float, m: float, j_cap: int):
-    """Run-averaged thresholded readout: Kraus pair and coherence factors, read-only.
-
-    Outcome b gives K_b rho K_b^dag, K_b = sqrt(C_b) M_{R_b}(alpha) = D_b with the
-    alpha phase, its off-diagonal scaled by kappa_b = E[z^J | side b]: z the per-step
-    dephasing (:func:`_log_dephasing`), J the run's step count, whose law given the side is one
-    under both hidden labels, so the averaged map is linear (:func:`_exit_series`).
-    Cached on what it reads, (p, q), alpha, eta and the grid (:func:`_grid`), never
-    on the seed, so calls that share a readout share one build.
+def _readout_coherence(params: PartialProjParams, eta: float, m: float, j_cap: int):
+    """Coherence factors (kappa_0, kappa_1) of the thresholded readout, run-averaged:
+    outcome b scales D_b rho D_b^dag's off-diagonal by kappa_b = E[z^J | side b], z the
+    per-step dephasing (:func:`_log_dephasing`), J the run's step count, whose law given
+    the side is one under both hidden labels, so the averaged map is linear
+    (:func:`_exit_series`). Cached on what it reads, (p, q), eta and the grid (:func:`_grid`;
+    alpha enters through tau in m = dt / tau), never on the seed, so calls that share a
+    readout share one build.
     """
     t = thresholds_from_pq(params)
     _realizable(t)
-    c0, c1 = normalization_constants(params)
-    pair = tuple(math.sqrt(c) * np.diag(_back_action(r, alpha)) for c, r in ((c0, t.R0), (c1, t.R1)))
     if t.R0 == 0.0 or t.R1 == 0.0:
-        kappa = np.ones(2)  # the readout stops before its first step
-    else:
-        lm, c = _exit_series(t, m, j_cap)
-        # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j), h_b = P(side b) at drift +1.
-        log_z = _log_dephasing(eta, m)
-        h, w = np.array([params.p, 1.0 - params.p]), log_z - lm
-        kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
-        kappa = np.divide(kappa, h, out=np.ones(2), where=h > 0)
-    for a in (*pair, kappa):
-        a.flags.writeable = False
-    return pair, kappa
+        return 1.0, 1.0  # the readout stops before its first step
+    lm, c = _exit_series(t, m, j_cap)
+    # kappa_b h_b = z h_b - (1 - z) sum_{j >= 1} z^j S_b(j), h_b = P(side b) at drift +1.
+    log_z = _log_dephasing(eta, m)
+    h, w = np.array([params.p, 1.0 - params.p]), log_z - lm
+    kappa = math.exp(log_z) * h + math.expm1(log_z) * (c @ (np.exp(w) / -np.expm1(w)))
+    return tuple(np.divide(kappa, h, out=np.ones(2), where=h > 0).tolist())
 
 
 def _exit_table(t: Thresholds, m: float, j_cap: int) -> np.ndarray:

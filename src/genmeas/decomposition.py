@@ -272,8 +272,9 @@ def _leaf_table(
 ) -> tuple[list[float], list[np.ndarray | None]]:
     """Halting probability of each step on the surviving branch, and the leaf states.
 
-    A step is its backend's Kraus pair K_b, outcome b's coherence scaled by kappa_b
-    (below 1 only on the continuous backend at efficiency < 1): sigma = V^dag rho V,
+    A step is its backend's Kraus pair K_b, outcome b's coherence scaled by kappa_b: the
+    ``ancilla-*`` circuit's pair, or D_b on ``exact`` and ``continuous`` (the readout's known
+    alpha phase undone; kappa_b from :meth:`ReadoutConfig.coherence`): sigma = V^dag rho V,
     (h_b, state_b) = ``update(K_b, sigma, kappa_b)``, then U_b state_b U_b^dag, all by
     :mod:`~genmeas.partial_projection`'s two scalar rules on Python complex numbers (``tolist``
     of the cached matrices); a leaf state becomes a complex128 array only when returned.
@@ -294,12 +295,11 @@ def _leaf_table(
     halt, states = [], []
     for step in p.steps:
         pq = step.params
-        if backend == "exact":
+        if backend == "continuous":
+            kappa = readout_config.coherence(pq)
+        if backend in ("exact", "continuous"):
             (a, b), (c, d) = dop_diagonals(pq)
             kraus = ((a, 0.0), (0.0, b)), ((c, 0.0), (0.0, d))
-        elif backend == "continuous":
-            pair, kappa = readout_config.instrument(pq)
-            kraus, kappa = [k.tolist() for k in pair], kappa.tolist()
         else:
             kraus = _ancilla_kraus(variant, pq.p, pq.q).tolist()
         sigma = sandwich(adjoint(step.pre_unitary).tolist(), rho)

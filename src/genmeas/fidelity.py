@@ -51,13 +51,15 @@ PROB_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """4 x 4 process matrix of a qubit operation in the Pauli basis."""
+    """4 x 4 process matrix of a qubit operation in the Pauli basis, finite."""
 
     chi: np.ndarray
 
     def __post_init__(self):
         if self.chi.shape != (4, 4):
             raise ValueError(f"chi shape {self.chi.shape} is not (4, 4)")
+        if not np.isfinite(self.chi).all():
+            raise ValueError("chi entries must be finite")
 
     @functools.cached_property
     def trace(self) -> float:

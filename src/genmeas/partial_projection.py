@@ -68,14 +68,18 @@ def validate_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     return rho
 
 
+def _integer(value) -> int | None:
+    """``operator.index(value)``, or None for a boolean or a value that is no integer."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def validate_count(value, name: str) -> None:
     """``ValueError``, naming ``name``, unless ``value`` is a non-negative integer
     (``operator.index``; a boolean is not one): every seed, shot and trajectory count."""
-    try:
-        ok = not isinstance(value, bool) and operator.index(value) >= 0
-    except TypeError:
-        ok = False
-    if not ok:
+    if (n := _integer(value)) is None or n < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
@@ -138,8 +142,9 @@ def update(k, r, kappa: float = 1.0):
 
 def apply_outcome(params: PartialProjParams, outcome: int, rho: np.ndarray) -> np.ndarray:
     """Post-measurement state rho' = D_k rho D_k^dag / Tr(D_k rho D_k^dag), by :func:`update`:
-    ``ValueError`` unless ``outcome`` is 0 or 1, ``Infeasible`` if Tr < ``ZERO_BRANCH_TOL``."""
-    if outcome not in (0, 1):
+    ``ValueError`` unless ``outcome`` is the integer 0 or 1 (numpy's too, not a float or
+    a boolean, as in :func:`validate_count`), ``Infeasible`` if Tr < ``ZERO_BRANCH_TOL``."""
+    if _integer(outcome) not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     g0, g1 = dop_diagonals(params)[outcome]
     h, state = update(((g0, 0.0), (0.0, g1)), validate_state(rho).tolist())

@@ -7,6 +7,7 @@ from genmeas.ancilla_circuit import (
     MAIN,
     VARIANTS,
     Gate,
+    TwoQubitCircuit,
     angles_from_pq,
     build_circuit,
     circuit_from_pq,
@@ -107,6 +108,13 @@ def test_gate_constraints():
         Gate("Rx", 1.0, "both")
     with pytest.raises(ValueError):
         Gate("MeasureAncillaZ", 0.5, "ancilla")
+    measure = Gate("MeasureAncillaZ")
+    with pytest.raises(ValueError, match="has no matrix"):
+        gate_matrix(measure)
+    rotate = Gate("RyGivenZ", 0.5, "both")
+    for gates in ((rotate,), (measure, rotate), (rotate, measure, measure)):
+        with pytest.raises(ValueError, match="end in exactly one ancilla measurement"):
+            TwoQubitCircuit("direct", gates, 0.5, 0.0)
 
 
 def test_build_circuit_shapes():

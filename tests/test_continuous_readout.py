@@ -12,7 +12,6 @@ from genmeas.continuous_readout import (
     Thresholds,
     TrajectoryBatch,
     measurement_operator,
-    normalization_constants,
     pq_from_thresholds,
     simulate_batch,
     thresholds_from_pq,
@@ -48,6 +47,8 @@ def test_thresholds_projective_flagged():
     t = thresholds_from_pq(PartialProjParams(1.0, 1.0))
     assert t.R0 == math.inf and t.R1 == -math.inf
     assert not t.finite
+    with pytest.raises(Infeasible, match="cannot invert infinite thresholds"):
+        pq_from_thresholds(t)
 
 
 def test_thresholds_reject_swapped_roles():
@@ -164,6 +165,9 @@ def test_measurement_operator_quadrature_phase():
         [math.e**0.5 * np.exp(-0.5j), math.e**-0.5 * np.exp(0.5j)]
     )
     assert np.allclose(m, expect, atol=1e-12)
+    for alpha in (math.pi / 2, -math.pi / 2, 2.0, math.nan):
+        with pytest.raises(ValueError, match="strictly below pi/2"):
+            measurement_operator(1.0, alpha)
 
 
 def test_measurement_operator_composes():
@@ -211,27 +215,23 @@ def test_measurement_operator_refuses_an_r_past_double_range():
                 measurement_operator(r, alpha)
 
 
-def test_normalization_constants():
-    assert normalization_constants(PartialProjParams(1.0, 1.0)) == (0.0, 0.0)
-    c0, c1 = normalization_constants(PartialProjParams(0.8, 0.6))
-    assert abs(c0 - math.sqrt(0.32)) < 1e-12
-    assert abs(c1 - math.sqrt(0.12)) < 1e-12
-    assert normalization_constants(PartialProjParams(0.5, 0.5)) == (0.5, 0.5)
-
-
 def test_normalization_reproduces_dops():
+    # sqrt(C_b) M_{R_b}(alpha) e^{+i R_b tan(alpha) sigma_z / 2} = D_b, with
+    # C_0 = sqrt(p (1 - q)) and C_1 = sqrt(q (1 - p)): a run that stops on R_b
+    # applies D_b up to the Z rotation its outcome fixes, which the continuous
+    # backend undoes.
     rng = np.random.default_rng(23)
-    for _ in range(500):
-        p = rng.uniform(0.05, 0.999)
-        q = rng.uniform(max(0.05, 1.0 - p + 1e-3), 0.999)
-        params = PartialProjParams(p, q)
-        t = thresholds_from_pq(params)
-        c0, c1 = normalization_constants(params)
-        d0, d1 = dops(params)
-        m0 = math.sqrt(c0) * measurement_operator(t.R0, 0.0)
-        m1 = math.sqrt(c1) * measurement_operator(t.R1, 0.0)
-        assert np.linalg.norm(m0 - d0) < 1e-12
-        assert np.linalg.norm(m1 - d1) < 1e-12
+    for alpha in (0.0, 0.3, -1.2):
+        for _ in range(200):
+            p = rng.uniform(0.05, 0.999)
+            q = rng.uniform(max(0.05, 1.0 - p + 1e-3), 0.999)
+            params = PartialProjParams(p, q)
+            t = thresholds_from_pq(params)
+            consts = math.sqrt(p * (1.0 - q)), math.sqrt(q * (1.0 - p))
+            for r, c, d in zip((t.R0, t.R1), consts, dops(params)):
+                undo = np.diag(np.exp(0.5j * r * math.tan(alpha) * np.array([1.0, -1.0])))
+                m = math.sqrt(c) * measurement_operator(r, alpha) @ undo
+                assert np.linalg.norm(m - d) < 1e-12
 
 
 def test_simulate_immediate_termination():
@@ -458,6 +458,11 @@ def test_batch_duration_cap():
     cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=1e-6)
     with pytest.raises(Infeasible, match="duration cap"):
         simulate_batch(cfg, t, PLUS, 100)
+    # A cap that is not positive is refused as tau_min and dt are: -1 used to give
+    # j_cap = -98 and an IndexError from simulate_batch.
+    for cap in (-1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_duration must be positive"):
+            ReadoutConfig(tau_min=1.0, seed=1, max_duration=cap)
 
 
 def test_walk_law_closed_forms():
@@ -746,7 +751,7 @@ def test_walk_final_states_match_the_per_run_reference(alpha, eta):
 @pytest.mark.parametrize("pq", [(0.8, 0.6), (0.99, 0.98)])
 @pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7)])
 def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
-    # A cold call builds the readout's sampling plan and instrument, a warm one
+    # A cold call builds the readout's sampling plan and coherence factors, a warm one
     # reads them: the same batch and samples bit for bit, and cached entries equal
     # to fresh builds, the plan's tables from _exit_table's survival table.
     params = PartialProjParams(*pq)
@@ -758,7 +763,7 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
              lambda: sample_protocol(proto, PLUS, 200, 9, "continuous", cfg))
     for call in calls:
         continuous_readout._search_table.cache_clear()
-        continuous_readout._readout_instrument.cache_clear()
+        continuous_readout._readout_coherence.cache_clear()
         cold, warm = call(), call()
         assert pickle.dumps(cold) == pickle.dumps(warm)
     surv = continuous_readout._exit_table(t, *grid)
@@ -782,8 +787,8 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
     assert wide.dtype == np.int8
     assert np.array_equal(wide, (np.diff(fresh_guide, axis=1) != 0) * np.array([[-1], [1]]))
     assert plan.born == (pq_from_thresholds(t).p, math.exp(-2.0 * t.R0))
-    cached = continuous_readout._readout_instrument(params, alpha, eta, *grid)
-    rebuilt = continuous_readout._readout_instrument.__wrapped__(params, alpha, eta, *grid)
+    cached = continuous_readout._readout_coherence(params, eta, *grid)
+    rebuilt = continuous_readout._readout_coherence.__wrapped__(params, eta, *grid)
     assert pickle.dumps(cached) == pickle.dumps(rebuilt)
 
 
@@ -797,18 +802,20 @@ def test_exit_law_cache_ignores_seed_state_and_efficiency():
         simulate_batch(ReadoutConfig(tau_min=1.0, seed=seed, efficiency=eta), t, rho, 100)
     info = cache.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 7, 8)
-    assert continuous_readout._readout_instrument.cache_info().maxsize == 64
+    assert continuous_readout._readout_coherence.cache_info().maxsize == 64
 
 
 def test_cached_exit_law_is_read_only():
+    # The plan's arrays are read-only; the cached coherence factors are a tuple of floats.
     cfg = ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7)
     grid = continuous_readout._grid(cfg)
     arrays = []
     for pq in ((0.8, 0.6), (0.7, 0.3)):  # the second stops before its first step
         params = PartialProjParams(*pq)
         plan = continuous_readout._search_table(thresholds_from_pq(params), *grid)
-        pair, kappa = continuous_readout._readout_instrument(params, 0.0, 0.7, *grid)
-        arrays += [plan.steps, plan.wide, plan.tail, *pair, kappa]
+        kappa = cfg.coherence(params)
+        assert type(kappa) is tuple and all(type(k) is float for k in kappa)
+        arrays += [plan.steps, plan.wide, plan.tail]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -892,4 +899,4 @@ def test_duration_cap_raises_on_every_call():
         with pytest.raises(Infeasible, match="duration cap of 6 steps"):
             simulate_batch(cfg, t, PLUS, 10)
         with pytest.raises(Infeasible, match="duration cap of 6 steps"):
-            continuous_readout._readout_instrument(params, 0.0, 1.0, *grid)
+            continuous_readout._readout_coherence(params, 1.0, *grid)

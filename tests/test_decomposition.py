@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genmeas import continuous_readout, decomposition, partial_projection
+from genmeas import decomposition, partial_projection
 from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq
 from genmeas.decomposition import (
     MeasurementProtocol,
@@ -185,11 +185,16 @@ def test_permutation_sensitivity():
 
 def test_reduce_unitaries_at_rank_deficient_outcomes():
     # Rank-1 outcomes leave remainders that are singular up to round-off;
-    # every protocol matrix must still be unitary, and every branch exact.
+    # every protocol matrix must still be unitary, and every branch exact. Zero
+    # outcomes leave a step with no singular value, whose unitary is completed.
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    cases = [(trine_set(), list(itertools.permutations(range(3)))),
-             (kraus_set([np.outer(plus, plus), np.outer(minus, minus)]), [(0, 1), (1, 0)])]
+    zero = np.zeros((2, 2))
+    every3 = list(itertools.permutations(range(3)))
+    cases = [(trine_set(), every3),
+             (kraus_set([np.outer(plus, plus), np.outer(minus, minus)]), [(0, 1), (1, 0)]),
+             (kraus_set([HADAMARD, zero, zero]), every3),
+             (kraus_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), zero]), every3)]
     for s, orders in cases:
         for order in orders:
             for cancel_u1 in (False, True):
@@ -211,6 +216,9 @@ def test_kraus_set_rejects_operators_that_are_not_2x2():
     for ops in ([np.eye(3)], [np.eye(2), np.zeros((2, 3))], [np.ones(2)]):
         with pytest.raises(ValueError, match="2x2"):
             kraus_set(ops)
+    for labels in (("a", "b"), ()):
+        with pytest.raises(ValueError, match="one label per operator"):
+            kraus_set([np.eye(2)], labels)
 
 
 def test_kraus_set_rejects_repeated_labels():
@@ -337,6 +345,8 @@ def test_continuous_backend_rejects_projective_step():
         sample_protocol(
             proto, mixed, 10, seed=18, backend="continuous", readout_config=cfg
         )
+    with pytest.raises(ValueError, match="continuous backend requires a ReadoutConfig"):
+        sample_protocol(proto, mixed, 10, seed=18, backend="continuous")
 
 
 def weak_trine_set():
@@ -435,7 +445,8 @@ def test_continuous_backend_zero_strength_step():
 
 def test_continuous_backend_averages_the_walk_below_unit_efficiency():
     # At eta < 1 the leaf states are the run averages of the readout walk,
-    # with each side's coherence scaled by kappa_b = E[z^J | side b].
+    # with each side's coherence scaled by kappa_b = E[z^J | side b], once the
+    # Z rotation e^{-i R_b tan(alpha) sigma_z / 2} that side b's runs carry is undone.
     d0, d1 = dops(PartialProjParams(0.8, 0.6))
     proto = reduce(kraus_set([HADAMARD @ d0, HADAMARD @ d1]))
     (step,) = proto.steps
@@ -447,7 +458,9 @@ def test_continuous_backend_averages_the_walk_below_unit_efficiency():
     batch = simulate_batch(cfg, t, adjoint(step.pre_unitary) @ rho @ step.pre_unitary, n)
     rotate = (step.post_unitary_0, proto.final_unitary @ step.post_unitary_1)
     for b, label in enumerate(proto.leaf_labels):
-        side = batch.final_state[batch.outcome == b]
+        r = (t.R0, t.R1)[b]
+        undo = np.diag(np.exp(0.5j * r * math.tan(cfg.alpha) * np.array([1.0, -1.0])))
+        side = undo @ batch.final_state[batch.outcome == b] @ adjoint(undo)
         mean = adjoint(rotate[b]) @ means[label] @ rotate[b]
         for part in (np.real, np.imag):
             # Diagonals are fixed by the side, so their spread is zero.
@@ -459,8 +472,7 @@ def test_continuous_backend_averages_the_walk_below_unit_efficiency():
         assert abs(len(side) / n - expect) < 4 * math.sqrt(expect * (1 - expect) / n)
     # The coherence factors do not depend on the hidden label: walks from
     # |0> and from |1> estimate the same kappa_b.
-    grid = continuous_readout._grid(cfg)
-    _, kappa = continuous_readout._readout_instrument(step.params, cfg.alpha, cfg.efficiency, *grid)
+    kappa = cfg.coherence(step.params)
     z = math.exp(-(1 - cfg.efficiency) * cfg.dt / (2 * cfg.efficiency * cfg.tau))
     for ket in ([1, 0], [0, 1]):
         batch = simulate_batch(cfg, t, pure_state(np.array(ket)), n)
@@ -469,6 +481,25 @@ def test_continuous_backend_averages_the_walk_below_unit_efficiency():
             v = zj[batch.outcome == b]
             assert abs(v.mean() - kappa[b]) < 4 * v.std() / math.sqrt(len(v))
     assert kappa[0] < 1 and kappa[1] < 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.2])
+def test_continuous_backend_is_exact_at_unit_efficiency(alpha):
+    # At eta = 1 every kappa_b is 1 and the readout's known alpha phase is undone,
+    # so the continuous leaf table is the exact one bit for bit, halting
+    # probabilities and leaf states, on random sets from rotated diag(0.9, 0.1).
+    rng = np.random.default_rng(71)
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha)
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            proto = reduce(random_kraus_set(n, rng))
+            u = random_unitary(rng)
+            rho = u @ np.diag([0.9, 0.1]).astype(complex) @ adjoint(u)
+            halt, states = decomposition._leaf_table(proto, rho, "exact")
+            got_halt, got_states = decomposition._leaf_table(proto, rho, "continuous", cfg)
+            assert got_halt == halt and len(got_states) == len(states)
+            for got, ref in zip(got_states, states):
+                assert (got is None and ref is None) or np.array_equal(got, ref)
 
 
 def test_continuous_backend_cap_is_deterministic():
@@ -565,19 +596,17 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
 
 def reference_leaf_table(p, rho, backend, readout_config=None):
     """The leaf table on numpy stacks, both outcomes of a step as one (2, 2, 2) array:
-    A = K V^dag, A rho A^dag, coherences scaled by kappa, then U_b out_b U_b^dag / h_b.
+    A = K V^dag, A rho A^dag, coherences scaled by kappa, then U_b out_b U_b^dag / h_b;
+    K is (D_0, D_1) on exact and continuous, whose readout gives kappa.
 
     The stacked build that the scalar one replaced, kept as its reference.
     """
     halt, states = [], []
     for step in p.steps:
         pq = step.params
-        kappa = np.ones(2)
-        if backend == "exact":
+        kappa = np.array(readout_config.coherence(pq) if backend == "continuous" else (1.0, 1.0))
+        if backend in ("exact", "continuous"):
             k = np.stack(dops(pq))
-        elif backend == "continuous":
-            pair, kappa = readout_config.instrument(pq)
-            k = np.stack(pair)
         else:
             k = decomposition._ancilla_kraus(backend.split("-", 1)[1], pq.p, pq.q)
         a = k @ adjoint(step.pre_unitary)

@@ -95,6 +95,9 @@ def test_apply_process_cases():
     lam = 0.3
     out = apply_process(depolarizing_chi(lam), ket0)
     assert np.allclose(out, np.diag([1 - lam / 2, lam / 2]), atol=1e-12)
+    for shape in ((4, 4), (2,), (1, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"state shape {shape}, expected (2, 2)")):
+            apply_process(depolarizing_chi(lam), np.zeros(shape))
 
 
 def loop_apply_process(chi, rho):
@@ -148,6 +151,8 @@ def test_classical_fidelity_cases():
     assert classical_fidelity([0.5, 0.5], [0.5, 0.5]) == pytest.approx(1.0)
     assert classical_fidelity([1, 0], [0, 1]) == pytest.approx(0.0)
     assert classical_fidelity([1, 0], [0, 1], "kolmogorov") == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="unknown classical fidelity variant 'hellinger'"):
+        classical_fidelity([1, 0], [0, 1], "hellinger")
     a, b = [0.8, 0.2], [0.6, 0.4]
     f1 = classical_fidelity(a, b)
     assert abs(f1 - 0.97566) < 5e-6
@@ -175,6 +180,8 @@ def test_state_fidelity_cases():
     a = np.diag([0.8, 0.2]).astype(complex)
     b = np.diag([0.6, 0.4]).astype(complex)
     assert abs(state_fidelity(a, b) - classical_fidelity([0.8, 0.2], [0.6, 0.4])) < 1e-10
+    with pytest.raises(ValueError, match="unknown state fidelity variant 'trace'"):
+        state_fidelity(a, b, "trace")
 
 
 def test_state_fidelity_pure_reference_reduction():
@@ -222,6 +229,8 @@ def test_process_fidelity_trace_checks():
         process_fidelity(chi, chi, "F6")
     with pytest.raises(ValueError, match="F8 requires a rank-1"):
         process_fidelity(chi, depolarizing_chi(0.5), "F8")
+    with pytest.raises(ValueError, match="unknown process fidelity variant 'F5'"):
+        process_fidelity(chi, chi, "F5")
 
 
 def test_process_fidelity_f9_matches_f8_for_rank1():
@@ -380,6 +389,8 @@ def test_total_fidelity_label_mismatch():
     b = process_set_from_kraus(s.ops, ("x", "z"))
     with pytest.raises(Mismatch, match="outcome labels differ"):
         total_fidelity(a, b)
+    with pytest.raises(ValueError, match="unknown total fidelity variant 'product'"):
+        total_fidelity(a, a, "product")
 
 
 def test_monotone_degradation():
@@ -410,6 +421,8 @@ def test_povm_fidelity_cases():
         povm_fidelity([0.9 * proj[0], proj[1]], proj)
     with pytest.raises(Mismatch, match="POVM elements"):
         povm_fidelity(proj, proj[:1])
+    with pytest.raises(ValueError, match="unknown POVM fidelity variant 'Fq'"):
+        povm_fidelity(proj, proj, "Fq")
 
 
 def test_povm_fidelity_matches_qubit_closed_form():
@@ -661,6 +674,13 @@ def test_process_matrix_chi_must_be_4x4():
     for shape in ((1, 1), (9, 9), (16, 16), (4,), (4, 4, 1)):
         with pytest.raises(ValueError, match=re.escape(f"chi shape {shape} is not (4, 4)")):
             ProcessMatrix(np.zeros(shape))
+    # and finite: a NaN chi of {I/sqrt2, I/sqrt2} used to drop its outcome from a
+    # total as if its probability were 0, on either side, and F8 and F9 to fail in numpy.
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        chi = chi_from_kraus([np.eye(2) / math.sqrt(2)]).chi.copy()
+        chi[0, 0] = bad
+        with pytest.raises(ValueError, match="chi entries must be finite"):
+            ProcessMatrix(chi)
     for d in (1, 3, 4):
         with pytest.raises(ValueError, match=f"d = 2, got d = {d}"):
             chi_from_kraus([np.eye(d)], d)
@@ -787,14 +807,16 @@ def test_transfer_maps_match_einsum_reference():
 
 
 def test_average_state_fidelity_checks_in_reference_order():
-    # Each bad input raises what the per-check reference raises, a NaN chi included.
+    # Each bad input raises what the per-check reference raises; a NaN chi is
+    # refused before either sees it.
     u = random_unitary(np.random.default_rng(81))
     ideal = chi_from_kraus([u], 2)
+    with pytest.raises(ValueError, match="chi entries must be finite"):
+        ProcessMatrix(np.full((4, 4), np.nan))
     cases = [
         (depolarizing_chi(0.2), depolarizing_chi(0.1)),
         (chi_from_kraus([0.9 * np.eye(2)], 2), depolarizing_chi(0.1)),
         (chi_from_kraus([0.9 * np.eye(2)], 2), ideal),
-        (ProcessMatrix(np.full((4, 4), np.nan)), ideal),
         (ProcessMatrix(np.diag([1.0, 1e-3, -1e-3, 0.0])), ideal),
         (ProcessMatrix(np.diag([1.0, 0, 0, 0]) + np.triu(np.full((4, 4), 1e-6), 1)), ideal),
     ]

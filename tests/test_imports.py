@@ -30,8 +30,7 @@ PUBLIC = {
     "channels": ("NoiseSpec", "noise_kraus", "noisy_branch"),
     "continuous_readout": (
         "ReadoutConfig", "Thresholds", "TrajectoryBatch", "measurement_operator",
-        "normalization_constants", "pq_from_thresholds", "simulate_batch",
-        "thresholds_from_pq",
+        "pq_from_thresholds", "simulate_batch", "thresholds_from_pq",
     ),
     "decomposition": (
         "KrausSet", "MeasurementProtocol", "TwoOutcomeStep", "compose_branch",

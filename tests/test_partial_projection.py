@@ -106,7 +106,7 @@ def test_apply_outcome_partial_collapse():
     assert np.allclose(out, pure_state(psi))
 
 
-@pytest.mark.parametrize("outcome", [2, -1, 3, 0.5, "0", None])
+@pytest.mark.parametrize("outcome", [2, -1, 3, 0.5, 1.0, True, "0", None])
 def test_apply_outcome_rejects_unknown_labels(outcome):
     with pytest.raises(ValueError, match="outcome must be 0 or 1"):
         apply_outcome(PartialProjParams(0.8, 0.6), outcome, PLUS)

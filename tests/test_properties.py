@@ -205,10 +205,9 @@ def test_exit_table_is_the_exit_law(p, frac, m, eta):
     mean_t = t.R0 * p + t.R1 * (1.0 - p)
     mean_j = pmf.sum(axis=0) @ np.arange(1, pmf.shape[1] + 1)
     assert mean_t - 1e-9 <= m * mean_j <= mean_t + m + 1e-9
-    # The coherence factors of the continuous backend's instrument.
+    # The coherence factors of the continuous backend.
     z = np.exp(-(1.0 - eta) * m / (2.0 * eta)) ** np.arange(1, pmf.shape[1] + 1)
-    grid = continuous_readout._grid(cfg)
-    _, kappa = continuous_readout._readout_instrument(params, cfg.alpha, cfg.efficiency, *grid)
+    kappa = cfg.coherence(params)
     assert np.all(np.abs(pmf @ z / h - kappa) < 1e-10)
 
 
