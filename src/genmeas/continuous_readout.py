@@ -104,10 +104,15 @@ class ReadoutConfig:
     def duration_cap(self) -> float:
         return self.max_duration if self.max_duration is not None else 1e6 * self.dt
 
+    @functools.cached_property
+    def _coherence_key(self) -> tuple[float, float, int]:
+        """(eta, m, j_cap): all of this configuration that :meth:`coherence` reads."""
+        return (self.efficiency, *_grid(self))
+
     def coherence(self, params: PartialProjParams) -> tuple[float, float]:
         """Coherence factors (kappa_0, kappa_1) of a (p, q) step read out with this
         configuration; see :func:`_readout_coherence`."""
-        return _readout_coherence(params, self.efficiency, *_grid(self))
+        return _readout_coherence(params, *self._coherence_key)
 
 
 @dataclass(frozen=True)

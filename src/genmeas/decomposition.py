@@ -24,7 +24,9 @@ import numpy as np
 
 from . import partial_projection
 from .errors import InaccurateBranch, Infeasible, NotComplete
-from .linalg import adjoint, identity_deviation, is_unitary, mul2, phase_distance, psd_sqrt
+from .linalg import (
+    adjoint, identity_deviation, is_unitary, mul2, phase_distance, psd_sqrt, read_only,
+)
 from .partial_projection import (
     PartialProjParams, dop_diagonals, sandwich, update, validate_count, validate_state,
 )
@@ -35,6 +37,8 @@ from .serialize import (
 
 COMPLETENESS_TOL = 1e-9
 BRANCH_TOL = 1e-9
+# Leaf tables a protocol keeps (:func:`_leaf_table`); a new one drops the oldest.
+LEAF_TABLES_KEPT = 32
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,17 @@ def kraus_set(ops, labels=None) -> KrausSet:
 
 @dataclass(frozen=True)
 class TwoOutcomeStep:
-    """One step of a protocol: V^dag, then (p, q), then U_0 or U_1."""
+    """One step of a protocol: V^dag, then (p, q), then U_0 or U_1, each unitary a
+    read-only complex128 array (:func:`~genmeas.linalg.read_only`)."""
 
     pre_unitary: np.ndarray
     params: PartialProjParams
     post_unitary_0: np.ndarray
     post_unitary_1: np.ndarray
+
+    def __post_init__(self):
+        for name in ("pre_unitary", "post_unitary_0", "post_unitary_1"):
+            object.__setattr__(self, name, read_only(getattr(self, name), np.complex128))
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,8 @@ class MeasurementProtocol:
 
     ``leaf_labels[k]`` for k < len(steps) names the outcome reached by
     halting with result 0 at step k; the last entry names the final branch
-    (all results 1), to which ``final_unitary`` is applied.
+    (all results 1), to which ``final_unitary`` is applied. Its matrices are read-only,
+    so what is derived from them once (``branches``, the leaf tables) cannot go stale.
     """
 
     steps: tuple[TwoOutcomeStep, ...]
@@ -90,6 +100,7 @@ class MeasurementProtocol:
     leaf_labels: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "final_unitary", read_only(self.final_unitary, np.complex128))
         if len(self.leaf_labels) != len(self.steps) + 1:
             raise ValueError("need one leaf label per step plus the final branch")
         require_distinct(self.leaf_labels)
@@ -109,6 +120,11 @@ class MeasurementProtocol:
         out = np.array(out, dtype=np.complex128)
         out.flags.writeable = False
         return out
+
+    @functools.cached_property
+    def _leaf_tables(self) -> dict:
+        """The leaf tables built so far, oldest first (:func:`_leaf_table`)."""
+        return {}
 
 
 def completeness_deviation(ops) -> float:
@@ -213,6 +229,7 @@ def reduce(
         q, r = _qr(m + list(r))
         qs.insert(0, q)
     u0, c, v0h = np.linalg.svd(np.array([q[:2] for q in qs], dtype=np.complex128).reshape(-1, 2, 2))
+    u0.setflags(write=False)
     eye = ((1.0, 0.0), (0.0, 1.0))
     w, steps = eye, []
     # t: C^2 from the SVD of the top block; b: S^2, the squared column norms of B V.
@@ -222,15 +239,13 @@ def reduce(
         p = 1.0 - b0 if b0 < t0 else t0
         q = 1.0 - t1 if t1 < b1 else b1
         v = mul2(w, v0)
-        pre = np.array(v, dtype=np.complex128)
-        post_1 = np.array(eye, dtype=np.complex128) if cancel_u1 else pre
+        pre = read_only(v, np.complex128)
+        post_1 = read_only(eye, np.complex128) if cancel_u1 else pre
         steps.append(TwoOutcomeStep(pre, PartialProjParams(max(p, 1.0 - q), q), u0k, post_1))
         w = mul2(eye if cancel_u1 else v, _left_unitary_dag(bv, 0 if b0 >= b1 else 1))
-    return MeasurementProtocol(
-        steps=tuple(steps),
-        final_unitary=np.array(last, dtype=np.complex128) @ adjoint(np.array(w)),
-        leaf_labels=tuple(labels),
-    )
+    final = np.array(last, dtype=np.complex128) @ adjoint(np.array(w))
+    final.setflags(write=False)
+    return MeasurementProtocol(steps=tuple(steps), final_unitary=final, leaf_labels=tuple(labels))
 
 
 def compose_branch(p: MeasurementProtocol, leaf: str) -> np.ndarray:
@@ -269,8 +284,35 @@ def _ancilla_kraus(variant: str, p: float, q: float) -> np.ndarray:
 
 def _leaf_table(
     p: MeasurementProtocol, rho: np.ndarray, backend: str, readout_config=None
-) -> tuple[list[float], list[np.ndarray | None]]:
-    """Halting probability of each step on the surviving branch, and the leaf states.
+) -> tuple[tuple[float, ...], tuple[np.ndarray | None, ...]]:
+    """Leaf table of :func:`_build_leaf_table`, built on first use per (state, backend,
+    readout) and kept on the protocol, at most ``LEAF_TABLES_KEPT`` of them, the oldest
+    dropped first. The key is what the build reads: the validated state's bytes, the
+    backend and, on ``continuous``, the efficiency and grid that kappa is cached on
+    (:func:`~genmeas.continuous_readout._readout_coherence`), never the seed. A build
+    that raises keeps nothing, so it raises again on the next call.
+    """
+    if backend != "continuous":
+        key = rho.tobytes(), backend
+    elif readout_config is None:
+        raise ValueError("continuous backend requires a ReadoutConfig")
+    else:
+        key = rho.tobytes(), backend, *readout_config._coherence_key
+    tables = p._leaf_tables
+    table = tables.get(key)
+    if table is None:
+        table = _build_leaf_table(p, rho, backend, readout_config)
+        if len(tables) >= LEAF_TABLES_KEPT:
+            del tables[next(iter(tables))]
+        tables[key] = table
+    return table
+
+
+def _build_leaf_table(
+    p: MeasurementProtocol, rho: np.ndarray, backend: str, readout_config=None
+) -> tuple[tuple[float, ...], tuple[np.ndarray | None, ...]]:
+    """Halting probability of each step on the surviving branch, and the read-only leaf
+    states.
 
     A step is its backend's Kraus pair K_b, outcome b's coherence scaled by kappa_b: the
     ``ancilla-*`` circuit's pair, or D_b on ``exact`` and ``continuous`` (the readout's known
@@ -282,8 +324,6 @@ def _leaf_table(
     reaches leaf ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has
     state None, and a surviving branch below it ends the walk.
     """
-    if backend == "continuous" and readout_config is None:
-        raise ValueError("continuous backend requires a ReadoutConfig")
     if backend not in ("exact", "continuous"):
         from .ancilla_circuit import VARIANTS
 
@@ -311,10 +351,11 @@ def _leaf_table(
             break
         rho = sandwich(step.post_unitary_1.tolist(), rho)
     states.append(None if rho is None else sandwich(p.final_unitary.tolist(), rho))
-    return halt, [None if s is None else np.array(s, dtype=np.complex128) for s in states]
+    states = tuple(None if s is None else read_only(s, np.complex128) for s in states)
+    return tuple(halt), states
 
 
-def _leaf_state(p: MeasurementProtocol, states: list, k: int) -> np.ndarray:
+def _leaf_state(p: MeasurementProtocol, states: tuple, k: int) -> np.ndarray:
     if states[k] is None:
         label = p.leaf_labels[k]
         raise Infeasible(f"leaf {label!r} has probability < {partial_projection.ZERO_BRANCH_TOL}")
@@ -335,8 +376,9 @@ def execute_protocol(
     "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (run-averaged
     thresholded readout; needs ``readout_config`` and finite thresholds). The
     shot reads the leaf table of ``sample_protocol`` with uniforms from ``rng``,
-    one per step until it halts. ``rng`` is a Generator or a seed for
-    ``default_rng``, which must be a non-negative integer (``ValueError`` otherwise).
+    one per step until it halts, and returns the leaf's state, a read-only array of
+    that table. ``rng`` is a Generator or a seed for ``default_rng``, which must be a
+    non-negative integer (``ValueError`` otherwise).
     """
     if not isinstance(rng, np.random.Generator):
         validate_count(rng, "seed")
@@ -358,10 +400,12 @@ def sample_protocol(
 ) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Histogram and per-leaf mean final states over ``shots`` runs.
 
-    The leaf table (:func:`_leaf_table`, on Python scalars) is built once per call,
-    also at shots=0, and every shot reads it. Seeding contract: ``seed`` and
-    ``shots`` are non-negative integers, else ``ValueError`` at any shot count; shot i is only its
-    draws, one uniform per step: ``Generator(PCG64([seed, i]))``, the stream of
+    The leaf table (:func:`_leaf_table`, on Python scalars) is built on first use per
+    (state, backend, readout), also at shots=0, and kept on the protocol, at most
+    ``LEAF_TABLES_KEPT`` of them; every shot reads it, and the mean states are its
+    read-only arrays. Seeding contract: ``seed`` and ``shots`` are non-negative
+    integers, else ``ValueError`` at any shot count; shot i is only its draws, one
+    uniform per step: ``Generator(PCG64([seed, i]))``, the stream of
     ``default_rng([seed, i])``, on the exact and ancilla backends, row i of
     ``default_rng(seed).random((shots, steps))`` on the continuous one. Shot i of n is
     shot i of m, a leaf's mean is its state, and a shot that reaches a leaf of
@@ -458,6 +502,7 @@ def protocol_from_json(text: str) -> MeasurementProtocol:
         rows += [require_key(s, "post_unitary_0"), require_key(s, "post_unitary_1")]
     rows.append(require_key(data, "final_unitary"))
     unitaries = matrices_from_json(rows, 2)
+    unitaries.setflags(write=False)
     if not is_unitary(unitaries, tol=COMPLETENESS_TOL):
         raise ValueError("a protocol unitary is not unitary")
     labels = require_key(data, "leaf_labels", list)

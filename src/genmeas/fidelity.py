@@ -23,7 +23,7 @@ import numpy as np
 from .errors import Mismatch
 from .linalg import (
     CHI_TO_POVM, PAULI_BASIS, hermitian_part, identity_deviation, pauli_expand, psd_sqrt,
-    require_psd,
+    read_only, require_psd,
 )
 from .partial_projection import validate_state
 from .serialize import (
@@ -51,11 +51,14 @@ PROB_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """4 x 4 process matrix of a qubit operation in the Pauli basis, finite."""
+    """4 x 4 process matrix of a qubit operation in the Pauli basis, finite and read-only
+    (:func:`~genmeas.linalg.read_only`), so that the checks and the cached ``trace`` hold
+    for its lifetime."""
 
     chi: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "chi", read_only(self.chi))
         if self.chi.shape != (4, 4):
             raise ValueError(f"chi shape {self.chi.shape} is not (4, 4)")
         if not np.isfinite(self.chi).all():
@@ -96,7 +99,9 @@ def chi_from_kraus(ops, d: int = 2) -> ProcessMatrix:
     if d != 2:
         raise ValueError(f"process matrices are of qubit operations, d = 2, got d = {d}")
     alpha = pauli_expand(ops)
-    return ProcessMatrix(chi=alpha.T @ alpha.conj())
+    chi = alpha.T @ alpha.conj()
+    chi.setflags(write=False)
+    return ProcessMatrix(chi=chi)
 
 
 def process_set_from_kraus(ops, labels) -> ProcessSet:
@@ -104,6 +109,7 @@ def process_set_from_kraus(ops, labels) -> ProcessSet:
     chi^(k) = alpha_k alpha_k^dag from one expansion of all the operators."""
     alpha = pauli_expand(ops)
     chis = alpha[..., :, None] * alpha.conj()[..., None, :]
+    chis.setflags(write=False)
     return ProcessSet(outcomes=tuple((label, ProcessMatrix(chi=c)) for label, c in zip(labels, chis)))
 
 
@@ -395,6 +401,7 @@ def process_set_from_json(text: str) -> ProcessSet:
     outcomes = require_key(data, "outcomes", list)
     labels = [require_key(o, "label", str) for o in outcomes]
     chis = matrices_from_json([require_key(o, "chi") for o in outcomes], 4)
+    chis.setflags(write=False)
     ps = ProcessSet(outcomes=tuple((label, ProcessMatrix(chi=c)) for label, c in zip(labels, chis)))
     require_psd(chis, PSD_TOL, "process matrix")
     return ps

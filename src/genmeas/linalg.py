@@ -42,6 +42,17 @@ for _a in (PAULI_BASIS, VEC_TO_PAULI, CHI_TO_POVM):
 del _a
 
 
+def read_only(m, dtype=None) -> np.ndarray:
+    """``m`` itself if it is a read-only array (of ``dtype``, if given), else a read-only
+    copy, which no writeable handle the caller keeps can change. The package's own
+    constructors freeze the arrays they make, so that theirs are not copied again."""
+    if isinstance(m, np.ndarray) and not m.flags.writeable and (dtype is None or m.dtype == dtype):
+        return m
+    m = np.array(m, dtype=dtype)
+    m.setflags(write=False)
+    return m
+
+
 def mul2(m, n):
     """m n of two 2x2 matrices given as nested pairs of Python numbers."""
     (a, b), (c, d) = m

@@ -320,6 +320,7 @@ def test_unknown_backend_names_are_refused(backend):
         sample_protocol(proto, mixed, 10, seed=3, backend=backend, readout_config=cfg)
     with pytest.raises(ValueError, match="unknown backend"):
         execute_protocol(proto, mixed, 3, backend=backend, readout_config=cfg)
+    assert proto._leaf_tables == {}  # a refused build keeps nothing
 
 
 def test_continuous_backend_runs():
@@ -338,13 +339,18 @@ def test_continuous_backend_runs():
 
 
 def test_continuous_backend_rejects_projective_step():
+    # On every call, also at shots=0: an Infeasible build is not kept on the protocol.
     proto = reduce(trine_set())
     cfg = ReadoutConfig(tau_min=1.0, seed=18)
     mixed = np.eye(2, dtype=complex) / 2
+    for shots in (10, 0, 10, 0):
+        with pytest.raises(Infeasible, match="not finite"):
+            sample_protocol(
+                proto, mixed, shots, seed=18, backend="continuous", readout_config=cfg
+            )
     with pytest.raises(Infeasible, match="not finite"):
-        sample_protocol(
-            proto, mixed, 10, seed=18, backend="continuous", readout_config=cfg
-        )
+        execute_protocol(proto, mixed, 18, "continuous", cfg)
+    assert proto._leaf_tables == {}
     with pytest.raises(ValueError, match="continuous backend requires a ReadoutConfig"):
         sample_protocol(proto, mixed, 10, seed=18, backend="continuous")
 
@@ -565,6 +571,95 @@ def test_ancilla_kraus_cache_is_bounded():
     info = cache.cache_info()
     assert info.currsize <= info.maxsize == 64
     assert info.misses > info.maxsize
+
+
+# Two readouts that differ in efficiency, and in alpha, hence in the grid step m.
+MEMO_READOUTS = (ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7),
+                 ReadoutConfig(tau_min=1.0, seed=0, alpha=0.6))
+
+
+@pytest.mark.parametrize("backend", BACKENDS + ("continuous",))
+def test_kept_leaf_tables_are_bit_identical_to_fresh_builds(backend):
+    # Alternating calls over two states and two readouts against a protocol with
+    # no kept tables, the JSON round trip of the same protocol, made anew per call.
+    proto = reduce(weak_trine_set())
+    doc = protocol_to_json(proto)
+    states = (pure_state(np.array([0.6, 0.8j])), np.eye(2, dtype=complex) / 2)
+    for round_ in range(3):
+        for k, (rho, cfg) in enumerate(itertools.product(states, MEMO_READOUTS)):
+            seed = 10 * round_ + k
+            counts, means = sample_protocol(proto, rho, 50, seed, backend, cfg)
+            ref_counts, ref_means = sample_protocol(protocol_from_json(doc), rho, 50, seed,
+                                                    backend, cfg)
+            assert counts == ref_counts and means.keys() == ref_means.keys()
+            assert all(np.array_equal(means[lab], ref_means[lab]) for lab in means)
+            label, out = execute_protocol(proto, rho, seed, backend, cfg)
+            ref_label, ref_out = execute_protocol(protocol_from_json(doc), rho, seed, backend, cfg)
+            assert label == ref_label and np.array_equal(out, ref_out)
+    # One table per state, and per readout only where the readout is read.
+    assert len(proto._leaf_tables) == (4 if backend == "continuous" else 2)
+
+
+def test_kept_leaf_tables_ignore_the_readout_seed():
+    proto = reduce(weak_trine_set())
+    rho = pure_state(np.array([0.6, 0.8j]))
+    tables = {id(decomposition._leaf_table(proto, rho, "continuous", ReadoutConfig(
+        tau_min=1.0, seed=seed, efficiency=0.7))) for seed in range(5)}
+    assert len(tables) == 1 and len(proto._leaf_tables) == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS + ("continuous",))
+def test_leaf_states_are_read_only(backend):
+    proto = reduce(weak_trine_set())
+    rho = pure_state(np.array([0.6, 0.8j]))
+    cfg = ReadoutConfig(tau_min=1.0, seed=0)
+    _, means = sample_protocol(proto, rho, 50, 5, backend, cfg)
+    _, out = execute_protocol(proto, rho, 5, backend, cfg)
+    for state in [*means.values(), out]:
+        with pytest.raises(ValueError, match="read-only"):
+            state[0, 0] = 0.0
+    halt, _ = decomposition._leaf_table(proto, rho, backend, cfg)
+    assert type(halt) is tuple
+
+
+def test_kept_leaf_tables_are_bounded():
+    # One protocol over more states than it keeps: the oldest table goes first,
+    # and a state whose table was dropped is rebuilt to the same values.
+    proto = reduce(weak_trine_set())
+    kept = decomposition.LEAF_TABLES_KEPT
+    states = [pure_state(np.array([math.cos(t), math.sin(t)])) for t in np.linspace(0, 3, kept + 5)]
+    first = decomposition._leaf_table(proto, states[0], "exact")
+    for i, rho in enumerate(states):
+        sample_protocol(proto, rho, 5, i, "exact")
+        assert len(proto._leaf_tables) == min(i + 1, kept)
+    assert (states[0].tobytes(), "exact") not in proto._leaf_tables
+    assert (states[-1].tobytes(), "exact") in proto._leaf_tables
+    again = decomposition._leaf_table(proto, states[0], "exact")
+    assert again is not first and again[0] == first[0]
+    assert all(np.array_equal(a, b) for a, b in zip(again[1], first[1]))
+    assert len(proto._leaf_tables) == kept
+
+
+def test_protocol_matrices_are_read_only():
+    # A write used to leave the cached branches (and would leave the kept leaf
+    # tables) stale; a protocol's matrices are now read-only.
+    proto = reduce(random_kraus_set(3, np.random.default_rng(5)))
+    proto.branches
+    for p in (proto, protocol_from_json(protocol_to_json(proto))):
+        mats = [m for s in p.steps for m in (s.pre_unitary, s.post_unitary_0, s.post_unitary_1)]
+        for m in mats + [p.final_unitary]:
+            assert m.dtype == np.complex128
+            with pytest.raises(ValueError, match="read-only"):
+                m[...] = np.eye(2)
+    # An array the caller passed in is copied, so the caller's handle cannot change it.
+    final = np.eye(2, dtype=complex)
+    step = proto.steps[0]
+    pre = step.pre_unitary.copy()
+    copy = MeasurementProtocol(
+        (decomposition.TwoOutcomeStep(pre, step.params, step.post_unitary_0, step.post_unitary_1),),
+        final, ("a", "b"))
+    final[0, 0] = pre[0, 0] = 2.0
+    assert copy.final_unitary[0, 0] == 1.0 and copy.steps[0].pre_unitary[0, 0] != 2.0
 
 
 @pytest.mark.parametrize("backend", ["exact", "ancilla-cphase"])

@@ -688,6 +688,19 @@ def test_process_matrix_chi_must_be_4x4():
         chi_from_kraus([np.eye(4)])
 
 
+def test_process_matrix_chi_is_read_only():
+    # Its cached trace used to go stale after a write to chi (0.4999999999999999 here).
+    pm = chi_from_kraus([np.eye(2) / math.sqrt(2)])
+    assert abs(pm.trace - 0.5) < 1e-15
+    with pytest.raises(ValueError, match="read-only"):
+        pm.chi[0, 0] = 0.0
+    # A chi the caller passed in is copied, so the caller's handle cannot change it.
+    chi = np.diag([0.5, 0.0, 0.0, 0.0])
+    pm = ProcessMatrix(chi)
+    chi[0, 0] = 0.0
+    assert pm.trace == 0.5 and pm.chi[0, 0] == 0.5
+
+
 # Per-outcome reference: the einsum and loop code the stacked passes replaced.
 
 def reference_expand(ops):

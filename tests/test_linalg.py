@@ -14,6 +14,7 @@ from genmeas.linalg import (
     pauli_expand,
     phase_distance,
     psd_sqrt,
+    read_only,
     require_psd,
 )
 
@@ -193,3 +194,14 @@ def test_phase_alignment():
         theta = rng.uniform(0, 2 * np.pi)
         assert phase_distance(m, np.exp(1j * theta) * m) < 1e-10
     assert phase_distance(PAULI_X, PAULI_Z) > 1.0
+
+
+def test_read_only_copies_only_a_writeable_array_or_another_dtype():
+    m = np.eye(2, dtype=complex)
+    frozen = read_only(m, np.complex128)
+    assert frozen is not m and not frozen.flags.writeable and m.flags.writeable
+    assert read_only(frozen, np.complex128) is frozen and read_only(frozen) is frozen
+    converted = read_only(frozen, np.complex64)
+    assert converted.dtype == np.complex64 and not converted.flags.writeable
+    from_list = read_only([[1.0, 0.0], [0.0, 1.0]], np.complex128)
+    assert from_list.dtype == np.complex128 and not from_list.flags.writeable
