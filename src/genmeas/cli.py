@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -44,6 +45,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 # `trajectory --p/--q` refuses thresholds that read p back further from --p than this.
 THRESHOLD_P_TOL = 1e-9
+# A token argparse reads as a negative number, not an option. Its own pattern has no
+# exponent, so `--r1 -1e-3` would be refused while `--r1 -0.001` is read.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 _NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -264,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p, timestamp=True)
     p.set_defaults(func=cmd_fidelity)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

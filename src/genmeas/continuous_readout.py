@@ -67,7 +67,9 @@ class ReadoutConfig:
     effective timescale is tau_min / cos^2(alpha). ``dt`` defaults to
     tau_min / 100. ``efficiency`` is the quantum efficiency eta in (0, 1];
     eta < 1 adds dephasing. ``max_duration`` must be positive and defaults to 1e6 * dt.
-    ``seed`` must be a non-negative integer.
+    ``seed`` must be a non-negative integer. Only :func:`simulate_batch`, and so the CLI's
+    ``trajectory`` command, reads it: the ``continuous`` backend draws from
+    ``sample_protocol``'s ``seed`` or from ``execute_protocol``'s generator.
     """
 
     tau_min: float
@@ -292,15 +294,13 @@ def _log_dephasing(eta: float, m: float) -> float:
     return -(1.0 - eta) * m / (2.0 * eta)
 
 
-@functools.lru_cache(maxsize=64)
 def _readout_coherence(params: PartialProjParams, eta: float, m: float, j_cap: int):
     """Coherence factors (kappa_0, kappa_1) of the thresholded readout, run-averaged:
     outcome b scales D_b rho D_b^dag's off-diagonal by kappa_b = E[z^J | side b], z the
     per-step dephasing (:func:`_log_dephasing`), J the run's step count, whose law given
     the side is one under both hidden labels, so the averaged map is linear
-    (:func:`_exit_series`). Cached on what it reads, (p, q), eta and the grid (:func:`_grid`;
-    alpha enters through tau in m = dt / tau), never on the seed, so calls that share a
-    readout share one build.
+    (:func:`_exit_series`). It reads (p, q), eta and the grid (:func:`_grid`; alpha enters
+    through tau in m = dt / tau), never the seed: a leaf table calls it once per step.
     """
     t = thresholds_from_pq(params)
     _realizable(t)

@@ -271,26 +271,14 @@ def branch_deviations(p: MeasurementProtocol, s: KrausSet) -> dict[str, float]:
     return devs
 
 
-@functools.lru_cache(maxsize=64)
-def _ancilla_kraus(variant: str, p: float, q: float) -> np.ndarray:
-    """Circuit Kraus pair of one step as a read-only (2, 2, 2) stack, cached:
-    sampling loops revisit a few (p, q)."""
-    from .ancilla_circuit import circuit_from_pq, kraus_from_circuit
-
-    pair = np.array(kraus_from_circuit(circuit_from_pq(variant, PartialProjParams(p, q))))
-    pair.flags.writeable = False
-    return pair
-
-
 def _leaf_table(
     p: MeasurementProtocol, rho: np.ndarray, backend: str, readout_config=None
 ) -> tuple[tuple[float, ...], tuple[np.ndarray | None, ...]]:
     """Leaf table of :func:`_build_leaf_table`, built on first use per (state, backend,
     readout) and kept on the protocol, at most ``LEAF_TABLES_KEPT`` of them, the oldest
     dropped first. The key is what the build reads: the validated state's bytes, the
-    backend and, on ``continuous``, the efficiency and grid that kappa is cached on
-    (:func:`~genmeas.continuous_readout._readout_coherence`), never the seed. A build
-    that raises keeps nothing, so it raises again on the next call.
+    backend and, on ``continuous``, ``ReadoutConfig._coherence_key``, never the seed.
+    A build that raises keeps nothing, so it raises again on the next call.
     """
     if backend != "continuous":
         key = rho.tobytes(), backend
@@ -319,13 +307,13 @@ def _build_leaf_table(
     alpha phase undone; kappa_b from :meth:`ReadoutConfig.coherence`): sigma = V^dag rho V,
     (h_b, state_b) = ``update(K_b, sigma, kappa_b)``, then U_b state_b U_b^dag, all by
     :mod:`~genmeas.partial_projection`'s two scalar rules on Python complex numbers (``tolist``
-    of the cached matrices); a leaf state becomes a complex128 array only when returned.
+    of each matrix); a leaf state becomes a complex128 array only when returned.
     A shot halts at the first step k whose uniform draw is below ``halt[k]``, else it
     reaches leaf ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has
     state None, and a surviving branch below it ends the walk.
     """
     if backend not in ("exact", "continuous"):
-        from .ancilla_circuit import VARIANTS
+        from .ancilla_circuit import VARIANTS, circuit_from_pq, kraus_from_circuit
 
         prefix, _, variant = backend.partition("-")
         if prefix != "ancilla" or variant not in VARIANTS:
@@ -341,7 +329,7 @@ def _build_leaf_table(
             (a, b), (c, d) = dop_diagonals(pq)
             kraus = ((a, 0.0), (0.0, b)), ((c, 0.0), (0.0, d))
         else:
-            kraus = _ancilla_kraus(variant, pq.p, pq.q).tolist()
+            kraus = [k.tolist() for k in kraus_from_circuit(circuit_from_pq(variant, pq))]
         sigma = sandwich(adjoint(step.pre_unitary).tolist(), rho)
         h, leaf = update(kraus[0], sigma, kappa[0])
         _, rho = update(kraus[1], sigma, kappa[1])

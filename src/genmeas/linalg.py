@@ -33,11 +33,12 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 # The Pauli basis E = (I, X, Y, Z) as one (4, 2, 2) stack, Tr(E_j^dag E_i) = 2 delta_ij,
 # and its transfer pair for row-major vec: alpha = vec M @ VEC_TO_PAULI (4 x 4) expands M
 # in E, and vec P = vec chi @ CHI_TO_POVM (16 x 4) is the POVM element
-# P = sum_ij chi_ij E_j^dag E_i of a process matrix chi. All three are read-only.
+# P = sum_ij chi_ij E_j^dag E_i of a process matrix chi. These three and the four
+# Pauli matrices, which every noise model's Kraus operators are built from, are read-only.
 PAULI_BASIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 VEC_TO_PAULI = PAULI_BASIS.reshape(4, 4).conj().T / 2
 CHI_TO_POVM = (adjoint(PAULI_BASIS)[None, :] @ PAULI_BASIS[:, None]).reshape(16, 4)
-for _a in (PAULI_BASIS, VEC_TO_PAULI, CHI_TO_POVM):
+for _a in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULI_BASIS, VEC_TO_PAULI, CHI_TO_POVM):
     _a.flags.writeable = False
 del _a
 

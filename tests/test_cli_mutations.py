@@ -168,6 +168,11 @@ def test_every_readout_flag_value_exits_cleanly(command, tmp_path, capsys):
             assert out and not re.search("nan|inf", out + err, re.IGNORECASE), what
         codes.add(code)
     assert codes == {0, 2, 4}
+    # A negative value given as its own token is read with an exponent as without one.
+    for flag in {"trajectory": ("--alpha", "--r1"), "simulate": ("--alpha",)}[command]:
+        runs = [(main([*base, flag, value, "--shots", "20"]), capsys.readouterr().out)
+                for value in ("-1e-3", "-0.001")]
+        assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1], flag
 
 
 # Values tried for an option that takes one; argparse refusing a value (its own

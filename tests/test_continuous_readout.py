@@ -751,9 +751,9 @@ def test_walk_final_states_match_the_per_run_reference(alpha, eta):
 @pytest.mark.parametrize("pq", [(0.8, 0.6), (0.99, 0.98)])
 @pytest.mark.parametrize("alpha, eta", [(0.0, 1.0), (math.pi / 4, 0.7)])
 def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
-    # A cold call builds the readout's sampling plan and coherence factors, a warm one
-    # reads them: the same batch and samples bit for bit, and cached entries equal
-    # to fresh builds, the plan's tables from _exit_table's survival table.
+    # A cold call builds the readout's sampling plan, a warm one reads it: the same
+    # batch and samples bit for bit, and the cached plan equal to a fresh build, its
+    # tables from _exit_table's survival table.
     params = PartialProjParams(*pq)
     t = thresholds_from_pq(params)
     proto = reduce(kraus_set(dops(params)))
@@ -763,7 +763,6 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
              lambda: sample_protocol(proto, PLUS, 200, 9, "continuous", cfg))
     for call in calls:
         continuous_readout._search_table.cache_clear()
-        continuous_readout._readout_coherence.cache_clear()
         cold, warm = call(), call()
         assert pickle.dumps(cold) == pickle.dumps(warm)
     surv = continuous_readout._exit_table(t, *grid)
@@ -787,9 +786,6 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
     assert wide.dtype == np.int8
     assert np.array_equal(wide, (np.diff(fresh_guide, axis=1) != 0) * np.array([[-1], [1]]))
     assert plan.born == (pq_from_thresholds(t).p, math.exp(-2.0 * t.R0))
-    cached = continuous_readout._readout_coherence(params, eta, *grid)
-    rebuilt = continuous_readout._readout_coherence.__wrapped__(params, eta, *grid)
-    assert pickle.dumps(cached) == pickle.dumps(rebuilt)
 
 
 def test_exit_law_cache_ignores_seed_state_and_efficiency():
@@ -802,11 +798,10 @@ def test_exit_law_cache_ignores_seed_state_and_efficiency():
         simulate_batch(ReadoutConfig(tau_min=1.0, seed=seed, efficiency=eta), t, rho, 100)
     info = cache.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 7, 8)
-    assert continuous_readout._readout_coherence.cache_info().maxsize == 64
 
 
 def test_cached_exit_law_is_read_only():
-    # The plan's arrays are read-only; the cached coherence factors are a tuple of floats.
+    # The plan's arrays are read-only; the coherence factors are a tuple of floats.
     cfg = ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7)
     grid = continuous_readout._grid(cfg)
     arrays = []

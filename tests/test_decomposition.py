@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from genmeas import decomposition, partial_projection
+from genmeas.ancilla_circuit import circuit_from_pq, kraus_from_circuit
 from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq
 from genmeas.decomposition import (
     MeasurementProtocol,
@@ -561,18 +562,6 @@ def test_random_kraus_set_needs_an_outcome(n):
         random_kraus_set(n, np.random.default_rng(0))
 
 
-def test_ancilla_kraus_cache_is_bounded():
-    # Every random set brings new (p, q) pairs; the cache must not grow with them.
-    rng = np.random.default_rng(57)
-    cache = decomposition._ancilla_kraus
-    for i in range(60):
-        proto = reduce(random_kraus_set(4, rng))
-        sample_protocol(proto, np.eye(2) / 2, 2, seed=i, backend="ancilla-direct")
-    info = cache.cache_info()
-    assert info.currsize <= info.maxsize == 64
-    assert info.misses > info.maxsize
-
-
 # Two readouts that differ in efficiency, and in alpha, hence in the grid step m.
 MEMO_READOUTS = (ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7),
                  ReadoutConfig(tau_min=1.0, seed=0, alpha=0.6))
@@ -703,7 +692,7 @@ def reference_leaf_table(p, rho, backend, readout_config=None):
         if backend in ("exact", "continuous"):
             k = np.stack(dops(pq))
         else:
-            k = decomposition._ancilla_kraus(backend.split("-", 1)[1], pq.p, pq.q)
+            k = np.stack(kraus_from_circuit(circuit_from_pq(backend.split("-", 1)[1], pq)))
         a = k @ adjoint(step.pre_unitary)
         out = a @ rho @ adjoint(a)
         out[:, 0, 1] *= kappa
@@ -731,9 +720,7 @@ def reference_walk(p, rho, rng, backend):
             outcome = 0 if rng.random() < p0 else 1
             rho = apply_outcome(step.params, outcome, rho)
         else:
-            pair = decomposition._ancilla_kraus(
-                backend.split("-", 1)[1], step.params.p, step.params.q
-            )
+            pair = kraus_from_circuit(circuit_from_pq(backend.split("-", 1)[1], step.params))
             p0 = float(np.trace(pair[0] @ rho @ adjoint(pair[0])).real)
             outcome = 0 if rng.random() < p0 else 1
             out = pair[outcome] @ rho @ adjoint(pair[outcome])

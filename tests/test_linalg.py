@@ -4,6 +4,7 @@ import pytest
 from genmeas.linalg import (
     CHI_TO_POVM,
     PAULI_BASIS,
+    PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -145,7 +146,8 @@ def test_pauli_basis_normalization():
 
 
 def test_pauli_constants_are_read_only_with_their_shapes():
-    for a, shape in ((PAULI_BASIS, (4, 2, 2)), (VEC_TO_PAULI, (4, 4)), (CHI_TO_POVM, (16, 4))):
+    paulis = [(m, (2, 2)) for m in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)]
+    for a, shape in [*paulis, (PAULI_BASIS, (4, 2, 2)), (VEC_TO_PAULI, (4, 4)), (CHI_TO_POVM, (16, 4))]:
         assert a.shape == shape and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1.0
