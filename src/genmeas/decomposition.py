@@ -366,7 +366,9 @@ def execute_protocol(
     shot reads the leaf table of ``sample_protocol`` with uniforms from ``rng``,
     one per step until it halts, and returns the leaf's state, a read-only array of
     that table. ``rng`` is a Generator or a seed for ``default_rng``, which must be a
-    non-negative integer (``ValueError`` otherwise).
+    non-negative integer (``ValueError`` otherwise). A prefix of ``sample_protocol``'s
+    shot 0 is drawn, so ``default_rng(seed)`` reaches its shot 0 on ``exact`` and
+    ``continuous``, ``default_rng([seed, 0])`` on ``ancilla-*``.
     """
     if not isinstance(rng, np.random.Generator):
         validate_count(rng, "seed")
@@ -393,16 +395,17 @@ def sample_protocol(
     ``LEAF_TABLES_KEPT`` of them; every shot reads it, and the mean states are its
     read-only arrays. Seeding contract: ``seed`` and ``shots`` are non-negative
     integers, else ``ValueError`` at any shot count; shot i is only its draws, one
-    uniform per step: ``Generator(PCG64([seed, i]))``, the stream of
-    ``default_rng([seed, i])``, on the exact and ancilla backends, row i of
-    ``default_rng(seed).random((shots, steps))`` on the continuous one. Shot i of n is
-    shot i of m, a leaf's mean is its state, and a shot that reaches a leaf of
+    uniform per step of the table: row i of ``default_rng(seed).random((shots, steps))``
+    on ``exact`` and ``continuous``, which at efficiency 1 therefore sample alike bit for
+    bit, and ``Generator(PCG64([seed, i]))``, the stream of ``default_rng([seed, i])``,
+    on ``ancilla-*`` (one generator per shot; the README says why it stays). Shot i of
+    n is shot i of m, a leaf's mean is its state, and a shot that reaches a leaf of
     probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
     """
     validate_count(shots, "shot count")
     validate_count(seed, "seed")
     halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
-    if backend == "continuous":
+    if backend in ("exact", "continuous"):
         draws = np.random.default_rng(seed).random((shots, len(halt)))
     else:
         draws = np.empty((shots, len(halt)))

@@ -6,7 +6,7 @@ reject unknown major versions. Writers lay a document out with :func:`dump`:
 one top-level key per line, each value compact on its line; readers decode
 one with :func:`loads`. A document of the wrong schema raises ``ValueError``
 naming the missing or wrong-typed key or the wrong matrix shape; a matrix
-entry must be finite.
+entry must be a finite number, and a boolean is not one.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def _read_matrix(rows: list, dim: int) -> np.ndarray:
         )
     except (TypeError, ValueError):
         raise ValueError("expected a matrix of [re, im] pairs") from None
+    if _has_bool([rows]):
+        raise ValueError("matrix entries must be numbers, not booleans")
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -68,20 +70,31 @@ def _read_matrix(rows: list, dim: int) -> np.ndarray:
     return m
 
 
+def _has_bool(docs) -> bool:
+    """Whether nested [re, im] row matrices hold a JSON boolean, which ``complex()``
+    and numpy would read as 1 or 0."""
+    for rows in docs:
+        for row in rows:
+            for re, im in row:
+                if type(re) is bool or type(im) is bool:
+                    return True
+    return False
+
+
 def matrices_from_json(docs: list, dim: int) -> np.ndarray:
     """(n, dim, dim) complex stack of the [re, im] row matrices in ``docs``.
 
     All of them are read as one float array viewed as complex. Anything but n
-    finite dim x dim matrices of numbers is read one matrix at a time, which
-    names what is wrong with the first bad matrix, or reads numbers the one
-    array cannot hold, such as integers beyond int64.
+    finite dim x dim matrices of numbers, booleans excluded, is read one matrix at
+    a time, which names what is wrong with the first bad matrix, or reads numbers
+    the one array cannot hold, such as integers beyond int64.
     """
     try:
         a = np.array(docs)
     except ValueError:
         a = None
-    if (a is None or a.dtype.kind not in "biuf" or a.shape != (len(docs), dim, dim, 2)
-            or not np.isfinite(a).all()):
+    if (a is None or a.dtype.kind not in "iuf" or a.shape != (len(docs), dim, dim, 2)
+            or not np.isfinite(a).all() or _has_bool(docs)):
         mats = [_read_matrix(rows, dim) for rows in docs]
         return np.array(mats, dtype=np.complex128).reshape(len(docs), dim, dim)
     return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]

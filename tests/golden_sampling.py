@@ -5,7 +5,11 @@ protocol back from its JSON, and samples it from one state on one backend:
 2,000 shots at seed 7. A case records the histogram and each reached leaf's
 mean state, or, when the backend cannot realize the protocol, only the
 exception's class. Exact histograms pin the seeded streams as firmly at
-2,000 shots as at more, and keep the test to a few seconds.
+2,000 shots as at more, and keep the test to a few seconds. The ``exact`` and
+``continuous-*`` cases draw shot i from row i of one
+``default_rng(7).random((shots, steps))``, so each ``exact`` case has the
+histogram of its ``continuous-1`` twin; the ``ancilla-*`` cases draw it from
+``default_rng([7, i])``.
 ``tests/test_golden.py`` compares a fresh run against the
 file. Regenerate it, from the repository root, with
 

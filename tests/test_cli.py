@@ -664,6 +664,39 @@ def test_simulate_non_density_state_exits_2(rho, message, trine_protocol, tmp_pa
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def _bool_matrix(dim, k):
+    """dim x dim [re, im] rows written in JSON booleans, with true at (k, k)."""
+    return [[[i == j == k, False] for j in range(dim)] for i in range(dim)]
+
+
+@pytest.mark.parametrize("case", ["synth", "simulate", "trajectory", "process", "povm"])
+def test_boolean_matrix_entries_exit_2(case, trine_protocol, tmp_path, capsys):
+    # A boolean is not a number, in a matrix entry as in a scalar key: diag(true, false)
+    # would otherwise read as diag(1, 0), and the Kraus pair below synthesize.
+    path = tmp_path / "bool.json"
+    doc = {
+        "synth": {"format_version": "1.0",
+                  "ops": [{"label": str(k), "matrix": _bool_matrix(2, k)} for k in (0, 1)]},
+        "simulate": _bool_matrix(2, 0),
+        "trajectory": _bool_matrix(2, 0),
+        "process": {"format_version": "1.0", "dim": 2,
+                    "outcomes": [{"label": "0", "chi": _bool_matrix(4, 0)}]},
+        "povm": {"format_version": "1.0",
+                 "elements": [{"label": "0", "matrix": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]}]},
+    }[case]
+    path.write_text(json.dumps(doc))
+    args = {
+        "synth": ["synth", str(path)],
+        "simulate": ["simulate", trine_protocol, "--state", str(path)],
+        "trajectory": ["trajectory", "--p", "0.8", "--q", "0.6", "--state", str(path)],
+        "process": ["fidelity", str(path), str(path)],
+        "povm": ["fidelity", str(path), str(path), "--mode", "povm"],
+    }[case]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: matrix entries must be numbers, not booleans\n"
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 

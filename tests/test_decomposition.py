@@ -509,6 +509,27 @@ def test_continuous_backend_is_exact_at_unit_efficiency(alpha):
                 assert (got is None and ref is None) or np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_continuous_backend_samples_as_exact_at_unit_efficiency(alpha):
+    # One leaf table at eta = 1 and one seeding rule on both backends: each shot
+    # reaches the same leaf, so counts and mean states match bit for bit.
+    rng = np.random.default_rng(73)
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha)
+    for n in range(2, 7):
+        for _ in range(2):
+            proto = reduce(random_kraus_set(n, rng))
+            assert all(thresholds_from_pq(step.params).finite for step in proto.steps)
+            for rho in (np.eye(2, dtype=complex) / 2, pure_state(rng.standard_normal(2)),
+                        random_density(rng)):
+                for seed in rng.integers(2**31, size=2).tolist():
+                    counts, means = sample_protocol(proto, rho, 500, seed, "exact")
+                    got_counts, got_means = sample_protocol(proto, rho, 500, seed,
+                                                            "continuous", cfg)
+                    assert got_counts == counts and got_means.keys() == means.keys()
+                    for lab, mean in means.items():
+                        assert np.array_equal(got_means[lab], mean)
+
+
 def test_continuous_backend_cap_is_deterministic():
     # A cap that runs outlast with probability above 1e-12 raises on every
     # seed, also at shots=0, though a 200-run walk rarely reaches it;
@@ -656,12 +677,13 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
     proto = reduce(trine_set())
     rho = pure_state(np.array([0.6, 0.8j]))
     shots, seed = 200, 58
-    # Reference: the seeding contract, one execute_protocol per (seed, i).
+    # Reference: the seeding contract, one execute_protocol per shot on its stream.
     counts = {lab: 0 for lab in proto.leaf_labels}
     sums = {lab: np.zeros((2, 2), dtype=complex) for lab in proto.leaf_labels}
     leaf_state = {}
     for i in range(shots):
-        label, out = execute_protocol(proto, rho, np.random.default_rng([seed, i]), backend)
+        label, out = execute_protocol(proto, rho, shot_stream(seed, i, len(proto.steps), backend),
+                                      backend)
         counts[label] += 1
         sums[label] += out
         leaf_state[label] = out
@@ -676,6 +698,18 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
         # A leaf's mean is its state; the summed reference differs by rounding.
         assert np.array_equal(mean, leaf_state[lab])
         assert np.max(np.abs(mean - sums[lab] / counts[lab])) < 1e-13
+
+
+def shot_stream(seed, i, steps, backend):
+    """Shot i's uniforms under the seeding contract of ``sample_protocol``:
+    ``default_rng([seed, i])`` on ``ancilla-*``, else row i of
+    ``default_rng(seed).random((shots, steps))``, reached by skipping the i * steps
+    uniforms of the rows before it (one 64-bit output each)."""
+    if backend.startswith("ancilla"):
+        return np.random.default_rng([seed, i])
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(i * steps)
+    return rng
 
 
 def reference_leaf_table(p, rho, backend, readout_config=None):
@@ -736,7 +770,7 @@ def reference_sample(p, rho, shots, seed, backend):
     counts = dict.fromkeys(p.leaf_labels, 0)
     sums = {lab: np.zeros((2, 2), dtype=complex) for lab in p.leaf_labels}
     for i in range(shots):
-        label, out = reference_walk(p, rho, np.random.default_rng([seed, i]), backend)
+        label, out = reference_walk(p, rho, shot_stream(seed, i, len(p.steps), backend), backend)
         counts[label] += 1
         sums[label] += out
     return counts, {lab: sums[lab] / c for lab, c in counts.items() if c}

@@ -211,6 +211,8 @@ MALFORMED = {
     "string entry": lambda rows: [[["1.0", 0.0], rows[0][1]], rows[1]],
     "string pair": lambda rows: [rows[0], [rows[1][0], "1"]],
     "null entry": lambda rows: [[[None, 0.0], rows[0][1]], rows[1]],
+    "boolean entry": lambda rows: [rows[0], [rows[1][0], [True, 0.0]]],
+    "boolean matrix": lambda rows: [[[True, False], [False, False]], [[False, False], [True, False]]],
     "not a list": lambda rows: 7,
 }
 
@@ -238,9 +240,10 @@ def test_one_array_readers_keep_per_matrix_messages(kind):
 
 
 def test_one_array_readers_read_any_json_numbers():
-    # Integers, booleans, -0.0 and integers beyond int64 read as the per-matrix reader reads them.
+    # Integers, -0.0 and integers beyond int64 read as the per-matrix reader reads them;
+    # booleans are refused (MALFORMED).
     cases = [
-        [[[1, 0], [0, 0]], [[0, 0], [True, False]]],
+        [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
         [[[-0.0, 0.0], [0.0, -0.0]], [[0.0, 0.0], [1.0, -0.0]]],
         [[[2**70, 0], [0, 1]], [[1, 0], [0, 1]]],
     ]
