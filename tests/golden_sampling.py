@@ -7,8 +7,9 @@ mean state, or, when the backend cannot realize the protocol, only the
 exception's class. Exact histograms pin the seeded streams as firmly at
 2,000 shots as at more, and keep the test to a few seconds. The ``exact`` and
 ``continuous-*`` cases draw shot i from row i of one
-``default_rng(7).random((shots, steps))``, so each ``exact`` case has the
-histogram of its ``continuous-1`` twin; the ``ancilla-*`` cases draw it from
+``default_rng(7).random((shots, steps))``, and at efficiency 1 the two share
+one leaf table, so each ``exact`` case equals its ``continuous-1`` twin in
+histogram and mean states; the ``ancilla-*`` cases draw shot i from
 ``default_rng([7, i])``.
 ``tests/test_golden.py`` compares a fresh run against the
 file. Regenerate it, from the repository root, with

@@ -42,19 +42,15 @@ def test_sampling_matches_the_golden_corpus():
 
 
 def test_exact_cases_equal_their_unit_efficiency_continuous_twins():
-    # One leaf table at eta = 1 and one seeding rule: each exact case has its
-    # continuous-1 twin's histogram, and its mean states within FLOAT_TOL: the
-    # continuous cases keep the means they were first pinned with, which today's
-    # build reproduces only to round-off.
+    # One leaf table at eta = 1 and one seeding rule: each exact case equals its
+    # continuous-1 twin, histogram and mean states alike.
     cases = json.loads(GOLDEN.read_text())["cases"]
     exact = [key for key in cases if key.endswith("/exact")]
     twins = [(cases[key], cases[key.removesuffix("exact") + "continuous-1"]) for key in exact]
     assert sum("raises" not in twin for _, twin in twins) == 12
     for case, twin in twins:
         if "raises" not in twin:
-            assert case["counts"] == twin["counts"] and case["means"].keys() == twin["means"].keys()
-            for label, m in case["means"].items():
-                assert np.max(np.abs(np.subtract(twin["means"][label], m))) <= FLOAT_TOL
+            assert case == twin
 
 
 def json_diffs(got, want, path: str = "") -> list[str]:
