@@ -35,7 +35,7 @@ from .errors import GenmeasError, Infeasible, Mismatch
 from .partial_projection import PartialProjParams, pure_state, validate_state
 from .serialize import (
     FORMAT_VERSION, check_version, dump, kraus_set_from_json, loads, matrices_from_json,
-    matrix_from_json, matrix_to_json, require_key,
+    matrix_from_json, matrix_to_json, require_distinct, require_key,
 )
 
 # Each cmd_* imports the modules it runs in its body: a one-shot process compiles
@@ -187,13 +187,16 @@ def cmd_fidelity(args) -> int:
         for doc in docs:
             check_version(doc, "POVM")
         a, b = (require_key(doc, "elements", list) for doc in docs)
-        if [require_key(e, "label", str) for e in a] != [require_key(e, "label", str) for e in b]:
+        labels = [[require_key(e, "label", str) for e in elems] for elems in (a, b)]
+        for side in labels:
+            require_distinct(side)
+        if labels[0] != labels[1]:
             raise Mismatch("POVM labels differ")
         pa, pi = (matrices_from_json([require_key(e, "matrix") for e in elems], 2) for elems in (a, b))
         report = {
             "povm_Fp": povm_fidelity(pa, pi, variant="Fp"),
             "povm_FpTilde": povm_fidelity(pa, pi, variant="FpTilde"),
-            "labels": [e["label"] for e in a],
+            "labels": labels[0],
         }
     report["format_version"] = FORMAT_VERSION
     _emit(report, args)

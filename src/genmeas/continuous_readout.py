@@ -69,7 +69,7 @@ class ReadoutConfig:
     eta < 1 adds dephasing. ``max_duration`` must be positive and defaults to 1e6 * dt.
     ``seed`` must be a non-negative integer. Only :func:`simulate_batch`, and so the CLI's
     ``trajectory`` command, reads it: the ``continuous`` backend draws from
-    ``sample_protocol``'s ``seed`` or from ``execute_protocol``'s generator.
+    ``sample_protocol``'s ``seed``.
     """
 
     tau_min: float

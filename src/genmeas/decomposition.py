@@ -350,36 +350,6 @@ def _leaf_state(p: MeasurementProtocol, states: tuple, k: int) -> np.ndarray:
     return states[k]
 
 
-def execute_protocol(
-    p: MeasurementProtocol,
-    initial: np.ndarray,
-    rng: np.random.Generator | int,
-    backend: str = "exact",
-    readout_config=None,
-) -> tuple[str, np.ndarray]:
-    """Run the protocol once and return (leaf label, collapsed state).
-
-    ``backend`` selects how each two-outcome step is realized: "exact"
-    (direct partial projection), "ancilla-direct" / "ancilla-cphase" /
-    "ancilla-fixed_cz" (circuit Kraus pairs), or "continuous" (run-averaged
-    thresholded readout; needs ``readout_config`` and finite thresholds). The
-    shot reads the leaf table of ``sample_protocol`` with uniforms from ``rng``,
-    one per step until it halts, and returns the leaf's state, a read-only array of
-    that table. ``rng`` is a Generator or a seed for ``default_rng``, which must be a
-    non-negative integer (``ValueError`` otherwise). A prefix of ``sample_protocol``'s
-    shot 0 is drawn, so ``default_rng(seed)`` reaches its shot 0 on ``exact`` and
-    ``continuous``, ``default_rng([seed, 0])`` on ``ancilla-*``.
-    """
-    if not isinstance(rng, np.random.Generator):
-        validate_count(rng, "seed")
-        rng = np.random.default_rng(rng)
-    halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
-    k = 0
-    while k < len(halt) and rng.random() >= halt[k]:
-        k += 1
-    return p.leaf_labels[k], _leaf_state(p, states, k)
-
-
 def sample_protocol(
     p: MeasurementProtocol,
     initial: np.ndarray,
@@ -389,6 +359,9 @@ def sample_protocol(
     readout_config=None,
 ) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Histogram and per-leaf mean final states over ``shots`` runs.
+
+    ``backend`` realizes each step: "exact", "ancilla-<variant>" (the circuit's Kraus
+    pair) or "continuous" (needs ``readout_config`` and finite thresholds).
 
     The leaf table (:func:`_leaf_table`, on Python scalars) is built on first use per
     (state, backend, readout), also at shots=0, and kept on the protocol, at most
@@ -400,7 +373,8 @@ def sample_protocol(
     bit, and ``Generator(PCG64([seed, i]))``, the stream of ``default_rng([seed, i])``,
     on ``ancilla-*`` (one generator per shot; the README says why it stays). Shot i of
     n is shot i of m, a leaf's mean is its state, and a shot that reaches a leaf of
-    probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``.
+    probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``. A one-shot call is a
+    single run: its one count names the leaf, and its mean is that leaf's state.
     """
     validate_count(shots, "shot count")
     validate_count(seed, "seed")

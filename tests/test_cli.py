@@ -621,6 +621,17 @@ def test_synth_repeated_labels_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fidelity_povm_repeated_labels_exits_2(tmp_path, capsys):
+    # Two identical elements, both labelled "a": exit 2, as for a Kraus or protocol file.
+    path = tmp_path / "povm.json"
+    element = {"label": "a", "matrix": matrix_to_json(np.eye(2) / 2)}
+    path.write_text(json.dumps({"format_version": "1.0", "elements": [element, element]}))
+    assert main(["fidelity", str(path), str(path), "--mode", "povm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "labels must be distinct" in err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+
+
 def test_simulate_repeated_leaf_labels_exits_2(trine_protocol, tmp_path, capsys):
     doc = json.loads(open(trine_protocol).read())
     doc["leaf_labels"] = ["a", "a", "c"]

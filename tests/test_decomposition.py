@@ -13,7 +13,6 @@ from genmeas.decomposition import (
     MeasurementProtocol,
     compose_branch,
     completeness_deviation,
-    execute_protocol,
     kraus_set,
     protocol_from_json,
     protocol_to_json,
@@ -264,9 +263,9 @@ def test_execute_projective_deterministic():
     proto = reduce(kraus_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
     ket0 = pure_state(np.array([1.0, 0.0]))
     for seed in range(20):
-        label, rho = execute_protocol(proto, ket0, seed)
-        assert label == "0"
-        assert np.allclose(rho, ket0, atol=1e-12)
+        counts, means = sample_protocol(proto, ket0, 50, seed)
+        assert counts == {"0": 50, "1": 0} and means.keys() == {"0"}
+        assert np.max(np.abs(means["0"] - ket0)) < 1e-12
 
 
 def test_trine_uniform_histogram():
@@ -319,8 +318,6 @@ def test_unknown_backend_names_are_refused(backend):
     cfg = ReadoutConfig(tau_min=1.0, seed=0)
     with pytest.raises(ValueError, match="unknown backend"):
         sample_protocol(proto, mixed, 10, seed=3, backend=backend, readout_config=cfg)
-    with pytest.raises(ValueError, match="unknown backend"):
-        execute_protocol(proto, mixed, 3, backend=backend, readout_config=cfg)
     assert proto._leaf_tables == {}  # a refused build keeps nothing
 
 
@@ -349,8 +346,6 @@ def test_continuous_backend_rejects_projective_step():
             sample_protocol(
                 proto, mixed, shots, seed=18, backend="continuous", readout_config=cfg
             )
-    with pytest.raises(Infeasible, match="not finite"):
-        execute_protocol(proto, mixed, 18, "continuous", cfg)
     assert proto._leaf_tables == {}
     with pytest.raises(ValueError, match="continuous backend requires a ReadoutConfig"):
         sample_protocol(proto, mixed, 10, seed=18, backend="continuous")
@@ -392,37 +387,6 @@ def test_continuous_backend_weak_trine():
     )
     assert again[0] == counts
     assert all(np.array_equal(again[1][lab], means[lab]) for lab in means)
-
-
-def test_execute_protocol_continuous_is_one_shot_batch():
-    # execute_protocol draws one uniform per step until it halts; these are
-    # the first entries of shot 0's row of default_rng(seed), so it matches a
-    # one-shot sample_protocol with the same seed;
-    # at eta = 1 every shot ends in its leaf's state M rho M^dag / Tr.
-    s = weak_trine_set()
-    proto = reduce(s)
-    cfg = ReadoutConfig(tau_min=1.0, seed=22)
-    rho = pure_state(np.array([0.6, 0.8j]))
-    for seed in range(5):
-        label, out = execute_protocol(proto, rho, seed, "continuous", cfg)
-        counts, means = sample_protocol(
-            proto, rho, 1, seed=seed, backend="continuous", readout_config=cfg
-        )
-        assert counts[label] == 1 and np.array_equal(means[label], out)
-    leaf = {}
-    for lab, m in zip(s.labels, s.ops):
-        out = m @ rho @ adjoint(m)
-        leaf[lab] = (float(np.trace(out).real), out / np.trace(out).real)
-    rng = np.random.default_rng(23)
-    shots = 1000
-    counts = dict.fromkeys(s.labels, 0)
-    for _ in range(shots):
-        label, out = execute_protocol(proto, rho, rng, "continuous", cfg)
-        counts[label] += 1
-        assert np.max(np.abs(out - leaf[label][1])) < 1e-6
-    for lab, (expect, _) in leaf.items():
-        sigma = math.sqrt(expect * (1 - expect) / shots)
-        assert abs(counts[lab] / shots - expect) < 4 * sigma
 
 
 def test_continuous_backend_duration_cap():
@@ -563,15 +527,12 @@ def test_sample_rejects_negative_shots(backend):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
-    # At any shot count and on every backend, before any generator is made; also
-    # as execute_protocol's rng when that is not a Generator.
+    # At any shot count and on every backend, before any generator is made.
     proto, cfg = reduce(weak_trine_set()), ReadoutConfig(tau_min=1.0, seed=21)
     for backend in ("exact", "ancilla-direct", "continuous"):
         for shots in (0, 5):
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 sample_protocol(proto, np.eye(2) / 2, shots, seed, backend, cfg)
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            execute_protocol(proto, np.eye(2) / 2, seed, backend, cfg)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         ReadoutConfig(tau_min=1.0, seed=seed)
 
@@ -603,9 +564,6 @@ def test_kept_leaf_tables_are_bit_identical_to_fresh_builds(backend):
                                                     backend, cfg)
             assert counts == ref_counts and means.keys() == ref_means.keys()
             assert all(np.array_equal(means[lab], ref_means[lab]) for lab in means)
-            label, out = execute_protocol(proto, rho, seed, backend, cfg)
-            ref_label, ref_out = execute_protocol(protocol_from_json(doc), rho, seed, backend, cfg)
-            assert label == ref_label and np.array_equal(out, ref_out)
     # One table per state, and per readout only where the readout is read.
     assert len(proto._leaf_tables) == (4 if backend == "continuous" else 2)
 
@@ -624,8 +582,7 @@ def test_leaf_states_are_read_only(backend):
     rho = pure_state(np.array([0.6, 0.8j]))
     cfg = ReadoutConfig(tau_min=1.0, seed=0)
     _, means = sample_protocol(proto, rho, 50, 5, backend, cfg)
-    _, out = execute_protocol(proto, rho, 5, backend, cfg)
-    for state in [*means.values(), out]:
+    for state in means.values():
         with pytest.raises(ValueError, match="read-only"):
             state[0, 0] = 0.0
     halt, _ = decomposition._leaf_table(proto, rho, backend, cfg)
@@ -677,27 +634,20 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
     proto = reduce(trine_set())
     rho = pure_state(np.array([0.6, 0.8j]))
     shots, seed = 200, 58
-    # Reference: the seeding contract, one execute_protocol per shot on its stream.
-    counts = {lab: 0 for lab in proto.leaf_labels}
-    sums = {lab: np.zeros((2, 2), dtype=complex) for lab in proto.leaf_labels}
-    leaf_state = {}
-    for i in range(shots):
-        label, out = execute_protocol(proto, rho, shot_stream(seed, i, len(proto.steps), backend),
-                                      backend)
-        counts[label] += 1
-        sums[label] += out
-        leaf_state[label] = out
+    # Reference: the seeding contract, the step walk once per shot on its stream.
+    counts, ref_means = reference_sample(proto, rho, shots, seed, backend)
     calls = []
     real = decomposition.validate_state
     monkeypatch.setattr(decomposition, "validate_state", lambda r: calls.append(1) or real(r))
     got_counts, got_means = sample_protocol(proto, rho, shots, seed, backend)
     assert len(calls) == 1
     assert got_counts == counts
-    assert got_means.keys() == leaf_state.keys()
+    assert got_means.keys() == ref_means.keys()
+    _, states = decomposition._leaf_table(proto, rho, backend)
     for lab, mean in got_means.items():
         # A leaf's mean is its state; the summed reference differs by rounding.
-        assert np.array_equal(mean, leaf_state[lab])
-        assert np.max(np.abs(mean - sums[lab] / counts[lab])) < 1e-13
+        assert np.array_equal(mean, states[proto.leaf_labels.index(lab)])
+        assert np.max(np.abs(mean - ref_means[lab])) < 1e-13
 
 
 def shot_stream(seed, i, steps, backend):
@@ -797,23 +747,13 @@ def test_leaf_table_matches_step_walk(backend, n):
         assert means.keys() == ref_means.keys()
         for lab, mean in means.items():
             assert np.max(np.abs(mean - ref_means[lab])) < 1e-13
-        # execute_protocol draws one uniform per step until it halts, as the
-        # step walk does, so a shared generator stays in step with it.
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            label, out = execute_protocol(proto, rho, rng_a, backend)
-            ref_label, ref_out = reference_walk(proto, rho, rng_b, backend)
-            assert label == ref_label
-            assert np.max(np.abs(out - ref_out)) < 1e-13
-        assert rng_a.random() == rng_b.random()
-        if backend == "exact":
-            halt, _ = decomposition._leaf_table(proto, rho, backend)
-            survive = 1.0
-            for k, lab in enumerate(proto.leaf_labels):
-                leaf_p = survive * halt[k] if k < len(halt) else survive
-                survive *= 1.0 - halt[k] if k < len(halt) else 0.0
-                m = s.ops[s.labels.index(lab)]
-                assert abs(leaf_p - np.trace(m @ rho @ adjoint(m)).real) < 1e-12
+        halt, _ = decomposition._leaf_table(proto, rho, backend)
+        survive = 1.0
+        for k, lab in enumerate(proto.leaf_labels):
+            leaf_p = survive * halt[k] if k < len(halt) else survive
+            survive *= 1.0 - halt[k] if k < len(halt) else 0.0
+            m = s.ops[s.labels.index(lab)]
+            assert abs(leaf_p - np.trace(m @ rho @ adjoint(m)).real) < 1e-12
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -845,10 +785,6 @@ def test_shot_in_zero_probability_leaf_raises(backend, monkeypatch):
     mixed = np.eye(2) / 2
     with pytest.raises(Infeasible, match="leaf 'a' has probability"):
         sample_protocol(proto, mixed, 100, seed=63, backend=backend)
-    rng = np.random.default_rng(63)
-    with pytest.raises(Infeasible, match="leaf 'a' has probability"):
-        for _ in range(100):
-            execute_protocol(proto, mixed, rng, backend)
 
 
 def test_round_trip_random_sets():

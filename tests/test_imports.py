@@ -33,9 +33,8 @@ PUBLIC = {
         "pq_from_thresholds", "simulate_batch", "thresholds_from_pq",
     ),
     "decomposition": (
-        "KrausSet", "MeasurementProtocol", "TwoOutcomeStep", "compose_branch",
-        "execute_protocol", "kraus_set", "random_kraus_set", "reduce", "sample_protocol",
-        "validate_kraus_set",
+        "KrausSet", "MeasurementProtocol", "TwoOutcomeStep", "compose_branch", "kraus_set",
+        "random_kraus_set", "reduce", "sample_protocol", "validate_kraus_set",
     ),
     "fidelity": (
         "ProcessMatrix", "ProcessSet", "apply_process", "average_state_fidelity",
