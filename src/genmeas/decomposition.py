@@ -365,31 +365,44 @@ def sample_protocol(
 
     The leaf table (:func:`_leaf_table`, on Python scalars) is built on first use per
     (state, backend, readout), also at shots=0, and kept on the protocol, at most
-    ``LEAF_TABLES_KEPT`` of them; every shot reads it, and the mean states are its
-    read-only arrays. Seeding contract: ``seed`` and ``shots`` are non-negative
-    integers, else ``ValueError`` at any shot count; shot i is only its draws, one
-    uniform per step of the table: row i of ``default_rng(seed).random((shots, steps))``
-    on ``exact`` and ``continuous``, which at efficiency 1 therefore sample alike bit for
-    bit, and ``Generator(PCG64([seed, i]))``, the stream of ``default_rng([seed, i])``,
-    on ``ancilla-*`` (one generator per shot; the README says why it stays). Shot i of
-    n is shot i of m, a leaf's mean is its state, and a shot that reaches a leaf of
-    probability below ``ZERO_BRANCH_TOL`` raises ``Infeasible``. A one-shot call is a
-    single run: its one count names the leaf, and its mean is that leaf's state.
+    ``LEAF_TABLES_KEPT`` of them; the histogram is drawn from it, and the mean states are
+    its read-only arrays. Seeding contract: ``seed`` and ``shots`` are non-negative
+    integers, ``shots`` below 2**63, else ``ValueError`` at any shot count. On ``exact``
+    and ``continuous`` the histogram is one ``default_rng(seed).multinomial(shots,
+    probs)`` over the table's leaf probabilities, P(leaf k) = halt[k] * prod_{j<k}(1 -
+    halt[j]) with each halt clamped into [0, 1], so its cost does not grow with
+    ``shots``, and at efficiency 1 the two backends sample alike bit for bit. On
+    ``ancilla-*`` shot i is only its draws, one uniform per step of the table from
+    ``Generator(PCG64([seed, i]))``, the stream of ``default_rng([seed, i])`` (one
+    generator per shot; the README says why it stays), so there shot i of n is shot i of
+    m. A leaf's mean is its state, and a shot that reaches a leaf of probability below
+    ``ZERO_BRANCH_TOL`` raises ``Infeasible``. A one-shot call is a single run: its one
+    count names the leaf, and its mean is that leaf's state.
     """
     validate_count(shots, "shot count")
     validate_count(seed, "seed")
+    if shots >= 2**63:
+        raise ValueError(f"shot count must be below 2**63, got {shots}")
     halt, states = _leaf_table(p, validate_state(initial), backend, readout_config)
+    # numpy.random is looked up here, not imported at the top: it loads on first use, so a
+    # command that never samples does not pay for importing it.
     if backend in ("exact", "continuous"):
-        draws = np.random.default_rng(seed).random((shots, len(halt)))
+        # Leaf k's probability is halt[k] times the chance to survive the steps before it;
+        # round-off can put a projective step's halt just past 1, so each is clamped.
+        probs, survive = [], 1.0
+        for h in halt:
+            h = min(max(h, 0.0), 1.0)
+            probs.append(survive * h)
+            survive *= 1.0 - h
+        counts = np.random.default_rng(seed).multinomial(shots, probs + [survive]).tolist()
+        counts += [0] * (len(p.leaf_labels) - len(counts))
     else:
         draws = np.empty((shots, len(halt)))
-        # Looked up here, not imported at the top: numpy.random loads on first use, so a
-        # command that never samples does not pay for importing it.
         generator, pcg64 = np.random.Generator, np.random.PCG64
         for i, row in enumerate(draws):
             generator(pcg64([seed, i])).random(out=row)
-    leaf = np.logical_and.accumulate(draws >= halt, axis=1).sum(axis=1)
-    counts = np.bincount(leaf, minlength=len(p.leaf_labels)).tolist()
+        leaf = np.logical_and.accumulate(draws >= halt, axis=1).sum(axis=1)
+        counts = np.bincount(leaf, minlength=len(p.leaf_labels)).tolist()
     means = {p.leaf_labels[k]: _leaf_state(p, states, k) for k, c in enumerate(counts) if c}
     return dict(zip(p.leaf_labels, counts)), means
 

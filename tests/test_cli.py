@@ -451,11 +451,29 @@ def test_trajectory_missing_state_exits_2(tmp_path, capsys):
 def test_count_too_large_to_allocate_exits_2(command, trine_protocol, capsys):
     # 10**12 runs need arrays of about 15 TiB, which the allocator refuses at
     # once: one error line naming the allocation, not a MemoryError traceback.
-    args = {"simulate": ["simulate", trine_protocol],
+    # ancilla-* still draws a (shots, steps) matrix; exact draws counts only.
+    args = {"simulate": ["simulate", trine_protocol, "--backend", "ancilla-direct"],
             "trajectory": ["trajectory", "--p", "0.8", "--q", "0.6"]}[command]
     assert main([*args, "--shots", str(10**12)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+
+
+def test_exact_simulate_of_10_12_shots_allocates_nothing(trine_protocol, capsys):
+    # One multinomial draw over the leaf probabilities, whatever the shot count.
+    assert main(["simulate", trine_protocol, "--shots", str(10**12), "--no-timestamp"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["shots"] == sum(data["histogram"].values()) == 10**12
+
+
+@pytest.mark.parametrize("shots", [2**63, 10**20])
+@pytest.mark.parametrize("backend", ["exact", "continuous", "ancilla-direct"])
+def test_shot_count_beyond_int64_exits_2(backend, shots, trine_protocol, capsys):
+    # numpy counts in int64: one error line naming the shot count, not an
+    # OverflowError traceback, and before the leaf table is built.
+    assert main(["simulate", trine_protocol, "--backend", backend, "--shots", str(shots)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shot count") and err.count("\n") == 1 and str(shots) in err
 
 
 def test_fidelity_missing_input_exits_2(tmp_path, capsys):

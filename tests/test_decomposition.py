@@ -634,7 +634,6 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
     proto = reduce(trine_set())
     rho = pure_state(np.array([0.6, 0.8j]))
     shots, seed = 200, 58
-    # Reference: the seeding contract, the step walk once per shot on its stream.
     counts, ref_means = reference_sample(proto, rho, shots, seed, backend)
     calls = []
     real = decomposition.validate_state
@@ -643,23 +642,36 @@ def test_sample_protocol_validates_initial_once(backend, monkeypatch):
     assert len(calls) == 1
     assert got_counts == counts
     assert got_means.keys() == ref_means.keys()
-    _, states = decomposition._leaf_table(proto, rho, backend)
+    halt, states = decomposition._leaf_table(proto, rho, backend)
+    if backend == "exact":
+        assert_walk_probabilities(proto, rho, halt)
     for lab, mean in got_means.items():
         # A leaf's mean is its state; the summed reference differs by rounding.
         assert np.array_equal(mean, states[proto.leaf_labels.index(lab)])
         assert np.max(np.abs(mean - ref_means[lab])) < 1e-13
 
 
-def shot_stream(seed, i, steps, backend):
-    """Shot i's uniforms under the seeding contract of ``sample_protocol``:
-    ``default_rng([seed, i])`` on ``ancilla-*``, else row i of
-    ``default_rng(seed).random((shots, steps))``, reached by skipping the i * steps
-    uniforms of the rows before it (one 64-bit output each)."""
-    if backend.startswith("ancilla"):
-        return np.random.default_rng([seed, i])
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(i * steps)
-    return rng
+@pytest.mark.parametrize("backend", ["exact", "continuous"])
+def test_certain_leaf_takes_every_shot(backend):
+    # A step that halts with certainty can read a halting probability just past 1
+    # (1 + 9e-16 on a projective pair sampled from |v>); clamped, the multinomial draw
+    # raises nothing and every shot lands on |v>'s leaf. The continuous backend refuses
+    # projective steps (infinite thresholds), so there p is one ulp below 1.
+    rng = np.random.default_rng(64)
+    cfg, eye = ReadoutConfig(tau_min=1.0, seed=0), np.eye(2)
+    past_one = 0
+    for seed in range(200):
+        v = random_unitary(rng)
+        if backend == "exact":
+            proto = reduce(kraus_set([np.outer(u, u.conj()) for u in v.T]))
+        else:
+            step = decomposition.TwoOutcomeStep(v, PartialProjParams(1.0 - 2**-53, 0.5), eye, eye)
+            proto = MeasurementProtocol((step,), eye, ("0", "1"))
+        rho = pure_state(v[:, 0])
+        past_one += decomposition._leaf_table(proto, rho, backend, cfg)[0][0] > 1.0
+        counts, means = sample_protocol(proto, rho, 1000, seed, backend, cfg)
+        assert counts == {"0": 1000, "1": 0} and list(means) == ["0"]
+    assert past_one > 0
 
 
 def reference_leaf_table(p, rho, backend, readout_config=None):
@@ -693,22 +705,18 @@ def reference_leaf_table(p, rho, backend, readout_config=None):
 
 
 def reference_walk(p, rho, rng, backend):
-    """One shot stepped through the protocol, drawing and updating at each step.
+    """One ``ancilla-*`` shot stepped through the protocol, drawing and updating at each
+    step.
 
     The per-shot walk that the leaf table replaced, kept as its reference.
     """
     for k, step in enumerate(p.steps):
         rho = adjoint(step.pre_unitary) @ rho @ step.pre_unitary
-        if backend == "exact":
-            p0, _ = outcome_probabilities(step.params, rho)
-            outcome = 0 if rng.random() < p0 else 1
-            rho = apply_outcome(step.params, outcome, rho)
-        else:
-            pair = kraus_from_circuit(circuit_from_pq(backend.split("-", 1)[1], step.params))
-            p0 = float(np.trace(pair[0] @ rho @ adjoint(pair[0])).real)
-            outcome = 0 if rng.random() < p0 else 1
-            out = pair[outcome] @ rho @ adjoint(pair[outcome])
-            rho = out / np.trace(out).real
+        pair = kraus_from_circuit(circuit_from_pq(backend.split("-", 1)[1], step.params))
+        p0 = float(np.trace(pair[0] @ rho @ adjoint(pair[0])).real)
+        outcome = 0 if rng.random() < p0 else 1
+        out = pair[outcome] @ rho @ adjoint(pair[outcome])
+        rho = out / np.trace(out).real
         u = step.post_unitary_0 if outcome == 0 else step.post_unitary_1
         rho = u @ rho @ adjoint(u)
         if outcome == 0:
@@ -716,14 +724,55 @@ def reference_walk(p, rho, rng, backend):
     return p.leaf_labels[-1], p.final_unitary @ rho @ adjoint(p.final_unitary)
 
 
+def reference_leaves(p, rho):
+    """Each leaf's probability and state on ``exact`` by the step walk: leaf k is outcome
+    0 at step k after outcome 1 at every step before it, its probability the product of
+    the walk's Born probabilities (:func:`outcome_probabilities`)."""
+    probs, states, survive = [], [], 1.0
+    for step in p.steps:
+        rho = adjoint(step.pre_unitary) @ rho @ step.pre_unitary
+        p0, p1 = outcome_probabilities(step.params, rho)
+        leaf = apply_outcome(step.params, 0, rho)
+        probs.append(survive * p0)
+        states.append(step.post_unitary_0 @ leaf @ adjoint(step.post_unitary_0))
+        survive *= p1
+        rho = apply_outcome(step.params, 1, rho)
+        rho = step.post_unitary_1 @ rho @ adjoint(step.post_unitary_1)
+    return probs + [survive], states + [p.final_unitary @ rho @ adjoint(p.final_unitary)]
+
+
 def reference_sample(p, rho, shots, seed, backend):
+    """Counts and mean states by the seeding contract of ``sample_protocol``: on ``exact``
+    one ``default_rng(seed).multinomial`` over the step walk's leaf probabilities; on
+    ``ancilla-*`` the step walk once per shot, shot i on ``default_rng([seed, i])``."""
+    if backend == "exact":
+        probs, states = reference_leaves(p, rho)
+        counts = np.random.default_rng(seed).multinomial(shots, probs).tolist()
+        return (dict(zip(p.leaf_labels, counts)),
+                {lab: s for lab, s, c in zip(p.leaf_labels, states, counts) if c})
     counts = dict.fromkeys(p.leaf_labels, 0)
     sums = {lab: np.zeros((2, 2), dtype=complex) for lab in p.leaf_labels}
     for i in range(shots):
-        label, out = reference_walk(p, rho, shot_stream(seed, i, len(p.steps), backend), backend)
+        label, out = reference_walk(p, rho, np.random.default_rng([seed, i]), backend)
         counts[label] += 1
         sums[label] += out
     return counts, {lab: sums[lab] / c for lab, c in counts.items() if c}
+
+
+def table_probabilities(p, halt):
+    """Each leaf's probability from a leaf table's halting probabilities: halt[k] times
+    the chance to survive the steps before it, 0 past a table that stopped early."""
+    probs, survive = [], 1.0
+    for h in halt:
+        probs.append(survive * h)
+        survive *= 1.0 - h
+    return probs + [survive] + [0.0] * (len(p.leaf_labels) - len(halt) - 1)
+
+
+def assert_walk_probabilities(p, rho, halt):
+    """The ``exact`` table's leaf probabilities are the step walk's products."""
+    ref, _ = reference_leaves(p, rho)
+    assert np.max(np.abs(np.subtract(table_probabilities(p, halt), ref))) < 1e-14
 
 
 def random_density(rng):
@@ -748,10 +797,9 @@ def test_leaf_table_matches_step_walk(backend, n):
         for lab, mean in means.items():
             assert np.max(np.abs(mean - ref_means[lab])) < 1e-13
         halt, _ = decomposition._leaf_table(proto, rho, backend)
-        survive = 1.0
-        for k, lab in enumerate(proto.leaf_labels):
-            leaf_p = survive * halt[k] if k < len(halt) else survive
-            survive *= 1.0 - halt[k] if k < len(halt) else 0.0
+        if backend == "exact":
+            assert_walk_probabilities(proto, rho, halt)
+        for lab, leaf_p in zip(proto.leaf_labels, table_probabilities(proto, halt)):
             m = s.ops[s.labels.index(lab)]
             assert abs(leaf_p - np.trace(m @ rho @ adjoint(m)).real) < 1e-12
 
