@@ -25,7 +25,8 @@ repository root, with
 
     PYTHONPATH=src python tests/golden_cli.py
 
-The trajectories and the shots come from numpy ``Generator`` streams, which numpy does not
+The trajectories, the ``ancilla-*`` shots and the one multinomial draw of each ``exact`` or
+``continuous`` histogram come from numpy ``Generator`` streams, which numpy does not
 promise to keep across feature releases (NEP 19), so the file records the
 numpy version it was made with.
 """
