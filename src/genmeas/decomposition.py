@@ -308,9 +308,9 @@ def _build_leaf_table(
     (h_b, state_b) = ``update(K_b, sigma, kappa_b)``, then U_b state_b U_b^dag, all by
     :mod:`~genmeas.partial_projection`'s two scalar rules on Python complex numbers (``tolist``
     of each matrix); a leaf state becomes a complex128 array only when returned.
-    A shot halts at the first step k whose uniform draw is below ``halt[k]``, else it
-    reaches leaf ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has
-    state None, and a surviving branch below it ends the walk.
+    A shot halts at step k with probability ``halt[k]``, else it reaches leaf
+    ``len(halt)``. A leaf of probability below ``ZERO_BRANCH_TOL`` has state None, and a
+    surviving branch below it ends the walk.
     """
     if backend not in ("exact", "continuous"):
         from .ancilla_circuit import VARIANTS, circuit_from_pq, kraus_from_circuit
@@ -387,8 +387,7 @@ def sample_protocol(
     # numpy.random is looked up here, not imported at the top: it loads on first use, so a
     # command that never samples does not pay for importing it.
     if backend in ("exact", "continuous"):
-        # Leaf k's probability is halt[k] times the chance to survive the steps before it;
-        # round-off can put a projective step's halt just past 1, so each is clamped.
+        # Round-off can put a projective step's halt just past 1, so each is clamped.
         probs, survive = [], 1.0
         for h in halt:
             h = min(max(h, 0.0), 1.0)
