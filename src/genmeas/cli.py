@@ -87,7 +87,13 @@ def cmd_synth(args) -> int:
 
     with open(args.kraus) as f:
         ks = kraus_set_from_json(f.read())
-    order = tuple(int(x) for x in args.order.split(",")) if args.order else None
+    order = None
+    if args.order is not None:
+        try:
+            order = tuple(int(x) for x in args.order.split(","))
+        except ValueError:
+            msg = f"--order must be comma-separated integers, got {args.order!r}"
+            raise ValueError(msg) from None
     proto = reduce(ks, order=order, cancel_u1=args.cancel_u1)
     # Without --output stdout carries the protocol JSON, so the deviations go to stderr.
     for label, dev in branch_deviations(proto, ks).items():
@@ -159,9 +165,9 @@ def cmd_trajectory(args) -> int:
         t = Thresholds(R0=args.r0, R1=args.r1)
     batch = simulate_batch(_readout_config(args), t, state, args.shots)
     _write(trajectories_to_jsonl(batch), args.output)
-    n = max(len(batch), 1)
+    n = len(batch)
     print(f"outcome-0 frequency {np.count_nonzero(batch.outcome == 0) / n:.4f}, "
-          f"mean duration {batch.duration.sum() / n:.4f}", file=sys.stderr)
+          f"mean duration {batch.duration.sum() / n:.4f}" if n else "0 runs", file=sys.stderr)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,6 +351,20 @@ def _leaf_state(p: MeasurementProtocol, states: tuple, k: int) -> np.ndarray:
     return states[k]
 
 
+def _shot_entropy(seed: int, start: int, stop: int):
+    """Entropy of shots ``start`` to ``stop - 1`` for ``PCG64``: the uint32 words that
+    ``SeedSequence`` makes of ``[seed, i]``, that is, the seed's little-endian words (at
+    least one) and then i, in one array whose last word is set per shot (each is consumed
+    before the next); an i of 2**32 or more, which one word cannot hold, gets ``[seed, i]``.
+    """
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array(words + [0], np.uint32)
+    for i in range(start, min(stop, 2**32)):
+        entropy[-1] = i
+        yield entropy
+    yield from ([seed, i] for i in range(max(start, 2**32), stop))
+
+
 def sample_protocol(
     p: MeasurementProtocol,
     initial: np.ndarray,
@@ -375,9 +390,11 @@ def sample_protocol(
     ``ancilla-*`` shot i is only its draws, one uniform per step of the table from
     ``Generator(PCG64([seed, i]))``, the stream of ``default_rng([seed, i])`` (one
     generator per shot; the README says why it stays), so there shot i of n is shot i of
-    m. A leaf's mean is its state, and a shot that reaches a leaf of probability below
-    ``ZERO_BRANCH_TOL`` raises ``Infeasible``. A one-shot call is a single run: its one
-    count names the leaf, and its mean is that leaf's state.
+    m. Shot i's entropy is passed as the same uint32 words that ``SeedSequence`` makes of
+    ``[seed, i]`` (:func:`_shot_entropy`), so the stream is unchanged. A leaf's mean is
+    its state, and a shot that reaches a leaf of probability below ``ZERO_BRANCH_TOL``
+    raises ``Infeasible``. A one-shot call is a single run: its one count names the leaf,
+    and its mean is that leaf's state.
     """
     validate_count(shots, "shot count")
     validate_count(seed, "seed")
@@ -398,8 +415,8 @@ def sample_protocol(
     else:
         draws = np.empty((shots, len(halt)))
         generator, pcg64 = np.random.Generator, np.random.PCG64
-        for i, row in enumerate(draws):
-            generator(pcg64([seed, i])).random(out=row)
+        for row, entropy in zip(draws, _shot_entropy(operator.index(seed), 0, shots)):
+            generator(pcg64(entropy)).random(out=row)
         leaf = np.logical_and.accumulate(draws >= halt, axis=1).sum(axis=1)
         counts = np.bincount(leaf, minlength=len(p.leaf_labels)).tolist()
     means = {p.leaf_labels[k]: _leaf_state(p, states, k) for k, c in enumerate(counts) if c}

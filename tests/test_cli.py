@@ -158,6 +158,13 @@ def test_trajectory_jsonl_has_no_blank_lines(shots, to_file, tmp_path, capsys):
         assert json.loads(line)["outcome"] in (0, 1)
 
 
+def test_trajectory_of_zero_runs_prints_no_statistics(capsys):
+    # No frequency or mean duration of zero runs: the count alone, and no JSONL.
+    assert main(["trajectory", "--p", "0.8", "--q", "0.6", "--shots", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "0 runs\n"
+
+
 def test_trajectory_requires_parameters(capsys):
     assert main(["trajectory", "--p", "0.8"]) == 2
 
@@ -549,6 +556,16 @@ def test_leak_amplitude_below_the_stored_p_floor_exits_3(tmp_path, capsys):
     assert main(["synth", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: leaf 1: composition deviation 3.536e-09")
+
+
+@pytest.mark.parametrize("order", ["", "0,,2", "0,b,2"])
+def test_synth_malformed_order_exits_2(order, trine_json, tmp_path, capsys):
+    # An empty --order is given, not absent: it is refused, not read as the default.
+    out = tmp_path / "proto.json"
+    assert main(["synth", trine_json, "--order", order, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --order") and err.count("\n") == 1 and repr(order) in err
+    assert not out.exists()
 
 
 def test_projective_set_synths_in_every_order(tmp_path, capsys):

@@ -781,15 +781,21 @@ def random_density(rng):
     return w * pure_state(psi) + (1 - w) * np.eye(2) / 2
 
 
+# Seeds of one to three uint32 words, and a numpy integer: on ``ancilla-*`` each must
+# seed shot i as ``default_rng([seed, i])`` does.
+WIDE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, np.uint64(2**64 - 1))
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_leaf_table_matches_step_walk(backend, n):
     rng = np.random.default_rng(60 + n)
-    for _ in range(3):
+    wide = WIDE_SEEDS if backend.startswith("ancilla") else ()
+    for fixed in (None, None, None, *wide):
         s = random_kraus_set(n, rng)
         proto = reduce(s)
         rho = random_density(rng)
-        seed = int(rng.integers(2**31))
+        seed = int(rng.integers(2**31)) if fixed is None else fixed
         counts, means = sample_protocol(proto, rho, 300, seed, backend)
         ref_counts, ref_means = reference_sample(proto, rho, 300, seed, backend)
         assert counts == ref_counts
@@ -802,6 +808,17 @@ def test_leaf_table_matches_step_walk(backend, n):
         for lab, leaf_p in zip(proto.leaf_labels, table_probabilities(proto, halt)):
             m = s.ops[s.labels.index(lab)]
             assert abs(leaf_p - np.trace(m @ rho @ adjoint(m)).real) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_shot_entropy_is_what_seed_sequence_makes_of_seed_and_shot(seed):
+    # Across i = 2**32, where the shot index no longer fits one uint32 word.
+    # Each yielded array is read before the next, as the sampling loop reads it.
+    start, stop = 2**32 - 2, 2**32 + 2
+    got = [np.random.SeedSequence(entropy).generate_state(4)
+           for entropy in decomposition._shot_entropy(seed, start, stop)]
+    want = [np.random.SeedSequence([seed, i]).generate_state(4) for i in range(start, stop)]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
