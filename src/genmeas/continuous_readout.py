@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,10 @@ _CHUNK_CUT = 60.0
 _CAP_PROB = 1e-12
 # The exit table ends at the first step where both sides' tails are below this share of h.
 _TAIL_FLOOR = 1e-17
+# Side tables a readout's plan keeps (:func:`_final_sides`); a new one drops the oldest.
+SIDE_TABLES_KEPT = 32
+# R0, R1 and alpha as float64 bytes, the second half of a side table's key.
+_PACK_READOUT = struct.Struct("3d").pack
 
 
 @dataclass(frozen=True)
@@ -347,6 +352,7 @@ class _Plan(NamedTuple):
     flat cell b 2^s + g holds the uniforms u in [g, g + 1) / 2^s of side b: ``steps`` (int32)
     is the step count J of a run there if ``wide`` (int8) is 0, and ``wide`` is -1 (side 0)
     or +1 (side 1) where the run must search ``tail``, both sides in one ascending array.
+    ``sides`` holds the plan's side tables (:func:`_final_sides`), the one part that grows.
     """
 
     born: tuple[float, float]
@@ -354,6 +360,21 @@ class _Plan(NamedTuple):
     steps: np.ndarray
     wide: np.ndarray
     tail: np.ndarray
+    sides: dict
+
+
+class _Sides(NamedTuple):
+    """What a batch reads that depends on (state, R0, R1, alpha) alone (:func:`_final_sides`).
+
+    ``born0`` is P(side 0); row b of ``final_R`` (2,), ``states`` (2, 2, 2), ``diag`` and
+    ``coh`` (2,) is side b's R_b, final state and purity terms r00^2 + r11^2 and 2 |r01|^2.
+    """
+
+    born0: float
+    final_R: np.ndarray
+    states: np.ndarray
+    diag: np.ndarray
+    coh: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -374,12 +395,14 @@ def _search_table(t: Thresholds, m: float, j_cap: int) -> _Plan:
     are not cached. A tail holds 2 K <= 2 j_cap floats, which the slowest readouts reach (alpha
     near pi/2, strong thresholds): 16 MB at the default cap of 1e6 dt, plus 2 cells int32 steps
     and int8 flags, at most 0.625 MB, so the 8 entries hold at most 133 MB; a longer
-    ``max_duration`` raises the tails in proportion.
+    ``max_duration`` raises the tails in proportion. Each entry also keeps up to
+    ``SIDE_TABLES_KEPT`` side tables (:func:`_final_sides`), 264 bytes of data and about
+    1.2 KB with their objects each, at most 40 KB an entry.
     """
     pq = _realizable(t)
     born = (pq.p, math.exp(-2.0 * t.R0))
     if t.R0 == 0.0 or t.R1 == 0.0:
-        plan = _Plan(born, 0, np.zeros(2, np.int32), np.zeros(2, np.int8), np.empty(0))
+        plan = _Plan(born, 0, np.zeros(2, np.int32), np.zeros(2, np.int8), np.empty(0), {})
     else:
         surv = _exit_table(t, m, j_cap)
         tail = surv[:, 1:]
@@ -392,36 +415,53 @@ def _search_table(t: Thresholds, m: float, j_cap: int) -> _Plan:
         wide = (guide[:, 1:] != guide[:, :-1]).astype(np.int8)
         wide[0] *= -1
         tail = np.concatenate([tail[0], np.nextafter(-tail[1, ::-1], np.inf)])
-        plan = _Plan(born, shift, (1 + guide[:, :-1]).ravel(), wide.ravel(), tail)
+        plan = _Plan(born, shift, (1 + guide[:, :-1]).ravel(), wide.ravel(), tail, {})
     for a in (plan.steps, plan.wide, plan.tail):
         a.flags.writeable = False
     return plan
 
 
-def _final_batch(
-    rho: np.ndarray,
-    outcome: np.ndarray,
-    steps: np.ndarray,
-    t: Thresholds,
-    config: ReadoutConfig,
-) -> TrajectoryBatch:
-    """Runs from ``rho`` ending on side ``outcome`` after ``steps`` steps of dt.
+def _final_sides(plan: _Plan, rho: np.ndarray, t: Thresholds, alpha: float) -> _Sides:
+    """The side table of a batch from ``rho``, built on first use and kept on the readout's
+    plan, at most ``SIDE_TABLES_KEPT`` of them, the oldest dropped first. The key is what the
+    build reads: the validated state's bytes and the float64 bytes of R0, R1 and alpha, never
+    the seed, the efficiency or n. Bytes, not values: the thresholds (0, -0) and (-0, 0), or
+    alpha = 0 and -0, share one plan but not their final_R or the signs of their states' zeros.
 
-    The two final states, ``update`` of M_R = diag(w, 1/w) (:func:`_back_action`) for R = R0
-    and R1 (weight at least e^{-|R|}, above its floor), are built once and gathered by
-    outcome, with their purities d_b + c_b, d_b = r00^2 + r11^2 and c_b = 2 |r01|^2. At
+    P(side 0) = p (rho00 + e^{-2 R0} rho11) from the plan's Born factors. The two final
+    states, ``update`` of M_R = diag(w, 1/w) (:func:`_back_action`) for R = R0 and R1 (weight
+    at least e^{-|R|}, above its floor), with their purity terms d_b = r00^2 + r11^2 and
+    c_b = 2 |r01|^2. Its arrays are read-only.
+    """
+    key = rho.tobytes() + _PACK_READOUT(t.R0, t.R1, alpha)
+    tables = plan.sides
+    sides = tables.get(key)
+    if sides is None:
+        born0 = float(plan.born[0] * (rho[0, 0].real + plan.born[1] * rho[1, 1].real))
+        r, states, diag, coh = rho.tolist(), [], [], []
+        for R in (t.R0, t.R1):
+            w0, w1 = _back_action(R, alpha)
+            states.append(update(((w0, 0.0), (0.0, w1)), r)[1])
+            (r00, r01), (_, r11) = states[-1]
+            diag.append(r00 * r00 + r11 * r11)
+            coh.append(2.0 * abs(r01) ** 2)
+        final_r, diag, coh = np.array([(t.R0, t.R1), diag, coh])
+        sides = _Sides(born0, final_r, np.array(states), diag, coh)
+        for a in sides[1:]:
+            a.flags.writeable = False
+        if len(tables) >= SIDE_TABLES_KEPT:
+            del tables[next(iter(tables))]
+        tables[key] = sides
+    return sides
+
+
+def _final_batch(sides: _Sides, outcome: np.ndarray, steps: np.ndarray, config: ReadoutConfig) -> TrajectoryBatch:
+    """Runs ending on side ``outcome`` after ``steps`` steps of dt, from the side table
+    ``sides`` (:func:`_final_sides`): each field is a fresh array gathered by outcome. At
     eta < 1 a run's off-diagonals are scaled in place by f = z^J (:func:`_log_dephasing`),
     J its step count, one exp over the steps, and its purity is d_b + c_b f^2.
     """
-    rho, states, diag, coh = rho.tolist(), [], [], []
-    for r in (t.R0, t.R1):
-        w0, w1 = _back_action(r, config.alpha)
-        states.append(update(((w0, 0.0), (0.0, w1)), rho)[1])
-        (r00, r01), (_, r11) = states[-1]
-        diag.append(r00 * r00 + r11 * r11)
-        coh.append(2.0 * abs(r01) ** 2)
-    out = np.array(states).take(outcome, axis=0)
-    final_r, diag, coh = np.array([(t.R0, t.R1), diag, coh])
+    out = sides.states.take(outcome, axis=0)
     steps = steps.astype(np.float64)
     eta = config.efficiency
     if eta < 1.0:
@@ -429,11 +469,11 @@ def _final_batch(
         out[:, 0, 1] *= f
         np.conjugate(out[:, 0, 1], out=out[:, 1, 0])
         f *= f
-        f *= coh.take(outcome)
-        purity = np.add(f, diag.take(outcome), out=f)
+        f *= sides.coh.take(outcome)
+        purity = np.add(f, sides.diag.take(outcome), out=f)
     else:
-        purity = (diag + coh).take(outcome)
-    return TrajectoryBatch(outcome, steps * config.dt, final_r.take(outcome), out, purity)
+        purity = (sides.diag + sides.coh).take(outcome)
+    return TrajectoryBatch(outcome, steps * config.dt, sides.final_R.take(outcome), out, purity)
 
 
 def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.ndarray) -> TrajectoryBatch:
@@ -448,9 +488,9 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.nd
     x in the plan's tail gives J = K + 1 - |r - K|, K bins a side.
     """
     plan = _search_table(t, *_grid(config))
-    born0 = plan.born[0] * (rho[0, 0].real + plan.born[1] * rho[1, 1].real)
+    sides = _final_sides(plan, rho, t, config.alpha)
     side_u, key = u.T.copy()  # contiguous columns
-    outcome = (side_u >= born0).astype(np.int64)
+    outcome = (side_u >= sides.born0).astype(np.int64)
     cell = outcome << plan.shift
     cell += (key * (1 << plan.shift)).astype(np.intp)
     steps = plan.steps.take(cell)
@@ -459,7 +499,7 @@ def _sample_exit(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, u: np.nd
     r = plan.tail.searchsorted(np.copysign(1.0 - key.take(wide), flag.take(wide)), side="right")
     half = len(plan.tail) // 2
     steps[wide] = half + 1 - np.abs(r - half)
-    return _final_batch(rho, outcome, steps, t, config)
+    return _final_batch(sides, outcome, steps, config)
 
 
 def simulate_batch(
@@ -471,7 +511,11 @@ def simulate_batch(
     """Simulate ``n`` independent trajectories from ``initial``.
 
     Each run's side and step count are drawn from the exact exit law of the walk
-    (:func:`_sample_exit`), with no walk. Seeding contract: run i uses row i of
+    (:func:`_sample_exit`), with no walk. What depends on the state and readout alone,
+    the Born weight, both final states, R values and purity terms, is a side table kept
+    on the readout's plan (:func:`_final_sides`: keyed on the state's bytes and the float64
+    bytes of R0, R1 and alpha, at most ``SIDE_TABLES_KEPT`` a plan, about 1.2 KB each), so
+    a repeated (state, readout) pair builds it once. Seeding contract: run i uses row i of
     ``np.random.default_rng(config.seed).random((n, 2))``, so the same call repeats
     exactly and trajectory i of a batch of n is trajectory i of a batch of m. ``ValueError``
     unless ``n`` is a non-negative integer; ``Infeasible`` if a run outlasts the duration

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import struct
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -602,7 +603,9 @@ def reference_walk(config: ReadoutConfig, t: Thresholds, rho: np.ndarray, n: int
             outcome[idx[(u < q0) & (end > r1)]] = 0
             steps[idx[stop]] = j
             idx, R, drift = idx[~stop], end[~stop], drift[~stop]
-    return continuous_readout._final_batch(rho, outcome, steps, t, config)
+    plan = continuous_readout._search_table(t, *continuous_readout._grid(config))
+    sides = continuous_readout._final_sides(plan, rho, t, config.alpha)
+    return continuous_readout._final_batch(sides, outcome, steps, config)
 
 
 @pytest.mark.parametrize(
@@ -765,6 +768,23 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
         continuous_readout._search_table.cache_clear()
         cold, warm = call(), call()
         assert pickle.dumps(cold) == pickle.dumps(warm)
+    # Readouts that share a plan but not what a batch reads: the thresholds (0, -0) and
+    # (-0, 0), equal with one hash, differ in final_R's signs; alpha = 0 and -0 share
+    # their plan, and alpha and -alpha (tau reads cos^2 alpha) differ in the states'
+    # phases. Read in either order, each batch is its cold batch byte for byte, so no
+    # side table answers for another.
+    cases = [(Thresholds(r0, r1), a) for r0, r1 in ((0.0, -0.0), (-0.0, 0.0)) for a in (0.0, -0.0)]
+    cases += [(t, alpha), (t, -alpha)]
+    def batch(t, a):
+        return pickle.dumps(simulate_batch(
+            ReadoutConfig(tau_min=1.0, seed=5, alpha=a, efficiency=eta), t, PLUS, 50))
+    cold = []
+    for case in cases:
+        continuous_readout._search_table.cache_clear()
+        cold.append(batch(*case))
+    for order in (range(len(cases)), range(len(cases) - 1, -1, -1)):
+        continuous_readout._search_table.cache_clear()
+        assert [batch(*cases[i]) for i in order] == [cold[i] for i in order]
     surv = continuous_readout._exit_table(t, *grid)
     fresh = surv[:, 1:] / -surv[:, :1]
     fresh[:, -1] = 0.0
@@ -798,22 +818,70 @@ def test_exit_law_cache_ignores_seed_state_and_efficiency():
         simulate_batch(ReadoutConfig(tau_min=1.0, seed=seed, efficiency=eta), t, rho, 100)
     info = cache.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 7, 8)
+    # The plan keeps one side table per state: the seed and the efficiency are not keyed.
+    plan = cache(t, *continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0)))
+    readout = struct.pack("3d", t.R0, t.R1, 0.0)
+    assert list(plan.sides) == [KET0.tobytes() + readout, PLUS.tobytes() + readout]
 
 
 def test_cached_exit_law_is_read_only():
-    # The plan's arrays are read-only; the coherence factors are a tuple of floats.
+    # The plan's arrays and its side tables' arrays are read-only; the Born weight and
+    # the coherence factors are floats.
     cfg = ReadoutConfig(tau_min=1.0, seed=0, efficiency=0.7)
     grid = continuous_readout._grid(cfg)
     arrays = []
     for pq in ((0.8, 0.6), (0.7, 0.3)):  # the second stops before its first step
         params = PartialProjParams(*pq)
-        plan = continuous_readout._search_table(thresholds_from_pq(params), *grid)
+        t = thresholds_from_pq(params)
+        simulate_batch(cfg, t, PLUS, 10)
+        plan = continuous_readout._search_table(t, *grid)
         kappa = cfg.coherence(params)
         assert type(kappa) is tuple and all(type(k) is float for k in kappa)
         arrays += [plan.steps, plan.wide, plan.tail]
+        sides = plan.sides[PLUS.tobytes() + struct.pack("3d", t.R0, t.R1, cfg.alpha)]
+        assert type(sides.born0) is float
+        arrays += [sides.final_R, sides.states, sides.diag, sides.coh]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.7])
+def test_batch_fields_are_its_own(eta):
+    # A batch's fields are fresh arrays: writing into one leaves the side table it was
+    # gathered from intact, so the next call is the cold one byte for byte.
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    cfg = ReadoutConfig(tau_min=1.0, seed=2, alpha=math.pi / 4, efficiency=eta)
+    continuous_readout._search_table.cache_clear()
+    first = simulate_batch(cfg, t, PLUS, 100)
+    first.final_state[:] = 7.0
+    first.final_R[:] = 9.0
+    first.purity[:] = 3.0
+    warm = simulate_batch(cfg, t, PLUS, 100)
+    continuous_readout._search_table.cache_clear()
+    assert pickle.dumps(warm) == pickle.dumps(simulate_batch(cfg, t, PLUS, 100))
+
+
+def test_kept_side_tables_are_bounded():
+    # One readout over more states than its plan keeps side tables: the oldest goes
+    # first, and a state whose table was dropped is rebuilt to the same values.
+    t = thresholds_from_pq(PartialProjParams(0.8, 0.6))
+    cfg = ReadoutConfig(tau_min=1.0, seed=0)
+    kept = continuous_readout.SIDE_TABLES_KEPT
+    states = [pure_state(np.array([math.cos(x), math.sin(x)])) for x in np.linspace(0, 3, kept + 1)]
+    continuous_readout._search_table.cache_clear()
+    plan = continuous_readout._search_table(t, *continuous_readout._grid(cfg))
+    first = continuous_readout._final_sides(plan, states[0], t, cfg.alpha)
+    for i, rho in enumerate(states):
+        simulate_batch(cfg, t, rho, 5)
+        assert len(plan.sides) == min(i + 1, kept)
+    readout = struct.pack("3d", t.R0, t.R1, cfg.alpha)
+    assert states[0].tobytes() + readout not in plan.sides
+    assert states[-1].tobytes() + readout in plan.sides
+    again = continuous_readout._final_sides(plan, states[0], t, cfg.alpha)
+    assert again is not first and again.born0 == first.born0
+    assert all(np.array_equal(a, b) for a, b in zip(again[1:], first[1:]))
+    assert len(plan.sides) == kept
 
 
 def test_guide_table_has_at_most_2_16_cells_a_side():
@@ -831,11 +899,11 @@ def test_guide_table_has_at_most_2_16_cells_a_side():
         assert plan.steps.nbytes + plan.wide.nbytes <= 2 * 2**16 * (4 + 1)
 
 
-def owned_bytes(a: np.ndarray) -> int:
-    """Bytes of the array that owns ``a``'s memory: a view keeps all of it alive."""
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory: a view keeps all of it alive."""
     while isinstance(a.base, np.ndarray):
         a = a.base
-    return a.nbytes
+    return a
 
 
 @pytest.mark.parametrize("pq, alpha", [
@@ -846,13 +914,23 @@ def test_plan_entry_bytes_are_pinned(pq, alpha):
     # The four readouts the benchmark's walk draws from and a slow one (alpha near
     # pi/2): a cached plan holds at most 16 K + 8 (cells + 1) + 2 cells bytes, K bins
     # a side, the two float64 tails and int32 guide it replaces plus a byte of flags
-    # a cell, so the plan cache cannot quietly grow a run's peak memory.
+    # a cell, and a full set of side tables at most 264 bytes each: an 88-byte key,
+    # two complex128 states and three float64 pairs. So the plan cache cannot quietly
+    # grow a run's peak memory.
     t = thresholds_from_pq(PartialProjParams(*pq))
-    plan = continuous_readout._search_table(t, *continuous_readout._grid(
-        ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha)))
+    continuous_readout._search_table.cache_clear()
+    cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha)
+    plan = continuous_readout._search_table(t, *continuous_readout._grid(cfg))
+    kept = continuous_readout.SIDE_TABLES_KEPT
+    for x in np.linspace(0, 3, kept + 3):
+        continuous_readout._final_sides(plan, pure_state(np.array([math.cos(x), math.sin(x)])), t, alpha)
+    assert len(plan.sides) == kept
     k, cells = len(plan.tail) // 2, 1 << plan.shift
-    cached = sum(owned_bytes(a) for a in (plan.steps, plan.wide, plan.tail))
+    cached = sum(owner(a).nbytes for a in (plan.steps, plan.wide, plan.tail))
     assert cached <= 16 * k + 8 * (cells + 1) + 2 * cells
+    owners = {id(owner(a)): owner(a) for side in plan.sides.values() for a in side[1:]}
+    sides = sum(map(len, plan.sides)) + sum(a.nbytes for a in owners.values())
+    assert sides <= kept * (88 + 2 * 4 * 16 + 3 * 2 * 8)
 
 
 def test_generator_doubles_are_multiples_of_2_to_the_minus_53():
