@@ -425,8 +425,8 @@ def _final_sides(plan: _Plan, rho: np.ndarray, t: Thresholds, alpha: float) -> _
     """The side table of a batch from ``rho``, built on first use and kept on the readout's
     plan, at most ``SIDE_TABLES_KEPT`` of them, the oldest dropped first. The key is what the
     build reads: the validated state's bytes and the float64 bytes of R0, R1 and alpha, never
-    the seed, the efficiency or n. Bytes, not values: the thresholds (0, -0) and (-0, 0), or
-    alpha = 0 and -0, share one plan but not their final_R or the signs of their states' zeros.
+    the seed, the efficiency or n. Bytes, not values: the equal thresholds (0, -0) and (-0, 0)
+    share one plan but not final_R's signs, and alpha and -alpha one plan but not the phases.
 
     P(side 0) = p (rho00 + e^{-2 R0} rho11) from the plan's Born factors. The two final
     states, ``update`` of M_R = diag(w, 1/w) (:func:`_back_action`) for R = R0 and R1 (weight

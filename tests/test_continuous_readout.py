@@ -775,9 +775,9 @@ def test_cached_exit_law_is_bit_identical(pq, alpha, eta):
     # side table answers for another.
     cases = [(Thresholds(r0, r1), a) for r0, r1 in ((0.0, -0.0), (-0.0, 0.0)) for a in (0.0, -0.0)]
     cases += [(t, alpha), (t, -alpha)]
-    def batch(t, a):
+    def batch(thresholds, a):
         return pickle.dumps(simulate_batch(
-            ReadoutConfig(tau_min=1.0, seed=5, alpha=a, efficiency=eta), t, PLUS, 50))
+            ReadoutConfig(tau_min=1.0, seed=5, alpha=a, efficiency=eta), thresholds, PLUS, 50))
     cold = []
     for case in cases:
         continuous_readout._search_table.cache_clear()
@@ -918,9 +918,8 @@ def test_plan_entry_bytes_are_pinned(pq, alpha):
     # two complex128 states and three float64 pairs. So the plan cache cannot quietly
     # grow a run's peak memory.
     t = thresholds_from_pq(PartialProjParams(*pq))
-    continuous_readout._search_table.cache_clear()
-    cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha)
-    plan = continuous_readout._search_table(t, *continuous_readout._grid(cfg))
+    plan = continuous_readout._search_table(t, *continuous_readout._grid(
+        ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha)))
     kept = continuous_readout.SIDE_TABLES_KEPT
     for x in np.linspace(0, 3, kept + 3):
         continuous_readout._final_sides(plan, pure_state(np.array([math.cos(x), math.sin(x)])), t, alpha)
