@@ -47,6 +47,8 @@ from .errors import Infeasible
 from .partial_projection import PartialProjParams, update, validate_count, validate_state
 
 _CAP = "no threshold reached within the duration cap of {} steps"
+# The duration cap of 10^6 dt: a run takes at most this many steps, the last one past it.
+_J_CAP = 10**6 + 1
 _NOT_FINITE = "thresholds ({}, {}) are not finite in double precision: the readout is projective"
 # An exit table's first chunk holds 64 bins of up to this many series terms (32 MB).
 _MAX_TERMS = 1 << 16
@@ -71,7 +73,8 @@ class ReadoutConfig:
     ``tau_min`` is the measurement time at quadrature angle alpha = 0; the
     effective timescale is tau_min / cos^2(alpha). ``dt`` defaults to
     tau_min / 100. ``efficiency`` is the quantum efficiency eta in (0, 1];
-    eta < 1 adds dephasing. ``max_duration`` must be positive and defaults to 1e6 * dt.
+    eta < 1 adds dephasing. The duration cap is fixed at 10^6 steps of dt, so a run
+    takes at most ``_J_CAP`` = 10^6 + 1 steps, and ``_J_CAP * dt`` must be finite.
     ``seed`` must be a non-negative integer. Only :func:`simulate_batch`, and so the CLI's
     ``trajectory`` command, reads it: the ``continuous`` backend draws from
     ``sample_protocol``'s ``seed``.
@@ -82,7 +85,6 @@ class ReadoutConfig:
     alpha: float = 0.0
     dt: float | None = None
     efficiency: float = 1.0
-    max_duration: float | None = None
 
     def __post_init__(self):
         validate_count(self.seed, "seed")
@@ -96,20 +98,14 @@ class ReadoutConfig:
             object.__setattr__(self, "dt", self.tau_min / 100.0)
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.max_duration is not None and not self.max_duration > 0.0:
-            raise ValueError(f"max_duration must be positive, got {self.max_duration}")
-        if not (math.isfinite(self.duration_cap / self.dt) and self.dt / self.tau > 0.0):
-            raise ValueError(f"dt = {self.dt:g} must be a finite fraction of the duration cap "
-                             f"{self.duration_cap:g} and a nonzero one of tau = {self.tau:g}")
+        if not (math.isfinite(_J_CAP * self.dt) and self.dt / self.tau > 0.0):
+            raise ValueError(f"dt = {self.dt:g} must keep the duration cap of {_J_CAP} steps "
+                             f"finite and be a nonzero fraction of tau = {self.tau:g}")
 
     @property
     def tau(self) -> float:
         """Effective measurement time tau_min / cos^2(alpha)."""
         return self.tau_min / math.cos(self.alpha) ** 2
-
-    @property
-    def duration_cap(self) -> float:
-        return self.max_duration if self.max_duration is not None else 1e6 * self.dt
 
     @functools.cached_property
     def _coherence_key(self) -> tuple[float, float, int]:
@@ -256,13 +252,9 @@ def measurement_operator(R: float, alpha: float = 0.0) -> np.ndarray:
 
 
 def _grid(config: ReadoutConfig) -> tuple[float, int]:
-    """(m, j_cap): the grid step m = dt / tau and the first step after which a run
-    still active exceeds the duration cap. With the thresholds they fix the exit law."""
-    cap, dt = config.duration_cap, config.dt
-    j_cap = int(cap / dt) + 2
-    while j_cap > 1 and (j_cap - 1) * dt > cap:
-        j_cap -= 1
-    return dt / config.tau, j_cap
+    """(m, j_cap): the grid step m = dt / tau and ``_J_CAP``, the most steps a run may
+    take. With the thresholds they fix the exit law."""
+    return config.dt / config.tau, _J_CAP
 
 
 def _exit_series(t: Thresholds, m: float, j_cap: int):
@@ -304,8 +296,9 @@ def _readout_coherence(params: PartialProjParams, eta: float, m: float, j_cap: i
     outcome b scales D_b rho D_b^dag's off-diagonal by kappa_b = E[z^J | side b], z the
     per-step dephasing (:func:`_log_dephasing`), J the run's step count, whose law given
     the side is one under both hidden labels, so the averaged map is linear
-    (:func:`_exit_series`). It reads (p, q), eta and the grid (:func:`_grid`; alpha enters
-    through tau in m = dt / tau), never the seed: a leaf table calls it once per step.
+    (:func:`_exit_series`). It reads (p, q), eta and the grid (:func:`_grid`: the cap j_cap
+    and m = dt / tau, where alpha enters through tau), never the seed: a leaf table calls
+    it once per step.
     """
     t = thresholds_from_pq(params)
     _realizable(t)
@@ -393,11 +386,11 @@ def _search_table(t: Thresholds, m: float, j_cap: int) -> _Plan:
 
     ``Infeasible`` as :func:`_realizable` and :func:`_exit_series`, on every call: exceptions
     are not cached. A tail holds 2 K <= 2 j_cap floats, which the slowest readouts reach (alpha
-    near pi/2, strong thresholds): 16 MB at the default cap of 1e6 dt, plus 2 cells int32 steps
-    and int8 flags, at most 0.625 MB, so the 8 entries hold at most 133 MB; a longer
-    ``max_duration`` raises the tails in proportion. Each entry also keeps up to
-    ``SIDE_TABLES_KEPT`` side tables (:func:`_final_sides`), 264 bytes of data and about
-    1.2 KB with their objects each, at most 40 KB an entry.
+    near pi/2, strong thresholds): 16 MB at the cap of ``_J_CAP`` steps (:func:`_grid`), plus
+    2 cells int32 steps and int8 flags, at most 0.625 MB, so the 8 entries hold at most 133 MB
+    for every configuration. Each entry also keeps up to ``SIDE_TABLES_KEPT`` side tables
+    (:func:`_final_sides`), 264 bytes of data and about 1.2 KB with their objects each, at
+    most 40 KB an entry.
     """
     pq = _realizable(t)
     born = (pq.p, math.exp(-2.0 * t.R0))

@@ -133,10 +133,10 @@ def completeness_deviation(ops) -> float:
     return float(identity_deviation(sum(adjoint(m) @ m for m in ops)))
 
 
-def validate_kraus_set(s: KrausSet, tol: float = COMPLETENESS_TOL) -> None:
-    """Raise ``NotComplete`` if sum_k M_k^dag M_k deviates from I beyond tol (or is NaN)."""
+def validate_kraus_set(s: KrausSet) -> None:
+    """Raise ``NotComplete`` unless sum_k M_k^dag M_k is within COMPLETENESS_TOL of I."""
     dev = completeness_deviation(s.ops)
-    if not dev <= tol:
+    if not dev <= COMPLETENESS_TOL:
         raise NotComplete(dev)
 
 

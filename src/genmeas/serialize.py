@@ -47,10 +47,9 @@ def dump(doc: dict) -> str:
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}"
 
 
-def matrix_from_json(rows: list, dim: int = 2) -> np.ndarray:
-    """``dim`` x ``dim`` complex matrix from [re, im] rows: :func:`matrices_from_json`
-    of one matrix."""
-    return matrices_from_json([rows], dim)[0]
+def matrix_from_json(rows: list) -> np.ndarray:
+    """2 x 2 complex matrix from [re, im] rows: :func:`matrices_from_json` of one matrix."""
+    return matrices_from_json([rows], 2)[0]
 
 
 def _read_matrix(rows: list, dim: int) -> np.ndarray:

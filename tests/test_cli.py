@@ -627,6 +627,24 @@ def test_trajectory_thresholds_projective_in_double_exit_4(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
 
 
+def test_runs_past_the_duration_cap_exit_4(tmp_path, capsys):
+    # At alpha = 1.52 the (0.99, 0.98) readout's runs outlast the cap of 10^6 + 1
+    # steps of dt, on trajectory and on the continuous backend; at alpha = 1.5 not.
+    set_path, proto = tmp_path / "dops.json", str(tmp_path / "proto.json")
+    set_path.write_text(kraus_set_to_json(kraus_set(list(dops(PartialProjParams(0.99, 0.98))))))
+    assert main(["synth", str(set_path), "--output", proto]) == 0
+    runs = (["trajectory", "--p", "0.99", "--q", "0.98", "--shots", "100"],
+            ["simulate", proto, "--backend", "continuous", "--shots", "100"])
+    for args in runs:
+        capsys.readouterr()
+        assert main([*args, "--alpha", "1.52"]) == 4, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "duration cap of 1000001 steps" in err
+        out = str(tmp_path / "out")
+        assert main([*args, "--alpha", "1.5", "--output", out]) == 0, args
+
+
 def test_synth_stdout_is_json_without_output(trine_json, capsys):
     assert main(["synth", trine_json]) == 0
     out, err = capsys.readouterr()

@@ -3,6 +3,7 @@ import math
 import pickle
 import struct
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,15 +456,25 @@ def test_batch_refuses_infinite_thresholds():
 
 
 def test_batch_duration_cap():
+    # At alpha = 1.52 the (0.99, 0.98) readout's runs outlast the cap of 10^6 + 1
+    # steps; at a cap of one step its runs at alpha = 0 do.
     t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
-    cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=1e-6)
-    with pytest.raises(Infeasible, match="duration cap"):
-        simulate_batch(cfg, t, PLUS, 100)
-    # A cap that is not positive is refused as tau_min and dt are: -1 used to give
-    # j_cap = -98 and an IndexError from simulate_batch.
-    for cap in (-1.0, 0.0, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="max_duration must be positive"):
-            ReadoutConfig(tau_min=1.0, seed=1, max_duration=cap)
+    with pytest.raises(Infeasible, match="duration cap of 1000001 steps"):
+        simulate_batch(ReadoutConfig(tau_min=1.0, seed=1, alpha=1.52), t, PLUS, 100)
+    with mock.patch.object(continuous_readout, "_J_CAP", 1):
+        with pytest.raises(Infeasible, match="duration cap of 1 steps"):
+            simulate_batch(ReadoutConfig(tau_min=1.0, seed=1), t, PLUS, 100)
+
+
+def test_config_refuses_a_dt_whose_cap_is_not_finite():
+    # The cap is a fixed step count, not a setting: dt must keep 10^6 + 1 steps of it
+    # finite and be a nonzero fraction of tau.
+    assert ReadoutConfig(tau_min=1.0, seed=0, dt=1.7e302).dt == 1.7e302
+    for tau_min, dt in ((1.0, 1.8e302), (1e300, 1e-320)):
+        with pytest.raises(ValueError, match="duration cap of 1000001 steps"):
+            ReadoutConfig(tau_min=tau_min, seed=0, dt=dt)
+    with pytest.raises(TypeError):
+        ReadoutConfig(tau_min=1.0, seed=0, max_duration=1.0)
 
 
 def test_walk_law_closed_forms():
@@ -500,21 +511,22 @@ def test_inefficiency_coherence_closed_form():
 
 
 def test_batch_cap_is_deterministic():
-    # At (0.99, 0.98) a run outlasts 5 tau with probability about 0.04, so a
-    # 30-run walk would raise on some seeds only. The batch raises whenever
-    # a run outlasts the cap with probability above 1e-12: on every seed or
-    # on none.
+    # At (0.99, 0.98) a run outlasts 5 tau (501 steps) with probability about
+    # 0.04, so a 30-run walk would raise on some seeds only. The batch raises
+    # whenever a run outlasts the cap with probability above 1e-12: on every
+    # seed or on none.
     t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
-    for cap, raises in ((5.0, True), (60.0, False)):
+    for j_cap, raises in ((501, True), (6001, False)):
         seen = set()
-        for seed in range(10):
-            cfg = ReadoutConfig(tau_min=1.0, seed=seed, max_duration=cap)
-            try:
-                simulate_batch(cfg, t, PLUS, 30)
-                seen.add(False)
-            except Infeasible as e:
-                assert "duration cap" in str(e)
-                seen.add(True)
+        with mock.patch.object(continuous_readout, "_J_CAP", j_cap):
+            for seed in range(10):
+                cfg = ReadoutConfig(tau_min=1.0, seed=seed)
+                try:
+                    simulate_batch(cfg, t, PLUS, 30)
+                    seen.add(False)
+                except Infeasible as e:
+                    assert "duration cap" in str(e)
+                    seen.add(True)
         assert seen == {raises}
 
 
@@ -548,7 +560,7 @@ def test_exit_series_at_a_tiny_grid_step_does_not_overflow(factor):
     tables = []
     for dt in (6e-307, 1e-20):
         gap = factor * math.pi * math.sqrt(dt / 92)
-        cfg = ReadoutConfig(tau_min=1.0, seed=1, dt=dt, max_duration=dt * 1e6 / 0.6)
+        cfg = ReadoutConfig(tau_min=1.0, seed=1, dt=dt)
         t = Thresholds(gap / 2, -gap / 2)
         batch = simulate_batch(cfg, t, np.eye(2) / 2, 5)
         assert np.all(batch.duration >= dt) and np.all(np.isfinite(batch.final_state))
@@ -944,18 +956,19 @@ def test_generator_doubles_are_multiples_of_2_to_the_minus_53():
 
 
 def test_duration_cap_is_exact_on_the_grid():
-    # A cap of 255.5 dt makes step 256 the first past it, at either side of
-    # a half step. A batch whose runs outlast the cap raises naming that
-    # step; one that clears its cap draws exactly what the uncapped batch
-    # draws.
+    # The cap is 10^6 + 1 steps at any grid. A batch whose runs outlast a cap
+    # of 256 steps raises naming that step; one that clears a cap of 6001
+    # steps draws exactly what the batch under the fixed cap draws.
     t = thresholds_from_pq(PartialProjParams(0.99, 0.98))
-    for cap, j_cap in ((255.5e-2, 256), (255.49e-2, 256), (255.51e-2, 256),
-                       (6000.5e-2, 6001)):
-        assert continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0, max_duration=cap))[1] == j_cap
-    with pytest.raises(Infeasible, match="duration cap of 256 steps"):
-        simulate_batch(ReadoutConfig(tau_min=1.0, seed=3, max_duration=255.5e-2), t, PLUS, 200)
+    for dt in (1e-2, 1e-4, 0.3):
+        assert continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0, dt=dt))[1] == 10**6 + 1
+    with mock.patch.object(continuous_readout, "_J_CAP", 256):
+        assert continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0))[1] == 256
+        with pytest.raises(Infeasible, match="duration cap of 256 steps"):
+            simulate_batch(ReadoutConfig(tau_min=1.0, seed=3), t, PLUS, 200)
     free = simulate_batch(ReadoutConfig(tau_min=1.0, seed=3), t, PLUS, 200)
-    capped = simulate_batch(ReadoutConfig(tau_min=1.0, seed=3, max_duration=6000.5e-2), t, PLUS, 200)
+    with mock.patch.object(continuous_readout, "_J_CAP", 6001):
+        capped = simulate_batch(ReadoutConfig(tau_min=1.0, seed=3), t, PLUS, 200)
     assert np.array_equal(capped.outcome, free.outcome)
     assert np.array_equal(capped.duration, free.duration)
     assert np.array_equal(capped.final_state, free.final_state)
@@ -965,10 +978,10 @@ def test_duration_cap_raises_on_every_call():
     # Exceptions are not cached: a cap the readout outlasts raises each time.
     params = PartialProjParams(0.99, 0.98)
     t = thresholds_from_pq(params)
-    cfg = ReadoutConfig(tau_min=1.0, seed=1, max_duration=0.05)
-    grid = continuous_readout._grid(cfg)
+    cfg = ReadoutConfig(tau_min=1.0, seed=1)
     for _ in range(3):
+        with mock.patch.object(continuous_readout, "_J_CAP", 6):
+            with pytest.raises(Infeasible, match="duration cap of 6 steps"):
+                simulate_batch(cfg, t, PLUS, 10)
         with pytest.raises(Infeasible, match="duration cap of 6 steps"):
-            simulate_batch(cfg, t, PLUS, 10)
-        with pytest.raises(Infeasible, match="duration cap of 6 steps"):
-            continuous_readout._readout_coherence(params, 1.0, *grid)
+            continuous_readout._readout_coherence(params, 1.0, continuous_readout._grid(cfg)[0], 6)

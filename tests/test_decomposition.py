@@ -2,11 +2,12 @@ import itertools
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from genmeas import decomposition, partial_projection
+from genmeas import continuous_readout, decomposition, partial_projection
 from genmeas.ancilla_circuit import circuit_from_pq, kraus_from_circuit
 from genmeas.continuous_readout import ReadoutConfig, simulate_batch, thresholds_from_pq
 from genmeas.decomposition import (
@@ -391,11 +392,12 @@ def test_continuous_backend_weak_trine():
 
 def test_continuous_backend_duration_cap():
     proto = reduce(weak_trine_set())
-    cfg = ReadoutConfig(tau_min=1.0, seed=20, max_duration=1e-6)
-    with pytest.raises(Infeasible, match="duration cap"):
-        sample_protocol(
-            proto, np.eye(2) / 2, 100, seed=20, backend="continuous", readout_config=cfg
-        )
+    with mock.patch.object(continuous_readout, "_J_CAP", 1):
+        cfg = ReadoutConfig(tau_min=1.0, seed=20)
+        with pytest.raises(Infeasible, match="duration cap of 1 steps"):
+            sample_protocol(
+                proto, np.eye(2) / 2, 100, seed=20, backend="continuous", readout_config=cfg
+            )
 
 
 def test_continuous_backend_zero_strength_step():
@@ -495,18 +497,19 @@ def test_continuous_backend_samples_as_exact_at_unit_efficiency(alpha):
 
 
 def test_continuous_backend_cap_is_deterministic():
-    # A cap that runs outlast with probability above 1e-12 raises on every
-    # seed, also at shots=0, though a 200-run walk rarely reaches it;
-    # simulate_batch applies the same rule.
+    # A cap that runs outlast with probability above 1e-12, here 501 steps
+    # (5 tau), raises on every seed, also at shots=0, though a 200-run walk
+    # rarely reaches it; simulate_batch applies the same rule.
     proto = reduce(weak_trine_set())
     mixed = np.eye(2) / 2
-    tight = ReadoutConfig(tau_min=1.0, seed=66, max_duration=5.0)
-    for seed in range(10):
-        for shots in (0, 100):
-            with pytest.raises(Infeasible, match="duration cap"):
-                sample_protocol(proto, mixed, shots, seed, "continuous", tight)
-    with pytest.raises(Infeasible, match="duration cap"):
-        simulate_batch(tight, thresholds_from_pq(proto.steps[0].params), mixed, 200)
+    with mock.patch.object(continuous_readout, "_J_CAP", 501):
+        tight = ReadoutConfig(tau_min=1.0, seed=66)
+        for seed in range(10):
+            for shots in (0, 100):
+                with pytest.raises(Infeasible, match="duration cap"):
+                    sample_protocol(proto, mixed, shots, seed, "continuous", tight)
+        with pytest.raises(Infeasible, match="duration cap"):
+            simulate_batch(tight, thresholds_from_pq(proto.steps[0].params), mixed, 200)
     default = ReadoutConfig(tau_min=1.0, seed=66)
     for seed in range(10):
         counts, _ = sample_protocol(proto, mixed, 100, seed, "continuous", default)

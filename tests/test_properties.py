@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,18 +224,19 @@ def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
     cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, dt=m, efficiency=eta)
     try:
         free = reference_exit_table(t, cfg)
-    except Infeasible:  # the default cap, 1e6 dt, is too short
+    except Infeasible:  # the cap, 10^6 + 1 steps, is too short
         with pytest.raises(Infeasible, match="duration cap"):
             continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
         return
+    j_cap = continuous_readout._J_CAP
     if cap is not None:
         outlast = np.maximum(free.sum(axis=0), np.exp(-2.0 * np.array([t.R0, t.R1])) @ free)
         j_lo = int(np.argmax(outlast < 5e-13))
         j_cap = j_lo + int(cap * max(free.shape[1] - 2 - j_lo, 0))
-        cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, dt=m, efficiency=eta,
-                            max_duration=(j_cap - 0.5) * m)
-    ref = reference_exit_table(t, cfg)
-    surv = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
+    m_tau = continuous_readout._grid(cfg)[0]
+    with mock.patch.object(continuous_readout, "_J_CAP", j_cap):
+        ref = reference_exit_table(t, cfg)
+    surv = continuous_readout._exit_table(t, m_tau, j_cap)
     assert surv.shape == ref.shape
     if cap is not None:
         assert surv.shape[1] == j_cap + 1
@@ -242,8 +244,7 @@ def test_exit_table_is_the_reference_table(p, frac, m, alpha, eta, cap):
     # cuts: allow 1e-15 h plus 16 ulps of its absolute sum A_b(s) = sum_n |c_bn|
     # e^{-lam_n s}, which is nonincreasing in s, so A at the power of two at or
     # below j bounds bin j.
-    m_tau, cap_steps = continuous_readout._grid(cfg)
-    lam, c = continuous_readout._exit_series(t, m_tau, cap_steps)
+    lam, c = continuous_readout._exit_series(t, m_tau, j_cap)
     k = np.frexp(np.maximum(np.arange(ref.shape[1]), 1))[1] - 1
     absum = np.abs(c) @ np.exp(-np.outer(lam, 2.0 ** np.arange(k.max() + 1) * m_tau))
     assert np.all(np.abs(surv - ref) <= 1e-15 * ref[:, :1] + 16 * np.finfo(float).eps * absum[:, k])
@@ -262,14 +263,14 @@ def test_guided_exit_steps_are_the_binary_search(q, frac, alpha, eta, cap):
     # shortest one the cap check allows and the uncapped length.
     t = thresholds_from_pq(PartialProjParams(min(q + 0.001 + 0.049 * frac, 0.999), q))
     cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, efficiency=eta)
+    j_cap = continuous_readout._J_CAP
     if cap is not None:
         free = continuous_readout._exit_table(t, *continuous_readout._grid(cfg))
         outlast = np.maximum(free.sum(axis=0), np.exp(-2.0 * np.array([t.R0, t.R1])) @ free)
         j_lo = int(np.argmax(outlast < 5e-13))
         j_cap = j_lo + int(cap * max(free.shape[1] - 2 - j_lo, 0))
-        cfg = ReadoutConfig(tau_min=1.0, seed=0, alpha=alpha, efficiency=eta,
-                            max_duration=(j_cap - 0.5) * cfg.dt)
-    tail, guide, _ = plan_tables(continuous_readout._search_table(t, *continuous_readout._grid(cfg)))
+    m_tau = continuous_readout._grid(cfg)[0]
+    tail, guide, _ = plan_tables(continuous_readout._search_table(t, m_tau, j_cap))
     # Every cached tail is non-decreasing within [-1, 0], so a search is a count.
     assert np.all(np.diff(tail) >= 0.0) and tail.min() >= -1.0 and tail.max() <= 0.0
     cells = 2 ** min(math.ceil(math.log2(tail.shape[1])), 16)
@@ -281,7 +282,8 @@ def test_guided_exit_steps_are_the_binary_search(q, frac, alpha, eta, cap):
     for b, u0 in enumerate((0.0, np.nextafter(1.0, 0.0))):
         assert (u0 >= born0) == b
         u = np.column_stack([np.full(len(keys), u0), keys])
-        batch = continuous_readout._sample_exit(cfg, t, plus, u)
+        with mock.patch.object(continuous_readout, "_J_CAP", j_cap):
+            batch = continuous_readout._sample_exit(cfg, t, plus, u)
         steps = 1 + np.searchsorted(tail[b], keys - 1.0, side="right")
         assert np.array_equal(batch.duration, steps * cfg.dt)
 

@@ -234,7 +234,7 @@ def test_one_array_readers_keep_per_matrix_messages(kind):
         assert result is None and message, kind
         node[key] = good
     rows = json.dumps(MALFORMED[kind](matrix_to_json(np.eye(2))))
-    result, message = read_both(lambda t: matrix_from_json(json.loads(t), 2),
+    result, message = read_both(lambda t: matrix_from_json(json.loads(t)),
                                 lambda t: _read_matrix(json.loads(t), 2), rows)
     assert result is None and message, kind
 

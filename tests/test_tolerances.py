@@ -171,11 +171,10 @@ def test_cap_probability_is_the_boundary():
         return hi
 
     cap_prob = continuous_readout._CAP_PROB
+    m = continuous_readout._grid(config)[0]
     for level, ok in ((cap_prob / 2, True), (2 * cap_prob, False)):
         j = first_step_below(level) - (0 if ok else 1)
-        grid = continuous_readout._grid(ReadoutConfig(tau_min=1.0, seed=0, max_duration=(j - 1) * config.dt))
-        assert grid[1] == j
-        assert _ok(Infeasible, continuous_readout._exit_series, t, *grid) is ok
+        assert _ok(Infeasible, continuous_readout._exit_series, t, m, j) is ok
 
 
 def test_tail_floor_ends_the_exit_table():
